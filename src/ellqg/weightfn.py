@@ -9,6 +9,15 @@ the tests.
 Brackets are always the unstarred [.] built on the nome carried by the
 ModularParams argument (so substituting a different nome, as the q-KZ cycle
 insertion does, is just a parameter change).
+
+Every symmetrized sum is one depth-first walk, ``_sym_sum``, over the block
+permutations from level N-1 (tied to z) down to level 1, one level factor
+per step; ``u_tilde``/``u_mod`` are the identity-order term.  Brackets go
+through a per-call memo, as their arguments are only the O(n^2) values
+v_x - v_y + c, c in {0, +-1, A}.  A u_tilde branch whose partial product is
+exactly 0 (as at t = z_J) is cut, unless a denominator value that a cut could
+skip (one of levels 1..N-2; the level-(N-1) factor is always evaluated whole)
+is below _DEN_TOL: then every term is finished and meets its pole checks.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .ellfn import ModularParams, jacobi_bracket
 from .errors import ParameterError, PoleError, ShapeError
@@ -72,6 +81,7 @@ class WeightFunctionEval:
     value: complex
     terms_evaluated: int
     skipped_singular: int = 0
+    terms_pruned: int = 0  # of terms_evaluated: cut at an exactly-zero factor
 
 
 def _vees(t: TVariables, z: EvaluationPoints, mp: ModularParams):
@@ -87,6 +97,90 @@ def _c_offset(colors, s: int, mu_s: int, lplus: int) -> int:
     return sum(eps_pairing(colors[j], mu_s, lplus) for j in range(s, len(colors)))
 
 
+class _Brackets(dict):
+    """Memo of one call's brackets [x], keyed by the argument x."""
+
+    def __init__(self, mp: ModularParams) -> None:
+        self.mp = mp
+
+    def __missing__(self, x):
+        self[x] = val = jacobi_bracket(x, self.mp)
+        return val
+
+
+def _level_factors(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
+                   Pdyn: DynamicalParams, mp: ModularParams, modified: bool = False):
+    """``(factor, dens)`` for the u_tilde (with ``modified``, u_mod) terms of a sum.
+
+    ``factor(l, p, pn)`` is the level-l factor of the term whose level-l and
+    level-(l+1) variables are in the orders p and pn (as in TVariables.permuted;
+    level N is z).  ``dens()`` yields every u_tilde denominator value that a
+    cut branch could skip; [A] divides every term and is checked here.
+    """
+    lam = I.shape()
+    t.check_shape(lam)
+    colors = I.colors()
+    vs = _vees(t, z, mp)
+    br = _Brackets(mp).__getitem__
+    slots = []  # per level: (matched slot b, A, [A], later and earlier slots of l+1)
+    for l in range(1, lam.N):
+        nxt = I.union(l + 1)
+        level = []
+        for s in I.union(l):
+            A = Pdyn.value(colors[s - 1], l + 1) - _c_offset(colors, s, colors[s - 1], l + 1)
+            if abs(br(A)) < _DEN_TOL:  # in every term
+                raise PoleError(f"[(P+h) - C] vanished at level {l}, slot {len(level)+1}")
+            level.append((nxt.index(s), A, br(A), [b for b, s2 in enumerate(nxt) if s2 > s],
+                          [b for b, s2 in enumerate(nxt) if s2 < s]))
+        slots.append(level)
+
+    def tilde(l, p, pn):
+        v_l, v_n = vs[l - 1], vs[l]
+        total = 1.0 + 0.0j
+        for a, (b, A, den_b, later, _) in enumerate(slots[l - 1]):
+            va = v_l[p[a]]
+            for bp in (b, *later):
+                den = br(v_n[pn[bp]] - va + 1.0)
+                if abs(den) < _DEN_TOL:
+                    raise PoleError(f"[v^{l+1}_{bp+1} - v^{l}_{a+1} + 1] vanished")
+                total *= (br(v_n[pn[bp]] - va + A) * br(1.0) / den_b if bp == b
+                          else br(v_n[pn[bp]] - va)) / den
+            for ap in range(a + 1, len(p)):
+                den = br(va - v_l[p[ap]])
+                if abs(den) < _DEN_TOL:
+                    raise PoleError(f"[v^{l}_{a+1} - v^{l}_{ap+1}] vanished")
+                total *= br(va - v_l[p[ap]] - 1.0) / den
+        return total
+
+    def mod(l, p, pn):
+        v_l, v_n = vs[l - 1], vs[l]
+        total = 1.0 + 0.0j
+        for a, (b, A, den_b, later, earlier) in enumerate(slots[l - 1]):
+            va = v_l[p[a]]
+            total *= (br(v_n[pn[b]] - va + A) / den_b
+                      * math.prod(br(v_n[pn[bp]] - va) for bp in later)
+                      * math.prod(br(v_n[pn[bp]] - va + 1.0) for bp in earlier))
+        for a, b in combinations(range(len(p)), 2):
+            den = br(v_l[p[a]] - v_l[p[b]]) * br(v_l[p[b]] - v_l[p[a]] - 1.0)
+            if abs(den) < _DEN_TOL:
+                raise PoleError(f"level-{l} denominator vanished")
+            total /= den
+        return total
+
+    def dens():  # levels 1..N-2; the level-(N-1) factor is never cut
+        for v_l, v_n in zip(vs, vs[1:-1]):
+            yield from (br(x - y) for x, y in permutations(v_l, 2))
+            yield from (br(vb - va + 1.0) for va in v_l for vb in v_n)
+
+    return (mod if modified else tilde), dens
+
+
+def _identity_term(factor, lam: Composition) -> complex:
+    """The unpermuted term, prod_l factor(l, id, id)."""
+    return math.prod((factor(l, range(lam.prefix(l)), range(lam.prefix(l + 1)))
+                      for l in range(1, lam.N)), start=1.0 + 0.0j)
+
+
 def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
             Pdyn: DynamicalParams, mp: ModularParams) -> complex:
     """Single pre-symmetrization term of the weight function.
@@ -98,97 +192,84 @@ def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         * prod_{b' : i^(l+1)_{b'} > s}  [v'_{b'} - v_a] / [v'_{b'} - v_a + 1]
         * prod_{a' > a}                 [v_a - v_{a'} - 1] / [v_a - v_{a'}]
     """
+    return _identity_term(_level_factors(I, t, z, Pdyn, mp)[0], I.shape())
+
+
+def _sym_sum(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
+             Pdyn: DynamicalParams, mp: ModularParams, modified: bool = False,
+             on_pole=None) -> WeightFunctionEval:
+    """Plain sum of the u_tilde (u_mod, not pruned) terms over block permutations.
+
+    A PoleError propagates or, with ``on_pole``, each term of the branch that
+    raised it is taken as ``on_pole(perms)`` and counted as skipped.
+    """
+    factor, dens = _level_factors(I, t, z, Pdyn, mp, modified)
+    prune = not modified and all(abs(d) >= _DEN_TOL for d in dens())
     lam = I.shape()
-    t.check_shape(lam)
-    colors = I.colors()
-    vs = _vees(t, z, mp)
-    br = lambda x: jacobi_bracket(x, mp)
-    b1 = br(1.0)
-    total = 1.0 + 0.0j
-    for l in range(1, lam.N):
-        lvl_sites = I.union(l)
-        nxt_sites = I.union(l + 1)
-        v_l, v_n = vs[l - 1], vs[l]
-        for a, site in enumerate(lvl_sites):
-            va = v_l[a]
-            mu_s = colors[site - 1]
-            b = nxt_sites.index(site)
-            A = Pdyn.value(mu_s, l + 1) - _c_offset(colors, site, mu_s, l + 1)
-            den_a = br(v_n[b] - va + 1.0)
-            den_b = br(A)
-            if abs(den_a) < _DEN_TOL:
-                raise PoleError(f"[v^{l+1}_{b+1} - v^{l}_{a+1} + 1] vanished")
-            if abs(den_b) < _DEN_TOL:
-                raise PoleError(f"[(P+h) - C] vanished at level {l}, slot {a+1}")
-            total *= br(v_n[b] - va + A) * b1 / (den_a * den_b)
-            for bp, site2 in enumerate(nxt_sites):
-                if site2 > site:
-                    den = br(v_n[bp] - va + 1.0)
-                    if abs(den) < _DEN_TOL:
-                        raise PoleError(
-                            f"[v^{l+1}_{bp+1} - v^{l}_{a+1} + 1] vanished")
-                    total *= br(v_n[bp] - va) / den
-            for ap in range(a + 1, len(lvl_sites)):
-                den = br(va - v_l[ap])
-                if abs(den) < _DEN_TOL:
-                    raise PoleError(f"[v^{l}_{a+1} - v^{l}_{ap+1}] vanished")
-                total *= br(va - v_l[ap] - 1.0) / den
-    return total
-
-
-def _sym_sum(term, lam: Composition):
-    """Plain symmetrization sum of ``term(perms)`` over each t-block."""
     blocks = [list(permutations(range(lam.prefix(l)))) for l in range(1, lam.N)]
-    return [perms for perms in product(*blocks)]
+    acc = [0.0 + 0.0j, 0, 0]  # value, skipped, pruned
+
+    def walk(l, partial, chosen):  # chosen: the orders of levels l+1..N-1, then z
+        if l == 0:
+            acc[0] += partial
+            return
+        for p in blocks[l - 1]:
+            try:
+                value = partial * factor(l, p, chosen[0])
+            except PoleError:
+                if on_pole is None:
+                    raise
+                for rest in product(*blocks[:l - 1]):
+                    acc[0] += on_pole(rest + (p,) + chosen[:-1])
+                acc[1] += math.prod(map(len, blocks[:l - 1]))
+                continue
+            if prune and value == 0:
+                acc[2] += math.prod(map(len, blocks[:l - 1]))
+            else:
+                walk(l - 1, value, (p,) + chosen)
+
+    walk(len(blocks), 1.0 + 0.0j, (range(lam.n),))
+    return WeightFunctionEval(acc[0], math.prod(map(len, blocks)) - acc[1],
+                              skipped_singular=acc[1], terms_pruned=acc[2])
 
 
 def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
             Pdyn: DynamicalParams, mp: ModularParams) -> WeightFunctionEval:
-    """Weight function: plain sum of u_tilde over block permutations of t."""
-    lam = I.shape()
-    t.check_shape(lam)
-    total = 0.0 + 0.0j
-    count = 0
-    for perms in _sym_sum(None, lam):
-        total += u_tilde(I, t.permuted(perms), z, Pdyn, mp)
-        count += 1
-    return WeightFunctionEval(value=total, terms_evaluated=count)
+    """Weight function: plain sum of u_tilde over block permutations of t.
+
+    Summed by ``_sym_sum``, exactly-zero branches pruned (module docstring);
+    a vanishing denominator raises PoleError.
+    """
+    return _sym_sum(I, t, z, Pdyn, mp)
 
 
 def specialize(I: PartitionIndex, at: PartitionIndex, z: EvaluationPoints,
                Pdyn: DynamicalParams, mp: ModularParams) -> WeightFunctionEval:
     """w_tilde of label I evaluated at the specialization t = z_at.
 
-    Zero unless at <= I in the partial order.  Summands that hit a vanishing
-    denominator are evaluated by the limit rule: the specialization point is
-    moved to z_at * (1 + eps) for eps in {1e-5, 1e-6} and Richardson
-    extrapolated; a summand that keeps growing under refinement is a genuine
-    pole and raises.
+    Zero unless at <= I in the partial order.  Exactly-zero branches are pruned
+    unless a denominator value a cut could skip is below _DEN_TOL; then
+    summands that hit a vanishing denominator are evaluated by the limit rule:
+    the specialization point is moved to z_at * (1 + eps) for eps in
+    {1e-5, 1e-6} and Richardson extrapolated; a summand that keeps growing
+    under refinement is a genuine pole and raises.
     """
     if I.shape() != at.shape():
         raise ShapeError("specialization point and label must share a shape")
     z.require_distinct()
     t = TVariables.specialization(at, z)
-    lam = I.shape()
-    total = 0.0 + 0.0j
-    count = 0
-    skipped = 0
-    for perms in _sym_sum(None, lam):
+
+    def limit(perms):
         tp = t.permuted(perms)
-        try:
-            total += u_tilde(I, tp, z, Pdyn, mp)
-            count += 1
-        except PoleError:
-            eps1, eps2 = 1e-5, 1e-6
-            v1 = u_tilde(I, tp.scaled(1.0 + eps1), z, Pdyn, mp)
-            v2 = u_tilde(I, tp.scaled(1.0 + eps2), z, Pdyn, mp)
-            if abs(v2) > 4.0 * abs(v1) + 1e-9:
-                raise PoleError(
-                    "genuine pole at specialization: summand diverges under refinement")
-            total += (eps1 * v2 - eps2 * v1) / (eps1 - eps2)
-            skipped += 1
-    return WeightFunctionEval(value=total, terms_evaluated=count,
-                              skipped_singular=skipped)
+        eps1, eps2 = 1e-5, 1e-6
+        v1 = u_tilde(I, tp.scaled(1.0 + eps1), z, Pdyn, mp)
+        v2 = u_tilde(I, tp.scaled(1.0 + eps2), z, Pdyn, mp)
+        if abs(v2) > 4.0 * abs(v1) + 1e-9:
+            raise PoleError(
+                "genuine pole at specialization: summand diverges under refinement")
+        return (eps1 * v2 - eps2 * v1) / (eps1 - eps2)
+
+    return _sym_sum(I, t, z, Pdyn, mp, on_pole=limit)
 
 
 def diagonal_value(I: PartitionIndex, z: EvaluationPoints, mp: ModularParams) -> complex:
@@ -247,14 +328,9 @@ def transition_check(mu, i: int, t: TVariables, z: EvaluationPoints,
 def h_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
              mp: ModularParams) -> complex:
     """H factor: prod_l prod_{a,b} [v^(l+1)_b - v^(l)_a + 1]."""
-    vs = _vees(t, z, mp)
-    br = lambda x: jacobi_bracket(x, mp)
-    total = 1.0 + 0.0j
-    for l in range(1, lam.N):
-        for va in vs[l - 1]:
-            for vb in vs[l]:
-                total *= br(vb - va + 1.0)
-    return total
+    vs, br = _vees(t, z, mp), _Brackets(mp).__getitem__
+    return math.prod((br(vb - va + 1.0) for l in range(1, lam.N)
+                      for va in vs[l - 1] for vb in vs[l]), start=1.0 + 0.0j)
 
 
 def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
@@ -265,14 +341,9 @@ def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
     level contributes one [1] factor per variable.  This literal reading is
     the one under which the two modified-weight-function routes coincide.
     """
-    vs = _vees(t, z, mp)
-    br = lambda x: jacobi_bracket(x, mp)
-    total = 1.0 + 0.0j
-    for l in range(1, lam.N):
-        for va in vs[l - 1]:
-            for vb in vs[l - 1]:
-                total *= br(vb - va + 1.0)
-    return total
+    vs, br = _vees(t, z, mp), _Brackets(mp).__getitem__
+    return math.prod((br(vb - va + 1.0) for l in range(1, lam.N)
+                      for va in vs[l - 1] for vb in vs[l - 1]), start=1.0 + 0.0j)
 
 
 def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -287,37 +358,8 @@ def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
 
     divided by prod_{a<b} [v_a - v_b][v_b - v_a - 1].
     """
-    lam = I.shape()
-    t.check_shape(lam)
-    colors = I.colors()
-    vs = _vees(t, z, mp)
-    br = lambda x: jacobi_bracket(x, mp)
-    total = 1.0 + 0.0j
-    for l in range(1, lam.N):
-        lvl_sites = I.union(l)
-        nxt_sites = I.union(l + 1)
-        v_l, v_n = vs[l - 1], vs[l]
-        for a, site in enumerate(lvl_sites):
-            va = v_l[a]
-            mu_s = colors[site - 1]
-            b = nxt_sites.index(site)
-            A = Pdyn.value(mu_s, l + 1) - _c_offset(colors, site, mu_s, l + 1)
-            den = br(A)
-            if abs(den) < _DEN_TOL:
-                raise PoleError(f"[(P+h) - C] vanished at level {l}, slot {a+1}")
-            total *= br(v_n[b] - va + A) / den
-            for bp, site2 in enumerate(nxt_sites):
-                if site2 > site:
-                    total *= br(v_n[bp] - va)
-                elif site2 < site:
-                    total *= br(v_n[bp] - va + 1.0)
-        for a in range(len(lvl_sites)):
-            for b in range(a + 1, len(lvl_sites)):
-                den = br(v_l[a] - v_l[b]) * br(v_l[b] - v_l[a] - 1.0)
-                if abs(den) < _DEN_TOL:
-                    raise PoleError(f"level-{l} denominator vanished")
-                total /= den
-    return total
+    return _identity_term(_level_factors(I, t, z, Pdyn, mp, modified=True)[0],
+                          I.shape())
 
 
 def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -326,8 +368,8 @@ def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     """Modified weight function, by either of two equivalent routes.
 
     route="ratio": H * w_tilde / E.  route="sym": plain symmetrization sum of
-    the u_mod terms.  The two agree identically; both are kept as a cross
-    check.
+    the u_mod terms, by the same enumerator as w_tilde.  The two agree
+    identically; both are kept as a cross check.
     """
     lam = I.shape()
     t.check_shape(lam)
@@ -335,10 +377,7 @@ def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         wt = w_tilde(I, t, z, Pdyn, mp).value
         return h_lambda(lam, t, z, mp) * wt / e_lambda(lam, t, z, mp)
     if route == "sym":
-        total = 0.0 + 0.0j
-        for perms in _sym_sum(None, lam):
-            total += u_mod(I, t.permuted(perms), z, Pdyn, mp)
-        return total
+        return _sym_sum(I, t, z, Pdyn, mp, modified=True).value
     raise ParameterError(f"unknown route {route!r}")
 
 

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import random_pdyn, random_points, random_t, shape_of
 from ellqg.ellfn import ModularParams, jacobi_bracket
-from ellqg.errors import ParameterError
-from ellqg.tensorspace import (Composition, EvaluationPoints,
+from ellqg.errors import ParameterError, PoleError
+from ellqg.suites import _wf_cases
+from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                                PartitionIndex, enumerate_partitions, leq)
 from ellqg.weightfn import (TVariables, diagonal_value, e_lambda,
                             modified_w, specialize, stab_matrix,
@@ -176,6 +177,55 @@ def test_specialization_counts_terms(mp, rng):
     assert res.terms_evaluated + res.skipped_singular == 2  # lambda^(1)! = 2
 
 
+def _brute_force_sum(I, t, z, pd, mp):
+    """Plain sum of u_tilde over every product of block permutations of t."""
+    lam = I.shape()
+    blocks = [permutations(range(lam.prefix(l))) for l in range(1, lam.N)]
+    return sum((u_tilde(I, t.permuted(perms), z, pd, mp)
+                for perms in product(*blocks)), 0.0 + 0.0j)
+
+
+def test_enumerator_equals_brute_force_sum(mp, rng):
+    pruned = 0
+    for N, lam in _wf_cases():
+        z = random_points(rng, lam.n, mp.q)
+        pd = random_pdyn(rng, N)
+        t = random_t(rng, lam)
+        parts = enumerate_partitions(lam)
+        for I in parts:
+            res = w_tilde(I, t, z, pd, mp)
+            ref = _brute_force_sum(I, t, z, pd, mp)
+            assert abs(res.value - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
+            assert res.terms_pruned == 0
+            for at in parts:
+                res = specialize(I, at, z, pd, mp)
+                ref = _brute_force_sum(I, TVariables.specialization(at, z), z, pd, mp)
+                assert abs(res.value - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I, at)
+                assert res.skipped_singular == 0
+                pruned += res.terms_pruned if at != I else 0
+    assert pruned > 0
+
+
+def test_resonant_denominator_is_not_pruned_away():
+    # z_2 = q^2 z_1 makes [v' - v + 1] vanish in a term whose other factor is
+    # an exact [0]; that term must still go to the limit rule.
+    q = 0.5
+    mp = ModularParams(q=q, r=3.1)
+    z1 = 0.6 * cmath.exp(0.3j)
+    z = EvaluationPoints((z1, q ** 2 * z1, 0.8 * cmath.exp(-1j)), q)
+    pd = DynamicalParams((1.2 + 0.3j,))
+    res = specialize(PartitionIndex.from_colors((1, 1, 2), 2),
+                     PartitionIndex.from_colors((2, 1, 1), 2), z, pd, mp)
+    assert res.skipped_singular == 1
+    # At N = 3 the exact [0] sits in the level-2 factor and the vanishing
+    # denominator in a level-1 factor below it: the term goes to the limit
+    # rule, which cannot resolve it and raises, instead of being cut as 0.
+    pd3 = DynamicalParams((1.2 + 0.3j, 0.9 - 0.2j))
+    with pytest.raises(PoleError):
+        specialize(PartitionIndex.from_colors((3, 2, 1), 3),
+                   PartitionIndex.from_colors((2, 1, 3), 3), z, pd3, mp)
+
+
 def test_transition_property(mp, rng):
     for N in (2, 3):
         for n in (2, 3, 4):
@@ -314,7 +364,6 @@ def test_trig_degeneration_contracts(seed):
 
 
 def test_u_tilde_pole_error_names_bracket(mp, rng):
-    from ellqg.errors import PoleError
     I = PartitionIndex.from_colors((1, 2), 2)
     z = random_points(rng, 2, mp.q)
     pd = random_pdyn(rng, 2)
