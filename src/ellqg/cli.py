@@ -302,7 +302,7 @@ def _cmd_gt(cfg: RunConfig, args) -> int:
                 terms = [{"site": trm.site, "re": trm.coeff.real,
                           "im": trm.coeff.imag, "target": trm.target.to_json(),
                           "tag": list(trm.tag)}
-                         for trm in act(j, I, z, pd, mp).terms]
+                         for trm in act(j, I, z, mp).terms]
                 records.append({"I": I.to_json(), "terms": terms})
         _emit({"action": "act", "op": args.op, "j": j, "records": records}, args.out)
         return 0

@@ -2,7 +2,7 @@
 
 q-Pochhammer products, the odd theta function, Jacobi-style theta brackets
 and the elliptic Gamma function, all evaluated by adaptively truncated
-products.
+products; ``ell_gamma`` evaluates a batch of arguments in one numpy pass.
 
 Conventions fixed here once for the whole package:
 
@@ -11,9 +11,9 @@ Conventions fixed here once for the whole package:
 * q^x := exp(x log q) is single valued for complex x because log q is real;
   powers z^a of other complex quantities use the principal logarithm with
   the branch cut on the negative real axis.
-* infinite products stop at the first term whose magnitude drops below the
-  truncation tolerance, with a hard cap on the number of factors.  For a
-  fixed parameter set the result is fully deterministic.
+* infinite products keep the terms of magnitude at least the truncation
+  tolerance, at most ``max_terms`` per index: ``qpoch`` stops at that cap,
+  ``ell_gamma`` raises ResourceCapError instead.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ParameterError, PoleError
+import numpy as np
+
+from .errors import DomainError, ParameterError, PoleError, ResourceCapError
 
 DEFAULT_EPS = 1e-14
 DEFAULT_MAX_TERMS = 512
@@ -147,45 +149,49 @@ def bracket_derivative_at_zero(mp: ModularParams, starred: bool = False,
     return (4.0 * d2 - d1) / 3.0
 
 
-def _double_qpoch(z: complex, p: float, s: float, eps: float, max_terms: int,
-                  raise_on_zero: bool) -> complex:
-    """(z; p, s)_inf = prod_{m,n>=0} (1 - z p^m s^n), truncated.
-
-    With ``raise_on_zero`` a vanishing factor raises PoleError naming (m, n).
-    """
-    val = 1.0 + 0.0j
-    zp = z
-    for m in range(max_terms):
-        if abs(zp) < eps:
-            break
-        w = zp
-        for n in range(max_terms):
-            if abs(w) < eps:
-                break
-            f = 1.0 - w
-            if raise_on_zero and abs(f) < _POLE_TOL:
-                raise PoleError(
-                    f"elliptic Gamma pole: factor (m={m}, n={n}) vanishes at z={z}")
-            val *= f
-            w *= s
-        zp *= p
-    return val
+def _nome_powers(x: float, top: float, eps: float, max_terms: int) -> np.ndarray:
+    """1, x, x^2, ... while top |x|^n >= eps; more than max_terms raises ResourceCapError."""
+    out = [1.0]
+    while top * abs(out[-1]) >= eps and len(out) <= max_terms:
+        out.append(out[-1] * x)
+    if top * abs(out[-1]) >= eps:
+        raise ResourceCapError(f"elliptic Gamma needs more than max_terms={max_terms} factors")
+    return np.array(out[:-1])
 
 
-def ell_gamma(z: complex, p: float, s: float, *, eps: float = DEFAULT_EPS,
-              max_terms: int = DEFAULT_MAX_TERMS) -> complex:
+def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DEFAULT_EPS,
+              max_terms: int = DEFAULT_MAX_TERMS) -> complex | np.ndarray:
     """Elliptic Gamma function Gamma(z; p, s) = (ps/z; p, s)_inf / (z; p, s)_inf.
 
-    Satisfies the reflection identity Gamma(z) Gamma(ps/z) = 1.
+    ``z`` is one argument (gives a complex) or a 1-D sequence (gives an array),
+    all evaluated in one numpy pass over the p^m s^n grid, one m-row at a time.
+    Each (x; p, s)_inf keeps the factors with m, n < max_terms and |x| p^m s^n
+    >= eps; an argument that needs more raises ResourceCapError.  A vanishing
+    factor of a (z; p, s)_inf raises PoleError naming (m, n): the smallest m,
+    then the earliest z, then the smallest n.  Gamma(z) Gamma(ps/z) = 1.
     """
-    z = complex(z)
     if abs(p) >= 1.0 or abs(s) >= 1.0:
         raise ParameterError("elliptic Gamma requires |p| < 1 and |s| < 1")
-    if z == 0:
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not zs.all():
         raise DomainError("elliptic Gamma requires z != 0")
-    num = _double_qpoch(p * s / z, p, s, eps, max_terms, raise_on_zero=False)
-    den = _double_qpoch(z, p, s, eps, max_terms, raise_on_zero=True)
-    return num / den
+    args = np.concatenate((p * s / zs, zs))
+    top = np.abs(args).max(initial=0.0)
+    prow, srow = (_nome_powers(x, top, eps, max_terms) for x in (p, s))
+    row = np.multiply.outer(args, srow)             # x s^n; row m scales it by p^m
+    size = np.abs(row)
+    acc = np.ones(args.size, dtype=complex)
+    for m, pm in enumerate(prow):
+        f = 1.0 - pm * row
+        f[abs(pm) * size < eps] = 1.0               # factors an argument drops
+        small = np.abs(f[zs.size:])
+        if small.min() < _POLE_TOL:
+            j, n = np.argwhere(small < _POLE_TOL)[0]
+            raise PoleError(f"elliptic Gamma pole: factor (m={m}, n={n}) "
+                            f"vanishes at z={zs[j]}")
+        acc = acc * np.multiply.reduce(f, axis=1)
+    gamma = acc[:zs.size] / acc[zs.size:]
+    return complex(gamma[0]) if np.ndim(z) == 0 else gamma
 
 
 def rho_plus(z: complex, N: int, mp: ModularParams) -> complex:
@@ -197,11 +203,10 @@ def rho_plus(z: complex, N: int, mp: ModularParams) -> complex:
     """
     z = complex(z)
     s = mp.q ** (2 * N)
-    g = lambda x: ell_gamma(x, mp.p, s, eps=mp.trunc_eps, max_terms=mp.max_terms)
+    g = ell_gamma([z, s * z, mp.q ** 2 * z, mp.q ** (2 * N - 2) * z], mp.p, s,
+                  eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
     power = cmath.exp((N - 1) / (mp.r * N) * cmath.log(z)) if N > 1 else 1.0
-    pref = mp.qpow(-(N - 1) / N)
-    return pref * power * g(z) * g(mp.q ** (2 * N) * z) / (
-        g(mp.q ** 2 * z) * g(mp.q ** (2 * N - 2) * z))
+    return mp.qpow(-(N - 1) / N) * power * g[0] * g[1] / (g[2] * g[3])
 
 
 def mu_scalar(z: complex, N: int, mp: ModularParams) -> complex:
@@ -213,8 +218,8 @@ def mu_scalar(z: complex, N: int, mp: ModularParams) -> complex:
     """
     z = complex(z)
     s = mp.q ** (2 * N)
-    g = lambda x: ell_gamma(x, mp.p, s, eps=mp.trunc_eps, max_terms=mp.max_terms)
+    g = ell_gamma([mp.p * z, s * z, mp.q ** 2 * z, mp.p * mp.q ** (2 * N - 2) * z],
+                  mp.p, s, eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
     expo = -((mp.r - 1.0) / mp.r) * ((N - 1) / N)
     power = cmath.exp(expo * cmath.log(z)) if N > 1 else 1.0
-    return power * g(mp.p * z) * g(mp.q ** (2 * N) * z) / (
-        g(mp.q ** 2 * z) * g(mp.p * mp.q ** (2 * N - 2) * z))
+    return power * g[0] * g[1] / (g[2] * g[3])

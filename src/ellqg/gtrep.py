@@ -256,7 +256,7 @@ def _move(I: PartitionIndex, i: int, src: int, dst: int) -> PartitionIndex:
 
 
 def e_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
-            Pdyn: DynamicalParams, mp: ModularParams) -> CurrentActionResult:
+            mp: ModularParams) -> CurrentActionResult:
     """Raising current on a GT vector: supports at z_i for i in I_{j+1}.
 
     Coefficient a* prod_{k in I_{j+1}, k != i} [u_k - u_i + 1]/[u_k - u_i];
@@ -285,7 +285,7 @@ def e_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
 
 
 def f_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
-            Pdyn: DynamicalParams, mp: ModularParams) -> CurrentActionResult:
+            mp: ModularParams) -> CurrentActionResult:
     """Lowering current on a GT vector: supports at z_i for i in I_j.
 
     Coefficient a prod_{k in I_j, k != i} [u_i - u_k + 1]/[u_i - u_k]; the
@@ -369,10 +369,10 @@ def exchange_check(j1: int, j2: int, I: PartitionIndex, z: EvaluationPoints,
     def composite(first_j: int, second_j: int):
         """(site_first, site_second, target colors) -> small-current coefficient."""
         table: dict = {}
-        for t1 in act(first_j, I, z, Pdyn, mp).terms:
+        for t1 in act(first_j, I, z, mp).terms:
             pw1 = _small_power(t1.site, first_j, I.shape(), zero, z, Pdyn, mp, current)
             tau1 = t1.tag if tag_shift else zero
-            for t2 in act(second_j, t1.target, z, Pdyn, mp).terms:
+            for t2 in act(second_j, t1.target, z, mp).terms:
                 if t2.site == t1.site:
                     continue
                 pw2 = _small_power(t2.site, second_j, t1.target.shape(), tau1,

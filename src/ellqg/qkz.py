@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, pairwise, product
 
 from .ellfn import ModularParams, ell_gamma, qpoch
 from .errors import ParameterError, ResourceCapError, ShapeError
@@ -105,22 +105,17 @@ def phi_kernel(t: TVariables, z: EvaluationPoints, mp: ModularParams,
 
     Cross-level block: Gamma(t_a/t'_b) / Gamma(p* t_a/t'_b); same-level
     block: Gamma(p* t_a/t_b) Gamma(p* t_b/t_a) / (Gamma(t_a/t_b) Gamma(t_b/t_a)).
+    All Gammas of one point are evaluated by one batched ``ell_gamma`` call.
     """
-    p, ps = mp.p, mp.pstar
-    g = lambda x: ell_gamma(x, p, Q, eps=mp.trunc_eps, max_terms=mp.max_terms)
-    levels = _level_arrays(t, z)
-    total = 1.0 + 0.0j
-    for l in range(len(levels) - 1):
-        cur, nxt = levels[l], levels[l + 1]
-        for ta in cur:
-            for tb in nxt:
-                total *= g(ta / tb) / g(ps * ta / tb)
-        for a in range(len(cur)):
-            for b in range(a + 1, len(cur)):
-                ta, tb = cur[a], cur[b]
-                total *= (g(ps * ta / tb) * g(ps * tb / ta)
-                          / (g(ta / tb) * g(tb / ta)))
-    return total
+    ps = mp.pstar
+    pairs = []                      # (numerator, denominator) Gamma arguments
+    for cur, nxt in pairwise(_level_arrays(t, z)):
+        pairs += [(ta / tb, ps * ta / tb) for ta in cur for tb in nxt]
+        for ta, tb in combinations(cur, 2):
+            pairs += [(ps * ta / tb, ta / tb), (ps * tb / ta, tb / ta)]
+    g = ell_gamma([x for pair in pairs for x in pair], mp.p, Q,
+                  eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
+    return math.prod((num / den for num, den in zip(g[::2], g[1::2])), start=1.0 + 0.0j)
 
 
 def phi_trig(t: TVariables, z: EvaluationPoints, mp: ModularParams) -> complex:

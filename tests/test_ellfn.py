@@ -1,13 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellqg.ellfn import (ModularParams, bracket_derivative_at_zero, ell_gamma,
                          jacobi_bracket, mu_scalar, qpoch, rho_plus, theta)
-from ellqg.errors import DomainError, ParameterError
+from ellqg.errors import DomainError, ParameterError, PoleError, ResourceCapError
 
 # Frozen oracle values, computed from independent fixed-length products
 # (200 terms for the single product, 400x400 for the double one).
@@ -220,6 +221,64 @@ def test_truncation_stability(mp):
 
 
 def test_gamma_pole_names_offending_factor():
-    from ellqg.errors import PoleError
     with pytest.raises(PoleError, match=r"m=0, n=0"):
         ell_gamma(1.0, 0.1, 0.2)
+
+
+# Nome pairs (p, s): the q-KZ trace kernel at q=0.8, r=3.1, Q=0.2; rho_plus at
+# q=0.5, r=3.1, N=2; and a generic pair.
+ORACLE_NOMES = ((0.8 ** 6.2, 0.2), (0.5 ** 6.2, 0.5 ** 4), (0.1, 0.2))
+ORACLE_ARGS = tuple(mod * cmath.exp(1j * phase)
+                    for mod in (0.25, 0.6, 0.95, 1.3, 2.6) for phase in (0.4, 1.9, -2.7))
+
+
+def _mp_double_qpoch(x, p, s):
+    """(x; p, s)_inf in mpmath, every factor down to |x p^m s^n| = 1e-22."""
+    val, row = mpmath.mpf(1), x
+    while abs(row) > 1e-22:
+        w = row
+        while abs(w) > 1e-22:
+            val *= 1 - w
+            w *= s
+        row *= p
+    return val
+
+
+def test_gamma_against_mpmath_double_product():
+    for p, s in ORACLE_NOMES:
+        for x in ORACLE_ARGS:
+            with mpmath.workdps(40):
+                mx, mpp, ms = mpmath.mpc(x), mpmath.mpf(p), mpmath.mpf(s)
+                oracle = complex(_mp_double_qpoch(mpp * ms / mx, mpp, ms)
+                                 / _mp_double_qpoch(mx, mpp, ms))
+            assert abs(ell_gamma(x, p, s) - oracle) <= 1e-12 * abs(oracle), (x, p, s)
+
+
+def test_gamma_batch_matches_scalar_calls():
+    for p, s in ORACLE_NOMES:
+        batch = ell_gamma(ORACLE_ARGS, p, s)
+        assert batch.shape == (len(ORACLE_ARGS),)
+        for x, val in zip(ORACLE_ARGS, batch):
+            single = ell_gamma(x, p, s)
+            assert type(single) is complex
+            assert abs(val - single) <= 1e-15 * abs(single)
+
+
+def test_gamma_zero_is_not_a_pole():
+    # Gamma(ps) = (1; p, s) / (ps; p, s) vanishes; only (z; p, s) factors raise.
+    p, s = 0.1, 0.2
+    assert ell_gamma(p * s, p, s) == 0
+    assert ell_gamma([0.5, p * s], p, s)[1] == 0
+
+
+def test_gamma_batch_pole_names_factor_and_argument():
+    with pytest.raises(PoleError, match=r"m=0, n=1\) vanishes at z=\(5\+0j\)"):
+        ell_gamma([0.5, 5.0, 0.7], 0.1, 0.2)
+
+
+def test_gamma_refuses_to_truncate_at_the_cap():
+    # q = 0.999: the double products need thousands of factors in n.
+    with pytest.raises(ResourceCapError):
+        ell_gamma(0.5 + 0.2j, 0.999 ** 6.2, 0.999 ** 4)
+    with pytest.raises(ResourceCapError):
+        rho_plus(0.9, 2, ModularParams(q=0.999, r=3.1))

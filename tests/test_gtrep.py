@@ -196,15 +196,13 @@ def test_phi_move_ratio(mp, rng):
 def test_e_on_gt_empty_support(mp, rng):
     I = PartitionIndex.from_colors((1, 1), 2)  # I_2 empty
     z = random_points(rng, 2, mp.q)
-    pd = random_pdyn(rng, 2)
-    assert e_on_gt(1, I, z, pd, mp).terms == ()
+    assert e_on_gt(1, I, z, mp).terms == ()
 
 
 def test_e_on_gt_single_support(mp, rng):
     I = PartitionIndex.from_colors((2, 1), 2)  # I_2 = {1}
     z = random_points(rng, 2, mp.q)
-    pd = random_pdyn(rng, 2)
-    res = e_on_gt(1, I, z, pd, mp)
+    res = e_on_gt(1, I, z, mp)
     assert len(res.terms) == 1
     term = res.terms[0]
     _, astar = gauge_constants(mp)
@@ -217,8 +215,7 @@ def test_e_on_gt_single_support(mp, rng):
 def test_f_on_gt_coefficients(mp, rng):
     I = PartitionIndex.from_colors((1, 1), 2)
     z = random_points(rng, 2, mp.q)
-    pd = random_pdyn(rng, 2)
-    res = f_on_gt(1, I, z, pd, mp)
+    res = f_on_gt(1, I, z, mp)
     assert {t.site for t in res.terms} == {1, 2}
     br = lambda x: jacobi_bracket(x, mp)
     u1, u2 = z.u

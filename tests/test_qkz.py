@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_pdyn, random_t, shape_of
-from ellqg.ellfn import qpoch
-from ellqg.errors import ParameterError, ResourceCapError, ShapeError
+from ellqg.ellfn import ModularParams, ell_gamma, qpoch
+from ellqg.errors import ParameterError, PoleError, ResourceCapError, ShapeError
 from ellqg.qkz import (IntegrandSpec, e_factor, integrand, nome_params,
                        phi_kernel, phi_trig, torus_quadrature)
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
@@ -82,6 +82,42 @@ def test_phi_kernel_swap_symmetry(mp_level, rng):
     a = phi_kernel(t, z, mp_level, 0.2)
     b = phi_kernel(ts, z, mp_level, 0.2)
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+
+
+def _trace_shaped(rng):
+    """Kernel inputs shaped like the q-KZ trace points: lambda = (2, 2)."""
+    r = 3.1
+    mp = ModularParams(q=0.8, r=r, k=r / 3.0)
+    z = qkz_points(rng, 4, mp.q, mp.p)
+    return mp, z, random_t(rng, Composition((2, 2)))
+
+
+def test_phi_kernel_matches_scalar_gamma_loop(rng):
+    Q = 0.2
+    for _ in range(5):
+        mp, z, t = _trace_shaped(rng)
+        g = lambda x: ell_gamma(x, mp.p, Q)
+        ps = mp.pstar
+        ref = 1.0 + 0.0j
+        levels = list(t.levels) + [z.z]
+        for cur, nxt in zip(levels, levels[1:]):
+            for ta in cur:
+                for tb in nxt:
+                    ref *= g(ta / tb) / g(ps * ta / tb)
+            for a in range(len(cur)):
+                for b in range(a + 1, len(cur)):
+                    ta, tb = cur[a], cur[b]
+                    ref *= (g(ps * ta / tb) * g(ps * tb / ta)
+                            / (g(ta / tb) * g(tb / ta)))
+        val = phi_kernel(t, z, mp, Q)
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+
+
+def test_phi_kernel_coincident_variables_is_a_pole(rng):
+    mp, z, t = _trace_shaped(rng)
+    ta = t.levels[0][0]
+    with pytest.raises(PoleError, match=r"m=0, n=0"):
+        phi_kernel(TVariables(((ta, ta),)), z, mp, 0.2)
 
 
 def test_nome_params_substitution(mp):
