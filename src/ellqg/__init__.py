@@ -12,11 +12,10 @@ from .gtrep import (CurrentActionResult, CurrentTerm, TensorState, e_on_gt,
                     gt_vector, lplus_tensor, phi_on_gt)
 from .qkz import (IntegrandSpec, e_factor, integrand, nome_params, phi_kernel,
                   phi_trig, torus_quadrature)
-from .rmat import DynRMatrix, check_dybe, check_inversion, r_plus, rbar
+from .rmat import (DynRMatrix, check_dybe, check_inversion, embedded_rbar, r_plus,
+                   rbar)
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
-                          PartitionIndex, colors_from_index,
-                          enumerate_partitions, index_from_colors, leq,
-                          weight_of)
+                          PartitionIndex, enumerate_partitions, leq, weight_of)
 from .weightfn import (TVariables, WeightFunctionEval, diagonal_value,
                        modified_w, specialize, stab_matrix,
                        stable_envelope_restriction, transition_check, u_tilde,

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ DEFAULTS = {
     "P": [[1.2, 0.3]],
     "z": [[0.55, 0.1], [0.2, -0.75]],
     "seed": 0,
-    "format": "json",
 }
 
 
@@ -58,7 +57,6 @@ class RunConfig:
     P: tuple[complex, ...]
     z: tuple[complex, ...]
     seed: int
-    format: str
     break_shift: bool = False
 
     def modular(self) -> ModularParams:
@@ -122,11 +120,8 @@ def build_config(data: dict) -> RunConfig:
         raise ConfigError(f"field 'z': needs {n} entries, got {len(z)}")
     if any(x == 0 for x in z):
         raise ConfigError("field 'z': entries must be nonzero")
-    fmt = str(merged["format"])
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"field 'format': json or csv, got {fmt!r}")
     return RunConfig(q=q, r=r, k=k, trunc_eps=trunc_eps, max_terms=max_terms,
-                     N=N, n=n, lam=lam, P=P, z=z, seed=seed, format=fmt)
+                     N=N, n=n, lam=lam, P=P, z=z, seed=seed)
 
 
 def parse_config(path: str | None) -> RunConfig:
@@ -197,7 +192,7 @@ def _cmd_theta(cfg: RunConfig, args) -> int:
     for zi in cfg.z:
         rows.append({
             "z": zi,
-            "theta_p": theta(zi, mp.p),
+            "theta_p": theta(zi, mp.p, eps=mp.trunc_eps, max_terms=mp.max_terms),
             "bracket_u": jacobi_bracket(mp.u_of(zi), mp),
             "bracket_u_starred": jacobi_bracket(mp.u_of(zi), mp, starred=True),
         })
@@ -224,17 +219,11 @@ def _wf_labels(cfg: RunConfig):
 
 
 def _default_t(cfg: RunConfig) -> TVariables:
-    lam = cfg.composition()
-    rng = np.random.default_rng(cfg.seed + 31)
-    return TVariables(tuple(
-        tuple(rng.uniform(0.4, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-              for _ in range(lam.prefix(l)))
-        for l in range(1, lam.N)))
+    return suites._rand_t(np.random.default_rng(cfg.seed + 31), cfg.composition())
 
 
 def _cmd_wf(cfg: RunConfig, args) -> int:
-    mp = ModularParams(q=cfg.q, r=cfg.r, k=0.0, trunc_eps=cfg.trunc_eps,
-                       max_terms=cfg.max_terms)
+    mp = replace(cfg.modular(), k=0.0)
     pd, z = cfg.dynamical(), cfg.points()
     lam, parts = _wf_labels(cfg)
     records = []
@@ -271,8 +260,7 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
 
 
 def _cmd_gt(cfg: RunConfig, args) -> int:
-    mp = ModularParams(q=cfg.q, r=cfg.r, k=0.0, trunc_eps=cfg.trunc_eps,
-                       max_terms=cfg.max_terms)
+    mp = replace(cfg.modular(), k=0.0)
     pd, z = cfg.dynamical(), cfg.points()
     lam, parts = _wf_labels(cfg)
     if args.action == "basis":
@@ -377,9 +365,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="concurrent checks for verification suites")
-    common.add_argument("--format", choices=("json", "csv"),
-                        default=argparse.SUPPRESS,
-                        help="override the config output format")
 
     parser = argparse.ArgumentParser(
         prog="ellqg", parents=[common],
@@ -429,15 +414,13 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     for name, fallback in (("config", None), ("out", None), ("seed", None),
-                           ("jobs", 1), ("format", None)):
+                           ("jobs", 1)):
         if not hasattr(args, name):
             setattr(args, name, fallback)
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.format is not None:
-            cfg.format = args.format
         if getattr(args, "break_shift", False):
             cfg.break_shift = True
         if args.command == "theta":

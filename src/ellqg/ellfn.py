@@ -12,8 +12,9 @@ Conventions fixed here once for the whole package:
   powers z^a of other complex quantities use the principal logarithm with
   the branch cut on the negative real axis.
 * infinite products keep the terms of magnitude at least the truncation
-  tolerance, at most ``max_terms`` per index: ``qpoch`` stops at that cap,
-  ``ell_gamma`` raises ResourceCapError instead.  Results are deterministic.
+  tolerance, at most ``max_terms`` per index; a product that needs more
+  raises ResourceCapError rather than return a truncated value.  Results
+  are deterministic.
 """
 
 from __future__ import annotations
@@ -92,12 +93,18 @@ def _qpoch_cached(z: complex, s: float, eps: float, max_terms: int) -> complex:
             break
         val *= 1.0 - w
         w *= s
+    if abs(w) >= eps:
+        raise ResourceCapError(f"q-Pochhammer product needs more than max_terms={max_terms} "
+                               f"factors at z={z}, s={s}")
     return val
 
 
 def qpoch(z: complex, s: float, *, eps: float = DEFAULT_EPS,
           max_terms: int = DEFAULT_MAX_TERMS) -> complex:
-    """(z; s)_inf = prod_{n>=0} (1 - z s^n), truncated once |z s^n| < eps."""
+    """(z; s)_inf = prod_{n>=0} (1 - z s^n), truncated once |z s^n| < eps.
+
+    Raises ResourceCapError when |z s^n| >= eps still holds after max_terms factors.
+    """
     if abs(s) >= 1.0:
         raise ParameterError(f"q-Pochhammer nome must satisfy |s| < 1, got {s}")
     return _qpoch_cached(complex(z), float(s), float(eps), int(max_terms))

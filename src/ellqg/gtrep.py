@@ -24,9 +24,9 @@ import numpy as np
 
 from .ellfn import ModularParams, jacobi_bracket, bracket_derivative_at_zero, qpoch, theta
 from .errors import ParameterError, PoleError, ShapeError
-from .rmat import rbar
+from .rmat import embedded_rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
-                          PartitionIndex, color_weight, enumerate_partitions)
+                          PartitionIndex, enumerate_partitions)
 from .weightfn import specialize
 
 PRUNE_TOL = 1e-14
@@ -164,35 +164,12 @@ def lplus_tensor(w: complex, z: EvaluationPoints, Pdyn: DynamicalParams,
     is (slot0, slot1, ..., slotn), slot0 slowest.
     """
     require_level_zero(mp)
-    N = Pdyn.N
     n = z.n
-    dim = N ** (n + 1)
     uw = mp.u_of(w)
-    mat = np.eye(dim, dtype=complex)
+    mat = np.eye(Pdyn.N ** (n + 1), dtype=complex)
     for i in range(1, n + 1):
-        F = np.zeros((dim, dim), dtype=complex)
-        cache: dict = {}
-        ui = z.u[i - 1] - uw
-        for col in range(dim):
-            digits = []
-            c = col
-            for _ in range(n + 1):
-                digits.append(c % N + 1)
-                c //= N
-            digits.reverse()          # digits[0] = slot 0 color
-            key = tuple(digits[1:i])  # spectator chain colors left of i
-            if key not in cache:
-                pd = Pdyn.shifted_by_colors(key, sign=1) if key else Pdyn
-                cache[key] = rbar(z.z[i - 1] / w, pd, mp, starred=True, u=ui)
-            R = cache[key]
-            for (a2, b2), coeff in R.apply(digits[0], digits[i]):
-                out = list(digits)
-                out[0], out[i] = a2, b2
-                row = 0
-                for d in out:
-                    row = row * N + (d - 1)
-                F[row, col] += coeff
-        mat = F @ mat
+        mat = embedded_rbar(z.z[i - 1] / w, z.u[i - 1] - uw, Pdyn, mp, n + 1, (1, i + 1),
+                            spectators=range(2, i + 1), starred=True) @ mat
     return mat
 
 
@@ -219,33 +196,30 @@ def gt_vector(I: PartitionIndex, z: EvaluationPoints, Pdyn: DynamicalParams,
     return state
 
 
+def _bracket_ratios(val: complex, factors, mp: ModularParams) -> complex:
+    """val * prod [x + c]/[x] over (x, c, label) in order; PoleError if |[x]| < 1e-12."""
+    for x, c, label in factors:
+        den = jacobi_bracket(x, mp)
+        if abs(den) < 1e-12:
+            raise PoleError(f"[{label}] vanished")
+        val *= jacobi_bracket(x + c, mp) / den
+    return val
+
+
 def phi_on_gt(j: int, v: complex, I: PartitionIndex, z: EvaluationPoints,
-              mp: ModularParams, sign: int = +1):
+              mp: ModularParams):
     """Eigenvalue of the diagonal current on a GT vector, plus its tag.
 
     prod_{a in I_j} [u_a - v + 1]/[u_a - v] *
     prod_{b in I_{j+1}} [u_b - v - 1]/[u_b - v]
 
-    The two expansion directions share this meromorphic value; ``sign`` is
-    recorded metadata only and does not change the number.
+    The two expansion directions share this meromorphic value.
     """
     require_level_zero(mp)
-    if sign not in (+1, -1):
-        raise ParameterError("sign must be +1 or -1")
-    br = lambda x: jacobi_bracket(x, mp)
     u = z.u
-    val = 1.0 + 0.0j
-    for a in I.parts[j - 1]:
-        den = br(u[a - 1] - v)
-        if abs(den) < 1e-12:
-            raise PoleError(f"[u_{a} - v] vanished")
-        val *= br(u[a - 1] - v + 1.0) / den
-    for b in I.parts[j]:
-        den = br(u[b - 1] - v)
-        if abs(den) < 1e-12:
-            raise PoleError(f"[u_{b} - v] vanished")
-        val *= br(u[b - 1] - v - 1.0) / den
-    return val, _unit_tag(j, I.N)
+    factors = ([(u[a - 1] - v, 1.0, f"u_{a} - v") for a in I.parts[j - 1]]
+               + [(u[b - 1] - v, -1.0, f"u_{b} - v") for b in I.parts[j]])
+    return _bracket_ratios(1.0 + 0.0j, factors, mp), _unit_tag(j, I.N)
 
 
 def _move(I: PartitionIndex, i: int, src: int, dst: int) -> PartitionIndex:
@@ -266,18 +240,11 @@ def e_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
     require_level_zero(mp)
     z.require_distinct()
     _, astar = gauge_constants(mp)
-    br = lambda x: jacobi_bracket(x, mp)
     u = z.u
     out = []
     for i in I.parts[j]:
-        coeff = astar
-        for k in I.parts[j]:
-            if k == i:
-                continue
-            den = br(u[k - 1] - u[i - 1])
-            if abs(den) < 1e-12:
-                raise PoleError(f"[u_{k} - u_{i}] vanished")
-            coeff *= br(u[k - 1] - u[i - 1] + 1.0) / den
+        coeff = _bracket_ratios(astar, [(u[k - 1] - u[i - 1], 1.0, f"u_{k} - u_{i}")
+                                        for k in I.parts[j] if k != i], mp)
         out.append(CurrentTerm(site=i, coeff=coeff,
                                target=_move(I, i, j + 1, j),
                                tag=_unit_tag(j, I.N)))
@@ -294,19 +261,12 @@ def f_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
     require_level_zero(mp)
     z.require_distinct()
     a, _ = gauge_constants(mp)
-    br = lambda x: jacobi_bracket(x, mp)
     u = z.u
     zero = (0,) * (I.N - 1)
     out = []
     for i in I.parts[j - 1]:
-        coeff = a
-        for k in I.parts[j - 1]:
-            if k == i:
-                continue
-            den = br(u[i - 1] - u[k - 1])
-            if abs(den) < 1e-12:
-                raise PoleError(f"[u_{i} - u_{k}] vanished")
-            coeff *= br(u[i - 1] - u[k - 1] + 1.0) / den
+        coeff = _bracket_ratios(a, [(u[i - 1] - u[k - 1], 1.0, f"u_{i} - u_{k}")
+                                    for k in I.parts[j - 1] if k != i], mp)
         out.append(CurrentTerm(site=i, coeff=coeff,
                                target=_move(I, i, j, j + 1), tag=zero))
     return CurrentActionResult(terms=tuple(out))

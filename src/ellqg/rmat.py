@@ -3,7 +3,9 @@
 Entry conventions: an entry maps an in-pair (a, b) to an out-pair (a', b'),
 i.e.  R (v_a x v_b) = sum entry[(a,b),(a',b')] v_a' x v_b'.  Color content is
 conserved (ice rule): entries vanish unless {a, b} = {a', b'} as multisets.
-Dense matrices index the pair (a, b) as (a-1) * N + (b-1).
+Dense matrices index the pair (a, b) as (a-1) * N + (b-1); ``embedded_rbar``
+extends this order to a chain of sites, slot 1 slowest, and is the one place
+that puts a two-site factor on a chain.
 
 The dynamical Yang-Baxter convention used by ``check_dybe`` is
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .ellfn import ModularParams, jacobi_bracket, rho_plus
 from .errors import SingularityError
-from .tensorspace import DynamicalParams, color_weight
+from .tensorspace import DynamicalParams
 
 _SING_TOL = 1e-10
 
@@ -119,56 +121,52 @@ def permutation_dense(N: int) -> np.ndarray:
     return P
 
 
-def _embedded_factor(zratio: complex, u: complex, pair: tuple[int, int], spectator,
-                     Pdyn: DynamicalParams, mp: ModularParams, N: int,
-                     starred: bool = False) -> np.ndarray:
-    """Dense 3-site operator for R^(pair) with Pi shifted by h^(spectator).
+def embedded_rbar(z: complex, u: complex, Pdyn: DynamicalParams, mp: ModularParams,
+                  n_slots: int, pair: tuple[int, int], spectators=(),
+                  starred: bool = False) -> np.ndarray:
+    """Dense operator on ``n_slots`` sites applying R-bar(z, Pi) to the slots in ``pair``.
 
-    The shift depends only on the spectator color, which the factor leaves
-    untouched, so the matrix is block diagonal over that color.
+    Pi is shifted by the h-weights of the colors in the ``spectators`` slots,
+    which the factor leaves untouched, so one R-bar is built per spectator
+    color key.  Basis index order is (slot 1, ..., slot n_slots), slot 1
+    slowest, as in ``DynRMatrix.dense``.
     """
-    dim = N ** 3
+    N = Pdyn.N
+    dim = N ** n_slots
     M = np.zeros((dim, dim), dtype=complex)
-    cache: dict = {}
     i, j = pair
-    for colors in product(range(1, N + 1), repeat=3):
-        key = colors[spectator - 1] if spectator else 0
+    step_i, step_j = N ** (n_slots - i), N ** (n_slots - j)
+    cache: dict = {}
+    for col, colors in enumerate(product(range(1, N + 1), repeat=n_slots)):
+        key = tuple(colors[s - 1] for s in spectators)
         if key not in cache:
-            pd = Pdyn if not spectator else Pdyn.shifted(color_weight(key, N))
-            cache[key] = rbar(zratio, pd, mp, starred=starred, u=u)
-        R = cache[key]
-        col = sum((c - 1) * N ** (2 - s) for s, c in enumerate(colors))
-        for (a2, b2), coeff in R.apply(colors[i - 1], colors[j - 1]):
-            out = list(colors)
-            out[i - 1], out[j - 1] = a2, b2
-            row = sum((c - 1) * N ** (2 - s) for s, c in enumerate(out))
-            M[row, col] += coeff
+            pd = Pdyn.shifted_by_colors(key) if key else Pdyn
+            cache[key] = rbar(z, pd, mp, starred=starred, u=u)
+        a, b = colors[i - 1], colors[j - 1]
+        for (a2, b2), coeff in cache[key].apply(a, b):
+            M[col + (a2 - a) * step_i + (b2 - b) * step_j, col] += coeff
     return M
 
 
 def check_dybe(z1: complex, z2: complex, z3: complex, Pdyn: DynamicalParams,
-               mp: ModularParams, N: int | None = None,
-               starred: bool = False) -> float:
+               mp: ModularParams, starred: bool = False) -> float:
     """Max-norm residual of the dynamical Yang-Baxter equation on V x V x V."""
-    if N is None:
-        N = Pdyn.N
-    z12, z13, z23 = z1 / z2, z1 / z3, z2 / z3
-    u1, u2, u3 = mp.u_of(z1), mp.u_of(z2), mp.u_of(z3)
-    u12, u13, u23 = u1 - u2, u1 - u3, u2 - u3
-    lhs = (_embedded_factor(z12, u12, (1, 2), 3, Pdyn, mp, N, starred)
-           @ _embedded_factor(z13, u13, (1, 3), None, Pdyn, mp, N, starred)
-           @ _embedded_factor(z23, u23, (2, 3), 1, Pdyn, mp, N, starred))
-    rhs = (_embedded_factor(z23, u23, (2, 3), None, Pdyn, mp, N, starred)
-           @ _embedded_factor(z13, u13, (1, 3), 2, Pdyn, mp, N, starred)
-           @ _embedded_factor(z12, u12, (1, 2), None, Pdyn, mp, N, starred))
+    zs = (z1, z2, z3)
+    us = tuple(mp.u_of(x) for x in zs)
+
+    def R(i: int, j: int, *spectators: int) -> np.ndarray:
+        return embedded_rbar(zs[i - 1] / zs[j - 1], us[i - 1] - us[j - 1], Pdyn, mp,
+                             3, (i, j), spectators, starred)
+
+    lhs = R(1, 2, 3) @ R(1, 3) @ R(2, 3, 1)
+    rhs = R(2, 3) @ R(1, 3, 2) @ R(1, 2)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def check_inversion(z: complex, Pdyn: DynamicalParams, mp: ModularParams,
-                    N: int | None = None, starred: bool = False) -> float:
+                    starred: bool = False) -> float:
     """Unitarity residual || R-bar(z, Pi) P R-bar(1/z, Pi) P - Id ||_max."""
-    if N is None:
-        N = Pdyn.N
+    N = Pdyn.N
     A = rbar(z, Pdyn, mp, starred=starred).dense()
     B = rbar(1.0 / z, Pdyn, mp, starred=starred).dense()
     P = permutation_dense(N)

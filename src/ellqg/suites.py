@@ -9,25 +9,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 from itertools import product as iproduct
 
 import numpy as np
 
 from . import ellfn, gtrep, qkz, rmat, weightfn
-from .ellfn import ModularParams, ell_gamma, jacobi_bracket, qpoch, theta
+from .ellfn import ell_gamma, jacobi_bracket, qpoch, theta
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, leq)
 from .weightfn import TVariables
-
-
-def _mp(cfg) -> ModularParams:
-    return ModularParams(q=cfg.q, r=cfg.r, k=cfg.k,
-                         trunc_eps=cfg.trunc_eps, max_terms=cfg.max_terms)
-
-
-def _mp0(cfg) -> ModularParams:
-    return ModularParams(q=cfg.q, r=cfg.r, k=0.0,
-                         trunc_eps=cfg.trunc_eps, max_terms=cfg.max_terms)
 
 
 def _rand_points(rng, n: int, q: float, lo: float = 0.45, hi: float = 0.95) -> EvaluationPoints:
@@ -58,7 +49,7 @@ def _compositions(n: int, N: int):
 # ---------------------------------------------------------------- ellfn ----
 
 def check_theta_quasi_periodicity(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     worst = 0.0
     for _ in range(50):
         z = rng.uniform(0.3, 1.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -70,7 +61,7 @@ def check_theta_quasi_periodicity(cfg, rng):
 
 
 def check_bracket_quasi_period_r(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     worst = 0.0
     for _ in range(20):
         u = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(-1.0, 1.0)
@@ -80,7 +71,7 @@ def check_bracket_quasi_period_r(cfg, rng):
 
 
 def check_bracket_quasi_period_rtau(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     tau = -2j * math.pi / math.log(mp.p)
     worst = 0.0
     for _ in range(20):
@@ -93,7 +84,7 @@ def check_bracket_quasi_period_rtau(cfg, rng):
 
 
 def check_gamma_reflection(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     s = mp.q ** 4
     worst = 0.0
     for _ in range(50):
@@ -103,7 +94,7 @@ def check_gamma_reflection(cfg, rng):
 
 
 def check_gamma_trig_limit(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     worst = 0.0
     for _ in range(10):
         z = rng.uniform(0.2, 0.8) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -114,16 +105,15 @@ def check_gamma_trig_limit(cfg, rng):
 
 
 def check_bracket_derivative(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     d1 = ellfn.bracket_derivative_at_zero(mp, step=1e-4)
     d2 = ellfn.bracket_derivative_at_zero(mp, step=5e-5)
     return abs(d1 - d2) / abs(d1), 1e-8
 
 
 def check_truncation_stability(cfg, rng):
-    mp = _mp(cfg)
-    doubled = ModularParams(q=mp.q, r=mp.r, k=mp.k, trunc_eps=mp.trunc_eps,
-                            max_terms=2 * mp.max_terms)
+    mp = cfg.modular()
+    doubled = replace(mp, max_terms=2 * mp.max_terms)
     worst = 0.0
     for _ in range(10):
         z = rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -138,7 +128,7 @@ def check_truncation_stability(cfg, rng):
 # ----------------------------------------------------------------- rmat ----
 
 def check_unit_permutation(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     worst = 0.0
     for N in (2, 3):
         pd = _rand_pdyn(rng, N)
@@ -148,7 +138,7 @@ def check_unit_permutation(cfg, rng):
 
 
 def check_ice_rule(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     bad = 0.0
     for N in (2, 3):
         pd = _rand_pdyn(rng, N)
@@ -168,7 +158,7 @@ def check_ice_rule(cfg, rng):
 
 
 def check_inversion(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     worst = 0.0
     for N in (2, 3):
         for _ in range(5):
@@ -179,7 +169,7 @@ def check_inversion(cfg, rng):
 
 
 def check_dybe_n2(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     worst = 0.0
     for _ in range(20):
         pd = _rand_pdyn(rng, 2)
@@ -190,7 +180,7 @@ def check_dybe_n2(cfg, rng):
 
 
 def check_dybe_n3(cfg, rng):
-    mp = _mp(cfg)
+    mp = cfg.modular()
     worst = 0.0
     for _ in range(3):
         pd = _rand_pdyn(rng, 3)
@@ -209,7 +199,7 @@ def _wf_cases(max_n: int = 4):
 
 
 def check_wf_triangularity(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for N, lam in _wf_cases():
         z = _rand_points(rng, lam.n, mp.q)
@@ -219,7 +209,7 @@ def check_wf_triangularity(cfg, rng):
 
 
 def check_wf_diagonal(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for N, lam in _wf_cases():
         z = _rand_points(rng, lam.n, mp.q)
@@ -232,7 +222,7 @@ def check_wf_diagonal(cfg, rng):
 
 
 def check_wf_symmetry(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for N, mu in [(2, (1, 1, 2)), (2, (1, 2, 1, 2)), (3, (1, 2, 3, 2))]:
         lam = Composition(tuple(sum(1 for c in mu if c == l) for l in range(1, N + 1)))
@@ -248,7 +238,7 @@ def check_wf_symmetry(cfg, rng):
 
 
 def check_wf_transition(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for N in (2, 3):
         for n in range(2, 5):
@@ -264,7 +254,7 @@ def check_wf_transition(cfg, rng):
 
 
 def check_wf_modified_routes(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     cases = [(2, (1, 2)), (2, (1, 1, 2)), (2, (2, 1, 2, 1)), (3, (1, 2, 3)),
              (3, (2, 1, 3, 1))]
@@ -283,7 +273,7 @@ def check_wf_modified_routes(cfg, rng):
 
 
 def check_wf_stab(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for N, mu_shape in [(2, (1, 1)), (2, (2, 1)), (3, (1, 1, 1))]:
         lam = Composition(mu_shape)
@@ -318,8 +308,7 @@ def check_wf_trig_degeneration(cfg, rng):
     vals = []
     for p_target in (1e-4, 1e-6, 1e-8, 1e-12):
         r = math.log(p_target) / (2.0 * math.log(cfg.q))
-        mp = ModularParams(q=cfg.q, r=r, k=0.0, trunc_eps=cfg.trunc_eps,
-                           max_terms=cfg.max_terms)
+        mp = replace(cfg.modular(), r=r, k=0.0)
         rng_local = np.random.default_rng(cfg.seed + 104729)
         z = _rand_points(rng_local, lam.n, mp.q)
         pd = _rand_pdyn(rng_local, N)
@@ -335,7 +324,7 @@ def check_wf_trig_degeneration(cfg, rng):
 # ---------------------------------------------------------------- gtrep ----
 
 def check_gt_triangular(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for N, lam in _wf_cases(max_n=4):
         z = _rand_points(rng, lam.n, mp.q)
@@ -349,7 +338,7 @@ def check_gt_triangular(cfg, rng):
 
 
 def check_gt_diagonal(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for N, lam in _wf_cases(max_n=3):
         z = _rand_points(rng, lam.n, mp.q)
@@ -364,7 +353,7 @@ def check_gt_diagonal(cfg, rng):
 
 
 def _exchange_worst(cfg, rng, current: str) -> float:
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     tag = not getattr(cfg, "break_shift", False)
     worst = 0.0
     cases = [(2, (1, 1)), (2, (2, 2)), (2, (1, 2, 1, 2)), (3, (2, 3, 2, 3)),
@@ -389,7 +378,7 @@ def check_gt_exchange_ff(cfg, rng):
 
 
 def check_gt_exchange_commuting(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for mu in ((2, 4, 2, 4), (1, 3, 1, 3)):
         I = PartitionIndex.from_colors(mu, 4)
@@ -402,7 +391,7 @@ def check_gt_exchange_commuting(cfg, rng):
 
 
 def check_gt_phi_ratio(cfg, rng):
-    mp = _mp0(cfg)
+    mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for N, mu in [(2, (1, 2, 2, 1)), (3, (1, 2, 3, 2))]:
         I = PartitionIndex.from_colors(mu, N)
@@ -415,14 +404,8 @@ def check_gt_phi_ratio(cfg, rng):
 
 # ------------------------------------------------------------------ qkz ----
 
-def _qkz_mp(cfg) -> ModularParams:
-    k = cfg.k if cfg.k > 0 else cfg.r / 3.0
-    return ModularParams(q=cfg.q, r=cfg.r, k=k, trunc_eps=cfg.trunc_eps,
-                         max_terms=cfg.max_terms)
-
-
 def check_qkz_degeneration(cfg, rng):
-    mp = _qkz_mp(cfg)
+    mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
     worst = 0.0
     for N, mu in [(2, (1, 2)), (2, (1, 1, 2)), (3, (1, 2, 3))]:
         lam = Composition(tuple(sum(1 for c in mu if c == l) for l in range(1, N + 1)))
@@ -435,7 +418,7 @@ def check_qkz_degeneration(cfg, rng):
 
 
 def check_qkz_covariance(cfg, rng):
-    mp = _qkz_mp(cfg)
+    mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
     worst = 0.0
     for N, mu in [(2, (1, 2)), (3, (1, 2, 3))]:
         lam = Composition(tuple(sum(1 for c in mu if c == l) for l in range(1, N + 1)))
@@ -454,7 +437,7 @@ def check_qkz_covariance(cfg, rng):
 
 
 def check_qkz_symmetry(cfg, rng):
-    mp = _qkz_mp(cfg)
+    mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
     lam = Composition((2, 1))
     z = _rand_points(rng, 3, mp.q, lo=0.35, hi=0.7)
     t = _rand_t(rng, lam)
@@ -472,7 +455,7 @@ def check_qkz_quadrature(cfg, rng):
     product trapezoid converges algebraically there; the kernel alone is
     single valued on the torus and must self-converge geometrically.
     """
-    mp = _qkz_mp(cfg)
+    mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
     pd = DynamicalParams((0.9 + 0.2j,))
     z = EvaluationPoints((0.38 * cmath.exp(0.4j), 0.45 * cmath.exp(-1.3j)), mp.q)
     I = PartitionIndex.from_colors((1, 2), 2)

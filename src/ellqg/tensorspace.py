@@ -110,15 +110,6 @@ class PartitionIndex:
         return cls(tuple(tuple(int(i) for i in part) for part in data))
 
 
-def index_from_colors(mu, N: int) -> PartitionIndex:
-    """Partition with i in I_{mu_i}."""
-    return PartitionIndex.from_colors(mu, N)
-
-
-def colors_from_index(I: PartitionIndex) -> tuple[int, ...]:
-    return I.colors()
-
-
 def leq(I: PartitionIndex, J: PartitionIndex) -> bool:
     """Partial order: I <= J iff i^(l)_a <= j^(l)_a for all l, a."""
     if I.shape() != J.shape():

@@ -61,6 +61,26 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert main(["--config", path, "theta"]) == 2
 
 
+def test_format_key_is_unknown(tmp_path, capsys):
+    path = write_config(tmp_path, {**MINIMAL, "format": "json"})
+    assert main(["--config", path, "theta"]) == 2
+    assert "unknown config keys: ['format']" in capsys.readouterr().err
+
+
+def test_theta_near_one_fails_loudly(tmp_path):
+    path = write_config(tmp_path, {"q": 0.999})
+    assert main(["--config", path, "theta"]) == 2
+
+
+def test_theta_honours_config_max_terms(tmp_path, capsys):
+    # 12,000-factor products in mpmath at 30 digits give the reference value.
+    path = write_config(tmp_path, {"q": 0.999, "max_terms": 40000})
+    assert main(["--config", path, "theta"]) == 0
+    val = json.loads(capsys.readouterr().out)["values"][0]["theta_p"]
+    ref = 1.3515556515894119e-294 - 3.6166238418551259e-295j
+    assert abs(complex(val["re"], val["im"]) - ref) < 1e-10 * abs(ref)
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nosuchsuite"])

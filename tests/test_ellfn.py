@@ -32,6 +32,12 @@ def test_qpoch_against_fixed_product_oracle():
     assert abs(qpoch(0.5, 0.1) - oracle) < 1e-12
 
 
+def test_qpoch_refuses_to_truncate_at_the_cap():
+    # |0.5 * 0.999^512| is still far above eps: the product needs ~30,000 factors.
+    with pytest.raises(ResourceCapError):
+        qpoch(0.5, 0.999)
+
+
 def test_qpoch_rejects_bad_nome():
     with pytest.raises(ParameterError):
         qpoch(0.5, 1.0)

@@ -177,14 +177,6 @@ def test_phi_literal_two_site(mp, rng):
     assert abs(val - ref) < 1e-12 * abs(ref)
 
 
-def test_phi_sign_is_metadata_only(mp, rng):
-    I = PartitionIndex.from_colors((1, 2), 2)
-    z = random_points(rng, 2, mp.q)
-    vp, _ = phi_on_gt(1, 0.3, I, z, mp, sign=+1)
-    vm, _ = phi_on_gt(1, 0.3, I, z, mp, sign=-1)
-    assert vp == vm
-
-
 def test_phi_move_ratio(mp, rng):
     for N, mu in [(2, (1, 2, 2, 1)), (3, (1, 2, 3, 2))]:
         I = PartitionIndex.from_colors(mu, N)

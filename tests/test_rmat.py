@@ -7,8 +7,8 @@ import pytest
 from conftest import random_pdyn
 from ellqg.ellfn import ModularParams, jacobi_bracket, rho_plus
 from ellqg.errors import SingularityError
-from ellqg.rmat import (check_dybe, check_inversion, permutation_dense, r_plus,
-                        rbar)
+from ellqg.rmat import (check_dybe, check_inversion, embedded_rbar, permutation_dense,
+                        r_plus, rbar)
 from ellqg.tensorspace import DynamicalParams
 
 
@@ -109,6 +109,15 @@ def test_dybe_equal_points(mp, rng):
     pd = random_pdyn(rng, 2)
     z = 0.9 * cmath.exp(0.3j)
     assert check_dybe(z, z, z, pd, mp) < 1e-12
+
+
+def test_embedded_two_slot_factor_is_dense_rbar(mp, rng):
+    # Pins the chain basis order (slot 1 slowest) against DynRMatrix.dense.
+    z = 0.8 * cmath.exp(0.5j)
+    for N in (2, 3):
+        pd = random_pdyn(rng, N)
+        M = embedded_rbar(z, mp.u_of(z), pd, mp, 2, (1, 2))
+        assert np.array_equal(M, rbar(z, pd, mp, u=mp.u_of(z)).dense())
 
 
 def test_inversion(mp, rng):

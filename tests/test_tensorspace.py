@@ -6,28 +6,26 @@ from hypothesis import strategies as st
 
 from ellqg.errors import ResourceCapError, ShapeError
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
-                               PartitionIndex, colors_from_index,
-                               enumerate_partitions, index_from_colors, leq,
-                               weight_of)
+                               PartitionIndex, enumerate_partitions, leq, weight_of)
 
 
 def test_index_from_colors_basics():
-    I = index_from_colors((1, 2), 2)
+    I = PartitionIndex.from_colors((1, 2), 2)
     assert I.parts == ((1,), (2,))
-    I = index_from_colors((2, 1, 2), 2)
+    I = PartitionIndex.from_colors((2, 1, 2), 2)
     assert I.parts == ((2,), (1, 3))
 
 
 def test_round_trip_fixed():
     for mu in [(1, 1, 2), (3, 1, 2, 2), (2, 2, 2)]:
         N = max(mu)
-        assert colors_from_index(index_from_colors(mu, N)) == mu
+        assert PartitionIndex.from_colors(mu, N).colors() == mu
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=8))
 def test_round_trip_property(mu):
-    assert colors_from_index(index_from_colors(tuple(mu), 3)) == tuple(mu)
+    assert PartitionIndex.from_colors(tuple(mu), 3).colors() == tuple(mu)
 
 
 def test_partition_validation():
@@ -40,8 +38,8 @@ def test_partition_validation():
 
 
 def test_leq_reflexive_and_example():
-    I = index_from_colors((1, 2), 2)
-    J = index_from_colors((2, 1), 2)
+    I = PartitionIndex.from_colors((1, 2), 2)
+    J = PartitionIndex.from_colors((2, 1), 2)
     assert leq(I, I)
     assert leq(I, J)
     assert not leq(J, I)
@@ -132,10 +130,10 @@ def test_evaluation_points_swap_and_invert():
 
 
 def test_partition_json_round_trip():
-    I = index_from_colors((2, 1, 2, 3), 3)
+    I = PartitionIndex.from_colors((2, 1, 2, 3), 3)
     assert PartitionIndex.from_json(I.to_json()) == I
 
 
 def test_color_out_of_range_rejected():
     with pytest.raises(ShapeError):
-        index_from_colors((1, 4), 3)
+        PartitionIndex.from_colors((1, 4), 3)
