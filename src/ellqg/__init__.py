@@ -4,9 +4,10 @@ weight functions and stable envelopes, the Gelfand-Tsetlin action, and q-KZ
 integrand kernels, each backed by numerical identity checks."""
 
 from .ellfn import (ModularParams, bracket_derivative_at_zero, ell_gamma,
-                    jacobi_bracket, mu_scalar, qpoch, rho_plus, theta)
-from .errors import (DomainError, EllqgError, ParameterError, PoleError,
-                     ResourceCapError, ShapeError, SingularityError)
+                    jacobi_bracket, jacobi_brackets, mu_scalar, qpoch, rho_plus,
+                    theta)
+from .errors import (DomainError, EllqgError, FloatRangeError, ParameterError,
+                     PoleError, ResourceCapError, ShapeError, SingularityError)
 from .gtrep import (CurrentActionResult, CurrentTerm, TensorState, e_on_gt,
                     eval_rep_single, exchange_check, f_on_gt, gauge_constants,
                     gt_vector, lplus_tensor, phi_on_gt)

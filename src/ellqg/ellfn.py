@@ -2,7 +2,10 @@
 
 q-Pochhammer products, the odd theta function, Jacobi-style theta brackets
 and the elliptic Gamma function, all evaluated by adaptively truncated
-products; ``ell_gamma`` evaluates a batch of arguments in one numpy pass.
+products.  ``jacobi_brackets`` and ``ell_gamma`` evaluate a batch of
+arguments in one numpy pass; the scalar ``qpoch``/``theta``/``jacobi_bracket``
+chain stays as the reference and for the callers that need one bracket at a
+time.
 
 Conventions fixed here once for the whole package:
 
@@ -21,17 +24,22 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, PoleError, ResourceCapError
+from .errors import (DomainError, FloatRangeError, ParameterError, PoleError,
+                     ResourceCapError)
 
 DEFAULT_EPS = 1e-14
 DEFAULT_MAX_TERMS = 512
 
 _POLE_TOL = 1e-12
+# Most complex entries one batch holds in an (arguments x factors) array, so a
+# nome close to 1 (thousands of factors) is worked through in slices.
+_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -128,16 +136,62 @@ def jacobi_bracket(u: complex, mp: ModularParams, starred: bool = False) -> comp
     """Theta bracket [u] = q^(u^2/r - u) theta_p(q^(2u)).
 
     With ``starred`` the pair (p, r) is replaced by (p*, r*).  The bracket is
-    odd, [-u] = -[u], and quasi-periodic: [u + r] = -[u].
+    odd, [-u] = -[u], and quasi-periodic: [u + r] = -[u].  A prefactor beyond
+    the float range raises FloatRangeError.
     """
     u = complex(u)
     if starred:
         nome, height = mp.pstar, mp.rstar
     else:
         nome, height = mp.p, mp.r
-    pref = cmath.exp((u * u / height - u) * math.log(mp.q))
+    try:
+        pref = cmath.exp((u * u / height - u) * math.log(mp.q))
+    except OverflowError:
+        raise FloatRangeError(f"[{u:.6g}] overflows") from None
     return pref * theta(mp.qpow(2.0 * u), nome,
                         eps=mp.trunc_eps, max_terms=mp.max_terms)
+
+
+def jacobi_brackets(u, mp: ModularParams, starred: bool = False) -> np.ndarray:
+    """The brackets [u] of a 1-D array of u, in one numpy pass.
+
+    Same formula and factor set as ``jacobi_bracket``: each (x; p)_inf of
+    theta_p(x) (p/x; p)_inf (p; p)_inf keeps the factors with |x p^n| >= eps,
+    taken from one row of nome powers and masked per argument; an argument
+    that needs more than max_terms factors raises ResourceCapError, and
+    q^(2u) = 0 raises DomainError.  Agrees with the scalar bracket to
+    rounding; the ``qpoch`` cache is not used.  A bracket beyond the float
+    range raises FloatRangeError, as the scalar one does.
+    """
+    u = np.asarray(u, dtype=complex)
+    nome, height = (mp.pstar, mp.rstar) if starred else (mp.p, mp.r)
+    lq = math.log(mp.q)
+    x = np.exp(2.0 * u * lq)
+    if not x.all():
+        raise DomainError("theta(z, p) requires z != 0")
+    args = np.concatenate((x, nome / x, [nome]))
+    size = np.abs(args)
+    powers = _nome_powers(nome, size.max(), mp.trunc_eps, mp.max_terms, "theta bracket")
+    prods = np.empty_like(args)
+    step = max(1, _BATCH_ENTRIES // max(powers.size, 1))
+    for lo in range(0, args.size, step):            # one slice unless the nome is near 1
+        f = 1.0 - np.multiply.outer(powers, args[lo:lo + step])
+        f[np.multiply.outer(powers, size[lo:lo + step]) < mp.trunc_eps] = 1.0
+        prods[lo:lo + step] = np.multiply.reduce(f, axis=0)
+    n = x.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp((u * u / height - u) * lq) * (prods[:n] * prods[n:2 * n] * prods[-1])
+    if not np.isfinite(out).all():
+        raise FloatRangeError(f"[{u[~np.isfinite(out)][0]:.6g}] overflows")
+    return out
+
+
+def require_normal(value: complex, label: str) -> complex:
+    """``value``, or FloatRangeError naming ``label`` when |value| is below the
+    normal float range (as a divisor it has lost its digits or is 0)."""
+    if abs(value) < sys.float_info.min:
+        raise FloatRangeError(f"{label} underflows: |{label}| = {abs(value):.3g}")
+    return value
 
 
 def bracket_derivative_at_zero(mp: ModularParams, starred: bool = False,
@@ -156,13 +210,13 @@ def bracket_derivative_at_zero(mp: ModularParams, starred: bool = False,
     return (4.0 * d2 - d1) / 3.0
 
 
-def _nome_powers(x: float, top: float, eps: float, max_terms: int) -> np.ndarray:
+def _nome_powers(x: float, top: float, eps: float, max_terms: int, what: str) -> np.ndarray:
     """1, x, x^2, ... while top |x|^n >= eps; more than max_terms raises ResourceCapError."""
     out = [1.0]
     while top * abs(out[-1]) >= eps and len(out) <= max_terms:
         out.append(out[-1] * x)
     if top * abs(out[-1]) >= eps:
-        raise ResourceCapError(f"elliptic Gamma needs more than max_terms={max_terms} factors")
+        raise ResourceCapError(f"{what} needs more than max_terms={max_terms} factors")
     return np.array(out[:-1])
 
 
@@ -184,7 +238,7 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
         raise DomainError("elliptic Gamma requires z != 0")
     args = np.concatenate((p * s / zs, zs))
     top = np.abs(args).max(initial=0.0)
-    prow, srow = (_nome_powers(x, top, eps, max_terms) for x in (p, s))
+    prow, srow = (_nome_powers(x, top, eps, max_terms, "elliptic Gamma") for x in (p, s))
     row = np.multiply.outer(args, srow)             # x s^n; row m scales it by p^m
     size = np.abs(row)
     acc = np.ones(args.size, dtype=complex)

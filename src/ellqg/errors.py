@@ -27,3 +27,9 @@ class ShapeError(EllqgError):
 
 class ResourceCapError(EllqgError):
     """An enumeration or quadrature exceeded its configured cap."""
+
+
+class FloatRangeError(EllqgError):
+    """A bracket or a product of brackets lies outside the normal float range
+    (q close to 1): below it a divisor has lost its digits or is 0, above it
+    the value is not representable."""

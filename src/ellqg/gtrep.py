@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellfn import ModularParams, jacobi_bracket, bracket_derivative_at_zero, qpoch, theta
+from .ellfn import (ModularParams, bracket_derivative_at_zero, jacobi_bracket, qpoch,
+                    require_normal, theta)
 from .errors import ParameterError, PoleError, ShapeError
 from .rmat import embedded_rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
@@ -101,7 +102,7 @@ def gauge_constants(mp: ModularParams) -> tuple[complex, complex]:
     """(a, a*) with a = 1; the product is -[0]'/((q - 1/q)[1])."""
     require_level_zero(mp)
     prod = -bracket_derivative_at_zero(mp) / (
-        (mp.q - 1.0 / mp.q) * jacobi_bracket(1.0, mp))
+        (mp.q - 1.0 / mp.q) * require_normal(jacobi_bracket(1.0, mp), "[1]"))
     return 1.0 + 0.0j, prod
 
 

@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .ellfn import ModularParams, jacobi_bracket, rho_plus
+from .ellfn import ModularParams, jacobi_bracket, require_normal, rho_plus
 from .errors import SingularityError
 from .tensorspace import DynamicalParams
 
@@ -96,10 +96,12 @@ def rbar(z: complex, Pdyn: DynamicalParams, mp: ModularParams,
             if abs(bs) < _SING_TOL * scale:
                 raise SingularityError(
                     f"resonant dynamical parameter: [s] ~ 0 for pair ({j1}, {j2})")
-            entries[((j1, j2), (j1, j2))] = br(s + 1) * br(s - 1) * bu / (bs * bs * bu1)
+            dens = (bs * bs * bu1, bs * bu1)
+            require_normal(min(dens, key=abs), f"[s]^2 [u+1] for pair ({j1}, {j2})")
+            entries[((j1, j2), (j1, j2))] = br(s + 1) * br(s - 1) * bu / dens[0]
             entries[((j2, j1), (j2, j1))] = bu / bu1
-            entries[((j2, j1), (j1, j2))] = br(1) * br(s + u) / (bs * bu1)
-            entries[((j1, j2), (j2, j1))] = br(1) * br(s - u) / (bs * bu1)
+            entries[((j2, j1), (j1, j2))] = br(1) * br(s + u) / dens[1]
+            entries[((j1, j2), (j2, j1))] = br(1) * br(s - u) / dens[1]
     return DynRMatrix(N=N, z=complex(z), entries=entries, starred=starred)
 
 

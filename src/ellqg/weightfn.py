@@ -10,14 +10,18 @@ Brackets are always the unstarred [.] built on the nome carried by the
 ModularParams argument (so substituting a different nome, as the q-KZ cycle
 insertion does, is just a parameter change).
 
-Every symmetrized sum is one depth-first walk, ``_sym_sum``, over the block
-permutations from level N-1 (tied to z) down to level 1, one level factor
-per step; ``u_tilde``/``u_mod`` are the identity-order term.  Brackets go
-through a per-call memo, as their arguments are only the O(n^2) values
-v_x - v_y + c, c in {0, +-1, A}.  A u_tilde branch whose partial product is
-exactly 0 (as at t = z_J) is cut, unless a denominator value that a cut could
-skip (one of levels 1..N-2; the level-(N-1) factor is always evaluated whole)
-is below _DEN_TOL: then every term is finished and meets its pole checks.
+Every symmetrized sum is one chain of per-level matrices, ``_sym_sum``: the
+level-l factor F_l[p, p'] of the terms whose level-l and level-(l+1)
+variables are in the orders p and p' is gathered from tables of brackets
+with index arrays cached per slot pattern, and the sum is
+F_1 @ ... @ F_{N-1}[:, id] summed; ``u_tilde``/``u_mod`` are the identity
+entries.  The bracket arguments are only the O(n^2) values
+v_x - v_y + c, c in {0, +-1, A}, so each call evaluates its tables in one
+``jacobi_brackets`` pass.  A column of F_l whose every term already has an
+exactly-zero factor (as at t = z_J) is skipped and its terms count as
+pruned, unless a denominator of levels 1..N-2 is below _DEN_TOL (the
+level-(N-1) factor is always evaluated whole): then every entry is
+evaluated and meets its pole test.
 """
 
 from __future__ import annotations
@@ -25,9 +29,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import permutations, product
+from typing import NamedTuple
 
-from .ellfn import ModularParams, jacobi_bracket
+import numpy as np
+
+from .ellfn import ModularParams, jacobi_bracket, jacobi_brackets
 from .errors import ParameterError, PoleError, ShapeError
 from .rmat import rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
@@ -97,88 +105,207 @@ def _c_offset(colors, s: int, mu_s: int, lplus: int) -> int:
     return sum(eps_pairing(colors[j], mu_s, lplus) for j in range(s, len(colors)))
 
 
-class _Brackets(dict):
-    """Memo of one call's brackets [x], keyed by the argument x."""
+class _Level(NamedTuple):
+    """One level's factor tables: ratio values, flattened, and pole flags."""
 
-    def __init__(self, mp: ModularParams) -> None:
-        self.mp = mp
+    l: int
+    modified: bool
+    pattern: tuple  # per slot a: (matched slot b, later slots of level l+1)
+    Y: int          # size of level l+1
+    values: np.ndarray
+    bad: np.ndarray  # entries whose denominator is below _DEN_TOL
+    poles: bool      # bad.any()
 
-    def __missing__(self, x):
-        self[x] = val = jacobi_bracket(x, self.mp)
-        return val
+
+class _Plan(NamedTuple):
+    """Where each bracket and each table entry of a label's terms comes from."""
+
+    levels: tuple      # per level: (slot pattern, size of level l+1, entries start, stop)
+    slots: tuple       # per [A] bracket: (level, slot, color, C offset)
+    args: np.ndarray   # (3, brackets): argument = v[i] - v[j] + const[c]
+    ratio: np.ndarray  # (4, entries): value = [n1][n2] / ([d1][d2])
+
+
+class _Gather(NamedTuple):
+    """Index arrays that gather a level factor F[p, p'] from its tables.
+
+    Entry (p, p') of term k of the cross product is ``rows[p, k] + cols[p', k]``;
+    ``same[p]`` indexes the same-level product.  ``terms`` lists (cross?,
+    column, a, j) in the order the factor is defined, which is the order its
+    denominators are tested in.
+    """
+
+    orders: list  # the level-l orders p, as lists
+    rows: np.ndarray
+    cols: np.ndarray
+    same: np.ndarray
+    terms: tuple
+
+
+@lru_cache(maxsize=256)
+def _gather(modified: bool, pattern: tuple, Y: int, top: bool) -> _Gather:
+    """Index arrays of one level, cached by the integer slot pattern.
+
+    Rows run over every order of the level (identity first), columns over
+    every order of level l+1, or only its identity at the top level.  Value
+    layout (X slots, Y variables at level l+1, row x of each table is v_x):
+    the matched-slot ratio of each slot a (X tables, X x Y), the later-slot
+    ratio (X x Y), the earlier-slot factor of u_mod (X x Y, unused by
+    u_tilde), then the same-level ratio (X x X).
+    """
+    X = len(pattern)
+    rows = np.array(list(permutations(range(X))), dtype=np.intp)
+    cols = np.arange(Y)[None] if top else np.array(list(permutations(range(Y))), dtype=np.intp)
+    off_later, off_earlier, off_same = X * X * Y, X * X * Y + X * Y, X * X * Y + 2 * X * Y
+    cross, same, terms = [], [], []
+    for a, (b, later) in enumerate(pattern):
+        slot = [(a * X * Y, b)] + [(off_later, bp) for bp in later]
+        if modified:
+            slot += [(off_earlier, bp) for bp in range(Y) if bp != b and bp not in later]
+        for off, j in slot:
+            terms.append((True, len(cross), a, j))
+            cross.append((off, a, j))
+        for ap in range(a + 1, X):
+            terms.append((False, len(same), a, ap))
+            same.append((a, ap))
+    out = _Gather(rows.tolist(), np.empty((len(rows), len(cross)), np.intp),
+                  np.empty((len(cols), len(cross)), np.intp),
+                  np.empty((len(rows), len(same)), np.intp), tuple(terms))
+    for k, (off, a, j) in enumerate(cross):
+        out.rows[:, k] = off + rows[:, a] * Y
+        out.cols[:, k] = cols[:, j]
+    for k, (a, ap) in enumerate(same):
+        out.same[:, k] = off_same + rows[:, a] * X + rows[:, ap]
+    for arr in out[1:4]:
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=256)
+def _plan(I: PartitionIndex, modified: bool) -> _Plan:
+    """The bracket arguments and table layout of label I's terms.
+
+    Variables are numbered level by level (level N is z), then one spare
+    variable (0); constants are 0, 1, -1 and the A of each slot.  Brackets
+    [1] and [A_a] come first; level l then tabulates [v'_y - v_x],
+    [v'_y - v_x + 1], [v'_y - v_x + A_a] per slot a, [v_x - v_x'] and
+    [v_x - v_x' - 1].  Bracket index -1 stands for an exact 1.  The ratios a
+    term multiplies are laid out per level as ``_gather`` reads them.
+    """
+    lam = I.shape()
+    colors = I.colors()
+    sizes = [lam.prefix(l) for l in range(1, lam.N + 1)]
+    start = np.cumsum([0] + sizes)
+    spare, one = start[-1], -1
+    patterns, slots = [], []
+    for l in range(1, lam.N):
+        nxt = I.union(l + 1)
+        patterns.append(tuple((nxt.index(s), tuple(b for b, s2 in enumerate(nxt) if s2 > s))
+                              for s in I.union(l)))
+        slots += [(l, a + 1, colors[s - 1], _c_offset(colors, s, colors[s - 1], l + 1))
+                  for a, s in enumerate(I.union(l))]
+    args, ratio, levels = [], [], []
+
+    def put(i, j, c):
+        """Brackets [v_i - v_j + const_c] (broadcast); returns their indices."""
+        i, j, c = np.broadcast_arrays(i, j, c)
+        first = sum(x.shape[1] for x in args)
+        args.append(np.stack([i.ravel(), j.ravel(), c.ravel()]))
+        return first + np.arange(i.size).reshape(i.shape)
+
+    b1 = put(spare, spare, 1)
+    bA = put(spare, spare, 3 + np.arange(len(slots)))
+    for l, pattern in enumerate(patterns, 1):
+        X, Y = sizes[l - 1], sizes[l]
+        v, w = start[l - 1] + np.arange(X), start[l] + np.arange(Y)
+        k = start[l - 1] + np.arange(X)  # the slots of level l
+        A = bA[k]
+        T0, T1 = put(w, v[:, None], 0), put(w, v[:, None], 1)
+        TA = put(w, v[:, None], 3 + k[:, None, None])
+        D, Dm = put(v[:, None], v, 0), put(v[:, None], v, 2)
+        eye = np.eye(X, dtype=bool)
+        if modified:  # [.+A]/[A]; [v'-v]; [v'-v+1]; 1/([v_x - v_x'][v_x' - v_x - 1])
+            blocks = [(TA, one, A[:, None, None], one), (T0, one, one, one),
+                      (T1, one, one, one), (one, one, np.where(eye, one, D),
+                                            np.where(eye, one, Dm.T))]
+        else:  # [.+A][1]/([.+1][A]); [v'-v]/[v'-v+1]; unused; [v-v'-1]/[v-v']
+            blocks = [(TA, b1, T1, A[:, None, None]), (T0, one, T1, one),
+                      (np.full((X, Y), one), one, one, one),
+                      (np.where(eye, one, Dm), one, np.where(eye, one, D), one)]
+        lo = sum(x.shape[1] for x in ratio)
+        ratio += [np.stack([x.ravel() for x in np.broadcast_arrays(*block)])
+                  for block in blocks]
+        levels.append((pattern, Y, lo, lo + X * X * Y + 2 * X * Y + X * X))
+    plan = _Plan(tuple(levels), tuple(slots), np.concatenate(args, axis=1),
+                 np.concatenate(ratio, axis=1))
+    plan.args.flags.writeable = plan.ratio.flags.writeable = False
+    return plan
 
 
 def _level_factors(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
-                   Pdyn: DynamicalParams, mp: ModularParams, modified: bool = False):
-    """``(factor, dens)`` for the u_tilde (with ``modified``, u_mod) terms of a sum.
+                   Pdyn: DynamicalParams, mp: ModularParams,
+                   modified: bool = False) -> list[_Level]:
+    """The factor tables of every level of the u_tilde (with ``modified``,
+    u_mod) terms, from one ``jacobi_brackets`` call (layout in ``_plan``).
 
-    ``factor(l, p, pn)`` is the level-l factor of the term whose level-l and
-    level-(l+1) variables are in the orders p and pn (as in TVariables.permuted;
-    level N is z).  ``dens()`` yields every u_tilde denominator value that a
-    cut branch could skip; [A] divides every term and is checked here.
+    [A] divides every term and is checked here.
     """
-    lam = I.shape()
-    t.check_shape(lam)
-    colors = I.colors()
-    vs = _vees(t, z, mp)
-    br = _Brackets(mp).__getitem__
-    slots = []  # per level: (matched slot b, A, [A], later and earlier slots of l+1)
-    for l in range(1, lam.N):
-        nxt = I.union(l + 1)
-        level = []
-        for s in I.union(l):
-            A = Pdyn.value(colors[s - 1], l + 1) - _c_offset(colors, s, colors[s - 1], l + 1)
-            if abs(br(A)) < _DEN_TOL:  # in every term
-                raise PoleError(f"[(P+h) - C] vanished at level {l}, slot {len(level)+1}")
-            level.append((nxt.index(s), A, br(A), [b for b, s2 in enumerate(nxt) if s2 > s],
-                          [b for b, s2 in enumerate(nxt) if s2 < s]))
-        slots.append(level)
-
-    def tilde(l, p, pn):
-        v_l, v_n = vs[l - 1], vs[l]
-        total = 1.0 + 0.0j
-        for a, (b, A, den_b, later, _) in enumerate(slots[l - 1]):
-            va = v_l[p[a]]
-            for bp in (b, *later):
-                den = br(v_n[pn[bp]] - va + 1.0)
-                if abs(den) < _DEN_TOL:
-                    raise PoleError(f"[v^{l+1}_{bp+1} - v^{l}_{a+1} + 1] vanished")
-                total *= (br(v_n[pn[bp]] - va + A) * br(1.0) / den_b if bp == b
-                          else br(v_n[pn[bp]] - va)) / den
-            for ap in range(a + 1, len(p)):
-                den = br(va - v_l[p[ap]])
-                if abs(den) < _DEN_TOL:
-                    raise PoleError(f"[v^{l}_{a+1} - v^{l}_{ap+1}] vanished")
-                total *= br(va - v_l[p[ap]] - 1.0) / den
-        return total
-
-    def mod(l, p, pn):
-        v_l, v_n = vs[l - 1], vs[l]
-        total = 1.0 + 0.0j
-        for a, (b, A, den_b, later, earlier) in enumerate(slots[l - 1]):
-            va = v_l[p[a]]
-            total *= (br(v_n[pn[b]] - va + A) / den_b
-                      * math.prod(br(v_n[pn[bp]] - va) for bp in later)
-                      * math.prod(br(v_n[pn[bp]] - va + 1.0) for bp in earlier))
-        for a, b in combinations(range(len(p)), 2):
-            den = br(v_l[p[a]] - v_l[p[b]]) * br(v_l[p[b]] - v_l[p[a]] - 1.0)
-            if abs(den) < _DEN_TOL:
-                raise PoleError(f"level-{l} denominator vanished")
-            total /= den
-        return total
-
-    def dens():  # levels 1..N-2; the level-(N-1) factor is never cut
-        for v_l, v_n in zip(vs, vs[1:-1]):
-            yield from (br(x - y) for x, y in permutations(v_l, 2))
-            yield from (br(vb - va + 1.0) for va in v_l for vb in v_n)
-
-    return (mod if modified else tilde), dens
+    t.check_shape(I.shape())
+    plan = _plan(I, modified)
+    v = np.array([x for level in _vees(t, z, mp) for x in level] + [0.0], dtype=complex)
+    const = np.array([0.0, 1.0, -1.0] + [Pdyn.value(color, l + 1) - C
+                                         for l, _, color, C in plan.slots], dtype=complex)
+    i, j, c = plan.args
+    br = np.append(jacobi_brackets(v[i] - v[j] + const[c], mp), 1.0)
+    small = np.flatnonzero(np.abs(br[1:1 + len(plan.slots)]) < _DEN_TOL)
+    if small.size:
+        l, a = plan.slots[small[0]][:2]
+        raise PoleError(f"[(P+h) - C] vanished at level {l}, slot {a}")
+    n1, n2, d1, d2 = br[plan.ratio]
+    den = d1 * d2
+    bad = np.abs(den if modified else d1) < _DEN_TOL
+    values = n1 * n2 / np.where(bad, 1.0, den)
+    return [_Level(l, modified, pattern, Y, values[lo:hi], bad[lo:hi], bool(bad[lo:hi].any()))
+            for l, (pattern, Y, lo, hi) in enumerate(plan.levels, 1)]
 
 
-def _identity_term(factor, lam: Composition) -> complex:
-    """The unpermuted term, prod_l factor(l, id, id)."""
-    return math.prod((factor(l, range(lam.prefix(l)), range(lam.prefix(l + 1)))
-                      for l in range(1, lam.N)), start=1.0 + 0.0j)
+def _factor(lv: _Level, top: bool, cols=slice(None)):
+    """``(gather, F, marks)``: the level factor F[p, p'] over every order p and
+    the orders p' in ``cols``, and the entries that use a vanishing
+    denominator (None when there are none)."""
+    g = _gather(lv.modified, lv.pattern, lv.Y, top)
+    idx = g.rows[:, None, :] + g.cols[cols][None]
+    F = lv.values[idx].prod(axis=-1) * lv.values[g.same].prod(axis=-1)[:, None]
+    marks = None
+    if lv.poles:
+        marks = lv.bad[idx].any(axis=-1) | lv.bad[g.same].any(axis=-1)[:, None]
+        if not marks.any():
+            marks = None
+    return g, F, marks
+
+
+def _pole_message(lv: _Level, g: _Gather, p: int, pn: int) -> str:
+    """The PoleError text of the first vanishing denominator of F[p, pn]."""
+    l = lv.l
+    for is_cross, k, a, j in g.terms:
+        if lv.bad[g.rows[p, k] + g.cols[pn, k] if is_cross else g.same[p, k]]:
+            if lv.modified:
+                return f"level-{l} denominator vanished"
+            if is_cross:
+                return f"[v^{l+1}_{j+1} - v^{l}_{a+1} + 1] vanished"
+            return f"[v^{l}_{a+1} - v^{l}_{j+1}] vanished"
+    raise AssertionError("no vanishing denominator in a marked entry")
+
+
+def _identity_term(levels: list[_Level]) -> complex:
+    """The unpermuted term, prod_l F_l[id, id]; levels are tested from 1 up."""
+    total = 1.0 + 0.0j
+    for lv in levels:
+        g, F, marks = _factor(lv, lv is levels[-1], [0])
+        if marks is not None and marks[0, 0]:
+            raise PoleError(_pole_message(lv, g, 0, 0))
+        total *= complex(F[0, 0])
+    return total
 
 
 def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -192,45 +319,54 @@ def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         * prod_{b' : i^(l+1)_{b'} > s}  [v'_{b'} - v_a] / [v'_{b'} - v_a + 1]
         * prod_{a' > a}                 [v_a - v_{a'} - 1] / [v_a - v_{a'}]
     """
-    return _identity_term(_level_factors(I, t, z, Pdyn, mp)[0], I.shape())
+    return _identity_term(_level_factors(I, t, z, Pdyn, mp))
 
 
 def _sym_sum(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
              Pdyn: DynamicalParams, mp: ModularParams, modified: bool = False,
              on_pole=None) -> WeightFunctionEval:
-    """Plain sum of the u_tilde (u_mod, not pruned) terms over block permutations.
+    """Plain sum of the u_tilde (u_mod) terms over block permutations.
 
-    A PoleError propagates or, with ``on_pole``, each term of the branch that
-    raised it is taken as ``on_pole(perms)`` and counted as skipped.
+    The sum is a chain of per-level matrices F_l[p, p'] (orders p of level l,
+    p' of level l+1): vec = F_{N-1}[:, id], then vec = F_l @ vec for
+    l = N-2, ..., 1, and the value is sum(vec).  Without vanishing
+    denominators at levels 1..N-2 (and not ``modified``), a column whose every
+    term has an exactly-zero factor is not gathered, and those terms count as
+    pruned.  An entry with a vanishing denominator raises the PoleError the
+    depth-first order of terms meets first or, with ``on_pole``, each term
+    through it is taken as ``on_pole(perms)`` and counted as skipped.
     """
-    factor, dens = _level_factors(I, t, z, Pdyn, mp, modified)
-    prune = not modified and all(abs(d) >= _DEN_TOL for d in dens())
-    lam = I.shape()
-    blocks = [list(permutations(range(lam.prefix(l)))) for l in range(1, lam.N)]
-    acc = [0.0 + 0.0j, 0, 0]  # value, skipped, pruned
-
-    def walk(l, partial, chosen):  # chosen: the orders of levels l+1..N-1, then z
-        if l == 0:
-            acc[0] += partial
-            return
-        for p in blocks[l - 1]:
-            try:
-                value = partial * factor(l, p, chosen[0])
-            except PoleError:
-                if on_pole is None:
-                    raise
-                for rest in product(*blocks[:l - 1]):
-                    acc[0] += on_pole(rest + (p,) + chosen[:-1])
-                acc[1] += math.prod(map(len, blocks[:l - 1]))
+    levels = _level_factors(I, t, z, Pdyn, mp, modified)
+    prune = not modified and not any(lv.poles for lv in levels[:-1])
+    vec = nz = np.ones(1)  # over the orders of the level above: z has one
+    gathers, marks = [], []
+    for lv in reversed(levels):
+        cols = np.flatnonzero(nz) if prune else slice(None)
+        g, F, mk = _factor(lv, lv is levels[-1], cols)
+        if mk is not None:
+            F[mk] = 0.0
+        vec = F @ vec[cols]
+        if prune:
+            nz = (F != 0) @ nz[cols]
+        gathers.insert(0, g)
+        marks.insert(0, mk)
+    sizes = [len(g.orders) for g in gathers]
+    value, skipped = complex(vec.sum()), 0
+    if any(m is not None for m in marks):
+        for idx in product(*map(range, reversed(sizes))):  # the walk's order: top level slowest
+            path = idx[::-1] + (0,)
+            hit = [i for i, m in enumerate(marks) if m is not None and m[path[i], path[i + 1]]]
+            if not hit:
                 continue
-            if prune and value == 0:
-                acc[2] += math.prod(map(len, blocks[:l - 1]))
-            else:
-                walk(l - 1, value, (p,) + chosen)
-
-    walk(len(blocks), 1.0 + 0.0j, (range(lam.n),))
-    return WeightFunctionEval(acc[0], math.prod(map(len, blocks)) - acc[1],
-                              skipped_singular=acc[1], terms_pruned=acc[2])
+            if on_pole is None:  # the walk meets the highest marked level of this term first
+                i = hit[-1]
+                raise PoleError(_pole_message(levels[i], gathers[i], path[i], path[i + 1]))
+            value += on_pole(tuple(tuple(g.orders[i]) for g, i in zip(gathers, path)))
+            skipped += 1
+    total = math.prod(sizes)
+    pruned = total - skipped - int(nz.sum()) if prune else 0
+    return WeightFunctionEval(value, total - skipped, skipped_singular=skipped,
+                              terms_pruned=pruned)
 
 
 def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -247,9 +383,9 @@ def specialize(I: PartitionIndex, at: PartitionIndex, z: EvaluationPoints,
                Pdyn: DynamicalParams, mp: ModularParams) -> WeightFunctionEval:
     """w_tilde of label I evaluated at the specialization t = z_at.
 
-    Zero unless at <= I in the partial order.  Exactly-zero branches are pruned
-    unless a denominator value a cut could skip is below _DEN_TOL; then
-    summands that hit a vanishing denominator are evaluated by the limit rule:
+    Zero unless at <= I in the partial order.  Terms with an exactly-zero
+    factor are pruned as in ``_sym_sum``; every term through a table entry
+    with a vanishing denominator is evaluated by the limit rule instead:
     the specialization point is moved to z_at * (1 + eps) for eps in
     {1e-5, 1e-6} and Richardson extrapolated; a summand that keeps growing
     under refinement is a genuine pole and raises.
@@ -328,9 +464,9 @@ def transition_check(mu, i: int, t: TVariables, z: EvaluationPoints,
 def h_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
              mp: ModularParams) -> complex:
     """H factor: prod_l prod_{a,b} [v^(l+1)_b - v^(l)_a + 1]."""
-    vs, br = _vees(t, z, mp), _Brackets(mp).__getitem__
-    return math.prod((br(vb - va + 1.0) for l in range(1, lam.N)
-                      for va in vs[l - 1] for vb in vs[l]), start=1.0 + 0.0j)
+    vs = _vees(t, z, mp)
+    return complex(jacobi_brackets([vb - va + 1.0 for l in range(1, lam.N)
+                                    for va in vs[l - 1] for vb in vs[l]], mp).prod())
 
 
 def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
@@ -341,9 +477,9 @@ def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
     level contributes one [1] factor per variable.  This literal reading is
     the one under which the two modified-weight-function routes coincide.
     """
-    vs, br = _vees(t, z, mp), _Brackets(mp).__getitem__
-    return math.prod((br(vb - va + 1.0) for l in range(1, lam.N)
-                      for va in vs[l - 1] for vb in vs[l - 1]), start=1.0 + 0.0j)
+    vs = _vees(t, z, mp)
+    return complex(jacobi_brackets([vb - va + 1.0 for l in range(1, lam.N)
+                                    for va in vs[l - 1] for vb in vs[l - 1]], mp).prod())
 
 
 def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -358,8 +494,7 @@ def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
 
     divided by prod_{a<b} [v_a - v_b][v_b - v_a - 1].
     """
-    return _identity_term(_level_factors(I, t, z, Pdyn, mp, modified=True)[0],
-                          I.shape())
+    return _identity_term(_level_factors(I, t, z, Pdyn, mp, modified=True))
 
 
 def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,

@@ -1,11 +1,16 @@
+import cmath
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from ellqg import suites
 from ellqg.cli import ConfigError, build_config, main, parse_config, run_suite
+from ellqg.errors import FloatRangeError
+from ellqg.rmat import rbar
 
 MINIMAL = {
     "q": 0.5, "r": 3.0, "k": 0.0, "N": 2, "n": 2, "lambda": [1, 1],
@@ -79,6 +84,25 @@ def test_theta_honours_config_max_terms(tmp_path, capsys):
     val = json.loads(capsys.readouterr().out)["values"][0]["theta_p"]
     ref = 1.3515556515894119e-294 - 3.6166238418551259e-295j
     assert abs(complex(val["re"], val["im"]) - ref) < 1e-10 * abs(ref)
+
+
+def test_bracket_underflow_raises_library_error():
+    cfg = build_config({"q": 0.999, "max_terms": 40000})
+    with pytest.raises(FloatRangeError, match="underflows"):
+        suites.check_bracket_quasi_period_r(cfg, np.random.default_rng(0))
+    with pytest.raises(FloatRangeError, match=r"\[s\]\^2 \[u\+1\] for pair \(1, 2\)"):
+        rbar(0.9 * cmath.exp(0.4j), cfg.dynamical(), cfg.modular())
+
+
+@pytest.mark.parametrize("suite", ["ellfn", "rmat"])
+def test_bracket_underflow_is_a_failing_row(tmp_path, capsys, suite):
+    # q = 0.999 with a cap the products fit in: the brackets underflow to 0.
+    path = write_config(tmp_path, {"q": 0.999, "max_terms": 40000})
+    assert main(["--config", path, "verify", suite]) == 1
+    report = json.loads(capsys.readouterr().out)
+    errors = {c["id"]: c.get("error", "") for c in report["checks"]}
+    hit = "ellfn.bracket_quasi_period_r" if suite == "ellfn" else "rmat.inversion"
+    assert "underflows" in errors[hit]
 
 
 def test_unknown_suite_is_usage_error():

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellqg.ellfn import (ModularParams, bracket_derivative_at_zero, ell_gamma,
-                         jacobi_bracket, mu_scalar, qpoch, rho_plus, theta)
-from ellqg.errors import DomainError, ParameterError, PoleError, ResourceCapError
+                         jacobi_bracket, jacobi_brackets, mu_scalar, qpoch, rho_plus,
+                         theta)
+from ellqg.errors import (DomainError, FloatRangeError, ParameterError, PoleError,
+                          ResourceCapError)
 
 # Frozen oracle values, computed from independent fixed-length products
 # (200 terms for the single product, 400x400 for the double one).
@@ -288,3 +290,91 @@ def test_gamma_refuses_to_truncate_at_the_cap():
         ell_gamma(0.5 + 0.2j, 0.999 ** 6.2, 0.999 ** 4)
     with pytest.raises(ResourceCapError):
         rho_plus(0.9, 2, ModularParams(q=0.999, r=3.1))
+
+
+# ---------------------------------------------- bracket layer vs mpmath --
+BRACKET_QS = (0.05, 0.5, 0.9, 0.99)
+BRACKET_ARGS = (0.3 + 0.2j, -0.7 + 0.45j, 1.2 - 0.3j, 0.05 + 0.6j, -1.4 - 0.1j, 2.3 + 0.15j)
+
+
+def _mp_qpoch(x, s):
+    """(x; s)_inf in mpmath, every factor down to |x s^n| = 1e-30."""
+    val, w = mpmath.mpf(1), x
+    while abs(w) > 1e-30:
+        val *= 1 - w
+        w *= s
+    return val
+
+
+def _mp_theta(x, p):
+    return _mp_qpoch(x, p) * _mp_qpoch(p / x, p) * _mp_qpoch(p, p)
+
+
+def _mp_bracket(u, q, r):
+    """[u] = q^(u^2/r - u) theta_{q^(2r)}(q^(2u)) in mpmath."""
+    mq, mu = mpmath.mpf(q), mpmath.mpc(u)
+    return mq ** (mu * mu / r - mu) * _mp_theta(mq ** (2 * mu), mq ** (2 * mpmath.mpf(r)))
+
+
+def _bracket_mp(q):
+    # q = 0.99 needs about 520 factors per product, past the default cap of 512.
+    return ModularParams(q=q, r=3.1, k=0.8, max_terms=4096)
+
+
+@pytest.mark.parametrize("q", BRACKET_QS)
+def test_qpoch_and_theta_against_mpmath(q):
+    mp = _bracket_mp(q)
+    for u in BRACKET_ARGS:
+        x = mp.qpow(2.0 * u)
+        with mpmath.workdps(40):
+            mx = mpmath.mpc(x)
+            q_ref = complex(_mp_qpoch(mx, mpmath.mpf(mp.p)))
+            t_ref = complex(_mp_theta(mx, mpmath.mpf(mp.p)))
+        assert abs(qpoch(x, mp.p, max_terms=mp.max_terms) - q_ref) <= 1e-12 * abs(q_ref)
+        assert abs(theta(x, mp.p, max_terms=mp.max_terms) - t_ref) <= 1e-12 * abs(t_ref)
+
+
+@pytest.mark.parametrize("q", BRACKET_QS)
+@pytest.mark.parametrize("starred", [False, True])
+def test_brackets_against_mpmath(q, starred):
+    mp = _bracket_mp(q)
+    # Batch and scalar round differently; at q = 0.99 each bracket is a
+    # product of about 1,500 factors and the two drift apart by up to 5e-14.
+    agree = 1e-14 if q < 0.95 else 1e-13
+    batch = jacobi_brackets(BRACKET_ARGS, mp, starred)
+    for u, val in zip(BRACKET_ARGS, batch):
+        with mpmath.workdps(40):
+            ref = complex(_mp_bracket(u, q, mp.rstar if starred else mp.r))
+        single = jacobi_bracket(u, mp, starred)
+        assert abs(single - ref) <= 1e-12 * abs(ref), (u, q)
+        assert abs(val - ref) <= 1e-12 * abs(ref), (u, q)
+        assert abs(val - single) <= agree * abs(single), (u, q)
+
+
+def test_brackets_batch_keeps_exact_zero_and_shape(mp):
+    vals = jacobi_brackets([0.0, 1.0, -1.0], mp)
+    assert vals.shape == (3,) and vals[0] == 0
+    assert abs(vals[1] + vals[2]) <= 1e-14 * abs(vals[1])  # odd
+    assert jacobi_brackets([], mp).shape == (0,)
+    # p = 1e-32: at u = 3.75 every factor of every product is below eps.
+    tiny = ModularParams(q=0.01, r=8.0)
+    ref = jacobi_bracket(3.75, tiny)
+    assert abs(jacobi_brackets([3.75], tiny)[0] - ref) <= 1e-15 * abs(ref)
+
+
+def test_brackets_refuse_to_truncate_at_the_cap():
+    # q = 0.999, default cap: p = q^6.2 needs about 5,000 factors per product.
+    mp = ModularParams(q=0.999, r=3.1)
+    with pytest.raises(ResourceCapError):
+        jacobi_bracket(0.3 + 0.2j, mp)
+    with pytest.raises(ResourceCapError):
+        jacobi_brackets([0.3 + 0.2j], mp)
+
+
+def test_brackets_beyond_float_range_raise():
+    mp = ModularParams(q=0.999, r=3.1, max_terms=40000)
+    u = 3000j  # q^(u^2/r) = exp(2.9e3): not a float
+    with pytest.raises(FloatRangeError):
+        jacobi_bracket(u, mp)
+    with pytest.raises(FloatRangeError):
+        jacobi_brackets([0.5, u], mp)

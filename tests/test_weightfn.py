@@ -14,7 +14,7 @@ from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
 from ellqg.weightfn import (TVariables, diagonal_value, e_lambda,
                             modified_w, specialize, stab_matrix,
                             stable_envelope_restriction, transition_check,
-                            triangularity_violations, u_tilde, w_tilde)
+                            triangularity_violations, u_mod, u_tilde, w_tilde)
 
 
 def all_compositions(n, N):
@@ -177,11 +177,48 @@ def test_specialization_counts_terms(mp, rng):
     assert res.terms_evaluated + res.skipped_singular == 2  # lambda^(1)! = 2
 
 
-def _brute_force_sum(I, t, z, pd, mp):
-    """Plain sum of u_tilde over every product of block permutations of t."""
+def _slots_ref(I, pd, l):
+    """Per slot a of level l: (matched slot b, A, later slots, earlier slots)."""
+    colors, nxt = I.colors(), I.union(l + 1)
+    out = []
+    for s in I.union(l):
+        mu, after = colors[s - 1], colors[s:]
+        A = pd.value(mu, l + 1) - (after.count(mu) - after.count(l + 1))
+        out.append((nxt.index(s), A, [b for b, s2 in enumerate(nxt) if s2 > s],
+                    [b for b, s2 in enumerate(nxt) if s2 < s]))
+    return out
+
+
+def _term_ref(I, t, z, pd, mp, modified=False):
+    """One u_tilde (with ``modified``, u_mod) term from its docstring formula,
+    on scalar brackets."""
+    br = lambda x: jacobi_bracket(x, mp)
+    lq = 2 * math.log(mp.q)
+    vs = [[cmath.log(x) / lq for x in lvl] for lvl in (*t.levels, z.z)]
+    total = 1.0 + 0.0j
+    for l in range(1, I.N):
+        v, w = vs[l - 1], vs[l]
+        for a, (b, A, later, earlier) in enumerate(_slots_ref(I, pd, l)):
+            if modified:
+                total *= br(w[b] - v[a] + A) / br(A)
+                total *= math.prod(br(w[bp] - v[a]) for bp in later)
+                total *= math.prod(br(w[bp] - v[a] + 1) for bp in earlier)
+                for ap in range(a + 1, len(v)):
+                    total /= br(v[a] - v[ap]) * br(v[ap] - v[a] - 1)
+            else:
+                total *= br(w[b] - v[a] + A) * br(1) / (br(w[b] - v[a] + 1) * br(A))
+                for bp in later:
+                    total *= br(w[bp] - v[a]) / br(w[bp] - v[a] + 1)
+                for ap in range(a + 1, len(v)):
+                    total *= br(v[a] - v[ap] - 1) / br(v[a] - v[ap])
+    return total
+
+
+def _brute_force_sum(I, t, z, pd, mp, modified=False):
+    """Plain sum of the reference term over every product of block permutations of t."""
     lam = I.shape()
     blocks = [permutations(range(lam.prefix(l))) for l in range(1, lam.N)]
-    return sum((u_tilde(I, t.permuted(perms), z, pd, mp)
+    return sum((_term_ref(I, t.permuted(perms), z, pd, mp, modified)
                 for perms in product(*blocks)), 0.0 + 0.0j)
 
 
@@ -197,6 +234,8 @@ def test_enumerator_equals_brute_force_sum(mp, rng):
             ref = _brute_force_sum(I, t, z, pd, mp)
             assert abs(res.value - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
             assert res.terms_pruned == 0
+            ref = _term_ref(I, t, z, pd, mp)
+            assert abs(u_tilde(I, t, z, pd, mp) - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
             for at in parts:
                 res = specialize(I, at, z, pd, mp)
                 ref = _brute_force_sum(I, TVariables.specialization(at, z), z, pd, mp)
@@ -204,6 +243,19 @@ def test_enumerator_equals_brute_force_sum(mp, rng):
                 assert res.skipped_singular == 0
                 pruned += res.terms_pruned if at != I else 0
     assert pruned > 0
+
+
+def test_modified_sum_equals_brute_force_sum(mp, rng):
+    for N, lam in _wf_cases():
+        z = random_points(rng, lam.n, mp.q)
+        pd = random_pdyn(rng, N)
+        t = random_t(rng, lam)
+        for I in enumerate_partitions(lam):
+            ref = _term_ref(I, t, z, pd, mp, modified=True)
+            assert abs(u_mod(I, t, z, pd, mp) - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
+            ref = _brute_force_sum(I, t, z, pd, mp, modified=True)
+            val = modified_w(I, t, z, pd, mp, route="sym")
+            assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
 
 
 def test_resonant_denominator_is_not_pruned_away():
