@@ -12,7 +12,6 @@ import cmath
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from .ellfn import ModularParams, jacobi_bracket, theta
 from .errors import EllqgError
 from .rmat import rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
-                          PartitionIndex, enumerate_partitions)
+                          enumerate_partitions)
 from .weightfn import TVariables
 
 DEFAULTS = {
@@ -99,12 +98,6 @@ def build_config(data: dict) -> RunConfig:
         seed = int(merged["seed"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scalar field: {exc}") from exc
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"field 'q': must lie in (0, 1), got {q}")
-    if k < 0.0:
-        raise ConfigError(f"field 'k': must be >= 0, got {k}")
-    if r <= k:
-        raise ConfigError(f"field 'r': must exceed k, got r={r}, k={k} (p* >= 1)")
     if N < 1:
         raise ConfigError(f"field 'N': must be >= 1, got {N}")
     lam = tuple(int(x) for x in merged["lambda"])
@@ -118,10 +111,13 @@ def build_config(data: dict) -> RunConfig:
     z = tuple(_as_complex(x, "z") for x in merged["z"])
     if len(z) != n:
         raise ConfigError(f"field 'z': needs {n} entries, got {len(z)}")
-    if any(x == 0 for x in z):
-        raise ConfigError("field 'z': entries must be nonzero")
-    return RunConfig(q=q, r=r, k=k, trunc_eps=trunc_eps, max_terms=max_terms,
-                     N=N, n=n, lam=lam, P=P, z=z, seed=seed)
+    cfg = RunConfig(q=q, r=r, k=k, trunc_eps=trunc_eps, max_terms=max_terms,
+                    N=N, n=n, lam=lam, P=P, z=z, seed=seed)
+    try:  # the library's own checks of (q, r, k, truncation) and of z
+        cfg.modular(), cfg.points()
+    except EllqgError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def parse_config(path: str | None) -> RunConfig:
@@ -140,44 +136,37 @@ def parse_config(path: str | None) -> RunConfig:
     return build_config(data)
 
 
-def run_suite(name: str, cfg: RunConfig, jobs: int = 1) -> dict:
+def run_suite(name: str, cfg: RunConfig) -> dict:
     """Run one verification suite (or 'all'); report is ordered by check id."""
     try:
         checks = suites.checks_for(name)
     except KeyError as exc:
         raise ConfigError(f"unknown suite {name!r}; choose from "
                           f"{', '.join(suites.SUITE_NAMES)} or 'all'") from exc
-
-    def run_one(item):
-        index, (check_id, fn) = item
+    results = []
+    for index, (check_id, fn) in enumerate(checks):
         rng = np.random.default_rng(cfg.seed + 7919 * index)
         try:
             residual, tol = fn(cfg, rng)
-            return {"id": check_id, "residual": float(residual),
-                    "tolerance": float(tol),
-                    "pass": bool(residual <= tol)}
+            results.append({"id": check_id, "residual": float(residual),
+                            "tolerance": float(tol), "pass": bool(residual <= tol)})
         except EllqgError as exc:
-            return {"id": check_id, "residual": float("inf"),
-                    "tolerance": 0.0, "pass": False, "error": str(exc)}
-
-    items = list(enumerate(checks))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, items))
-    else:
-        results = [run_one(it) for it in items]
+            results.append({"id": check_id, "residual": float("inf"),
+                            "tolerance": 0.0, "pass": False, "error": str(exc)})
     results.sort(key=lambda c: c["id"])
     return {"suite": name, "checks": results,
             "all_pass": all(c["pass"] for c in results)}
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    """Write ``obj`` to out_path or stdout: a str as is, anything else as JSON."""
+    if not isinstance(obj, str):
+        obj = json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(obj)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(obj)
 
 
 def _json_default(obj):
@@ -213,11 +202,6 @@ def _cmd_rmat(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _wf_labels(cfg: RunConfig):
-    lam = cfg.composition()
-    return lam, enumerate_partitions(lam)
-
-
 def _default_t(cfg: RunConfig) -> TVariables:
     return suites._rand_t(np.random.default_rng(cfg.seed + 31), cfg.composition())
 
@@ -225,7 +209,8 @@ def _default_t(cfg: RunConfig) -> TVariables:
 def _cmd_wf(cfg: RunConfig, args) -> int:
     mp = replace(cfg.modular(), k=0.0)
     pd, z = cfg.dynamical(), cfg.points()
-    lam, parts = _wf_labels(cfg)
+    lam = cfg.composition()
+    parts = enumerate_partitions(lam)
     records = []
     if args.action == "eval":
         t = _default_t(cfg)
@@ -262,7 +247,7 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
 def _cmd_gt(cfg: RunConfig, args) -> int:
     mp = replace(cfg.modular(), k=0.0)
     pd, z = cfg.dynamical(), cfg.points()
-    lam, parts = _wf_labels(cfg)
+    parts = enumerate_partitions(cfg.composition())
     if args.action == "basis":
         records = []
         for I in parts:
@@ -272,33 +257,25 @@ def _cmd_gt(cfg: RunConfig, args) -> int:
             records.append({"I": I.to_json(), "expansion": row})
         _emit({"action": "basis", "records": records}, args.out)
         return 0
-    if args.action == "act":
-        if args.op not in ("e", "f", "phi"):
-            raise ConfigError("--op must be e, f or phi")
-        j = args.j
-        if not 1 <= j <= cfg.N - 1:
-            raise ConfigError(f"--j must lie in 1..{cfg.N - 1}")
-        records = []
-        for I in parts:
-            if args.op == "phi":
-                v = 0.3 + 0.1j
-                val, tag = gtrep.phi_on_gt(j, v, I, z, mp)
-                records.append({"I": I.to_json(), "eigenvalue_re": val.real,
-                                "eigenvalue_im": val.imag, "tag": list(tag)})
-            else:
-                act = gtrep.e_on_gt if args.op == "e" else gtrep.f_on_gt
-                terms = [{"site": trm.site, "re": trm.coeff.real,
-                          "im": trm.coeff.imag, "target": trm.target.to_json(),
-                          "tag": list(trm.tag)}
-                         for trm in act(j, I, z, mp).terms]
-                records.append({"I": I.to_json(), "terms": terms})
-        _emit({"action": "act", "op": args.op, "j": j, "records": records}, args.out)
-        return 0
-    if args.action == "verify":
-        report = run_suite("gt", cfg, jobs=args.jobs)
-        _emit(report, args.out)
-        return 0 if report["all_pass"] else 1
-    raise ConfigError(f"unknown gt action {args.action!r}")
+    j = args.j
+    if not 1 <= j <= cfg.N - 1:
+        raise ConfigError(f"--j must lie in 1..{cfg.N - 1}")
+    records = []
+    for I in parts:
+        if args.op == "phi":
+            v = 0.3 + 0.1j
+            val, tag = gtrep.phi_on_gt(j, v, I, z, mp)
+            records.append({"I": I.to_json(), "eigenvalue_re": val.real,
+                            "eigenvalue_im": val.imag, "tag": list(tag)})
+        else:
+            act = gtrep.e_on_gt if args.op == "e" else gtrep.f_on_gt
+            terms = [{"site": trm.site, "re": trm.coeff.real,
+                      "im": trm.coeff.imag, "target": trm.target.to_json(),
+                      "tag": list(trm.tag)}
+                     for trm in act(j, I, z, mp).terms]
+            records.append({"I": I.to_json(), "terms": terms})
+    _emit({"action": "act", "op": args.op, "j": j, "records": records}, args.out)
+    return 0
 
 
 def _cmd_qkz(cfg: RunConfig, args) -> int:
@@ -315,42 +292,37 @@ def _cmd_qkz(cfg: RunConfig, args) -> int:
                "value_im": val.imag}, args.out)
         return 0
     if args.action == "grid":
+        # Every variable sits on the same circle point, where a level of two
+        # or more makes the integrand singular.
+        if any(lam.prefix(l) > 1 for l in range(1, lam.N)):
+            raise ConfigError(f"qkz grid needs at most one variable per t-level; "
+                              f"lambda={list(lam.sizes)} has more")
         G = args.gridsize
         rows = ["angle_index,re,im"]
         for k in range(G):
-            tval = cmath.exp(2j * math.pi * k / G)
-            levels, t = [], None
-            pos = 0
-            sizes = [lam.prefix(l) for l in range(1, lam.N)]
-            vals = [tval] * sum(sizes)
-            for size in sizes:
-                levels.append(tuple(vals[pos:pos + size]))
-                pos += size
-            t = TVariables(tuple(levels))
+            w = cmath.exp(2j * math.pi * k / G)
+            t = TVariables(tuple((w,) * lam.prefix(l) for l in range(1, lam.N)))
             try:
                 val = qkz.integrand(spec, t)
                 rows.append(f"{k},{val.real!r},{val.imag!r}")
             except EllqgError:
                 rows.append(f"{k},nan,nan")
-        text = "\n".join(rows) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(rows) + "\n", args.out)
         return 0
-    if args.action == "quad":
-        val, report = qkz.torus_quadrature(spec, grid_size=args.gridsize)
-        _emit({"action": "quad", "value_re": val.real, "value_im": val.imag,
-               "report": report}, args.out)
-        return 0
-    raise ConfigError(f"unknown qkz action {args.action!r}")
+    val, report = qkz.torus_quadrature(spec, grid_size=args.gridsize)
+    _emit({"action": "quad", "value_re": val.real, "value_im": val.imag,
+           "report": report}, args.out)
+    return 0
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
-    report = run_suite(args.suite, cfg, jobs=args.jobs)
+    report = run_suite(args.suite, cfg)
     _emit(report, args.out)
     return 0 if report["all_pass"] else 1
+
+
+COMMANDS = {"theta": _cmd_theta, "rmat": _cmd_rmat, "wf": _cmd_wf, "gt": _cmd_gt,
+            "qkz": _cmd_qkz, "verify": _cmd_verify}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -364,7 +336,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the config seed")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="concurrent checks for verification suites")
+                        help="accepted and ignored: checks always run serially")
 
     parser = argparse.ArgumentParser(
         prog="ellqg", parents=[common],
@@ -388,7 +360,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_gt = sub.add_parser("gt", parents=[common],
                           help="Gelfand-Tsetlin basis and current action")
-    p_gt.add_argument("action", choices=("basis", "act", "verify"))
+    p_gt.add_argument("action", choices=("basis", "act"))
     p_gt.add_argument("--op", choices=("e", "f", "phi"), default="e")
     p_gt.add_argument("--j", type=int, default=1)
 
@@ -413,33 +385,17 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    for name, fallback in (("config", None), ("out", None), ("seed", None),
-                           ("jobs", 1)):
+    for name in ("config", "out", "seed"):
         if not hasattr(args, name):
-            setattr(args, name, fallback)
+            setattr(args, name, None)
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
         if getattr(args, "break_shift", False):
             cfg.break_shift = True
-        if args.command == "theta":
-            return _cmd_theta(cfg, args)
-        if args.command == "rmat":
-            return _cmd_rmat(cfg, args)
-        if args.command == "wf":
-            return _cmd_wf(cfg, args)
-        if args.command == "gt":
-            return _cmd_gt(cfg, args)
-        if args.command == "qkz":
-            return _cmd_qkz(cfg, args)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EllqgError as exc:
+        return COMMANDS[args.command](cfg, args)
+    except (ConfigError, EllqgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

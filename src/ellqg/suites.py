@@ -50,13 +50,14 @@ def _compositions(n: int, N: int):
 
 def check_theta_quasi_periodicity(cfg, rng):
     mp = cfg.modular()
+    th = lambda x: theta(x, mp.p, eps=mp.trunc_eps, max_terms=mp.max_terms)
     worst = 0.0
     for _ in range(50):
         z = rng.uniform(0.3, 1.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        tz = theta(z, mp.p)
+        tz = ellfn.require_normal(th(z), f"theta_p({z:.6g})")
         worst = max(worst,
-                    abs(theta(mp.p * z, mp.p) + tz / z) / abs(tz),
-                    abs(theta(1.0 / z, mp.p) + tz / z) / abs(tz))
+                    abs(th(mp.p * z) + tz / z) / abs(tz),
+                    abs(th(1.0 / z) + tz / z) / abs(tz))
     return worst, 1e-10
 
 
@@ -88,7 +89,8 @@ def check_gamma_reflection(cfg, rng):
     s = mp.q ** 4
     z = [rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
          for _ in range(50)]
-    g = ell_gamma(z + [mp.p * s / x for x in z], mp.p, s).tolist()
+    g = ell_gamma(z + [mp.p * s / x for x in z], mp.p, s,
+                  eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
     return max(abs(a * b - 1.0) for a, b in zip(g[:50], g[50:])), 1e-10
 
 
@@ -97,8 +99,9 @@ def check_gamma_trig_limit(cfg, rng):
     z = [rng.uniform(0.2, 0.8) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
          for _ in range(10)]
     worst = 0.0
-    for lhs, x in zip(ell_gamma(z, mp.p, 1e-6).tolist(), z):
-        rhs = 1.0 / qpoch(x, mp.p)
+    gam = ell_gamma(z, mp.p, 1e-6, eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
+    for lhs, x in zip(gam, z):
+        rhs = 1.0 / qpoch(x, mp.p, eps=mp.trunc_eps, max_terms=mp.max_terms)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst, 1e-5
 
@@ -118,9 +121,10 @@ def check_truncation_stability(cfg, rng):
         z = rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         u = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-0.5, 0.5)
         worst = max(worst,
-                    abs(qpoch(z, mp.p, max_terms=mp.max_terms)
-                        - qpoch(z, mp.p, max_terms=2 * mp.max_terms)),
-                    abs(jacobi_bracket(u, mp) - jacobi_bracket(u, doubled)))
+                    abs(qpoch(z, mp.p, eps=mp.trunc_eps, max_terms=mp.max_terms)
+                        - qpoch(z, mp.p, eps=mp.trunc_eps, max_terms=2 * mp.max_terms)),
+                    abs(ellfn.require_normal(jacobi_bracket(u, mp), f"[{u:.6g}]")
+                        - jacobi_bracket(u, doubled)))
     return worst, mp.trunc_eps
 
 

@@ -121,10 +121,10 @@ def leq(I: PartitionIndex, J: PartitionIndex) -> bool:
     return True
 
 
-def enumerate_partitions(lam: Composition, cap: int = ENUMERATION_CAP) -> list[PartitionIndex]:
+def enumerate_partitions(lam: Composition) -> list[PartitionIndex]:
     """All partitions of shape lambda, ordered lexicographically by color string."""
-    if lam.n > cap:
-        raise ResourceCapError(f"enumeration cap exceeded: n={lam.n} > {cap}")
+    if lam.n > ENUMERATION_CAP:
+        raise ResourceCapError(f"enumeration cap exceeded: n={lam.n} > {ENUMERATION_CAP}")
     out: list[PartitionIndex] = []
     remaining = list(lam.sizes)
     mu: list[int] = []

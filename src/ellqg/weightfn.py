@@ -19,9 +19,9 @@ entries.  The bracket arguments are only the O(n^2) values
 v_x - v_y + c, c in {0, +-1, A}, so each call evaluates its tables in one
 ``jacobi_brackets`` pass.  A column of F_l whose every term already has an
 exactly-zero factor (as at t = z_J) is skipped and its terms count as
-pruned, unless a denominator of levels 1..N-2 is below _DEN_TOL (the
-level-(N-1) factor is always evaluated whole): then every entry is
-evaluated and meets its pole test.
+pruned, unless a denominator of levels 1..N-2 meets the pole test
+``ellfn.pole_tol`` (the level-(N-1) factor is always evaluated whole): then
+every entry is evaluated and meets its pole test.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ellfn import ModularParams, jacobi_bracket, jacobi_brackets
+from .ellfn import ModularParams, jacobi_bracket, jacobi_brackets, pole_tol
 from .errors import ParameterError, PoleError, ShapeError
 from .rmat import rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, eps_pairing, leq)
-
-_DEN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ class _Level(NamedTuple):
     pattern: tuple  # per slot a: (matched slot b, later slots of level l+1)
     Y: int          # size of level l+1
     values: np.ndarray
-    bad: np.ndarray  # entries whose denominator is below _DEN_TOL
+    bad: np.ndarray  # entries with a denominator that meets the pole test
     poles: bool      # bad.any()
 
 
@@ -181,7 +179,10 @@ def _gather(modified: bool, pattern: tuple, Y: int, top: bool) -> _Gather:
     return out
 
 
-@lru_cache(maxsize=256)
+# Holds every label of a shape: gt_vector specializes each label once per I,
+# in the same order, so a smaller cache evicts each plan before its reuse
+# ((3,3,2) has 560 labels).
+@lru_cache(maxsize=4096)
 def _plan(I: PartitionIndex, modified: bool) -> _Plan:
     """The bracket arguments and table layout of label I's terms.
 
@@ -248,7 +249,8 @@ def _level_factors(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     """The factor tables of every level of the u_tilde (with ``modified``,
     u_mod) terms, from one ``jacobi_brackets`` call (layout in ``_plan``).
 
-    [A] divides every term and is checked here.
+    [A] divides every term and is checked here.  Bracket 0 is [1], the
+    scale of the pole test.
     """
     t.check_shape(I.shape())
     plan = _plan(I, modified)
@@ -257,14 +259,15 @@ def _level_factors(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
                                          for l, _, color, C in plan.slots], dtype=complex)
     i, j, c = plan.args
     br = np.append(jacobi_brackets(v[i] - v[j] + const[c], mp), 1.0)
-    small = np.flatnonzero(np.abs(br[1:1 + len(plan.slots)]) < _DEN_TOL)
-    if small.size:
-        l, a = plan.slots[small[0]][:2]
+    small = np.abs(br) < pole_tol(br[0])
+    small[-1] = False  # the exact 1
+    hit = np.flatnonzero(small[1:1 + len(plan.slots)])
+    if hit.size:
+        l, a = plan.slots[hit[0]][:2]
         raise PoleError(f"[(P+h) - C] vanished at level {l}, slot {a}")
     n1, n2, d1, d2 = br[plan.ratio]
-    den = d1 * d2
-    bad = np.abs(den if modified else d1) < _DEN_TOL
-    values = n1 * n2 / np.where(bad, 1.0, den)
+    bad = small[plan.ratio[2]] | small[plan.ratio[3]]
+    values = n1 * n2 / np.where(bad, 1.0, d1 * d2)
     return [_Level(l, modified, pattern, Y, values[lo:hi], bad[lo:hi], bool(bad[lo:hi].any()))
             for l, (pattern, Y, lo, hi) in enumerate(plan.levels, 1)]
 
@@ -522,8 +525,7 @@ def _reversed_colors(I: PartitionIndex) -> PartitionIndex:
 
 def stable_envelope_restriction(I: PartitionIndex, J: PartitionIndex,
                                 z: EvaluationPoints, Pdyn: DynamicalParams,
-                                mp: ModularParams,
-                                chamber: str = "increasing") -> complex:
+                                mp: ModularParams) -> complex:
     """Restriction of the stable envelope of fixed point I to fixed point J.
 
     Computed as the modified weight function with the longest-permutation
@@ -531,8 +533,6 @@ def stable_envelope_restriction(I: PartitionIndex, J: PartitionIndex,
     points, inverted dynamical parameters, specialized at t = z_J^(-1).
     Only the chamber |z_1| < ... < |z_n| is implemented.
     """
-    if chamber != "increasing":
-        raise ParameterError("only the increasing-modulus chamber is implemented")
     mods = [abs(x) for x in z.z]
     if any(a >= b for a, b in zip(mods, mods[1:])):
         raise ParameterError("chamber requires |z_1| < ... < |z_n|")

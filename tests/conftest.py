@@ -1,11 +1,11 @@
-import cmath
-
 import numpy as np
 import pytest
 
 from ellqg.ellfn import ModularParams
-from ellqg.tensorspace import Composition, DynamicalParams, EvaluationPoints
-from ellqg.weightfn import TVariables
+from ellqg.suites import _rand_pdyn as random_pdyn  # noqa: F401 (shared test inputs)
+from ellqg.suites import _rand_points as random_points  # noqa: F401
+from ellqg.suites import _rand_t as random_t  # noqa: F401
+from ellqg.tensorspace import Composition
 
 
 @pytest.fixture
@@ -21,26 +21,6 @@ def mp_level():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_points(rng, n, q, lo=0.45, hi=0.95):
-    """Pairwise distinct points with increasing moduli and random phases."""
-    mods = np.sort(rng.uniform(lo, hi, n))
-    phases = rng.uniform(0.0, 2.0 * np.pi, n)
-    return EvaluationPoints(tuple(m * cmath.exp(1j * ph)
-                                  for m, ph in zip(mods, phases)), q)
-
-
-def random_t(rng, lam: Composition):
-    return TVariables(tuple(
-        tuple(rng.uniform(0.4, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
-              for _ in range(lam.prefix(l)))
-        for l in range(1, lam.N)))
-
-
-def random_pdyn(rng, N):
-    return DynamicalParams(tuple(rng.uniform(0.7, 1.6) + 1j * rng.uniform(-0.5, 0.5)
-                                 for _ in range(N - 1)))
 
 
 def shape_of(mu, N):

@@ -19,8 +19,9 @@ from ellqg.ellfn import ModularParams, ell_gamma, jacobi_bracket
 from ellqg.gtrep import exchange_check, gt_vector
 from ellqg.qkz import e_factor, phi_kernel, phi_trig
 from ellqg.rmat import check_dybe, permutation_dense, rbar
-from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
-                               PartitionIndex, enumerate_partitions, leq)
+from ellqg.suites import _compositions, _rand_pdyn, _rand_points, _rand_t
+from ellqg.tensorspace import (Composition, EvaluationPoints, PartitionIndex,
+                               enumerate_partitions, leq)
 from ellqg.weightfn import (TVariables, diagonal_value, modified_w, specialize,
                             transition_check)
 
@@ -32,31 +33,6 @@ def report(criterion, description, residual, tolerance, ok):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} [{description}] "
           f"residual={residual:.3e} tolerance={tolerance:.1e}")
-
-
-def rand_points(rng, n, lo=0.45, hi=0.95):
-    mods = np.sort(rng.uniform(lo, hi, n))
-    phases = rng.uniform(0, 2 * np.pi, n)
-    return EvaluationPoints(tuple(m * cmath.exp(1j * ph)
-                                  for m, ph in zip(mods, phases)), MP.q)
-
-
-def rand_pdyn(rng, N):
-    return DynamicalParams(tuple(rng.uniform(0.7, 1.6) + 1j * rng.uniform(-0.5, 0.5)
-                                 for _ in range(N - 1)))
-
-
-def rand_t(rng, lam):
-    return TVariables(tuple(
-        tuple(rng.uniform(0.4, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
-              for _ in range(lam.prefix(l)))
-        for l in range(1, lam.N)))
-
-
-def compositions(n, N):
-    for sizes in product(range(n + 1), repeat=N):
-        if sum(sizes) == n:
-            yield Composition(sizes)
 
 
 def test_criterion_1_special_function_identities():
@@ -84,7 +60,7 @@ def test_criterion_2_r_matrix_structure():
     worst = 0.0
     structural = 0.0
     for N in (2, 3):
-        pd = rand_pdyn(rng, N)
+        pd = _rand_pdyn(rng, N)
         R = rbar(1.0, pd, MP)
         worst = max(worst, float(np.max(np.abs(R.dense()
                                                - permutation_dense(N)))))
@@ -104,12 +80,12 @@ def test_criterion_3_dynamical_yang_baxter():
     start = time.monotonic()
     worst = 0.0
     for _ in range(20):
-        pd = rand_pdyn(rng, 2)
+        pd = _rand_pdyn(rng, 2)
         zs = [rng.uniform(0.6, 1.3) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
               for _ in range(3)]
         worst = max(worst, check_dybe(*zs, pd, MP))
     for _ in range(3):
-        pd = rand_pdyn(rng, 3)
+        pd = _rand_pdyn(rng, 3)
         zs = [rng.uniform(0.6, 1.3) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
               for _ in range(3)]
         worst = max(worst, check_dybe(*zs, pd, MP))
@@ -127,9 +103,9 @@ def test_criterion_4_triangularity_and_diagonal():
     worst_diag = 0.0
     for N in (2, 3):
         for n in range(1, 5):
-            for lam in compositions(n, N):
-                z = rand_points(rng, n)
-                pd = rand_pdyn(rng, N)
+            for lam in _compositions(n, N):
+                z = _rand_points(rng, n, MP.q)
+                pd = _rand_pdyn(rng, N)
                 parts = enumerate_partitions(lam)
                 for I in parts:
                     for at in parts:
@@ -155,9 +131,9 @@ def test_criterion_5_transition_property():
             for mu in product(range(1, N + 1), repeat=n):
                 lam = Composition(tuple(sum(1 for c in mu if c == l)
                                         for l in range(1, N + 1)))
-                z = rand_points(rng, n)
-                pd = rand_pdyn(rng, N)
-                t = rand_t(rng, lam)
+                z = _rand_points(rng, n, MP.q)
+                pd = _rand_pdyn(rng, N)
+                t = _rand_t(rng, lam)
                 for i in range(1, n):
                     worst = max(worst, transition_check(mu, i, t, z, pd, MP))
     ok = worst < 1e-9
@@ -177,9 +153,9 @@ def test_criterion_6_modified_weight_function_routes():
             lam = Composition(tuple(sum(1 for c in mu if c == l)
                                     for l in range(1, N + 1)))
             I = PartitionIndex.from_colors(mu, N)
-            z = rand_points(rng, lam.n)
-            pd = rand_pdyn(rng, N)
-            t = rand_t(rng, lam)
+            z = _rand_points(rng, lam.n, MP.q)
+            pd = _rand_pdyn(rng, N)
+            t = _rand_t(rng, lam)
             a = modified_w(I, t, z, pd, MP, route="ratio")
             b = modified_w(I, t, z, pd, MP, route="sym")
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
@@ -195,9 +171,9 @@ def test_criterion_7_gt_representation():
     worst_tri = 0.0
     for N in (2, 3):
         for n in (2, 3, 4):
-            for lam in compositions(n, N):
-                z = rand_points(rng, n)
-                pd = rand_pdyn(rng, N)
+            for lam in _compositions(n, N):
+                z = _rand_points(rng, n, MP.q)
+                pd = _rand_pdyn(rng, N)
                 for I in enumerate_partitions(lam):
                     state = gt_vector(I, z, pd, MP)
                     for J in enumerate_partitions(lam):
@@ -208,8 +184,8 @@ def test_criterion_7_gt_representation():
     broken_min = float("inf")
     for N, mu in [(2, (1, 1)), (2, (2, 2)), (2, (1, 2, 1, 2)), (3, (2, 3, 2, 3))]:
         I = PartitionIndex.from_colors(mu, N)
-        z = rand_points(rng, len(mu))
-        pd = rand_pdyn(rng, N)
+        z = _rand_points(rng, len(mu), MP.q)
+        pd = _rand_pdyn(rng, N)
         for cur in ("e", "f"):
             for j1 in range(1, N):
                 for j2 in range(1, N):
@@ -237,14 +213,14 @@ def test_criterion_8_qkz_kernels():
         phases = rng.uniform(0, 2 * np.pi, lam.n)
         z = EvaluationPoints(tuple(m * cmath.exp(1j * ph)
                                    for m, ph in zip(mods, phases)), mp.q)
-        t = rand_t(rng, lam)
+        t = _rand_t(rng, lam)
         a = phi_kernel(t, z, mp, 1e-6)
         b = phi_trig(t, z, mp)
         worst_deg = max(worst_deg, abs(a - b) / max(1.0, abs(b)))
     worst_cov = 0.0
     lam = Composition((1, 1))
-    pd = rand_pdyn(rng, 2)
-    t = rand_t(rng, lam)
+    pd = _rand_pdyn(rng, 2)
+    t = _rand_t(rng, lam)
     base = e_factor(t, pd, mp)
     shifted = TVariables(((mp.p * t.levels[0][0],),))
     ratio = e_factor(shifted, pd, mp) / base

@@ -90,25 +90,50 @@ def test_bracket_underflow_raises_library_error():
     cfg = build_config({"q": 0.999, "max_terms": 40000})
     with pytest.raises(FloatRangeError, match="underflows"):
         suites.check_bracket_quasi_period_r(cfg, np.random.default_rng(0))
+    with pytest.raises(FloatRangeError, match="underflows"):  # not a pass on 0 == 0
+        suites.check_truncation_stability(cfg, np.random.default_rng(0))
     with pytest.raises(FloatRangeError, match=r"\[s\]\^2 \[u\+1\] for pair \(1, 2\)"):
         rbar(0.9 * cmath.exp(0.4j), cfg.dynamical(), cfg.modular())
 
 
-@pytest.mark.parametrize("suite", ["ellfn", "rmat"])
+@pytest.mark.parametrize("suite", ["ellfn", "rmat", "wf", "gt"])
 def test_bracket_underflow_is_a_failing_row(tmp_path, capsys, suite):
     # q = 0.999 with a cap the products fit in: the brackets underflow to 0.
     path = write_config(tmp_path, {"q": 0.999, "max_terms": 40000})
     assert main(["--config", path, "verify", suite]) == 1
     report = json.loads(capsys.readouterr().out)
     errors = {c["id"]: c.get("error", "") for c in report["checks"]}
-    hit = "ellfn.bracket_quasi_period_r" if suite == "ellfn" else "rmat.inversion"
+    hit = {"ellfn": "ellfn.bracket_quasi_period_r", "rmat": "rmat.inversion",
+           "wf": "wf.diagonal", "gt": "gt.basis_triangular"}[suite]
     assert "underflows" in errors[hit]
+
+
+def test_suites_honour_config_truncation():
+    # q = 0.99 needs more factors than the built-in cap of 512.
+    cfg = build_config({"q": 0.99, "max_terms": 4096})
+    for check in (suites.check_theta_quasi_periodicity, suites.check_gamma_trig_limit,
+                  suites.check_truncation_stability):
+        residual, _ = check(cfg, np.random.default_rng(0))
+        assert np.isfinite(residual)
 
 
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nosuchsuite"])
     assert exc.value.code == 2
+
+
+def test_gt_verify_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["gt", "verify"])
+    assert exc.value.code == 2
+
+
+def test_qkz_grid_refuses_two_variables_in_a_level(tmp_path, capsys):
+    path = write_config(tmp_path, {**MINIMAL, "n": 3, "lambda": [2, 1],
+                                   "z": [0.5, [0.3, -0.6], [0.7, 0.2]]})
+    assert main(["--config", path, "qkz", "grid", "--gridsize", "8"]) == 2
+    assert "at most one variable per t-level" in capsys.readouterr().err
 
 
 def test_theta_command_runs(capsys):

@@ -292,6 +292,13 @@ def test_gamma_refuses_to_truncate_at_the_cap():
         rho_plus(0.9, 2, ModularParams(q=0.999, r=3.1))
 
 
+def test_gamma_beyond_float_range_raises():
+    # q = 0.99: the running product of Gamma(ps/0.2; p, q^4) overflows.
+    p, s = 0.99 ** 6.2, 0.99 ** 4
+    with pytest.raises(FloatRangeError, match=r"overflows at z=\(4\.51"):
+        ell_gamma([0.5, p * s / 0.2], p, s, max_terms=4096)
+
+
 # ---------------------------------------------- bracket layer vs mpmath --
 BRACKET_QS = (0.05, 0.5, 0.9, 0.99)
 BRACKET_ARGS = (0.3 + 0.2j, -0.7 + 0.45j, 1.2 - 0.3j, 0.05 + 0.6j, -1.4 - 0.1j, 2.3 + 0.15j)

@@ -5,23 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import random_pdyn, random_points
-from ellqg.ellfn import jacobi_bracket, qpoch, theta
+from ellqg.ellfn import ModularParams, jacobi_bracket, qpoch, theta
 from ellqg.errors import ParameterError
 from ellqg.gtrep import (TensorState, cartan_matrix, e_on_gt, eval_rep_single,
                          exchange_check, f_on_gt, gauge_constants, gt_vector,
                          lplus_tensor, phi_move_ratio_check, phi_on_gt,
                          require_level_zero, tag_p_offset)
 from ellqg.rmat import rbar
-from ellqg.tensorspace import (Composition, EvaluationPoints,
-                               PartitionIndex, color_weight,
+from ellqg.suites import _compositions as all_compositions
+from ellqg.tensorspace import (EvaluationPoints, PartitionIndex, color_weight,
                                enumerate_partitions, leq)
 from ellqg.weightfn import diagonal_value
-
-
-def all_compositions(n, N):
-    for sizes in product(range(n + 1), repeat=N):
-        if sum(sizes) == n:
-            yield Composition(sizes)
 
 
 def test_level_zero_guard(mp_level):
@@ -238,6 +232,19 @@ def test_exchange_relations_all_pairs(mp, rng):
                 for j2 in range(1, N):
                     assert exchange_check(j1, j2, I, z, pd, mp,
                                           current=current) < 1e-9
+
+
+def test_exchange_and_eval_rep_near_q_one(rng):
+    # q = 0.99: products need more than the built-in 512 factors, and every
+    # bracket is below 1e-12 in modulus without being a zero.
+    mp = ModularParams(q=0.99, r=3.1, max_terms=4096)
+    I = PartitionIndex.from_colors((1, 2, 1, 2), 2)
+    z = random_points(rng, 4, mp.q)
+    pd = random_pdyn(rng, 2)
+    assert exchange_check(1, 1, I, z, pd, mp, current="e") < 1e-9
+    M, _ = eval_rep_single("e", 1, 0.8, mp, 2)
+    qp = lambda x: qpoch(x, mp.p, max_terms=4096)
+    assert abs(M[0, 1] - qp(mp.p * mp.q ** 2) / qp(mp.p)) < 1e-14
 
 
 def test_exchange_non_adjacent_commutes(mp, rng):

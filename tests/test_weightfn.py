@@ -8,6 +8,7 @@ import pytest
 from conftest import random_pdyn, random_points, random_t, shape_of
 from ellqg.ellfn import ModularParams, jacobi_bracket
 from ellqg.errors import ParameterError, PoleError
+from ellqg.suites import _compositions as all_compositions
 from ellqg.suites import _wf_cases
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                                PartitionIndex, enumerate_partitions, leq)
@@ -15,12 +16,6 @@ from ellqg.weightfn import (TVariables, diagonal_value, e_lambda,
                             modified_w, specialize, stab_matrix,
                             stable_envelope_restriction, transition_check,
                             triangularity_violations, u_mod, u_tilde, w_tilde)
-
-
-def all_compositions(n, N):
-    for sizes in product(range(n + 1), repeat=N):
-        if sum(sizes) == n:
-            yield Composition(sizes)
 
 
 # ------------------------------------------------------ independent oracle --
@@ -159,6 +154,17 @@ def test_diagonal_matches_closed_product(mp, rng):
                     ref = diagonal_value(I, z, mp)
                     val = specialize(I, I, z, pd, mp).value
                     assert abs(val - ref) < 1e-9 * max(1e-30, abs(ref))
+
+
+def test_pole_test_is_relative_near_q_one(rng):
+    # q = 0.99: every bracket is below 1e-12 in modulus, and none is a zero.
+    mp = ModularParams(q=0.99, r=3.1, max_terms=4096)
+    I = PartitionIndex.from_colors((2, 1, 2), 2)
+    z = random_points(rng, 3, mp.q)
+    pd = random_pdyn(rng, 2)
+    assert abs(jacobi_bracket(1.0, mp)) < 1e-12
+    ref = diagonal_value(I, z, mp)
+    assert abs(specialize(I, I, z, pd, mp).value - ref) < 1e-9 * abs(ref)
 
 
 def test_diagonal_single_site_is_one(mp, rng):
