@@ -181,7 +181,7 @@ def _cmd_theta(cfg: RunConfig, args) -> int:
     for zi in cfg.z:
         rows.append({
             "z": zi,
-            "theta_p": theta(zi, mp.p, eps=mp.trunc_eps, max_terms=mp.max_terms),
+            "theta_p": theta(zi, mp.p, **mp.truncation),
             "bracket_u": jacobi_bracket(mp.u_of(zi), mp),
             "bracket_u_starred": jacobi_bracket(mp.u_of(zi), mp, starred=True),
         })
@@ -218,14 +218,15 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
             val = weightfn.w_tilde(I, t, z, pd, mp).value
             records.append({"lambda": list(lam.sizes), "I": I.to_json(),
                             "value_re": val.real, "value_im": val.imag})
-    elif args.action == "triangularity":
+    elif args.action in ("triangularity", "stab"):
         for I in parts:
             for J in parts:
-                val = weightfn.specialize(I, J, z, pd, mp).value
+                val = (weightfn.stable_envelope_restriction(I, J, z, pd, mp)
+                       if args.action == "stab" else weightfn.specialize(I, J, z, pd, mp).value)
                 records.append({"lambda": list(lam.sizes), "I": I.to_json(),
                                 "J": J.to_json(), "value_re": val.real,
                                 "value_im": val.imag})
-    elif args.action == "transition":
+    else:  # transition
         t = _default_t(cfg)
         for I in parts:
             mu = I.colors()
@@ -233,13 +234,6 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
                 res = weightfn.transition_check(mu, i, t, z, pd, mp)
                 records.append({"lambda": list(lam.sizes), "I": I.to_json(),
                                 "position": i, "residual": res})
-    elif args.action == "stab":
-        for I in parts:
-            for J in parts:
-                val = weightfn.stable_envelope_restriction(I, J, z, pd, mp)
-                records.append({"lambda": list(lam.sizes), "I": I.to_json(),
-                                "J": J.to_json(), "value_re": val.real,
-                                "value_im": val.imag})
     _emit({"action": args.action, "records": records}, args.out)
     return 0
 
@@ -394,7 +388,10 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if getattr(args, "break_shift", False):
             cfg.break_shift = True
-        return COMMANDS[args.command](cfg, args)
+        # A value beyond the float range raises FloatRangeError, which the
+        # report or exit code 2 carries; numpy's warnings on the way add nothing.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return COMMANDS[args.command](cfg, args)
     except (ConfigError, EllqgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

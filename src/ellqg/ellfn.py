@@ -83,6 +83,12 @@ class ModularParams:
     def pstar(self) -> float:
         return self.q ** (2.0 * self.rstar)
 
+    @property
+    def truncation(self) -> dict:
+        """Pass ``**mp.truncation`` to ``qpoch``, ``theta`` and ``ell_gamma`` to
+        use this pack's eps and max_terms instead of their own defaults."""
+        return {"eps": self.trunc_eps, "max_terms": self.max_terms}
+
     def qpow(self, x: complex) -> complex:
         """q^x = exp(x log q), single valued for complex x."""
         return cmath.exp(complex(x) * math.log(self.q))
@@ -194,6 +200,14 @@ def require_normal(value: complex, label: str) -> complex:
     return value
 
 
+def require_finite(value: complex, label: str) -> complex:
+    """``value``, or FloatRangeError naming ``label`` when it is inf or nan (a
+    product or sum that left the float range)."""
+    if not cmath.isfinite(value):
+        raise FloatRangeError(f"{label} overflows")
+    return value
+
+
 def pole_tol(one: complex) -> float:
     """The pole test of a bracket divisor [x]: |[x]| < pole_tol([1]), with [1]
     on the divisor's nome.  Relative to [1], so that at q close to 1, where
@@ -251,22 +265,21 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
     row = np.multiply.outer(args, srow)             # x s^n; row m scales it by p^m
     size = np.abs(row)
     acc = np.ones(args.size, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m, pm in enumerate(prow):
-            f = 1.0 - pm * row
-            f[abs(pm) * size < eps] = 1.0           # factors an argument drops
-            small = np.abs(f[zs.size:])
-            if small.min() < _POLE_TOL:
-                j, n = np.argwhere(small < _POLE_TOL)[0]
-                raise PoleError(f"elliptic Gamma pole: factor (m={m}, n={n}) "
-                                f"vanishes at z={zs[j]}")
-            acc = acc * np.multiply.reduce(f, axis=1)
-            # A product beyond the float range stays there: near q = 1 (thousands
-            # of rows) stop early, at a cost of one test per 16 rows.
-            if m % 16 == 15 and not np.isfinite(acc).all():
-                break
-        gamma = acc[:zs.size] / acc[zs.size:]
-    bad = ~(np.isfinite(gamma) & np.isfinite(acc[:zs.size]) & np.isfinite(acc[zs.size:]))
+    for m, pm in enumerate(prow):
+        f = 1.0 - pm * row
+        f[abs(pm) * size < eps] = 1.0               # factors an argument drops
+        small = np.abs(f[zs.size:])
+        if small.min() < _POLE_TOL:
+            j, n = np.argwhere(small < _POLE_TOL)[0]
+            raise PoleError(f"elliptic Gamma pole: factor (m={m}, n={n}) "
+                            f"vanishes at z={zs[j]}")
+        acc = acc * np.multiply.reduce(f, axis=1)
+        # A product beyond the float range stays there: near q = 1 (thousands
+        # of rows) stop early, at a cost of one test per 16 rows.
+        if m % 16 == 15 and not np.isfinite(acc).all():
+            break
+    gamma = acc[:zs.size] / acc[zs.size:]
+    bad = ~(np.isfinite(gamma) & np.isfinite(acc[zs.size:]))  # an inf divisor gives 0
     if bad.any():
         raise FloatRangeError(f"elliptic Gamma overflows at z={zs[bad][0]}")
     return complex(gamma[0]) if np.ndim(z) == 0 else gamma
@@ -282,7 +295,7 @@ def rho_plus(z: complex, N: int, mp: ModularParams) -> complex:
     z = complex(z)
     s = mp.q ** (2 * N)
     g = ell_gamma([z, s * z, mp.q ** 2 * z, mp.q ** (2 * N - 2) * z], mp.p, s,
-                  eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
+                  **mp.truncation).tolist()
     power = cmath.exp((N - 1) / (mp.r * N) * cmath.log(z)) if N > 1 else 1.0
     return mp.qpow(-(N - 1) / N) * power * g[0] * g[1] / (g[2] * g[3])
 
@@ -297,7 +310,7 @@ def mu_scalar(z: complex, N: int, mp: ModularParams) -> complex:
     z = complex(z)
     s = mp.q ** (2 * N)
     g = ell_gamma([mp.p * z, s * z, mp.q ** 2 * z, mp.p * mp.q ** (2 * N - 2) * z],
-                  mp.p, s, eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
+                  mp.p, s, **mp.truncation).tolist()
     expo = -((mp.r - 1.0) / mp.r) * ((N - 1) / N)
     power = cmath.exp(expo * cmath.log(z)) if N > 1 else 1.0
     return power * g[0] * g[1] / (g[2] * g[3])

@@ -120,15 +120,13 @@ def eval_rep_single(op: str, j: int, z: complex, mp: ModularParams, N: int,
     if not 1 <= j <= N - 1:
         raise ShapeError(f"generator index must lie in 1..{N-1}")
     p, q = mp.p, mp.q
-    qp = lambda x: qpoch(x, p, eps=mp.trunc_eps, max_terms=mp.max_terms)
-    th = lambda x: theta(x, p, eps=mp.trunc_eps, max_terms=mp.max_terms)
     M = np.zeros((N, N), dtype=complex)
     zero = (0,) * (N - 1)
     if op == "e":
-        M[j - 1, j] = qp(p * q ** 2) / qp(p)
+        M[j - 1, j] = qpoch(p * q ** 2, p, **mp.truncation) / qpoch(p, p, **mp.truncation)
         return M, _unit_tag(j, N)
     if op == "f":
-        M[j, j - 1] = qp(p * q ** -2) / qp(p)
+        M[j, j - 1] = qpoch(p * q ** -2, p, **mp.truncation) / qpoch(p, p, **mp.truncation)
         return M, zero
     if op == "alpha":
         if m is None or m == 0:
@@ -143,12 +141,12 @@ def eval_rep_single(op: str, j: int, z: complex, mp: ModularParams, N: int,
         for col in range(1, N + 1):
             h = (1 if col == j else 0) - (1 if col == j + 1 else 0)
             if op == "phi+":
-                den = th(q ** (-j + N - 1) * w / z)
-                num = th(q ** (-j + N - 1 + 2 * h) * w / z)
+                den = theta(q ** (-j + N - 1) * w / z, p, **mp.truncation)
+                num = theta(q ** (-j + N - 1 + 2 * h) * w / z, p, **mp.truncation)
                 pref = q ** -h
             else:
-                den = th(q ** (j - N + 1) * z / w)
-                num = th(q ** (j - N + 1 - 2 * h) * z / w)
+                den = theta(q ** (j - N + 1) * z / w, p, **mp.truncation)
+                num = theta(q ** (j - N + 1 - 2 * h) * z / w, p, **mp.truncation)
                 pref = q ** h
             if den == 0:
                 raise PoleError(f"theta ratio pole of the diagonal current at w={w}")
@@ -329,7 +327,6 @@ def exchange_check(j1: int, j2: int, I: PartitionIndex, z: EvaluationPoints,
     b12 = _b_sym(j1, j2, N)
     nome = mp.pstar if current == "e" else mp.p
     qb = mp.q ** (b12 if current == "e" else -b12)
-    th = lambda x: theta(x, nome, eps=mp.trunc_eps, max_terms=mp.max_terms)
     zero = (0,) * (N - 1)
 
     def composite(first_j: int, second_j: int):
@@ -355,8 +352,9 @@ def exchange_check(j1: int, j2: int, I: PartitionIndex, z: EvaluationPoints,
     for (sb, sa, target), val in lhs_tab.items():
         za = scale1 * z.z[sa - 1]   # true argument of the j1 current
         zb = scale2 * z.z[sb - 1]   # true argument of the j2 current
-        L = za * th(qb * zb / za) * val
-        R = -zb * th(qb * za / zb) * rhs_tab.get((sa, sb, target), 0.0)
+        L = za * theta(qb * zb / za, nome, **mp.truncation) * val
+        R = (-zb * theta(qb * za / zb, nome, **mp.truncation)
+             * rhs_tab.get((sa, sb, target), 0.0))
         worst = max(worst, abs(L - R) / max(1.0, abs(L), abs(R)))
     return worst
 

@@ -113,15 +113,14 @@ def phi_kernel(t: TVariables, z: EvaluationPoints, mp: ModularParams,
         pairs += [(ta / tb, ps * ta / tb) for ta in cur for tb in nxt]
         for ta, tb in combinations(cur, 2):
             pairs += [(ps * ta / tb, ta / tb), (ps * tb / ta, tb / ta)]
-    g = ell_gamma([x for pair in pairs for x in pair], mp.p, Q,
-                  eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
+    g = ell_gamma([x for pair in pairs for x in pair], mp.p, Q, **mp.truncation).tolist()
     return math.prod((num / den for num, den in zip(g[::2], g[1::2])), start=1.0 + 0.0j)
 
 
 def phi_trig(t: TVariables, z: EvaluationPoints, mp: ModularParams) -> complex:
     """Trigonometric (Q -> 0) kernel built from single q-Pochhammers."""
     p, ps = mp.p, mp.pstar
-    qp = lambda x: qpoch(x, p, eps=mp.trunc_eps, max_terms=mp.max_terms)
+    qp = lambda x: qpoch(x, p, **mp.truncation)
     levels = _level_arrays(t, z)
     total = 1.0 + 0.0j
     for l in range(len(levels) - 1):

@@ -50,14 +50,13 @@ def _compositions(n: int, N: int):
 
 def check_theta_quasi_periodicity(cfg, rng):
     mp = cfg.modular()
-    th = lambda x: theta(x, mp.p, eps=mp.trunc_eps, max_terms=mp.max_terms)
     worst = 0.0
     for _ in range(50):
         z = rng.uniform(0.3, 1.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        tz = ellfn.require_normal(th(z), f"theta_p({z:.6g})")
+        tz = ellfn.require_normal(theta(z, mp.p, **mp.truncation), f"theta_p({z:.6g})")
         worst = max(worst,
-                    abs(th(mp.p * z) + tz / z) / abs(tz),
-                    abs(th(1.0 / z) + tz / z) / abs(tz))
+                    abs(theta(mp.p * z, mp.p, **mp.truncation) + tz / z) / abs(tz),
+                    abs(theta(1.0 / z, mp.p, **mp.truncation) + tz / z) / abs(tz))
     return worst, 1e-10
 
 
@@ -89,8 +88,7 @@ def check_gamma_reflection(cfg, rng):
     s = mp.q ** 4
     z = [rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
          for _ in range(50)]
-    g = ell_gamma(z + [mp.p * s / x for x in z], mp.p, s,
-                  eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
+    g = ell_gamma(z + [mp.p * s / x for x in z], mp.p, s, **mp.truncation).tolist()
     return max(abs(a * b - 1.0) for a, b in zip(g[:50], g[50:])), 1e-10
 
 
@@ -99,9 +97,8 @@ def check_gamma_trig_limit(cfg, rng):
     z = [rng.uniform(0.2, 0.8) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
          for _ in range(10)]
     worst = 0.0
-    gam = ell_gamma(z, mp.p, 1e-6, eps=mp.trunc_eps, max_terms=mp.max_terms).tolist()
-    for lhs, x in zip(gam, z):
-        rhs = 1.0 / qpoch(x, mp.p, eps=mp.trunc_eps, max_terms=mp.max_terms)
+    for lhs, x in zip(ell_gamma(z, mp.p, 1e-6, **mp.truncation).tolist(), z):
+        rhs = 1.0 / qpoch(x, mp.p, **mp.truncation)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst, 1e-5
 
@@ -121,8 +118,8 @@ def check_truncation_stability(cfg, rng):
         z = rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         u = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-0.5, 0.5)
         worst = max(worst,
-                    abs(qpoch(z, mp.p, eps=mp.trunc_eps, max_terms=mp.max_terms)
-                        - qpoch(z, mp.p, eps=mp.trunc_eps, max_terms=2 * mp.max_terms)),
+                    abs(qpoch(z, mp.p, **mp.truncation)
+                        - qpoch(z, mp.p, **doubled.truncation)),
                     abs(ellfn.require_normal(jacobi_bracket(u, mp), f"[{u:.6g}]")
                         - jacobi_bracket(u, doubled)))
     return worst, mp.trunc_eps
@@ -228,8 +225,8 @@ def check_wf_symmetry(cfg, rng):
     mp = replace(cfg.modular(), k=0.0)
     worst = 0.0
     for N, mu in [(2, (1, 1, 2)), (2, (1, 2, 1, 2)), (3, (1, 2, 3, 2))]:
-        lam = Composition(tuple(sum(1 for c in mu if c == l) for l in range(1, N + 1)))
         I = PartitionIndex.from_colors(mu, N)
+        lam = I.shape()
         z = _rand_points(rng, lam.n, mp.q)
         pd = _rand_pdyn(rng, N)
         t = _rand_t(rng, lam)
@@ -246,8 +243,7 @@ def check_wf_transition(cfg, rng):
     for N in (2, 3):
         for n in range(2, 5):
             for mu in iproduct(range(1, N + 1), repeat=n):
-                lam = Composition(tuple(sum(1 for c in mu if c == l)
-                                        for l in range(1, N + 1)))
+                lam = PartitionIndex.from_colors(mu, N).shape()
                 z = _rand_points(rng, n, mp.q)
                 pd = _rand_pdyn(rng, N)
                 t = _rand_t(rng, lam)
@@ -263,9 +259,8 @@ def check_wf_modified_routes(cfg, rng):
              (3, (2, 1, 3, 1))]
     for _ in range(4):
         for N, mu in cases:
-            lam = Composition(tuple(sum(1 for c in mu if c == l)
-                                    for l in range(1, N + 1)))
             I = PartitionIndex.from_colors(mu, N)
+            lam = I.shape()
             z = _rand_points(rng, lam.n, mp.q)
             pd = _rand_pdyn(rng, N)
             t = _rand_t(rng, lam)
@@ -411,7 +406,7 @@ def check_qkz_degeneration(cfg, rng):
     mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
     worst = 0.0
     for N, mu in [(2, (1, 2)), (2, (1, 1, 2)), (3, (1, 2, 3))]:
-        lam = Composition(tuple(sum(1 for c in mu if c == l) for l in range(1, N + 1)))
+        lam = PartitionIndex.from_colors(mu, N).shape()
         z = _rand_points(rng, lam.n, mp.q, lo=0.35, hi=0.7)
         t = _rand_t(rng, lam)
         a = qkz.phi_kernel(t, z, mp, 1e-6)
@@ -424,7 +419,7 @@ def check_qkz_covariance(cfg, rng):
     mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
     worst = 0.0
     for N, mu in [(2, (1, 2)), (3, (1, 2, 3))]:
-        lam = Composition(tuple(sum(1 for c in mu if c == l) for l in range(1, N + 1)))
+        lam = PartitionIndex.from_colors(mu, N).shape()
         pd = _rand_pdyn(rng, N)
         t = _rand_t(rng, lam)
         base = qkz.e_factor(t, pd, mp)

@@ -35,7 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ellfn import ModularParams, jacobi_bracket, jacobi_brackets, pole_tol
+from .ellfn import (ModularParams, jacobi_bracket, jacobi_brackets, pole_tol,
+                    require_finite, require_normal)
 from .errors import ParameterError, PoleError, ShapeError
 from .rmat import rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
@@ -308,7 +309,7 @@ def _identity_term(levels: list[_Level]) -> complex:
         if marks is not None and marks[0, 0]:
             raise PoleError(_pole_message(lv, g, 0, 0))
         total *= complex(F[0, 0])
-    return total
+    return require_finite(total, "weight-function term")
 
 
 def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -337,7 +338,8 @@ def _sym_sum(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     term has an exactly-zero factor is not gathered, and those terms count as
     pruned.  An entry with a vanishing denominator raises the PoleError the
     depth-first order of terms meets first or, with ``on_pole``, each term
-    through it is taken as ``on_pole(perms)`` and counted as skipped.
+    through it is taken as ``on_pole(perms)`` and counted as skipped.  A sum
+    beyond the float range raises FloatRangeError.
     """
     levels = _level_factors(I, t, z, Pdyn, mp, modified)
     prune = not modified and not any(lv.poles for lv in levels[:-1])
@@ -368,8 +370,8 @@ def _sym_sum(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
             skipped += 1
     total = math.prod(sizes)
     pruned = total - skipped - int(nz.sum()) if prune else 0
-    return WeightFunctionEval(value, total - skipped, skipped_singular=skipped,
-                              terms_pruned=pruned)
+    return WeightFunctionEval(require_finite(value, "weight-function sum"), total - skipped,
+                              skipped_singular=skipped, terms_pruned=pruned)
 
 
 def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -468,8 +470,8 @@ def h_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
              mp: ModularParams) -> complex:
     """H factor: prod_l prod_{a,b} [v^(l+1)_b - v^(l)_a + 1]."""
     vs = _vees(t, z, mp)
-    return complex(jacobi_brackets([vb - va + 1.0 for l in range(1, lam.N)
-                                    for va in vs[l - 1] for vb in vs[l]], mp).prod())
+    args = [vb - va + 1.0 for l in range(1, lam.N) for va in vs[l - 1] for vb in vs[l]]
+    return require_finite(complex(jacobi_brackets(args, mp).prod()), "H factor")
 
 
 def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
@@ -481,8 +483,8 @@ def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
     the one under which the two modified-weight-function routes coincide.
     """
     vs = _vees(t, z, mp)
-    return complex(jacobi_brackets([vb - va + 1.0 for l in range(1, lam.N)
-                                    for va in vs[l - 1] for vb in vs[l - 1]], mp).prod())
+    args = [vb - va + 1.0 for l in range(1, lam.N) for va in vs[l - 1] for vb in vs[l - 1]]
+    return require_finite(complex(jacobi_brackets(args, mp).prod()), "E factor")
 
 
 def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -507,13 +509,15 @@ def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
 
     route="ratio": H * w_tilde / E.  route="sym": plain symmetrization sum of
     the u_mod terms, by the same enumerator as w_tilde.  The two agree
-    identically; both are kept as a cross check.
+    identically; both are kept as a cross check.  A value beyond the float
+    range raises FloatRangeError.
     """
     lam = I.shape()
     t.check_shape(lam)
     if route == "ratio":
         wt = w_tilde(I, t, z, Pdyn, mp).value
-        return h_lambda(lam, t, z, mp) * wt / e_lambda(lam, t, z, mp)
+        e = require_normal(e_lambda(lam, t, z, mp), "E factor")
+        return require_finite(h_lambda(lam, t, z, mp) * wt / e, "modified weight function")
     if route == "sym":
         return _sym_sum(I, t, z, Pdyn, mp, modified=True).value
     raise ParameterError(f"unknown route {route!r}")
@@ -545,7 +549,8 @@ def stable_envelope_restriction(I: PartitionIndex, J: PartitionIndex,
     P_inv = Pdyn.inverted()
     t = TVariables.specialization(J_rev, z_rev)
     wt = specialize(I_rev, J_rev, z_rev, P_inv, mp).value
-    return h_lambda(lam, t, z_rev, mp) * wt / e_lambda(lam, t, z_rev, mp)
+    e = require_normal(e_lambda(lam, t, z_rev, mp), "E factor")
+    return require_finite(h_lambda(lam, t, z_rev, mp) * wt / e, "stable envelope")
 
 
 def stab_matrix(lam: Composition, z: EvaluationPoints, Pdyn: DynamicalParams,

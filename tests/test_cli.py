@@ -117,6 +117,14 @@ def test_suites_honour_config_truncation():
         assert np.isfinite(residual)
 
 
+def test_overflow_fails_a_check_instead_of_a_nan_residual():
+    # q = 0.99: modified weight functions leave the float range, so the check
+    # must raise, not pass on comparisons of nan that max() drops.
+    cfg = build_config({"q": 0.99, "max_terms": 4096})
+    with pytest.raises(FloatRangeError, match="overflows"):
+        suites.check_wf_modified_routes(cfg, np.random.default_rng(2))
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nosuchsuite"])

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_pdyn, random_points, random_t, shape_of
 from ellqg.ellfn import ModularParams, jacobi_bracket
-from ellqg.errors import ParameterError, PoleError
+from ellqg.errors import FloatRangeError, ParameterError, PoleError
 from ellqg.suites import _compositions as all_compositions
 from ellqg.suites import _wf_cases
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
@@ -165,6 +165,18 @@ def test_pole_test_is_relative_near_q_one(rng):
     assert abs(jacobi_bracket(1.0, mp)) < 1e-12
     ref = diagonal_value(I, z, mp)
     assert abs(specialize(I, I, z, pd, mp).value - ref) < 1e-9 * abs(ref)
+
+
+def test_modified_w_beyond_float_range_raises():
+    # q = 0.99: this modified weight function is beyond the float range on
+    # both routes; each must raise, not return inf or nan.
+    rng = np.random.default_rng(1)
+    mp = ModularParams(q=0.99, r=3.1, max_terms=4096)
+    I = PartitionIndex.from_colors((2, 1, 2, 1), 2)
+    z, pd, t = random_points(rng, 4, mp.q), random_pdyn(rng, 2), random_t(rng, I.shape())
+    for route in ("ratio", "sym"):
+        with pytest.raises(FloatRangeError, match="overflows"):
+            modified_w(I, t, z, pd, mp, route=route)
 
 
 def test_diagonal_single_site_is_one(mp, rng):
