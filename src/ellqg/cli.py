@@ -329,8 +329,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="write output to this path instead of stdout")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the config seed")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="accepted and ignored: checks always run serially")
 
     parser = argparse.ArgumentParser(
         prog="ellqg", parents=[common],

@@ -2,10 +2,10 @@
 
 q-Pochhammer products, the odd theta function, Jacobi-style theta brackets
 and the elliptic Gamma function, all evaluated by adaptively truncated
-products.  ``jacobi_brackets`` and ``ell_gamma`` evaluate a batch of
-arguments in one numpy pass; the scalar ``qpoch``/``theta``/``jacobi_bracket``
-chain stays as the reference and for the callers that need one bracket at a
-time.
+products.  Every library product of brackets is one ``jacobi_brackets``
+call, and a batch of Gamma values one ``ell_gamma`` call, each a numpy pass.
+The uncached scalar ``qpoch``/``theta``/``jacobi_bracket`` chain is the
+single-value API and the reference of the tests, suites and closed forms.
 
 Conventions fixed here once for the whole package:
 
@@ -26,7 +26,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,8 +97,15 @@ class ModularParams:
         return cmath.log(z) / (2.0 * math.log(self.q))
 
 
-@lru_cache(maxsize=1 << 16)
-def _qpoch_cached(z: complex, s: float, eps: float, max_terms: int) -> complex:
+def qpoch(z: complex, s: float, *, eps: float = DEFAULT_EPS,
+          max_terms: int = DEFAULT_MAX_TERMS) -> complex:
+    """(z; s)_inf = prod_{n>=0} (1 - z s^n), truncated once |z s^n| < eps.
+
+    Raises ResourceCapError when |z s^n| >= eps still holds after max_terms factors.
+    """
+    if abs(s) >= 1.0:
+        raise ParameterError(f"q-Pochhammer nome must satisfy |s| < 1, got {s}")
+    z, s = complex(z), float(s)
     val = 1.0 + 0.0j
     w = z
     for _ in range(max_terms):
@@ -111,17 +117,6 @@ def _qpoch_cached(z: complex, s: float, eps: float, max_terms: int) -> complex:
         raise ResourceCapError(f"q-Pochhammer product needs more than max_terms={max_terms} "
                                f"factors at z={z}, s={s}")
     return val
-
-
-def qpoch(z: complex, s: float, *, eps: float = DEFAULT_EPS,
-          max_terms: int = DEFAULT_MAX_TERMS) -> complex:
-    """(z; s)_inf = prod_{n>=0} (1 - z s^n), truncated once |z s^n| < eps.
-
-    Raises ResourceCapError when |z s^n| >= eps still holds after max_terms factors.
-    """
-    if abs(s) >= 1.0:
-        raise ParameterError(f"q-Pochhammer nome must satisfy |s| < 1, got {s}")
-    return _qpoch_cached(complex(z), float(s), float(eps), int(max_terms))
 
 
 def theta(z: complex, p: float, *, eps: float = DEFAULT_EPS,
@@ -166,8 +161,8 @@ def jacobi_brackets(u, mp: ModularParams, starred: bool = False) -> np.ndarray:
     taken from one row of nome powers and masked per argument; an argument
     that needs more than max_terms factors raises ResourceCapError, and
     q^(2u) = 0 raises DomainError.  Agrees with the scalar bracket to
-    rounding; the ``qpoch`` cache is not used.  A bracket beyond the float
-    range raises FloatRangeError, as the scalar one does.
+    rounding.  A bracket beyond the float range raises FloatRangeError, as
+    the scalar one does.
     """
     u = np.asarray(u, dtype=complex)
     nome, height = (mp.pstar, mp.rstar) if starred else (mp.p, mp.r)
@@ -252,7 +247,8 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
     >= eps; an argument that needs more raises ResourceCapError.  A vanishing
     factor of a (z; p, s)_inf raises PoleError naming (m, n): the smallest m,
     then the earliest z, then the smallest n.  A product or quotient beyond
-    the float range raises FloatRangeError.  Gamma(z) Gamma(ps/z) = 1.
+    the float range, or a 0 with no exactly-zero numerator factor, raises
+    FloatRangeError.  Gamma(z) Gamma(ps/z) = 1.
     """
     if abs(p) >= 1.0 or abs(s) >= 1.0:
         raise ParameterError("elliptic Gamma requires |p| < 1 and |s| < 1")
@@ -282,6 +278,9 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
     bad = ~(np.isfinite(gamma) & np.isfinite(acc[zs.size:]))  # an inf divisor gives 0
     if bad.any():
         raise FloatRangeError(f"elliptic Gamma overflows at z={zs[bad][0]}")
+    for j in np.flatnonzero(gamma == 0):            # a true zero has a zero numerator factor
+        if (1.0 - np.multiply.outer(prow, row[j])).all():
+            raise FloatRangeError(f"elliptic Gamma underflows at z={zs[j]}")
     return complex(gamma[0]) if np.ndim(z) == 0 else gamma
 
 

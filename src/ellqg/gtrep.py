@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellfn import (ModularParams, bracket_derivative_at_zero, jacobi_bracket, pole_tol,
-                    qpoch, require_normal, theta)
-from .errors import ParameterError, PoleError, ShapeError
+from .ellfn import (ModularParams, bracket_derivative_at_zero, jacobi_bracket,
+                    jacobi_brackets, pole_tol, qpoch, require_normal, theta)
+from .errors import FloatRangeError, ParameterError, PoleError, ShapeError
 from .rmat import embedded_rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions)
@@ -198,14 +198,20 @@ def gt_vector(I: PartitionIndex, z: EvaluationPoints, Pdyn: DynamicalParams,
 
 
 def _bracket_ratios(val: complex, factors, mp: ModularParams) -> complex:
-    """val * prod [x + c]/[x] over (x, c, label) in order; PoleError if [x]
-    meets the pole test ``pole_tol``."""
-    tol = pole_tol(jacobi_bracket(1.0, mp))
-    for x, c, label in factors:
-        den = jacobi_bracket(x, mp)
+    """val * prod [x + c]/[x] over (x, c, label) in order, all brackets and [1]
+    in one ``jacobi_brackets`` call; PoleError names the first [x] that meets
+    the pole test ``pole_tol``."""
+    x, c = (np.array([f[k] for f in factors], dtype=complex) for k in (0, 1))
+    try:
+        br = jacobi_brackets(np.concatenate(([1.0], x, x + c)), mp).tolist()
+    except FloatRangeError:     # the pole test reads [1] first: an underflow of it wins
+        pole_tol(jacobi_brackets([1.0], mp)[0])
+        raise
+    tol = pole_tol(br[0])
+    for (_, _, label), den, num in zip(factors, br[1:], br[1 + len(factors):]):
         if abs(den) < tol:
             raise PoleError(f"[{label}] vanished")
-        val *= jacobi_bracket(x + c, mp) / den
+        val *= num / den
     return val
 
 
@@ -275,11 +281,6 @@ def f_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
     return CurrentActionResult(terms=tuple(out))
 
 
-def _b_sym(i: int, j: int, N: int) -> int:
-    """Symmetrized Cartan pairing b_{ij} for the A-type root system."""
-    return int(cartan_matrix(N)[i - 1, j - 1])
-
-
 def _small_power(site: int, j: int, shape: Composition, tau,
                  z: EvaluationPoints, Pdyn: DynamicalParams,
                  mp: ModularParams, current: str) -> complex:
@@ -324,7 +325,7 @@ def exchange_check(j1: int, j2: int, I: PartitionIndex, z: EvaluationPoints,
         raise ParameterError("current must be 'e' or 'f'")
     act = e_on_gt if current == "e" else f_on_gt
     N = Pdyn.N
-    b12 = _b_sym(j1, j2, N)
+    b12 = int(cartan_matrix(N)[j1 - 1, j2 - 1])     # type A: symmetrized = Cartan
     nome = mp.pstar if current == "e" else mp.p
     qb = mp.q ** (b12 if current == "e" else -b12)
     zero = (0,) * (N - 1)
@@ -355,8 +356,8 @@ def exchange_check(j1: int, j2: int, I: PartitionIndex, z: EvaluationPoints,
         L = za * theta(qb * zb / za, nome, **mp.truncation) * val
         R = (-zb * theta(qb * za / zb, nome, **mp.truncation)
              * rhs_tab.get((sa, sb, target), 0.0))
-        worst = max(worst, abs(L - R) / max(1.0, abs(L), abs(R)))
-    return worst
+        worst = np.maximum(worst, abs(L - R) / max(1.0, abs(L), abs(R)))
+    return float(worst)
 
 
 def phi_move_ratio_check(j: int, I: PartitionIndex, z: EvaluationPoints,
@@ -365,12 +366,10 @@ def phi_move_ratio_check(j: int, I: PartitionIndex, z: EvaluationPoints,
     I_{j+1} to I_j multiplies the diagonal eigenvalue by
     [u_i - v + 1]/[u_i - v - 1].  Returns the worst relative mismatch."""
     require_level_zero(mp)
-    br = lambda x: jacobi_bracket(x, mp)
     base, _ = phi_on_gt(j, v, I, z, mp)
     worst = 0.0
     for i in I.parts[j]:
         moved, _ = phi_on_gt(j, v, _move(I, i, j + 1, j), z, mp)
-        ui = z.u[i - 1]
-        predicted = base * br(ui - v + 1.0) / br(ui - v - 1.0)
-        worst = max(worst, abs(moved - predicted) / max(1.0, abs(moved)))
-    return worst
+        predicted = _bracket_ratios(base, [(z.u[i - 1] - v - 1.0, 2.0, f"u_{i} - v - 1")], mp)
+        worst = np.maximum(worst, abs(moved - predicted) / max(1.0, abs(moved)))
+    return float(worst)

@@ -24,10 +24,11 @@ from itertools import product
 
 import numpy as np
 
-from .ellfn import ModularParams, jacobi_bracket, require_normal, rho_plus
+from .ellfn import ModularParams, jacobi_brackets, require_normal, rho_plus
 from .errors import SingularityError
 from .tensorspace import DynamicalParams
 
+# Relative to [1] like ellfn.pole_tol but stricter: an entry divides by [s]^2.
 _SING_TOL = 1e-10
 
 
@@ -81,27 +82,27 @@ def rbar(z: complex, Pdyn: DynamicalParams, mp: ModularParams,
     ``u`` explicitly; all identity checks in this package do so.
     """
     N = Pdyn.N
-    br = lambda x: jacobi_bracket(x, mp, starred)
     if u is None:
         u = mp.u_of(z)
-    scale = abs(br(1.0))
-    bu, bu1 = br(u), br(u + 1.0)
+    pairs = [(j1, j2) for j1 in range(1, N + 1) for j2 in range(j1 + 1, N + 1)]
+    s = np.array([Pdyn.value(j1, j2) for j1, j2 in pairs], dtype=complex)
+    br = jacobi_brackets(np.concatenate(([1.0, u, u + 1.0], s, s + 1, s - 1, s + u, s - u)),
+                         mp, starred)
+    b1, bu, bu1 = br[:3].tolist()
+    scale = abs(b1)
     if abs(bu1) < _SING_TOL * scale:
         raise SingularityError(f"[u+1] ~ 0 at z={z}")
     entries: dict = {((j, j), (j, j)): 1.0 + 0.0j for j in range(1, N + 1)}
-    for j1 in range(1, N + 1):
-        for j2 in range(j1 + 1, N + 1):
-            s = Pdyn.value(j1, j2)
-            bs = br(s)
-            if abs(bs) < _SING_TOL * scale:
-                raise SingularityError(
-                    f"resonant dynamical parameter: [s] ~ 0 for pair ({j1}, {j2})")
-            dens = (bs * bs * bu1, bs * bu1)
-            require_normal(min(dens, key=abs), f"[s]^2 [u+1] for pair ({j1}, {j2})")
-            entries[((j1, j2), (j1, j2))] = br(s + 1) * br(s - 1) * bu / dens[0]
-            entries[((j2, j1), (j2, j1))] = bu / bu1
-            entries[((j2, j1), (j1, j2))] = br(1) * br(s + u) / dens[1]
-            entries[((j1, j2), (j2, j1))] = br(1) * br(s - u) / dens[1]
+    for (j1, j2), bs, bsp, bsm, bspu, bsmu in zip(pairs, *br[3:].reshape(5, -1).tolist()):
+        if abs(bs) < _SING_TOL * scale:
+            raise SingularityError(
+                f"resonant dynamical parameter: [s] ~ 0 for pair ({j1}, {j2})")
+        dens = (bs * bs * bu1, bs * bu1)
+        require_normal(min(dens, key=abs), f"[s]^2 [u+1] for pair ({j1}, {j2})")
+        entries[((j1, j2), (j1, j2))] = bsp * bsm * bu / dens[0]
+        entries[((j2, j1), (j2, j1))] = bu / bu1
+        entries[((j2, j1), (j1, j2))] = b1 * bspu / dens[1]
+        entries[((j1, j2), (j2, j1))] = b1 * bsmu / dens[1]
     return DynRMatrix(N=N, z=complex(z), entries=entries, starred=starred)
 
 

@@ -2,7 +2,8 @@
 
 Every check is a pure function (config, rng) -> (residual, tolerance); the
 registry below fixes the check ids and their order.  Tolerances are pinned
-constants, not configuration.
+constants, not configuration.  Residuals fold with ``np.maximum``/``np.max``,
+which keep a nan where ``max(0.0, nan)`` gives 0.0, so a nan fails its row.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ def check_theta_quasi_periodicity(cfg, rng):
     for _ in range(50):
         z = rng.uniform(0.3, 1.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         tz = ellfn.require_normal(theta(z, mp.p, **mp.truncation), f"theta_p({z:.6g})")
-        worst = max(worst,
-                    abs(theta(mp.p * z, mp.p, **mp.truncation) + tz / z) / abs(tz),
-                    abs(theta(1.0 / z, mp.p, **mp.truncation) + tz / z) / abs(tz))
+        worst = np.max((worst,
+                        abs(theta(mp.p * z, mp.p, **mp.truncation) + tz / z) / abs(tz),
+                        abs(theta(1.0 / z, mp.p, **mp.truncation) + tz / z) / abs(tz)))
     return worst, 1e-10
 
 
@@ -66,7 +67,7 @@ def check_bracket_quasi_period_r(cfg, rng):
     for _ in range(20):
         u = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(-1.0, 1.0)
         b = ellfn.require_normal(jacobi_bracket(u, mp), f"[{u:.6g}]")
-        worst = max(worst, abs(jacobi_bracket(u + mp.r, mp) + b) / abs(b))
+        worst = np.maximum(worst, abs(jacobi_bracket(u + mp.r, mp) + b) / abs(b))
     return worst, 1e-10
 
 
@@ -79,7 +80,7 @@ def check_bracket_quasi_period_rtau(cfg, rng):
         b = jacobi_bracket(u, mp)
         lhs = jacobi_bracket(u + mp.r * tau, mp)
         rhs = -cmath.exp(-1j * math.pi * tau) * cmath.exp(-2j * math.pi * u / mp.r) * b
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        worst = np.maximum(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return worst, 1e-10
 
 
@@ -89,7 +90,7 @@ def check_gamma_reflection(cfg, rng):
     z = [rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
          for _ in range(50)]
     g = ell_gamma(z + [mp.p * s / x for x in z], mp.p, s, **mp.truncation).tolist()
-    return max(abs(a * b - 1.0) for a, b in zip(g[:50], g[50:])), 1e-10
+    return np.max([abs(a * b - 1.0) for a, b in zip(g[:50], g[50:])]), 1e-10
 
 
 def check_gamma_trig_limit(cfg, rng):
@@ -99,7 +100,7 @@ def check_gamma_trig_limit(cfg, rng):
     worst = 0.0
     for lhs, x in zip(ell_gamma(z, mp.p, 1e-6, **mp.truncation).tolist(), z):
         rhs = 1.0 / qpoch(x, mp.p, **mp.truncation)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        worst = np.maximum(worst, abs(lhs - rhs) / abs(rhs))
     return worst, 1e-5
 
 
@@ -117,11 +118,11 @@ def check_truncation_stability(cfg, rng):
     for _ in range(10):
         z = rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         u = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-0.5, 0.5)
-        worst = max(worst,
-                    abs(qpoch(z, mp.p, **mp.truncation)
-                        - qpoch(z, mp.p, **doubled.truncation)),
-                    abs(ellfn.require_normal(jacobi_bracket(u, mp), f"[{u:.6g}]")
-                        - jacobi_bracket(u, doubled)))
+        worst = np.max((worst,
+                        abs(qpoch(z, mp.p, **mp.truncation)
+                            - qpoch(z, mp.p, **doubled.truncation)),
+                        abs(ellfn.require_normal(jacobi_bracket(u, mp), f"[{u:.6g}]")
+                            - jacobi_bracket(u, doubled))))
     return worst, mp.trunc_eps
 
 
@@ -133,7 +134,7 @@ def check_unit_permutation(cfg, rng):
     for N in (2, 3):
         pd = _rand_pdyn(rng, N)
         R = rmat.rbar(1.0, pd, mp).dense()
-        worst = max(worst, float(np.max(np.abs(R - rmat.permutation_dense(N)))))
+        worst = np.maximum(worst, float(np.max(np.abs(R - rmat.permutation_dense(N)))))
     return worst, 1e-12
 
 
@@ -146,14 +147,14 @@ def check_ice_rule(cfg, rng):
         R = rmat.rbar(z, pd, mp)
         for ((a, b), (a2, b2)), coeff in R.entries.items():
             if sorted((a, b)) != sorted((a2, b2)):
-                bad = max(bad, abs(coeff))
+                bad = np.maximum(bad, abs(coeff))
         dense = R.dense()
         for ain in range(N * N):
             for aout in range(N * N):
                 pin = sorted((ain // N + 1, ain % N + 1))
                 pout = sorted((aout // N + 1, aout % N + 1))
                 if pin != pout and dense[aout, ain] != 0.0:
-                    bad = max(bad, abs(dense[aout, ain]))
+                    bad = np.maximum(bad, abs(dense[aout, ain]))
     return bad, 0.0
 
 
@@ -164,7 +165,7 @@ def check_inversion(cfg, rng):
         for _ in range(5):
             pd = _rand_pdyn(rng, N)
             z = rng.uniform(0.5, 1.4) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            worst = max(worst, rmat.check_inversion(z, pd, mp))
+            worst = np.maximum(worst, rmat.check_inversion(z, pd, mp))
     return worst, 1e-9
 
 
@@ -175,7 +176,7 @@ def check_dybe_n2(cfg, rng):
         pd = _rand_pdyn(rng, 2)
         zs = [rng.uniform(0.6, 1.3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
               for _ in range(3)]
-        worst = max(worst, rmat.check_dybe(*zs, pd, mp))
+        worst = np.maximum(worst, rmat.check_dybe(*zs, pd, mp))
     return worst, 1e-9
 
 
@@ -186,7 +187,7 @@ def check_dybe_n3(cfg, rng):
         pd = _rand_pdyn(rng, 3)
         zs = [rng.uniform(0.6, 1.3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
               for _ in range(3)]
-        worst = max(worst, rmat.check_dybe(*zs, pd, mp))
+        worst = np.maximum(worst, rmat.check_dybe(*zs, pd, mp))
     return worst, 1e-9
 
 
@@ -204,7 +205,7 @@ def check_wf_triangularity(cfg, rng):
     for N, lam in _wf_cases():
         z = _rand_points(rng, lam.n, mp.q)
         pd = _rand_pdyn(rng, N)
-        worst = max(worst, weightfn.triangularity_violations(lam, z, pd, mp))
+        worst = np.maximum(worst, weightfn.triangularity_violations(lam, z, pd, mp))
     return worst, 1e-10
 
 
@@ -217,7 +218,7 @@ def check_wf_diagonal(cfg, rng):
         for I in enumerate_partitions(lam):
             ref = weightfn.diagonal_value(I, z, mp)
             val = weightfn.specialize(I, I, z, pd, mp).value
-            worst = max(worst, abs(val - ref) / max(1e-30, abs(ref)))
+            worst = np.maximum(worst, abs(val - ref) / max(1e-30, abs(ref)))
     return worst, 1e-9
 
 
@@ -232,8 +233,8 @@ def check_wf_symmetry(cfg, rng):
         t = _rand_t(rng, lam)
         base = weightfn.w_tilde(I, t, z, pd, mp).value
         perm = TVariables(tuple(tuple(reversed(lvl)) for lvl in t.levels))
-        worst = max(worst, abs(weightfn.w_tilde(I, perm, z, pd, mp).value - base)
-                    / max(1.0, abs(base)))
+        worst = np.maximum(worst, abs(weightfn.w_tilde(I, perm, z, pd, mp).value - base)
+                           / max(1.0, abs(base)))
     return worst, 1e-12
 
 
@@ -248,7 +249,7 @@ def check_wf_transition(cfg, rng):
                 pd = _rand_pdyn(rng, N)
                 t = _rand_t(rng, lam)
                 for i in range(1, n):
-                    worst = max(worst, weightfn.transition_check(mu, i, t, z, pd, mp))
+                    worst = np.maximum(worst, weightfn.transition_check(mu, i, t, z, pd, mp))
     return worst, 1e-9
 
 
@@ -266,7 +267,7 @@ def check_wf_modified_routes(cfg, rng):
             t = _rand_t(rng, lam)
             a = weightfn.modified_w(I, t, z, pd, mp, route="ratio")
             b = weightfn.modified_w(I, t, z, pd, mp, route="sym")
-            worst = max(worst, abs(a - b) / max(1.0, abs(a)))
+            worst = np.maximum(worst, abs(a - b) / max(1.0, abs(a)))
     return worst, 1e-10
 
 
@@ -282,12 +283,12 @@ def check_wf_stab(cfg, rng):
                for I in parts}
         for I in parts:
             diag = weightfn.stable_envelope_restriction(I, I, z, pd, mp)
-            if abs(diag) < 1e-12:
-                worst = max(worst, 1.0)
+            if abs(diag) < ellfn.pole_tol(jacobi_bracket(1.0, mp)):
+                worst = np.maximum(worst, 1.0)
             for J in parts:
                 val = weightfn.stable_envelope_restriction(I, J, z, pd, mp)
-                if not leq(rev[J], rev[I]) and abs(val) > worst:
-                    worst = abs(val)
+                if not leq(rev[J], rev[I]):
+                    worst = np.maximum(worst, abs(val))
     return worst, 1e-9
 
 
@@ -316,7 +317,7 @@ def check_wf_trig_degeneration(cfg, rng):
     dists = [abs(v - limit) for v in vals[:-1]]
     if min(dists) == 0.0:
         return 0.0, 0.7
-    return max(dists[1] / dists[0], dists[2] / dists[1]), 0.7
+    return np.max((dists[1] / dists[0], dists[2] / dists[1])), 0.7
 
 
 # ---------------------------------------------------------------- gtrep ----
@@ -331,7 +332,7 @@ def check_gt_triangular(cfg, rng):
             state = gtrep.gt_vector(I, z, pd, mp)
             for J in enumerate_partitions(lam):
                 if not leq(I, J):
-                    worst = max(worst, abs(state.coefficient(J.colors())))
+                    worst = np.maximum(worst, abs(state.coefficient(J.colors())))
     return worst, 1e-10
 
 
@@ -345,8 +346,8 @@ def check_gt_diagonal(cfg, rng):
         for I in enumerate_partitions(lam):
             state = gtrep.gt_vector(I, z, pd, mp)
             ref = weightfn.diagonal_value(I, zinv, mp)
-            worst = max(worst, abs(state.coefficient(I.colors()) - ref)
-                        / max(1e-30, abs(ref)))
+            worst = np.maximum(worst, abs(state.coefficient(I.colors()) - ref)
+                               / max(1e-30, abs(ref)))
     return worst, 1e-9
 
 
@@ -362,7 +363,7 @@ def _exchange_worst(cfg, rng, current: str) -> float:
         pd = _rand_pdyn(rng, N)
         for j1 in range(1, N):
             for j2 in range(1, N):
-                worst = max(worst, gtrep.exchange_check(
+                worst = np.maximum(worst, gtrep.exchange_check(
                     j1, j2, I, z, pd, mp, current=current, tag_shift=tag))
     return worst
 
@@ -382,9 +383,9 @@ def check_gt_exchange_commuting(cfg, rng):
         I = PartitionIndex.from_colors(mu, 4)
         z = _rand_points(rng, 4, mp.q)
         pd = _rand_pdyn(rng, 4)
-        worst = max(worst,
-                    gtrep.exchange_check(1, 3, I, z, pd, mp, current="e"),
-                    gtrep.exchange_check(1, 3, I, z, pd, mp, current="f"))
+        worst = np.max((worst,
+                        gtrep.exchange_check(1, 3, I, z, pd, mp, current="e"),
+                        gtrep.exchange_check(1, 3, I, z, pd, mp, current="f")))
     return worst, 1e-12
 
 
@@ -396,7 +397,7 @@ def check_gt_phi_ratio(cfg, rng):
         z = _rand_points(rng, len(mu), mp.q)
         v = rng.uniform(0.1, 0.5) + 1j * rng.uniform(-0.3, 0.3)
         for j in range(1, N):
-            worst = max(worst, gtrep.phi_move_ratio_check(j, I, z, v, mp))
+            worst = np.maximum(worst, gtrep.phi_move_ratio_check(j, I, z, v, mp))
     return worst, 1e-10
 
 
@@ -411,7 +412,7 @@ def check_qkz_degeneration(cfg, rng):
         t = _rand_t(rng, lam)
         a = qkz.phi_kernel(t, z, mp, 1e-6)
         b = qkz.phi_trig(t, z, mp)
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+        worst = np.maximum(worst, abs(a - b) / max(1.0, abs(b)))
     return worst, 1e-4
 
 
@@ -430,7 +431,7 @@ def check_qkz_covariance(cfg, rng):
                 shifted = TVariables(tuple(tuple(lvl) for lvl in levels))
                 ratio = qkz.e_factor(shifted, pd, mp) / base
                 expected = cmath.exp(2.0 * pd.value(l, l + 1) * math.log(mp.q))
-                worst = max(worst, abs(ratio - expected) / abs(expected))
+                worst = np.maximum(worst, abs(ratio - expected) / abs(expected))
     return worst, 1e-12
 
 

@@ -575,5 +575,5 @@ def triangularity_violations(lam: Composition, z: EvaluationPoints,
     for I in parts:
         for at in parts:
             if not leq(at, I):
-                worst = max(worst, abs(specialize(I, at, z, Pdyn, mp).value))
-    return worst
+                worst = np.maximum(worst, abs(specialize(I, at, z, Pdyn, mp).value))
+    return float(worst)

@@ -299,6 +299,16 @@ def test_gamma_beyond_float_range_raises():
         ell_gamma([0.5, p * s / 0.2], p, s, max_terms=4096)
 
 
+def test_gamma_underflow_raises_instead_of_a_false_zero():
+    # The reflection partner of the overflow above: the quotient underflows,
+    # which is not a zero of Gamma (no numerator factor vanishes).
+    p, s = 0.99 ** 6.2, 0.99 ** 4
+    with pytest.raises(FloatRangeError, match=r"underflows at z=\(0\.2\+0j\)"):
+        ell_gamma(0.2, p, s, max_terms=4096)
+    with pytest.raises(FloatRangeError, match="underflows"):
+        ell_gamma([0.5, 0.2], p, s, max_terms=4096)
+
+
 # ---------------------------------------------- bracket layer vs mpmath --
 BRACKET_QS = (0.05, 0.5, 0.9, 0.99)
 BRACKET_ARGS = (0.3 + 0.2j, -0.7 + 0.45j, 1.2 - 0.3j, 0.05 + 0.6j, -1.4 - 0.1j, 2.3 + 0.15j)

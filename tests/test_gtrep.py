@@ -1,4 +1,5 @@
 import cmath
+import math
 from itertools import product
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import random_pdyn, random_points
 from ellqg.ellfn import ModularParams, jacobi_bracket, qpoch, theta
-from ellqg.errors import ParameterError
+from ellqg.errors import ParameterError, PoleError
 from ellqg.gtrep import (TensorState, cartan_matrix, e_on_gt, eval_rep_single,
                          exchange_check, f_on_gt, gauge_constants, gt_vector,
                          lplus_tensor, phi_move_ratio_check, phi_on_gt,
@@ -177,6 +178,24 @@ def test_phi_move_ratio(mp, rng):
         z = random_points(rng, len(mu), mp.q)
         for j in range(1, N):
             assert phi_move_ratio_check(j, I, z, 0.3 + 0.2j, mp) < 1e-10
+
+
+def test_phi_move_ratio_divisor_meets_the_pole_test(mp, rng):
+    I = PartitionIndex.from_colors((1, 2, 2, 1), 2)
+    z = random_points(rng, 4, mp.q)
+    with pytest.raises(PoleError, match=r"\[u_2 - v - 1\] vanished"):
+        phi_move_ratio_check(1, I, z, z.u[1] - 1.0, mp)
+
+
+def test_residuals_keep_a_nan(mp, rng, monkeypatch):
+    # max(0.0, nan) is 0.0: a fold by max would pass on nan comparisons.
+    I = PartitionIndex.from_colors((1, 2, 2, 1), 2)
+    z = random_points(rng, 4, mp.q)
+    pd = random_pdyn(rng, 2)
+    monkeypatch.setattr("ellqg.gtrep._small_power", lambda *a: complex("nan"))
+    assert math.isnan(exchange_check(1, 1, I, z, pd, mp, current="f"))
+    monkeypatch.setattr("ellqg.gtrep.phi_on_gt", lambda *a: (complex("nan"), (1,)))
+    assert math.isnan(phi_move_ratio_check(1, I, z, 0.3 + 0.2j, mp))
 
 
 def test_e_on_gt_empty_support(mp, rng):

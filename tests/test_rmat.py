@@ -35,6 +35,23 @@ def test_entries_match_bracket_formulas(mp):
     assert abs(R.entry((2, 1), (2, 1)) - bbar) < 1e-13
     assert abs(R.entry((2, 1), (1, 2)) - c) < 1e-13
     assert abs(R.entry((1, 2), (2, 1)) - cbar) < 1e-13
+    # N = 3, both nomes: every pair against the scalar formulas.
+    mpk = ModularParams(q=q, r=r, k=0.7)
+    pd3 = DynamicalParams((1.3 + 0.2j, 0.8 - 0.4j))
+    u = 0.3 - 0.15j
+    for starred in (False, True):
+        R = rbar(mpk.qpow(2 * u), pd3, mpk, starred=starred, u=u)
+        br = lambda x: jacobi_bracket(x, mpk, starred)
+        for j1, j2 in ((1, 2), (1, 3), (2, 3)):
+            s = pd3.value(j1, j2)
+            expected = {((j1, j2), (j1, j2)): br(s + 1) * br(s - 1) * br(u)
+                        / (br(s) ** 2 * br(u + 1)),
+                        ((j2, j1), (j2, j1)): br(u) / br(u + 1),
+                        ((j2, j1), (j1, j2)): br(1) * br(s + u) / (br(s) * br(u + 1)),
+                        ((j1, j2), (j2, j1)): br(1) * br(s - u) / (br(s) * br(u + 1))}
+            for (a, b), val in expected.items():
+                assert abs(R.entry(a, b) - val) <= 1e-13 * abs(val), (starred, a, b)
+        assert len(R.entries) == 3 + 4 * 3
 
 
 def test_trigonometric_limit_of_entries():

@@ -1,6 +1,7 @@
 import cmath
 import math
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,15 @@ def test_triangularity_all_shapes(mp, rng):
                 assert triangularity_violations(lam, z, pd, mp) < 1e-10
 
 
+def test_triangularity_violations_keep_a_nan(mp, rng, monkeypatch):
+    # max(0.0, nan) is 0.0: a fold by max would report no violation.
+    monkeypatch.setattr("ellqg.weightfn.specialize",
+                        lambda *a: SimpleNamespace(value=complex("nan")))
+    z = random_points(rng, 2, mp.q)
+    assert math.isnan(triangularity_violations(Composition((1, 1)), z,
+                                               random_pdyn(rng, 2), mp))
+
+
 def test_diagonal_matches_closed_product(mp, rng):
     for N in (2, 3):
         for n in range(1, 5):
@@ -207,10 +217,16 @@ def _slots_ref(I, pd, l):
     return out
 
 
-def _term_ref(I, t, z, pd, mp, modified=False):
+def _term_ref(I, t, z, pd, mp, modified=False, memo=None):
     """One u_tilde (with ``modified``, u_mod) term from its docstring formula,
-    on scalar brackets."""
-    br = lambda x: jacobi_bracket(x, mp)
+    on scalar brackets; ``memo`` shares bracket values between terms."""
+    memo = {} if memo is None else memo
+
+    def br(x):
+        if x not in memo:
+            memo[x] = jacobi_bracket(x, mp)
+        return memo[x]
+
     lq = 2 * math.log(mp.q)
     vs = [[cmath.log(x) / lq for x in lvl] for lvl in (*t.levels, z.z)]
     total = 1.0 + 0.0j
@@ -233,10 +249,12 @@ def _term_ref(I, t, z, pd, mp, modified=False):
 
 
 def _brute_force_sum(I, t, z, pd, mp, modified=False):
-    """Plain sum of the reference term over every product of block permutations of t."""
+    """Plain sum of the reference term over every product of block permutations
+    of t; the terms share one bracket memo, since they permute the same values."""
     lam = I.shape()
     blocks = [permutations(range(lam.prefix(l))) for l in range(1, lam.N)]
-    return sum((_term_ref(I, t.permuted(perms), z, pd, mp, modified)
+    memo: dict = {}
+    return sum((_term_ref(I, t.permuted(perms), z, pd, mp, modified, memo)
                 for perms in product(*blocks)), 0.0 + 0.0j)
 
 
