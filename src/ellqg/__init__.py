@@ -18,7 +18,7 @@ from .rmat import (DynRMatrix, check_dybe, check_inversion, embedded_rbar, r_plu
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, leq, weight_of)
 from .weightfn import (TVariables, WeightFunctionEval, diagonal_value,
-                       modified_w, specialize, stab_matrix,
+                       modified_w, specialize, specialize_labels, stab_matrix,
                        stable_envelope_restriction, transition_check, u_tilde,
                        w_tilde)
 

@@ -219,10 +219,12 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
             records.append({"lambda": list(lam.sizes), "I": I.to_json(),
                             "value_re": val.real, "value_im": val.imag})
     elif args.action in ("triangularity", "stab"):
-        for I in parts:
+        cols = {J: weightfn.specialize_labels(parts, J, z, pd, mp)  # one batch per J
+                for J in parts} if args.action == "triangularity" else None
+        for k, I in enumerate(parts):
             for J in parts:
                 val = (weightfn.stable_envelope_restriction(I, J, z, pd, mp)
-                       if args.action == "stab" else weightfn.specialize(I, J, z, pd, mp).value)
+                       if args.action == "stab" else cols[J][k].value)
                 records.append({"lambda": list(lam.sizes), "I": I.to_json(),
                                 "J": J.to_json(), "value_re": val.real,
                                 "value_im": val.imag})

@@ -28,7 +28,7 @@ from .errors import FloatRangeError, ParameterError, PoleError, ShapeError
 from .rmat import embedded_rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions)
-from .weightfn import specialize
+from .weightfn import specialize_labels
 
 PRUNE_TOL = 1e-14
 
@@ -190,10 +190,10 @@ def gt_vector(I: PartitionIndex, z: EvaluationPoints, Pdyn: DynamicalParams,
     shifted = Pdyn.shifted_by_colors(I.colors(), sign=1)
     state = TensorState(N=lam.N)
     zero = (0,) * (lam.N - 1)
-    for J in enumerate_partitions(lam):
-        val = specialize(J, I, zinv, shifted, mp).value
-        if abs(val) >= PRUNE_TOL:
-            state.add(J.colors(), val, zero)
+    labels = enumerate_partitions(lam)
+    for J, res in zip(labels, specialize_labels(labels, I, zinv, shifted, mp)):
+        if abs(res.value) >= PRUNE_TOL:
+            state.add(J.colors(), res.value, zero)
     return state
 
 

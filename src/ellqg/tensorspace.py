@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .errors import ParameterError, ResourceCapError, ShapeError
@@ -121,10 +122,15 @@ def leq(I: PartitionIndex, J: PartitionIndex) -> bool:
     return True
 
 
-def enumerate_partitions(lam: Composition) -> list[PartitionIndex]:
+def enumerate_partitions(lam: Composition) -> tuple[PartitionIndex, ...]:
     """All partitions of shape lambda, ordered lexicographically by color string."""
     if lam.n > ENUMERATION_CAP:
         raise ResourceCapError(f"enumeration cap exceeded: n={lam.n} > {ENUMERATION_CAP}")
+    return _partitions(lam)
+
+
+@lru_cache(maxsize=16)  # gt_vector enumerates its shape once per label
+def _partitions(lam: Composition) -> tuple[PartitionIndex, ...]:
     out: list[PartitionIndex] = []
     remaining = list(lam.sizes)
     mu: list[int] = []
@@ -142,7 +148,7 @@ def enumerate_partitions(lam: Composition) -> list[PartitionIndex]:
                 remaining[c - 1] += 1
 
     rec()
-    return out
+    return tuple(out)
 
 
 def color_weight(c: int, N: int) -> tuple[int, ...]:

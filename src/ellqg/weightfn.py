@@ -16,8 +16,9 @@ variables are in the orders p and p' is gathered from tables of brackets
 with index arrays cached per slot pattern, and the sum is
 F_1 @ ... @ F_{N-1}[:, id] summed; ``u_tilde``/``u_mod`` are the identity
 entries.  The bracket arguments are only the O(n^2) values
-v_x - v_y + c, c in {0, +-1, A}, so each call evaluates its tables in one
-``jacobi_brackets`` pass.  A column of F_l whose every term already has an
+v_x - v_y + c, c in {0, +-1, A}, so one ``jacobi_brackets`` pass evaluates
+the tables of a call, or of every label ``specialize_labels`` takes at one
+point t = z_at.  A column of F_l whose every term already has an
 exactly-zero factor (as at t = z_J) is skipped and its terms count as
 pruned, unless a denominator of levels 1..N-2 meets the pole test
 ``ellfn.pole_tol`` (the level-(N-1) factor is always evaluated whole): then
@@ -29,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .ellfn import (ModularParams, jacobi_bracket, jacobi_brackets, pole_tol,
                     require_finite, require_normal)
-from .errors import ParameterError, PoleError, ShapeError
+from .errors import EllqgError, ParameterError, PoleError, ShapeError
 from .rmat import rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, eps_pairing, leq)
@@ -180,7 +181,7 @@ def _gather(modified: bool, pattern: tuple, Y: int, top: bool) -> _Gather:
     return out
 
 
-# Holds every label of a shape: gt_vector specializes each label once per I,
+# Holds every label of a shape: gt_vector specializes all of them at each I,
 # in the same order, so a smaller cache evicts each plan before its reuse
 # ((3,3,2) has 560 labels).
 @lru_cache(maxsize=4096)
@@ -244,22 +245,35 @@ def _plan(I: PartitionIndex, modified: bool) -> _Plan:
     return plan
 
 
-def _level_factors(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
-                   Pdyn: DynamicalParams, mp: ModularParams,
-                   modified: bool = False) -> list[_Level]:
-    """The factor tables of every level of the u_tilde (with ``modified``,
-    u_mod) terms, from one ``jacobi_brackets`` call (layout in ``_plan``).
-
-    [A] divides every term and is checked here.  Bracket 0 is [1], the
-    scale of the pole test.
-    """
-    t.check_shape(I.shape())
-    plan = _plan(I, modified)
+def _brackets(plans: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
+              mp: ModularParams) -> list[np.ndarray]:
+    """Each plan's brackets [v_i - v_j + const_c] (layout in ``_plan``) at t, from one
+    ``jacobi_brackets`` call: in plan order for one plan, each distinct argument once
+    for several.  A constant is keyed by its formula, so equal keys are the same
+    operations on the same values and each bracket is bitwise that of a lone plan's."""
     v = np.array([x for level in _vees(t, z, mp) for x in level] + [0.0], dtype=complex)
+    ids = {0: 0, 1: 1, 2: 2}  # constant keys: 0, 1, -1 by place, a slot's A by (l, color, C)
+    cids = [np.array([0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
+                                  for l, _, color, C in plan.slots]) for plan in plans]
     const = np.array([0.0, 1.0, -1.0] + [Pdyn.value(color, l + 1) - C
-                                         for l, _, color, C in plan.slots], dtype=complex)
-    i, j, c = plan.args
-    br = np.append(jacobi_brackets(v[i] - v[j] + const[c], mp), 1.0)
+                                         for l, color, C in list(ids)[3:]], dtype=complex)
+    if len(plans) == 1:
+        i, j, c = plans[0].args
+        return [jacobi_brackets(v[i] - v[j] + const[cids[0][c]], mp)]
+    i, j, _ = np.concatenate([plan.args for plan in plans], axis=1)
+    c = np.concatenate([cid[plan.args[2]] for cid, plan in zip(cids, plans)])
+    keys = (i * v.size + j) * len(ids) + c
+    rank = (np.cumsum(np.bincount(keys) > 0) - 1)[keys]  # place among the distinct keys
+    args = np.empty(rank.max() + 1, dtype=complex)
+    args[rank] = v[i] - v[j] + const[c]  # equal keys, bitwise equal values
+    br = jacobi_brackets(args, mp)[rank]
+    return np.split(br, np.cumsum([plan.args.shape[1] for plan in plans[:-1]]))
+
+
+def _tables(plan: _Plan, brackets: np.ndarray, modified: bool) -> list[_Level]:
+    """The factor tables of every level of a plan's terms, from its brackets; [A]
+    divides every term and is checked here, against [1] (bracket 0)."""
+    br = np.append(brackets, 1.0)
     small = np.abs(br) < pole_tol(br[0])
     small[-1] = False  # the exact 1
     hit = np.flatnonzero(small[1:1 + len(plan.slots)])
@@ -271,6 +285,15 @@ def _level_factors(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     values = n1 * n2 / np.where(bad, 1.0, d1 * d2)
     return [_Level(l, modified, pattern, Y, values[lo:hi], bad[lo:hi], bool(bad[lo:hi].any()))
             for l, (pattern, Y, lo, hi) in enumerate(plan.levels, 1)]
+
+
+def _level_factors(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
+                   Pdyn: DynamicalParams, mp: ModularParams,
+                   modified: bool = False) -> list[_Level]:
+    """The factor tables of I's u_tilde (with ``modified``, u_mod) terms at t."""
+    t.check_shape(I.shape())
+    plan = _plan(I, modified)
+    return _tables(plan, _brackets([plan], t, z, Pdyn, mp)[0], modified)
 
 
 def _factor(lv: _Level, top: bool, cols=slice(None)):
@@ -326,10 +349,8 @@ def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     return _identity_term(_level_factors(I, t, z, Pdyn, mp))
 
 
-def _sym_sum(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
-             Pdyn: DynamicalParams, mp: ModularParams, modified: bool = False,
-             on_pole=None) -> WeightFunctionEval:
-    """Plain sum of the u_tilde (u_mod) terms over block permutations.
+def _sym_sum(levels: list[_Level], on_pole=None) -> WeightFunctionEval:
+    """Plain sum of the u_tilde (u_mod) terms of ``levels`` over block permutations.
 
     The sum is a chain of per-level matrices F_l[p, p'] (orders p of level l,
     p' of level l+1): vec = F_{N-1}[:, id], then vec = F_l @ vec for
@@ -341,8 +362,7 @@ def _sym_sum(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     through it is taken as ``on_pole(perms)`` and counted as skipped.  A sum
     beyond the float range raises FloatRangeError.
     """
-    levels = _level_factors(I, t, z, Pdyn, mp, modified)
-    prune = not modified and not any(lv.poles for lv in levels[:-1])
+    prune = not any(lv.modified for lv in levels) and not any(lv.poles for lv in levels[:-1])
     vec = nz = np.ones(1)  # over the orders of the level above: z has one
     gathers, marks = [], []
     for lv in reversed(levels):
@@ -381,36 +401,49 @@ def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     Summed by ``_sym_sum``, exactly-zero branches pruned (module docstring);
     a vanishing denominator raises PoleError.
     """
-    return _sym_sum(I, t, z, Pdyn, mp)
+    return _sym_sum(_level_factors(I, t, z, Pdyn, mp))
 
 
-def specialize(I: PartitionIndex, at: PartitionIndex, z: EvaluationPoints,
-               Pdyn: DynamicalParams, mp: ModularParams) -> WeightFunctionEval:
-    """w_tilde of label I evaluated at the specialization t = z_at.
+def specialize_labels(labels, at: PartitionIndex, z: EvaluationPoints,
+                      Pdyn: DynamicalParams, mp: ModularParams) -> list[WeightFunctionEval]:
+    """w_tilde of each label I at the specialization t = z_at, zero unless at <= I.
 
-    Zero unless at <= I in the partial order.  Terms with an exactly-zero
-    factor are pruned as in ``_sym_sum``; every term through a table entry
-    with a vanishing denominator is evaluated by the limit rule instead:
-    the specialization point is moved to z_at * (1 + eps) for eps in
-    {1e-5, 1e-6} and Richardson extrapolated; a summand that keeps growing
-    under refinement is a genuine pole and raises.
+    The labels share one bracket call (``_brackets``); if it raises, each
+    label is evaluated on its own, in order, so the first label's error is
+    raised.  Exactly-zero terms are pruned as in ``_sym_sum``; a term through
+    a vanishing denominator goes to the limit rule: t is moved to
+    z_at * (1 + eps), eps in {1e-5, 1e-6}, and Richardson extrapolated; a
+    summand that keeps growing under refinement is a genuine pole and raises.
     """
-    if I.shape() != at.shape():
+    if any(I.shape() != at.shape() for I in labels):
         raise ShapeError("specialization point and label must share a shape")
     z.require_distinct()
     t = TVariables.specialization(at, z)
 
-    def limit(perms):
+    def limit(I, perms):
         tp = t.permuted(perms)
         eps1, eps2 = 1e-5, 1e-6
         v1 = u_tilde(I, tp.scaled(1.0 + eps1), z, Pdyn, mp)
         v2 = u_tilde(I, tp.scaled(1.0 + eps2), z, Pdyn, mp)
         if abs(v2) > 4.0 * abs(v1) + 1e-9:
-            raise PoleError(
-                "genuine pole at specialization: summand diverges under refinement")
+            raise PoleError("genuine pole at specialization: summand diverges under refinement")
         return (eps1 * v2 - eps2 * v1) / (eps1 - eps2)
 
-    return _sym_sum(I, t, z, Pdyn, mp, on_pole=limit)
+    plans = [_plan(I, False) for I in labels]
+    try:
+        shared = _brackets(plans, t, z, Pdyn, mp) if plans else []
+    except EllqgError:
+        if len(labels) == 1:
+            raise
+        return [specialize(I, at, z, Pdyn, mp) for I in labels]
+    return [_sym_sum(_tables(plan, br, False), on_pole=partial(limit, I))
+            for I, plan, br in zip(labels, plans, shared)]
+
+
+def specialize(I: PartitionIndex, at: PartitionIndex, z: EvaluationPoints,
+               Pdyn: DynamicalParams, mp: ModularParams) -> WeightFunctionEval:
+    """w_tilde of label I at the specialization t = z_at (``specialize_labels``)."""
+    return specialize_labels([I], at, z, Pdyn, mp)[0]
 
 
 def diagonal_value(I: PartitionIndex, z: EvaluationPoints, mp: ModularParams) -> complex:
@@ -519,7 +552,7 @@ def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         e = require_normal(e_lambda(lam, t, z, mp), "E factor")
         return require_finite(h_lambda(lam, t, z, mp) * wt / e, "modified weight function")
     if route == "sym":
-        return _sym_sum(I, t, z, Pdyn, mp, modified=True).value
+        return _sym_sum(_level_factors(I, t, z, Pdyn, mp, modified=True)).value
     raise ParameterError(f"unknown route {route!r}")
 
 
@@ -572,8 +605,7 @@ def triangularity_violations(lam: Composition, z: EvaluationPoints,
     """Max |w_tilde_I(z_at)| over pairs with NOT at <= I (should be ~0)."""
     parts = enumerate_partitions(lam)
     worst = 0.0
-    for I in parts:
-        for at in parts:
-            if not leq(at, I):
-                worst = np.maximum(worst, abs(specialize(I, at, z, Pdyn, mp).value))
+    for at in parts:
+        for res in specialize_labels([I for I in parts if not leq(at, I)], at, z, Pdyn, mp):
+            worst = np.maximum(worst, abs(res.value))
     return float(worst)

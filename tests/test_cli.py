@@ -243,6 +243,24 @@ def test_cli_entry_point_subprocess():
     assert report["all_pass"]
 
 
+def test_gt_basis_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # Each process hashes str keys with its own seed; nothing in a report may
+    # follow the order of a set or of a dict built in hash order.
+    cfg = write_config(tmp_path, {**MINIMAL, "N": 3, "n": 4, "lambda": [2, 1, 1],
+                                  "P": [[1.2, 0.3], [0.9, -0.2]],
+                                  "z": [[0.5, 0.1], [-0.3, 0.6], [0.2, -0.8], [0.7, 0.4]]})
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-m", "ellqg.cli", "--config", cfg, "gt", "basis"],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["records"]
+
+
 def test_shipped_default_config_matches_builtin():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     shipped = os.path.join(here, "configs", "default.json")

@@ -262,6 +262,29 @@ def test_gamma_against_mpmath_double_product():
             assert abs(ell_gamma(x, p, s) - oracle) <= 1e-12 * abs(oracle), (x, p, s)
 
 
+def _mp_gamma(x, p, s):
+    """Gamma(x; p, s) = (ps/x; p, s)_inf / (x; p, s)_inf in mpmath."""
+    return _mp_double_qpoch(p * s / x, p, s) / _mp_double_qpoch(x, p, s)
+
+
+@pytest.mark.parametrize("q, r", [(0.5, 3.1), (0.6, 2.5)])
+@pytest.mark.parametrize("N", [2, 3])
+def test_rho_plus_and_mu_scalar_against_mpmath(q, r, N):
+    mp = ModularParams(q=q, r=r)
+    for z in (0.9, 0.6 * cmath.exp(0.8j), 1.3 * cmath.exp(-2.1j)):
+        with mpmath.workdps(40):
+            mq, mr, mz = mpmath.mpf(q), mpmath.mpf(r), mpmath.mpc(z)
+            p, s, frac = mq ** (2 * mr), mq ** (2 * N), mpmath.mpf(N - 1) / N
+            g = lambda x: _mp_gamma(x, p, s)
+            rho = (mq ** -frac * mpmath.exp(frac / mr * mpmath.log(mz))
+                   * g(mz) * g(s * mz) / (g(mq ** 2 * mz) * g(mq ** (2 * N - 2) * mz)))
+            mu = (mpmath.exp(-(mr - 1) / mr * frac * mpmath.log(mz))
+                  * g(p * mz) * g(s * mz) / (g(mq ** 2 * mz) * g(p * mq ** (2 * N - 2) * mz)))
+            rho, mu = complex(rho), complex(mu)
+        assert abs(rho_plus(z, N, mp) - rho) <= 1e-12 * abs(rho), (q, r, N, z)
+        assert abs(mu_scalar(z, N, mp) - mu) <= 1e-12 * abs(mu), (q, r, N, z)
+
+
 def test_gamma_batch_matches_scalar_calls():
     for p, s in ORACLE_NOMES:
         batch = ell_gamma(ORACLE_ARGS, p, s)

@@ -8,13 +8,14 @@ import pytest
 
 from conftest import random_pdyn, random_points, random_t, shape_of
 from ellqg.ellfn import ModularParams, jacobi_bracket
-from ellqg.errors import FloatRangeError, ParameterError, PoleError
+from ellqg import weightfn
+from ellqg.errors import EllqgError, FloatRangeError, ParameterError, PoleError
 from ellqg.suites import _compositions as all_compositions
 from ellqg.suites import _wf_cases
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                                PartitionIndex, enumerate_partitions, leq)
 from ellqg.weightfn import (TVariables, diagonal_value, e_lambda,
-                            modified_w, specialize, stab_matrix,
+                            modified_w, specialize, specialize_labels, stab_matrix,
                             stable_envelope_restriction, transition_check,
                             triangularity_violations, u_mod, u_tilde, w_tilde)
 
@@ -147,8 +148,8 @@ def test_triangularity_all_shapes(mp, rng):
 
 def test_triangularity_violations_keep_a_nan(mp, rng, monkeypatch):
     # max(0.0, nan) is 0.0: a fold by max would report no violation.
-    monkeypatch.setattr("ellqg.weightfn.specialize",
-                        lambda *a: SimpleNamespace(value=complex("nan")))
+    monkeypatch.setattr("ellqg.weightfn.specialize_labels",
+                        lambda labels, *a: [SimpleNamespace(value=complex("nan"))] * len(labels))
     z = random_points(rng, 2, mp.q)
     assert math.isnan(triangularity_violations(Composition((1, 1)), z,
                                                random_pdyn(rng, 2), mp))
@@ -292,6 +293,78 @@ def test_modified_sum_equals_brute_force_sum(mp, rng):
             ref = _brute_force_sum(I, t, z, pd, mp, modified=True)
             val = modified_w(I, t, z, pd, mp, route="sym")
             assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
+
+
+def _outcome(f):
+    """``f()``, or the type and text of the library error it raises."""
+    try:
+        return f()
+    except EllqgError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_batch_is_single_calls(parts, at, z, pd, mp):
+    """specialize_labels equals one specialize per label, or raises the first
+    label's error; returns whether it raised."""
+    singles = [_outcome(lambda: specialize(I, at, z, pd, mp)) for I in parts]
+    got = _outcome(lambda: specialize_labels(parts, at, z, pd, mp))
+    errors = [s for s in singles if isinstance(s, tuple)]
+    assert got == (errors[0] if errors else singles), (parts, at)
+    return bool(errors)
+
+
+def _resonant_points(rng, n, q):
+    """Generic points, then z_n = q^(+-2) z_1."""
+    z = random_points(rng, n, q)
+    yield z
+    for sign in ((1, -1) if n > 1 else ()):
+        zs = list(z.z)
+        zs[-1] = q ** (2 * sign) * zs[0]
+        yield EvaluationPoints(tuple(zs), q)
+
+
+def test_batch_equals_single_label_calls(mp, rng):
+    raised = 0
+    for N, lam in _wf_cases():
+        pd = random_pdyn(rng, N)
+        parts = enumerate_partitions(lam)
+        for z in _resonant_points(rng, lam.n, mp.q):
+            for at in parts:
+                raised += _assert_batch_is_single_calls(parts, at, z, pd, mp)
+    assert raised > 0  # the resonant points reach the first-error rule
+
+
+def _first_kernel_call(monkeypatch, labels, *point):
+    """The arguments of the first bracket call of ``specialize_labels(labels, *point)``."""
+    kernel, calls = weightfn.jacobi_brackets, []
+    monkeypatch.setattr(weightfn, "jacobi_brackets",
+                        lambda u, mp, starred=False: calls.append(u) or kernel(u, mp, starred))
+    _outcome(lambda: specialize_labels(labels, *point))
+    monkeypatch.setattr(weightfn, "jacobi_brackets", kernel)
+    return calls[0]
+
+
+def test_failed_shared_call_raises_the_first_labels_error(mp, rng, monkeypatch):
+    # The kernel fails on one argument that label 5 brings; at a resonant
+    # point earlier labels may fail first, on their own.
+    lam = Composition((1, 1, 2))
+    parts = enumerate_partitions(lam)
+    pd = random_pdyn(rng, 3)
+    kernel = weightfn.jacobi_brackets
+    for z in _resonant_points(rng, lam.n, mp.q):
+        for at in parts:
+            point = (at, z, pd, mp)
+            bad = np.setdiff1d(_first_kernel_call(monkeypatch, parts[5:6], *point),
+                               _first_kernel_call(monkeypatch, parts[:5], *point))[0]
+
+            def failing(u, mp, starred=False):
+                if np.isin(bad, u):
+                    raise FloatRangeError(f"[{bad:.6g}] overflows")
+                return kernel(u, mp, starred)
+
+            monkeypatch.setattr(weightfn, "jacobi_brackets", failing)
+            assert _assert_batch_is_single_calls(parts, *point)
+            monkeypatch.setattr(weightfn, "jacobi_brackets", kernel)
 
 
 def test_resonant_denominator_is_not_pruned_away():
