@@ -12,10 +12,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations, pairwise, product
+from itertools import combinations, count, pairwise, product
 
-from .ellfn import ModularParams, ell_gamma, qpoch
-from .errors import ParameterError, ResourceCapError, ShapeError
+from .ellfn import _POLE_TOL, ModularParams, ell_gamma, qpoch
+from .errors import ParameterError, PoleError, ResourceCapError, ShapeError
 from .tensorspace import Composition, DynamicalParams, EvaluationPoints, PartitionIndex
 from .weightfn import TVariables, w_tilde
 
@@ -118,21 +118,33 @@ def phi_kernel(t: TVariables, z: EvaluationPoints, mp: ModularParams,
 
 
 def phi_trig(t: TVariables, z: EvaluationPoints, mp: ModularParams) -> complex:
-    """Trigonometric (Q -> 0) kernel built from single q-Pochhammers."""
+    """Trigonometric (Q -> 0) kernel built from single q-Pochhammers.
+
+    A divisor (x; p)_inf with a vanishing factor, |1 - x p^m| < 1e-12 as in
+    ``ell_gamma``, raises PoleError naming the pair of variables in x.
+    """
     p, ps = mp.p, mp.pstar
     qp = lambda x: qpoch(x, p, **mp.truncation)
-    levels = _level_arrays(t, z)
+
+    def divisor(x: complex, what: str) -> complex:
+        w = complex(x)
+        for m in count():  # a factor 1 - w with |w| <= 1/2 cannot vanish
+            if abs(w) <= 0.5:
+                return qp(x)
+            if abs(1.0 - w) < _POLE_TOL:
+                raise PoleError(f"trigonometric kernel pole: factor (m={m}) of "
+                                f"({what}; p)_inf vanishes")
+            w *= p
+
+    name = lambda l, a: f"t^({l + 1})_{a + 1}" if l < len(t.levels) else f"z_{a + 1}"
     total = 1.0 + 0.0j
-    for l in range(len(levels) - 1):
-        cur, nxt = levels[l], levels[l + 1]
-        for ta in cur:
-            for tb in nxt:
-                total *= qp(ps * ta / tb) / qp(ta / tb)
-        for a in range(len(cur)):
-            for b in range(a + 1, len(cur)):
-                ta, tb = cur[a], cur[b]
-                total *= (qp(ta / tb) * qp(tb / ta)
-                          / (qp(ps * ta / tb) * qp(ps * tb / ta)))
+    for l, (cur, nxt) in enumerate(pairwise(_level_arrays(t, z))):
+        for (a, ta), (b, tb) in product(enumerate(cur), enumerate(nxt)):
+            total *= qp(ps * ta / tb) / divisor(ta / tb, f"{name(l, a)}/{name(l + 1, b)}")
+        for (a, ta), (b, tb) in combinations(enumerate(cur), 2):
+            total *= (qp(ta / tb) * qp(tb / ta)
+                      / (divisor(ps * ta / tb, f"p* {name(l, a)}/{name(l, b)}")
+                         * divisor(ps * tb / ta, f"p* {name(l, b)}/{name(l, a)}")))
     return total
 
 

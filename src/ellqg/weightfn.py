@@ -22,7 +22,10 @@ point t = z_at.  A column of F_l whose every term already has an
 exactly-zero factor (as at t = z_J) is skipped and its terms count as
 pruned, unless a denominator of levels 1..N-2 meets the pole test
 ``ellfn.pole_tol`` (the level-(N-1) factor is always evaluated whole): then
-every entry is evaluated and meets its pole test.
+every entry is evaluated and meets its pole test.  A term through a vanishing
+denominator raises PoleError, at a specialization t = z_at as anywhere else:
+at resonant points z_j = q^(+-2) z_i a specialization with a finite limit in
+z raises rather than returning a value.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -66,9 +69,6 @@ class TVariables:
         return cls(tuple(tuple(z.z[site - 1] for site in at.union(l))
                          for l in range(1, at.N)))
 
-    def scaled(self, factor: complex) -> "TVariables":
-        return TVariables(tuple(tuple(factor * x for x in lvl) for lvl in self.levels))
-
     def permuted(self, perms) -> "TVariables":
         return TVariables(tuple(tuple(lvl[i] for i in perm)
                                 for lvl, perm in zip(self.levels, perms)))
@@ -88,7 +88,7 @@ class WeightFunctionEval:
 
     value: complex
     terms_evaluated: int
-    skipped_singular: int = 0
+    skipped_singular: int = 0  # always 0: a vanishing denominator raises; bench/tracer.py reads it
     terms_pruned: int = 0  # of terms_evaluated: cut at an exactly-zero factor
 
 
@@ -287,13 +287,21 @@ def _tables(plan: _Plan, brackets: np.ndarray, modified: bool) -> list[_Level]:
             for l, (pattern, Y, lo, hi) in enumerate(plan.levels, 1)]
 
 
-def _level_factors(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
-                   Pdyn: DynamicalParams, mp: ModularParams,
-                   modified: bool = False) -> list[_Level]:
-    """The factor tables of I's u_tilde (with ``modified``, u_mod) terms at t."""
-    t.check_shape(I.shape())
-    plan = _plan(I, modified)
-    return _tables(plan, _brackets([plan], t, z, Pdyn, mp)[0], modified)
+def _level_factors(labels, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
+                   mp: ModularParams, modified: bool = False):
+    """The factor tables of each label's u_tilde (with ``modified``, u_mod) terms
+    at t, label by label, from one bracket call (``_brackets``); if it raises,
+    each label makes its own call, so the first label's error is raised."""
+    for I in labels:
+        t.check_shape(I.shape())
+    plans = [_plan(I, modified) for I in labels]
+    try:
+        shared = _brackets(plans, t, z, Pdyn, mp) if plans else []
+    except EllqgError:
+        if len(plans) == 1:
+            raise
+        shared = (_brackets([plan], t, z, Pdyn, mp)[0] for plan in plans)
+    return (_tables(plan, br, modified) for plan, br in zip(plans, shared))
 
 
 def _factor(lv: _Level, top: bool, cols=slice(None)):
@@ -346,10 +354,10 @@ def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         * prod_{b' : i^(l+1)_{b'} > s}  [v'_{b'} - v_a] / [v'_{b'} - v_a + 1]
         * prod_{a' > a}                 [v_a - v_{a'} - 1] / [v_a - v_{a'}]
     """
-    return _identity_term(_level_factors(I, t, z, Pdyn, mp))
+    return _identity_term(next(_level_factors([I], t, z, Pdyn, mp)))
 
 
-def _sym_sum(levels: list[_Level], on_pole=None) -> WeightFunctionEval:
+def _sym_sum(levels: list[_Level]) -> WeightFunctionEval:
     """Plain sum of the u_tilde (u_mod) terms of ``levels`` over block permutations.
 
     The sum is a chain of per-level matrices F_l[p, p'] (orders p of level l,
@@ -358,9 +366,8 @@ def _sym_sum(levels: list[_Level], on_pole=None) -> WeightFunctionEval:
     denominators at levels 1..N-2 (and not ``modified``), a column whose every
     term has an exactly-zero factor is not gathered, and those terms count as
     pruned.  An entry with a vanishing denominator raises the PoleError the
-    depth-first order of terms meets first or, with ``on_pole``, each term
-    through it is taken as ``on_pole(perms)`` and counted as skipped.  A sum
-    beyond the float range raises FloatRangeError.
+    depth-first order of terms meets first.  A sum beyond the float range
+    raises FloatRangeError.
     """
     prune = not any(lv.modified for lv in levels) and not any(lv.poles for lv in levels[:-1])
     vec = nz = np.ones(1)  # over the orders of the level above: z has one
@@ -368,30 +375,22 @@ def _sym_sum(levels: list[_Level], on_pole=None) -> WeightFunctionEval:
     for lv in reversed(levels):
         cols = np.flatnonzero(nz) if prune else slice(None)
         g, F, mk = _factor(lv, lv is levels[-1], cols)
-        if mk is not None:
-            F[mk] = 0.0
         vec = F @ vec[cols]
         if prune:
             nz = (F != 0) @ nz[cols]
         gathers.insert(0, g)
         marks.insert(0, mk)
     sizes = [len(g.orders) for g in gathers]
-    value, skipped = complex(vec.sum()), 0
     if any(m is not None for m in marks):
         for idx in product(*map(range, reversed(sizes))):  # the walk's order: top level slowest
             path = idx[::-1] + (0,)
             hit = [i for i, m in enumerate(marks) if m is not None and m[path[i], path[i + 1]]]
-            if not hit:
-                continue
-            if on_pole is None:  # the walk meets the highest marked level of this term first
+            if hit:  # the walk meets the highest marked level of this term first
                 i = hit[-1]
                 raise PoleError(_pole_message(levels[i], gathers[i], path[i], path[i + 1]))
-            value += on_pole(tuple(tuple(g.orders[i]) for g, i in zip(gathers, path)))
-            skipped += 1
     total = math.prod(sizes)
-    pruned = total - skipped - int(nz.sum()) if prune else 0
-    return WeightFunctionEval(require_finite(value, "weight-function sum"), total - skipped,
-                              skipped_singular=skipped, terms_pruned=pruned)
+    return WeightFunctionEval(require_finite(complex(vec.sum()), "weight-function sum"), total,
+                              terms_pruned=total - int(nz.sum()) if prune else 0)
 
 
 def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -401,43 +400,23 @@ def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     Summed by ``_sym_sum``, exactly-zero branches pruned (module docstring);
     a vanishing denominator raises PoleError.
     """
-    return _sym_sum(_level_factors(I, t, z, Pdyn, mp))
+    return _sym_sum(next(_level_factors([I], t, z, Pdyn, mp)))
 
 
 def specialize_labels(labels, at: PartitionIndex, z: EvaluationPoints,
                       Pdyn: DynamicalParams, mp: ModularParams) -> list[WeightFunctionEval]:
     """w_tilde of each label I at the specialization t = z_at, zero unless at <= I.
 
-    The labels share one bracket call (``_brackets``); if it raises, each
-    label is evaluated on its own, in order, so the first label's error is
-    raised.  Exactly-zero terms are pruned as in ``_sym_sum``; a term through
-    a vanishing denominator goes to the limit rule: t is moved to
-    z_at * (1 + eps), eps in {1e-5, 1e-6}, and Richardson extrapolated; a
-    summand that keeps growing under refinement is a genuine pole and raises.
+    The labels share one bracket call; if it raises, the first label's error
+    is raised.  Each value is w_tilde's at t = z_at, by the same code: a term
+    through a vanishing denominator (at resonant points z_j = q^(+-2) z_i)
+    raises PoleError naming the bracket, even where the limit in z is finite.
     """
     if any(I.shape() != at.shape() for I in labels):
         raise ShapeError("specialization point and label must share a shape")
     z.require_distinct()
     t = TVariables.specialization(at, z)
-
-    def limit(I, perms):
-        tp = t.permuted(perms)
-        eps1, eps2 = 1e-5, 1e-6
-        v1 = u_tilde(I, tp.scaled(1.0 + eps1), z, Pdyn, mp)
-        v2 = u_tilde(I, tp.scaled(1.0 + eps2), z, Pdyn, mp)
-        if abs(v2) > 4.0 * abs(v1) + 1e-9:
-            raise PoleError("genuine pole at specialization: summand diverges under refinement")
-        return (eps1 * v2 - eps2 * v1) / (eps1 - eps2)
-
-    plans = [_plan(I, False) for I in labels]
-    try:
-        shared = _brackets(plans, t, z, Pdyn, mp) if plans else []
-    except EllqgError:
-        if len(labels) == 1:
-            raise
-        return [specialize(I, at, z, Pdyn, mp) for I in labels]
-    return [_sym_sum(_tables(plan, br, False), on_pole=partial(limit, I))
-            for I, plan, br in zip(labels, plans, shared)]
+    return [_sym_sum(levels) for levels in _level_factors(labels, t, z, Pdyn, mp)]
 
 
 def specialize(I: PartitionIndex, at: PartitionIndex, z: EvaluationPoints,
@@ -532,7 +511,7 @@ def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
 
     divided by prod_{a<b} [v_a - v_b][v_b - v_a - 1].
     """
-    return _identity_term(_level_factors(I, t, z, Pdyn, mp, modified=True))
+    return _identity_term(next(_level_factors([I], t, z, Pdyn, mp, modified=True)))
 
 
 def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -552,7 +531,7 @@ def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         e = require_normal(e_lambda(lam, t, z, mp), "E factor")
         return require_finite(h_lambda(lam, t, z, mp) * wt / e, "modified weight function")
     if route == "sym":
-        return _sym_sum(_level_factors(I, t, z, Pdyn, mp, modified=True)).value
+        return _sym_sum(next(_level_factors([I], t, z, Pdyn, mp, modified=True))).value
     raise ParameterError(f"unknown route {route!r}")
 
 

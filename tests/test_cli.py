@@ -243,6 +243,34 @@ def test_cli_entry_point_subprocess():
     assert report["all_pass"]
 
 
+def _resonant_config(N, sizes):
+    """q=0.5, r=3.1 and z_2 = q^2 z_1: a resonant pair of spectral points."""
+    z1 = 0.6 * cmath.exp(0.3j)
+    z = [z1, 0.25 * z1, 0.8 * cmath.exp(-1j)][:sum(sizes)]
+    return {"q": 0.5, "r": 3.1, "N": N, "n": len(z), "lambda": list(sizes),
+            "P": [[1.2, 0.3], [0.9, -0.2]][:N - 1], "z": [[x.real, x.imag] for x in z]}
+
+
+@pytest.mark.parametrize("config, argv", [
+    (_resonant_config(2, (1, 1)), ["wf", "triangularity"]),
+    (_resonant_config(3, (1, 1, 1)), ["gt", "basis"]),
+    ({**MINIMAL, "N": 3, "n": 3, "lambda": [1, 1, 1], "P": [1.2, 0.9],
+      "z": [[0.5, 0.1], [-0.3, 0.6], [0.2, -0.8]]}, ["qkz", "quad", "--gridsize", "4"]),
+])
+def test_pole_exits_2_with_one_error_line(tmp_path, config, argv):
+    # A resonant specialization and a torus grid point on a kernel divisor
+    # raise PoleError; no traceback escapes.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "ellqg.cli", "--config",
+                           write_config(tmp_path, config), *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr and "vanish" in lines[0]
+
+
 def test_gt_basis_output_does_not_depend_on_the_hash_seed(tmp_path):
     # Each process hashes str keys with its own seed; nothing in a report may
     # follow the order of a set or of a dict built in hash order.

@@ -61,6 +61,24 @@ def test_phi_kernel_q_to_zero_matches_trig(mp_level, rng):
         assert abs(a - b) < 1e-4 * max(1.0, abs(b))
 
 
+def test_phi_trig_vanishing_divisor_raises_pole_error_naming_the_pair(mp_level, rng):
+    # The torus grid puts t^(1) = t^(2)_1, so (t^(1)_1/t^(2)_1; p)_inf is 0;
+    # the elliptic kernel raises on the same factor of Gamma's divisor.
+    z = qkz_points(rng, 3, mp_level.q, mp_level.p)
+    w = cmath.exp(0.4j)
+    with pytest.raises(PoleError, match=r"factor \(m=0\) of \(t\^\(1\)_1/t\^\(2\)_1; p\)"):
+        phi_trig(TVariables(((w,), (w, -w))), z, mp_level)
+    with pytest.raises(PoleError, match="elliptic Gamma pole"):
+        phi_kernel(TVariables(((w,), (w, -w))), z, mp_level, 0.2)
+    with pytest.raises(PoleError, match=r"\(p\* t\^\(2\)_2/t\^\(2\)_1; p\)_inf vanishes"):
+        phi_trig(TVariables(((1j * w,), (w, w / mp_level.pstar))), z, mp_level)
+    pd = random_pdyn(rng, 3)
+    I = PartitionIndex.from_colors((1, 2, 3), 3)
+    spec = IntegrandSpec(I=I, z=z, Pdyn=pd, mp=mp_level, trig=True)
+    with pytest.raises(PoleError, match="trigonometric kernel pole"):
+        torus_quadrature(spec, grid_size=4)
+
+
 def test_phi_trig_single_variable_has_cross_level_block_only(mp_level, rng):
     lam = Composition((1, 1))
     z = qkz_points(rng, 2, mp_level.q, mp_level.p)

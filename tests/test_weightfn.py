@@ -367,24 +367,80 @@ def test_failed_shared_call_raises_the_first_labels_error(mp, rng, monkeypatch):
             monkeypatch.setattr(weightfn, "jacobi_brackets", kernel)
 
 
+def _fixed_resonant_point(n, sign=1):
+    """q=0.5, r=3.1, P=1.2+0.3i (N=2) and z_2 = q^(+-2) z_1, cut to n points."""
+    q = 0.5
+    z1 = 0.6 * cmath.exp(0.3j)
+    z = (z1, q ** (2 * sign) * z1, 0.8 * cmath.exp(-1j))[:n]
+    return (ModularParams(q=q, r=3.1), EvaluationPoints(z, q),
+            DynamicalParams((1.2 + 0.3j,)))
+
+
 def test_resonant_denominator_is_not_pruned_away():
     # z_2 = q^2 z_1 makes [v' - v + 1] vanish in a term whose other factor is
-    # an exact [0]; that term must still go to the limit rule.
-    q = 0.5
-    mp = ModularParams(q=q, r=3.1)
-    z1 = 0.6 * cmath.exp(0.3j)
-    z = EvaluationPoints((z1, q ** 2 * z1, 0.8 * cmath.exp(-1j)), q)
-    pd = DynamicalParams((1.2 + 0.3j,))
-    res = specialize(PartitionIndex.from_colors((1, 1, 2), 2),
-                     PartitionIndex.from_colors((2, 1, 1), 2), z, pd, mp)
-    assert res.skipped_singular == 1
+    # an exact [0]; that term must raise, not be cut as 0.
+    mp, z, pd = _fixed_resonant_point(3)
+    with pytest.raises(PoleError, match=r"\[v\^2_1 - v\^1_1 \+ 1\] vanished"):
+        specialize(PartitionIndex.from_colors((1, 1, 2), 2),
+                   PartitionIndex.from_colors((2, 1, 1), 2), z, pd, mp)
     # At N = 3 the exact [0] sits in the level-2 factor and the vanishing
-    # denominator in a level-1 factor below it: the term goes to the limit
-    # rule, which cannot resolve it and raises, instead of being cut as 0.
+    # denominator in a level-1 factor below it: the term raises instead of
+    # being cut as 0.
     pd3 = DynamicalParams((1.2 + 0.3j, 0.9 - 0.2j))
     with pytest.raises(PoleError):
         specialize(PartitionIndex.from_colors((3, 2, 1), 3),
                    PartitionIndex.from_colors((2, 1, 3), 3), z, pd3, mp)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (1, 2)])
+def test_resonant_triangularity_raises_instead_of_a_wrong_value(sizes):
+    # The limit in z of every entry is 0 here; no nonzero entry may be returned.
+    mp, z, pd = _fixed_resonant_point(sum(sizes))
+    with pytest.raises(PoleError, match="vanished"):
+        triangularity_violations(Composition(sizes), z, pd, mp)
+
+
+def test_specialization_is_w_tilde_at_z_at(mp, rng):
+    # One path: the same value, counts and error as w_tilde at t = z_at.
+    raised = 0
+    for N, lam in _wf_cases():
+        pd = random_pdyn(rng, N)
+        parts = enumerate_partitions(lam)
+        for z in _resonant_points(rng, lam.n, mp.q):
+            for at, I in product(parts, parts):
+                got = _outcome(lambda: specialize(I, at, z, pd, mp))
+                t = TVariables.specialization(at, z)
+                assert got == _outcome(lambda: w_tilde(I, t, z, pd, mp)), (lam, I, at)
+                raised += isinstance(got, tuple)
+    assert raised > 0
+
+
+def _z_limit(I, at, z, pd, mp, phi):
+    """specialize at z_k (1 + h e^(i(phi + 1.3 k^2))) for h = 1e-6 and 1e-7,
+    extrapolated linearly to h = 0."""
+    def at_h(h):
+        zh = tuple(x * (1 + h * cmath.exp(1j * (phi + 1.3 * k * k)))
+                   for k, x in enumerate(z.z, 1))
+        return specialize(I, at, EvaluationPoints(zh, mp.q), pd, mp).value
+    h1, h2 = 1e-6, 1e-7
+    return (h1 * at_h(h2) - h2 * at_h(h1)) / (h1 - h2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_resonant_specialization_never_returns_a_wrong_number(sign):
+    # N=2, lambda=(2,1) at z_2 = q^(+-2) z_1: a returned value is the limit in z.
+    mp, z, pd = _fixed_resonant_point(3, sign)
+    parts = enumerate_partitions(Composition((2, 1)))
+    returned = 0
+    for I, at in product(parts, parts):
+        try:
+            val = specialize(I, at, z, pd, mp).value
+        except PoleError:
+            continue
+        ref = _z_limit(I, at, z, pd, mp, 0.7)
+        assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref)), (I, at, val, ref)
+        returned += 1
+    assert returned > 0
 
 
 def test_transition_property(mp, rng):
