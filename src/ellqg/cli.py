@@ -219,12 +219,14 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
             records.append({"lambda": list(lam.sizes), "I": I.to_json(),
                             "value_re": val.real, "value_im": val.imag})
     elif args.action in ("triangularity", "stab"):
-        cols = {J: weightfn.specialize_labels(parts, J, z, pd, mp)  # one batch per J
-                for J in parts} if args.action == "triangularity" else None
-        for k, I in enumerate(parts):
+        if args.action == "stab":
+            mat = weightfn.stab_matrix(lam, z, pd, mp)
+        else:
+            cols = {J: weightfn.specialize_labels(parts, J, z, pd, mp) for J in parts}
+            mat = {I: {J: cols[J][k].value for J in parts} for k, I in enumerate(parts)}
+        for I in parts:
             for J in parts:
-                val = (weightfn.stable_envelope_restriction(I, J, z, pd, mp)
-                       if args.action == "stab" else cols[J][k].value)
+                val = mat[I][J]
                 records.append({"lambda": list(lam.sizes), "I": I.to_json(),
                                 "J": J.to_json(), "value_re": val.real,
                                 "value_im": val.imag})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, count, pairwise, product
 
 from .ellfn import _POLE_TOL, ModularParams, ell_gamma, qpoch
-from .errors import ParameterError, PoleError, ResourceCapError, ShapeError
+from .errors import EllqgError, ParameterError, PoleError, ResourceCapError, ShapeError
 from .tensorspace import Composition, DynamicalParams, EvaluationPoints, PartitionIndex
 from .weightfn import TVariables, w_tilde
 
@@ -99,6 +99,24 @@ def _level_arrays(t: TVariables, z: EvaluationPoints):
     return list(t.levels) + [z.z]
 
 
+def _var(t: TVariables, l: int, a: int) -> str:
+    """The name of variable a of level l (0-based), z at the top level."""
+    return f"t^({l + 1})_{a + 1}" if l < len(t.levels) else f"z_{a + 1}"
+
+
+def _kernel_names(t: TVariables, z: EvaluationPoints) -> list[str]:
+    """The Gamma arguments of ``phi_kernel``, in its order, by the variables in them."""
+    out = []
+    for l, (cur, nxt) in enumerate(pairwise(_level_arrays(t, z))):
+        for a, b in product(range(len(cur)), range(len(nxt))):
+            x = f"{_var(t, l, a)}/{_var(t, l + 1, b)}"
+            out += [x, f"p* {x}"]
+        for a, b in combinations(range(len(cur)), 2):
+            x, y = f"{_var(t, l, a)}/{_var(t, l, b)}", f"{_var(t, l, b)}/{_var(t, l, a)}"
+            out += [f"p* {x}", x, f"p* {y}", y]
+    return out
+
+
 def phi_kernel(t: TVariables, z: EvaluationPoints, mp: ModularParams,
                Q: float) -> complex:
     """Elliptic hypergeometric kernel with Gamma nome pair (p, Q).
@@ -106,6 +124,8 @@ def phi_kernel(t: TVariables, z: EvaluationPoints, mp: ModularParams,
     Cross-level block: Gamma(t_a/t'_b) / Gamma(p* t_a/t'_b); same-level
     block: Gamma(p* t_a/t_b) Gamma(p* t_b/t_a) / (Gamma(t_a/t_b) Gamma(t_b/t_a)).
     All Gammas of one point are evaluated by one batched ``ell_gamma`` call.
+    A Gamma pole raises PoleError naming the first argument with a pole by
+    its variables, as ``t^(1)_1/t^(2)_1``.
     """
     ps = mp.pstar
     pairs = []                      # (numerator, denominator) Gamma arguments
@@ -113,7 +133,18 @@ def phi_kernel(t: TVariables, z: EvaluationPoints, mp: ModularParams,
         pairs += [(ta / tb, ps * ta / tb) for ta in cur for tb in nxt]
         for ta, tb in combinations(cur, 2):
             pairs += [(ps * ta / tb, ta / tb), (ps * tb / ta, tb / ta)]
-    g = ell_gamma([x for pair in pairs for x in pair], mp.p, Q, **mp.truncation).tolist()
+    args = [x for pair in pairs for x in pair]
+    try:
+        g = ell_gamma(args, mp.p, Q, **mp.truncation).tolist()
+    except PoleError as exc:
+        for x, what in zip(args, _kernel_names(t, z)):
+            try:
+                ell_gamma(x, mp.p, Q, **mp.truncation)
+            except PoleError as single:
+                raise PoleError(f"{single} ({what})") from exc
+            except EllqgError:
+                continue
+        raise
     return math.prod((num / den for num, den in zip(g[::2], g[1::2])), start=1.0 + 0.0j)
 
 
@@ -136,15 +167,14 @@ def phi_trig(t: TVariables, z: EvaluationPoints, mp: ModularParams) -> complex:
                                 f"({what}; p)_inf vanishes")
             w *= p
 
-    name = lambda l, a: f"t^({l + 1})_{a + 1}" if l < len(t.levels) else f"z_{a + 1}"
     total = 1.0 + 0.0j
     for l, (cur, nxt) in enumerate(pairwise(_level_arrays(t, z))):
         for (a, ta), (b, tb) in product(enumerate(cur), enumerate(nxt)):
-            total *= qp(ps * ta / tb) / divisor(ta / tb, f"{name(l, a)}/{name(l + 1, b)}")
+            total *= qp(ps * ta / tb) / divisor(ta / tb, f"{_var(t, l, a)}/{_var(t, l + 1, b)}")
         for (a, ta), (b, tb) in combinations(enumerate(cur), 2):
             total *= (qp(ta / tb) * qp(tb / ta)
-                      / (divisor(ps * ta / tb, f"p* {name(l, a)}/{name(l, b)}")
-                         * divisor(ps * tb / ta, f"p* {name(l, b)}/{name(l, a)}")))
+                      / (divisor(ps * ta / tb, f"p* {_var(t, l, a)}/{_var(t, l, b)}")
+                         * divisor(ps * tb / ta, f"p* {_var(t, l, b)}/{_var(t, l, a)}")))
     return total
 
 

@@ -281,14 +281,13 @@ def check_wf_stab(cfg, rng):
         parts = enumerate_partitions(lam)
         rev = {I: PartitionIndex.from_colors(tuple(reversed(I.colors())), N)
                for I in parts}
+        mat = weightfn.stab_matrix(lam, z, pd, mp)
         for I in parts:
-            diag = weightfn.stable_envelope_restriction(I, I, z, pd, mp)
-            if abs(diag) < ellfn.pole_tol(jacobi_bracket(1.0, mp)):
+            if abs(mat[I][I]) < ellfn.pole_tol(jacobi_bracket(1.0, mp)):
                 worst = np.maximum(worst, 1.0)
             for J in parts:
-                val = weightfn.stable_envelope_restriction(I, J, z, pd, mp)
                 if not leq(rev[J], rev[I]):
-                    worst = np.maximum(worst, abs(val))
+                    worst = np.maximum(worst, abs(mat[I][J]))
     return worst, 1e-9
 
 

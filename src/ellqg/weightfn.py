@@ -10,22 +10,23 @@ Brackets are always the unstarred [.] built on the nome carried by the
 ModularParams argument (so substituting a different nome, as the q-KZ cycle
 insertion does, is just a parameter change).
 
-Every symmetrized sum is one chain of per-level matrices, ``_sym_sum``: the
-level-l factor F_l[p, p'] of the terms whose level-l and level-(l+1)
-variables are in the orders p and p' is gathered from tables of brackets
-with index arrays cached per slot pattern, and the sum is
-F_1 @ ... @ F_{N-1}[:, id] summed; ``u_tilde``/``u_mod`` are the identity
-entries.  The bracket arguments are only the O(n^2) values
-v_x - v_y + c, c in {0, +-1, A}, so one ``jacobi_brackets`` pass evaluates
-the tables of a call, or of every label ``specialize_labels`` takes at one
-point t = z_at.  A column of F_l whose every term already has an
-exactly-zero factor (as at t = z_J) is skipped and its terms count as
-pruned, unless a denominator of levels 1..N-2 meets the pole test
-``ellfn.pole_tol`` (the level-(N-1) factor is always evaluated whole): then
-every entry is evaluated and meets its pole test.  A term through a vanishing
-denominator raises PoleError, at a specialization t = z_at as anywhere else:
-at resonant points z_j = q^(+-2) z_i a specialization with a finite limit in
-z raises rather than returning a value.
+Every symmetrized sum is one chain of per-level matrices: the level-l factor
+F_l[p, p'] of the terms whose level-l and level-(l+1) variables are in the
+orders p and p' is gathered from tables of bracket ratios with index arrays
+cached per slot pattern, and the sum is F_1 @ ... @ F_{N-1}[:, id] summed;
+``u_tilde``/``u_mod`` are the identity entries.  ``_sym_sums`` evaluates
+the labels of a call as one stack (one for ``w_tilde``, every label at
+t = z_at for ``specialize_labels``): the bracket arguments are only the
+O(n^2) values v_x - v_y + c, c in {0, +-1, A}, so one ``jacobi_brackets``
+pass gives every label's tables, and per level the labels that share a slot
+pattern gather their entries in one index operation.  A column of a label's
+F_l whose every term already has an exactly-zero factor (as at t = z_J) is
+not gathered and its terms count as pruned, unless the label is a u_mod sum
+or has a denominator of levels 1..N-2 that meets the pole test
+``ellfn.pole_tol`` (the level-(N-1) factor is always evaluated whole).  A
+term through a vanishing denominator raises PoleError, at a specialization
+t = z_at as anywhere else: at resonant points z_j = q^(+-2) z_i a
+specialization with a finite limit in z raises rather than returning a value.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -100,113 +101,24 @@ def _vees(t: TVariables, z: EvaluationPoints, mp: ModularParams):
     return vs
 
 
-def _c_offset(colors, s: int, mu_s: int, lplus: int) -> int:
-    """C_{mu_s, l+1}(s) = #(j > s : mu_j = mu_s) - #(j > s : mu_j = l+1)."""
-    return sum(eps_pairing(colors[j], mu_s, lplus) for j in range(s, len(colors)))
+@lru_cache(maxsize=64)
+def _layout(lam: Composition, modified: bool) -> tuple:
+    """Where each bracket and table entry of the terms of every label of shape
+    ``lam`` comes from: (levels, args, ratio).
 
-
-class _Level(NamedTuple):
-    """One level's factor tables: ratio values, flattened, and pole flags."""
-
-    l: int
-    modified: bool
-    pattern: tuple  # per slot a: (matched slot b, later slots of level l+1)
-    Y: int          # size of level l+1
-    values: np.ndarray
-    bad: np.ndarray  # entries with a denominator that meets the pole test
-    poles: bool      # bad.any()
-
-
-class _Plan(NamedTuple):
-    """Where each bracket and each table entry of a label's terms comes from."""
-
-    levels: tuple      # per level: (slot pattern, size of level l+1, entries start, stop)
-    slots: tuple       # per [A] bracket: (level, slot, color, C offset)
-    args: np.ndarray   # (3, brackets): argument = v[i] - v[j] + const[c]
-    ratio: np.ndarray  # (4, entries): value = [n1][n2] / ([d1][d2])
-
-
-class _Gather(NamedTuple):
-    """Index arrays that gather a level factor F[p, p'] from its tables.
-
-    Entry (p, p') of term k of the cross product is ``rows[p, k] + cols[p', k]``;
-    ``same[p]`` indexes the same-level product.  ``terms`` lists (cross?,
-    column, a, j) in the order the factor is defined, which is the order its
-    denominators are tested in.
+    Variables are numbered level by level (level N is z), then a spare 0;
+    constants are 0, 1, -1, then the A of each slot in ``_label``'s order.
+    Bracket b is [v_i - v_j + const_c] with (i, j, c) = args[:, b]: [1] and
+    [A_a] first, then per level l [v'_y - v_x], [v'_y - v_x + 1],
+    [v'_y - v_x + A_a] per slot a, [v_x - v_x'] and [v_x - v_x' - 1].  Entry
+    e of the tables is [n1][n2] / ([d1][d2]) with brackets (n1, n2, d1, d2) =
+    ratio[:, e] (-1: an exact 1), laid out per level as ``_gather`` reads
+    them; levels holds per level (its size, size of level l+1, first and end
+    entries).
     """
-
-    orders: list  # the level-l orders p, as lists
-    rows: np.ndarray
-    cols: np.ndarray
-    same: np.ndarray
-    terms: tuple
-
-
-@lru_cache(maxsize=256)
-def _gather(modified: bool, pattern: tuple, Y: int, top: bool) -> _Gather:
-    """Index arrays of one level, cached by the integer slot pattern.
-
-    Rows run over every order of the level (identity first), columns over
-    every order of level l+1, or only its identity at the top level.  Value
-    layout (X slots, Y variables at level l+1, row x of each table is v_x):
-    the matched-slot ratio of each slot a (X tables, X x Y), the later-slot
-    ratio (X x Y), the earlier-slot factor of u_mod (X x Y, unused by
-    u_tilde), then the same-level ratio (X x X).
-    """
-    X = len(pattern)
-    rows = np.array(list(permutations(range(X))), dtype=np.intp)
-    cols = np.arange(Y)[None] if top else np.array(list(permutations(range(Y))), dtype=np.intp)
-    off_later, off_earlier, off_same = X * X * Y, X * X * Y + X * Y, X * X * Y + 2 * X * Y
-    cross, same, terms = [], [], []
-    for a, (b, later) in enumerate(pattern):
-        slot = [(a * X * Y, b)] + [(off_later, bp) for bp in later]
-        if modified:
-            slot += [(off_earlier, bp) for bp in range(Y) if bp != b and bp not in later]
-        for off, j in slot:
-            terms.append((True, len(cross), a, j))
-            cross.append((off, a, j))
-        for ap in range(a + 1, X):
-            terms.append((False, len(same), a, ap))
-            same.append((a, ap))
-    out = _Gather(rows.tolist(), np.empty((len(rows), len(cross)), np.intp),
-                  np.empty((len(cols), len(cross)), np.intp),
-                  np.empty((len(rows), len(same)), np.intp), tuple(terms))
-    for k, (off, a, j) in enumerate(cross):
-        out.rows[:, k] = off + rows[:, a] * Y
-        out.cols[:, k] = cols[:, j]
-    for k, (a, ap) in enumerate(same):
-        out.same[:, k] = off_same + rows[:, a] * X + rows[:, ap]
-    for arr in out[1:4]:
-        arr.flags.writeable = False
-    return out
-
-
-# Holds every label of a shape: gt_vector specializes all of them at each I,
-# in the same order, so a smaller cache evicts each plan before its reuse
-# ((3,3,2) has 560 labels).
-@lru_cache(maxsize=4096)
-def _plan(I: PartitionIndex, modified: bool) -> _Plan:
-    """The bracket arguments and table layout of label I's terms.
-
-    Variables are numbered level by level (level N is z), then one spare
-    variable (0); constants are 0, 1, -1 and the A of each slot.  Brackets
-    [1] and [A_a] come first; level l then tabulates [v'_y - v_x],
-    [v'_y - v_x + 1], [v'_y - v_x + A_a] per slot a, [v_x - v_x'] and
-    [v_x - v_x' - 1].  Bracket index -1 stands for an exact 1.  The ratios a
-    term multiplies are laid out per level as ``_gather`` reads them.
-    """
-    lam = I.shape()
-    colors = I.colors()
     sizes = [lam.prefix(l) for l in range(1, lam.N + 1)]
     start = np.cumsum([0] + sizes)
     spare, one = start[-1], -1
-    patterns, slots = [], []
-    for l in range(1, lam.N):
-        nxt = I.union(l + 1)
-        patterns.append(tuple((nxt.index(s), tuple(b for b, s2 in enumerate(nxt) if s2 > s))
-                              for s in I.union(l)))
-        slots += [(l, a + 1, colors[s - 1], _c_offset(colors, s, colors[s - 1], l + 1))
-                  for a, s in enumerate(I.union(l))]
     args, ratio, levels = [], [], []
 
     def put(i, j, c):
@@ -217,12 +129,11 @@ def _plan(I: PartitionIndex, modified: bool) -> _Plan:
         return first + np.arange(i.size).reshape(i.shape)
 
     b1 = put(spare, spare, 1)
-    bA = put(spare, spare, 3 + np.arange(len(slots)))
-    for l, pattern in enumerate(patterns, 1):
+    bA = put(spare, spare, 3 + np.arange(start[-2]))
+    for l in range(1, len(sizes)):
         X, Y = sizes[l - 1], sizes[l]
-        v, w = start[l - 1] + np.arange(X), start[l] + np.arange(Y)
-        k = start[l - 1] + np.arange(X)  # the slots of level l
-        A = bA[k]
+        v = k = start[l - 1] + np.arange(X)  # the variables and slots of level l
+        w, A = start[l] + np.arange(Y), bA[k]
         T0, T1 = put(w, v[:, None], 0), put(w, v[:, None], 1)
         TA = put(w, v[:, None], 3 + k[:, None, None])
         D, Dm = put(v[:, None], v, 0), put(v[:, None], v, 2)
@@ -238,93 +149,134 @@ def _plan(I: PartitionIndex, modified: bool) -> _Plan:
         lo = sum(x.shape[1] for x in ratio)
         ratio += [np.stack([x.ravel() for x in np.broadcast_arrays(*block)])
                   for block in blocks]
-        levels.append((pattern, Y, lo, lo + X * X * Y + 2 * X * Y + X * X))
-    plan = _Plan(tuple(levels), tuple(slots), np.concatenate(args, axis=1),
-                 np.concatenate(ratio, axis=1))
-    plan.args.flags.writeable = plan.ratio.flags.writeable = False
-    return plan
+        levels.append((X, Y, lo, lo + X * X * Y + 2 * X * Y + X * X))
+    args, ratio = np.concatenate(args, axis=1), np.concatenate(ratio, axis=1)
+    args.flags.writeable = ratio.flags.writeable = False
+    return tuple(levels), args, ratio
 
 
-def _brackets(plans: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
-              mp: ModularParams) -> list[np.ndarray]:
-    """Each plan's brackets [v_i - v_j + const_c] (layout in ``_plan``) at t, from one
-    ``jacobi_brackets`` call: in plan order for one plan, each distinct argument once
-    for several.  A constant is keyed by its formula, so equal keys are the same
-    operations on the same values and each bracket is bitwise that of a lone plan's."""
+# Holds every label of a shape ((3,3,2) has 560): gt_vector specializes all of
+# them at each I, in one order, so a smaller cache evicts each before its reuse.
+@lru_cache(maxsize=4096)
+def _label(I: PartitionIndex) -> tuple:
+    """Label I's shape, slot pattern per level (per slot a: matched slot b, later
+    slots of level l+1) and, per slot in ``_layout``'s order, (level, slot,
+    color, C_{mu_s,l+1}(s) = #(j > s : mu_j = mu_s) - #(j > s : mu_j = l+1))."""
+    lam, colors = I.shape(), I.colors()
+    patterns, slots = [], []
+    for l in range(1, lam.N):
+        nxt = I.union(l + 1)
+        patterns.append(tuple((nxt.index(s), tuple(b for b, s2 in enumerate(nxt) if s2 > s))
+                              for s in I.union(l)))
+        slots += [(l, a + 1, colors[s - 1], sum(eps_pairing(colors[j], colors[s - 1], l + 1)
+                                                for j in range(s, len(colors))))
+                  for a, s in enumerate(I.union(l))]
+    return lam, tuple(patterns), tuple(slots)
+
+
+class _Gather(NamedTuple):
+    """Index arrays that gather a level factor F[p, p'] from its tables: factor
+    k of entry (p, p') is table entry ``rows[k, p] + cols[k, p']``, the first
+    ``cross`` cross-level ratios, then the same-level ones.  ``terms`` lists
+    (k, cross?, a, j) per ratio of slot a and slot j of level l+1 or of level
+    l, in the order its denominators are tested in."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    cross: int
+    terms: tuple
+
+
+@lru_cache(maxsize=256)
+def _gather(modified: bool, pattern: tuple, Y: int, top: bool, lo: int) -> _Gather:
+    """Index arrays of one level whose tables start at entry ``lo``, cached by
+    the integer slot pattern.  Rows run over every order of the level
+    (identity first), columns over every order of level l+1, or only its
+    identity at the top level.  Tables (X slots, Y variables at level l+1, row
+    x is v_x): the matched-slot ratio of each slot a (X tables, X x Y), the
+    later-slot ratio (X x Y), the earlier-slot factor of u_mod (X x Y, unused
+    by u_tilde), then the same-level ratio (X x X)."""
+    X = len(pattern)
+    rows = np.array(list(permutations(range(X))), dtype=np.intp)
+    cols = np.arange(Y)[None] if top else np.array(list(permutations(range(Y))), dtype=np.intp)
+    off_later, off_earlier, off_same = (lo + X * X * Y + k * X * Y for k in range(3))
+    cross, same, terms = [], [], []  # per factor: its rows, its columns
+    for a, (b, later) in enumerate(pattern):
+        slot = [(lo + a * X * Y, b)] + [(off_later, bp) for bp in later]
+        if modified:
+            slot += [(off_earlier, bp) for bp in range(Y) if bp != b and bp not in later]
+        terms += [(len(cross) + k, True, a, j) for k, (_, j) in enumerate(slot)]
+        terms += [(len(same) + k, False, a, a + 1 + k) for k in range(X - a - 1)]
+        cross += [(off + rows[:, a] * Y, cols[:, j]) for off, j in slot]
+        same += [(off_same + rows[:, a] * X + rows[:, ap], 0 * cols[:, 0])
+                 for ap in range(a + 1, X)]
+    out = _Gather(np.array([r for r, _ in cross + same], np.intp).reshape(-1, len(rows)),
+                  np.array([c for _, c in cross + same], np.intp).reshape(-1, len(cols)),
+                  len(cross), tuple((k if c else len(cross) + k, c, a, j) for k, c, a, j in terms))
+    out.rows.flags.writeable = out.cols.flags.writeable = False
+    return out
+
+
+class _Stack(NamedTuple):
+    """The factor tables of a stack of labels of one shape, one row per label."""
+
+    modified: bool
+    levels: tuple       # per level, as ``_layout``'s
+    patterns: tuple     # per label: its slot pattern of each level
+    values: np.ndarray  # (labels, entries): the ratios, laid out by ``_layout``
+    bad: np.ndarray     # (entries, labels): a denominator meets the pole test
+    a_pole: dict        # label -> the PoleError text of its vanishing [A]
+
+
+def _stack(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
+           mp: ModularParams, modified: bool) -> _Stack:
+    """The factor tables of the labels' u_tilde (with ``modified``, u_mod) terms
+    at t, from one ``jacobi_brackets`` call, over the distinct arguments of a
+    stack of several (a constant is keyed by its formula, so equal keys are the
+    same operations on the same values); [A] divides every term and is tested
+    here, against [1]."""
+    lam, patterns, slots = zip(*map(_label, labels))
+    t.check_shape(lam[0])
+    levels, (i, j, c), ratio = _layout(lam[0], modified)
     v = np.array([x for level in _vees(t, z, mp) for x in level] + [0.0], dtype=complex)
     ids = {0: 0, 1: 1, 2: 2}  # constant keys: 0, 1, -1 by place, a slot's A by (l, color, C)
-    cids = [np.array([0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
-                                  for l, _, color, C in plan.slots]) for plan in plans]
+    cids = np.array([[0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
+                                  for l, _, color, C in sl] for sl in slots])
     const = np.array([0.0, 1.0, -1.0] + [Pdyn.value(color, l + 1) - C
                                          for l, color, C in list(ids)[3:]], dtype=complex)
-    if len(plans) == 1:
-        i, j, c = plans[0].args
-        return [jacobi_brackets(v[i] - v[j] + const[cids[0][c]], mp)]
-    i, j, _ = np.concatenate([plan.args for plan in plans], axis=1)
-    c = np.concatenate([cid[plan.args[2]] for cid, plan in zip(cids, plans)])
-    keys = (i * v.size + j) * len(ids) + c
-    rank = (np.cumsum(np.bincount(keys) > 0) - 1)[keys]  # place among the distinct keys
-    args = np.empty(rank.max() + 1, dtype=complex)
-    args[rank] = v[i] - v[j] + const[c]  # equal keys, bitwise equal values
-    br = jacobi_brackets(args, mp)[rank]
-    return np.split(br, np.cumsum([plan.args.shape[1] for plan in plans[:-1]]))
-
-
-def _tables(plan: _Plan, brackets: np.ndarray, modified: bool) -> list[_Level]:
-    """The factor tables of every level of a plan's terms, from its brackets; [A]
-    divides every term and is checked here, against [1] (bracket 0)."""
-    br = np.append(brackets, 1.0)
-    small = np.abs(br) < pole_tol(br[0])
-    small[-1] = False  # the exact 1
-    hit = np.flatnonzero(small[1:1 + len(plan.slots)])
-    if hit.size:
-        l, a = plan.slots[hit[0]][:2]
-        raise PoleError(f"[(P+h) - C] vanished at level {l}, slot {a}")
-    n1, n2, d1, d2 = br[plan.ratio]
-    bad = small[plan.ratio[2]] | small[plan.ratio[3]]
+    c = cids.T[c]  # (brackets, labels)
+    args = (v[i] - v[j])[:, None] + const[c]  # equal keys, bitwise equal arguments
+    br = np.ones((len(i) + 1, len(labels)), complex)  # the last row: an exact 1
+    if len(labels) > 1:  # each distinct argument once
+        keys = ((i * v.size + j) * len(ids))[:, None] + c
+        rank = (np.cumsum(np.bincount(keys.ravel()) > 0) - 1)[keys]  # place among the keys
+        distinct = np.empty(rank.max() + 1, dtype=complex)
+        distinct[rank] = args
+        br[:-1] = jacobi_brackets(distinct, mp)[rank]
+    else:
+        br[:-1, 0] = jacobi_brackets(args[:, 0], mp)
+    small = np.abs(br) < pole_tol(br[0, 0])
+    small[-1] = False
+    a_small = small[1:1 + len(slots[0])]
+    a_pole = {k: "[(P+h) - C] vanished at level {}, slot {}".format(
+        *slots[k][a_small[:, k].argmax()][:2]) for k in np.flatnonzero(a_small.any(axis=0))}
+    n1, n2, d1, d2 = br[ratio]
+    bad = small[ratio[2]] | small[ratio[3]]
     values = n1 * n2 / np.where(bad, 1.0, d1 * d2)
-    return [_Level(l, modified, pattern, Y, values[lo:hi], bad[lo:hi], bool(bad[lo:hi].any()))
-            for l, (pattern, Y, lo, hi) in enumerate(plan.levels, 1)]
+    return _Stack(modified, levels, patterns, values.T.copy(), bad, a_pole)
 
 
-def _level_factors(labels, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
-                   mp: ModularParams, modified: bool = False):
-    """The factor tables of each label's u_tilde (with ``modified``, u_mod) terms
-    at t, label by label, from one bracket call (``_brackets``); if it raises,
-    each label makes its own call, so the first label's error is raised."""
-    for I in labels:
-        t.check_shape(I.shape())
-    plans = [_plan(I, modified) for I in labels]
-    try:
-        shared = _brackets(plans, t, z, Pdyn, mp) if plans else []
-    except EllqgError:
-        if len(plans) == 1:
-            raise
-        shared = (_brackets([plan], t, z, Pdyn, mp)[0] for plan in plans)
-    return (_tables(plan, br, modified) for plan, br in zip(plans, shared))
+def _label_levels(st: _Stack, k: int) -> list:
+    """Per level l of label k of a stack: (l, ``_gather``, table values, flags)."""
+    return [(l, _gather(st.modified, p, Y, l == len(st.levels), lo), st.values[k], st.bad[:, k])
+            for l, ((_, Y, lo, _), p) in enumerate(zip(st.levels, st.patterns[k]), 1)]
 
 
-def _factor(lv: _Level, top: bool, cols=slice(None)):
-    """``(gather, F, marks)``: the level factor F[p, p'] over every order p and
-    the orders p' in ``cols``, and the entries that use a vanishing
-    denominator (None when there are none)."""
-    g = _gather(lv.modified, lv.pattern, lv.Y, top)
-    idx = g.rows[:, None, :] + g.cols[cols][None]
-    F = lv.values[idx].prod(axis=-1) * lv.values[g.same].prod(axis=-1)[:, None]
-    marks = None
-    if lv.poles:
-        marks = lv.bad[idx].any(axis=-1) | lv.bad[g.same].any(axis=-1)[:, None]
-        if not marks.any():
-            marks = None
-    return g, F, marks
-
-
-def _pole_message(lv: _Level, g: _Gather, p: int, pn: int) -> str:
-    """The PoleError text of the first vanishing denominator of F[p, pn]."""
-    l = lv.l
-    for is_cross, k, a, j in g.terms:
-        if lv.bad[g.rows[p, k] + g.cols[pn, k] if is_cross else g.same[p, k]]:
-            if lv.modified:
+def _pole_message(l: int, bad: np.ndarray, modified: bool, g: _Gather, p: int, pn: int) -> str:
+    """The PoleError text of the first vanishing denominator of F_l[p, pn]."""
+    for k, is_cross, a, j in g.terms:
+        if bad[g.rows[k, p] + g.cols[k, pn]]:
+            if modified:
                 return f"level-{l} denominator vanished"
             if is_cross:
                 return f"[v^{l+1}_{j+1} - v^{l}_{a+1} + 1] vanished"
@@ -332,14 +284,35 @@ def _pole_message(lv: _Level, g: _Gather, p: int, pn: int) -> str:
     raise AssertionError("no vanishing denominator in a marked entry")
 
 
-def _identity_term(levels: list[_Level]) -> complex:
-    """The unpermuted term, prod_l F_l[id, id]; levels are tested from 1 up."""
+def _first_pole(st: _Stack, k: int) -> str | None:
+    """The PoleError text of label k's first term, in depth-first order (top level
+    slowest), that uses a vanishing denominator, or None if none does."""
+    levels = _label_levels(st, k)
+    marks = [bad[g.rows[:, :, None] + g.cols[:, None]].any(axis=0)  # F_l[p, p'] uses a flag
+             for _, g, _, bad in levels]
+    if not any(m.any() for m in marks):
+        return None
+    for idx in product(*(range(g.rows.shape[1]) for _, g, _, _ in reversed(levels))):
+        path = idx[::-1] + (0,)
+        hit = [l for l, m in enumerate(marks, 1) if m[path[l - 1], path[l]]]
+        if hit:  # the walk meets the highest marked level of this term first
+            l, g, _, bad = levels[hit[-1] - 1]
+            return _pole_message(l, bad, st.modified, g, path[l - 1], path[l])
+
+
+def _identity_term(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
+                   Pdyn: DynamicalParams, mp: ModularParams, modified: bool) -> complex:
+    """The unpermuted term of label I, prod_l F_l[id, id], from a stack of one
+    label; levels are tested from 1 up."""
+    st = _stack([I], t, z, Pdyn, mp, modified)
+    if st.a_pole:
+        raise PoleError(st.a_pole[0])
     total = 1.0 + 0.0j
-    for lv in levels:
-        g, F, marks = _factor(lv, lv is levels[-1], [0])
-        if marks is not None and marks[0, 0]:
-            raise PoleError(_pole_message(lv, g, 0, 0))
-        total *= complex(F[0, 0])
+    for l, g, values, bad in _label_levels(st, 0):
+        entries = g.rows[:, 0] + g.cols[:, 0]
+        if bad[entries].any():
+            raise PoleError(_pole_message(l, bad, modified, g, 0, 0))
+        total *= complex(values[entries[:g.cross]].prod() * values[entries[g.cross:]].prod())
     return require_finite(total, "weight-function term")
 
 
@@ -354,69 +327,92 @@ def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         * prod_{b' : i^(l+1)_{b'} > s}  [v'_{b'} - v_a] / [v'_{b'} - v_a + 1]
         * prod_{a' > a}                 [v_a - v_{a'} - 1] / [v_a - v_{a'}]
     """
-    return _identity_term(next(_level_factors([I], t, z, Pdyn, mp)))
+    return _identity_term(I, t, z, Pdyn, mp, modified=False)
 
 
-def _sym_sum(levels: list[_Level]) -> WeightFunctionEval:
-    """Plain sum of the u_tilde (u_mod) terms of ``levels`` over block permutations.
+def _sym_sums(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
+              mp: ModularParams, modified: bool = False) -> list[WeightFunctionEval]:
+    """Each label's plain sum of its u_tilde (u_mod) terms over block
+    permutations, the labels as one stack (module docstring).  Then, label by
+    label in order, a vanishing [A], a term through a vanishing denominator
+    (the PoleError the depth-first order of terms meets first) and a sum
+    beyond the float range (FloatRangeError) raise.  If the shared bracket
+    call raises, each label makes its own, so the first label's error is
+    raised."""
+    try:
+        st = _stack(labels, t, z, Pdyn, mp, modified)
+    except EllqgError:
+        if len(labels) == 1:
+            raise
+        return [_sym_sums([I], t, z, Pdyn, mp, modified)[0] for I in labels]
+    levels, L = st.levels, len(labels)
+    values, width = st.values.ravel(), st.values.shape[1]  # label-major
+    groups: list = [{} for _ in levels]  # per level: the labels by slot pattern
+    for k, patterns in enumerate(st.patterns):
+        for group, pattern in zip(groups, patterns):
+            group.setdefault(pattern, []).append(k)
 
-    The sum is a chain of per-level matrices F_l[p, p'] (orders p of level l,
-    p' of level l+1): vec = F_{N-1}[:, id], then vec = F_l @ vec for
-    l = N-2, ..., 1, and the value is sum(vec).  Without vanishing
-    denominators at levels 1..N-2 (and not ``modified``), a column whose every
-    term has an exactly-zero factor is not gathered, and those terms count as
-    pruned.  An entry with a vanishing denominator raises the PoleError the
-    depth-first order of terms meets first.  A sum beyond the float range
-    raises FloatRangeError.
-    """
-    prune = not any(lv.modified for lv in levels) and not any(lv.poles for lv in levels[:-1])
-    vec = nz = np.ones(1)  # over the orders of the level above: z has one
-    gathers, marks = [], []
-    for lv in reversed(levels):
-        cols = np.flatnonzero(nz) if prune else slice(None)
-        g, F, mk = _factor(lv, lv is levels[-1], cols)
-        vec = F @ vec[cols]
-        if prune:
-            nz = (F != 0) @ nz[cols]
-        gathers.insert(0, g)
-        marks.insert(0, mk)
-    sizes = [len(g.orders) for g in gathers]
-    if any(m is not None for m in marks):
-        for idx in product(*map(range, reversed(sizes))):  # the walk's order: top level slowest
-            path = idx[::-1] + (0,)
-            hit = [i for i, m in enumerate(marks) if m is not None and m[path[i], path[i + 1]]]
-            if hit:  # the walk meets the highest marked level of this term first
-                i = hit[-1]
-                raise PoleError(_pole_message(levels[i], gathers[i], path[i], path[i + 1]))
-    total = math.prod(sizes)
-    return WeightFunctionEval(require_finite(complex(vec.sum()), "weight-function sum"), total,
-                              terms_pruned=total - int(nz.sum()) if prune else 0)
+    def factor(l, pattern, rows, col):
+        """F_l[:, col[m]] of label rows[m]; elementwise products, since numpy rounds
+        a one-element reduction otherwise and no value may depend on its stack."""
+        g = _gather(modified, pattern, levels[l - 1][1], l == len(levels), levels[l - 1][2])
+        f = np.take(values, g.rows[:, None] + (g.cols[:, col] + rows * width)[:, :, None])
+        one = np.ones(f.shape[1:], complex)
+        return reduce(np.multiply, f[:g.cross], one) * reduce(np.multiply, f[g.cross:], one)
+
+    vec = np.empty((L, math.factorial(levels[-1][0])), complex)  # F_{N-1}[:, id]
+    for pattern, ks in groups[-1].items():  # the top level has one column
+        ks = np.array(ks)
+        vec[ks] = factor(len(levels), pattern, ks, slice(None))
+    nz = vec != 0  # per order: the number of its terms without an exactly-zero factor
+    unpruned = st.bad[:levels[-1][2]].any(axis=0) | modified  # flags at levels 1..N-2
+    for l in range(len(levels) - 1, 0, -1):  # vec[k] = F_l @ vec[k] over the live columns
+        live = (nz != 0) | unpruned[:, None]
+        out, count = (np.zeros((L, math.factorial(levels[l - 1][0])), dtype)
+                      for dtype in (complex, np.intp))
+        for pattern, ks in groups[l - 1].items():
+            lab, col = live[ks].nonzero()
+            rows = np.array(ks)[lab]
+            F = factor(l, pattern, rows, col)
+            np.add.at(count, rows, (F != 0) * nz[rows, col, None])
+            np.add.at(out, rows, F * vec[rows, col, None])
+        vec, nz = out, count
+    total = math.prod(math.factorial(X) for X, *_ in levels)
+    sums = vec.sum(axis=1)
+    for k in np.flatnonzero(st.bad.any(axis=0) | ~np.isfinite(sums)):
+        error = st.a_pole.get(k) or _first_pole(st, k)
+        if error:
+            raise PoleError(error)
+        require_finite(complex(sums[k]), "weight-function sum")
+    return [WeightFunctionEval(value, total, terms_pruned=0 if u else total - n)
+            for value, n, u in zip(sums.tolist(), nz.sum(axis=1).tolist(), unpruned.tolist())]
 
 
 def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
             Pdyn: DynamicalParams, mp: ModularParams) -> WeightFunctionEval:
     """Weight function: plain sum of u_tilde over block permutations of t.
 
-    Summed by ``_sym_sum``, exactly-zero branches pruned (module docstring);
-    a vanishing denominator raises PoleError.
+    Summed by ``_sym_sums`` as a stack of one label, exactly-zero branches
+    pruned (module docstring); a vanishing denominator raises PoleError.
     """
-    return _sym_sum(next(_level_factors([I], t, z, Pdyn, mp)))
+    return _sym_sums([I], t, z, Pdyn, mp)[0]
 
 
 def specialize_labels(labels, at: PartitionIndex, z: EvaluationPoints,
                       Pdyn: DynamicalParams, mp: ModularParams) -> list[WeightFunctionEval]:
     """w_tilde of each label I at the specialization t = z_at, zero unless at <= I.
 
-    The labels share one bracket call; if it raises, the first label's error
-    is raised.  Each value is w_tilde's at t = z_at, by the same code: a term
-    through a vanishing denominator (at resonant points z_j = q^(+-2) z_i)
-    raises PoleError naming the bracket, even where the limit in z is finite.
+    The labels are summed as one stack (``_sym_sums``); if one raises, the
+    first such label's error is raised.  Each value is w_tilde's at t = z_at,
+    by the same code: a term through a vanishing denominator (at resonant
+    points z_j = q^(+-2) z_i) raises PoleError naming the bracket, even where
+    the limit in z is finite.
     """
-    if any(I.shape() != at.shape() for I in labels):
+    labels, shape = list(labels), at.shape()
+    if any(_label(I)[0] != shape for I in labels):
         raise ShapeError("specialization point and label must share a shape")
     z.require_distinct()
-    t = TVariables.specialization(at, z)
-    return [_sym_sum(levels) for levels in _level_factors(labels, t, z, Pdyn, mp)]
+    return _sym_sums(labels, TVariables.specialization(at, z), z, Pdyn, mp) if labels else []
 
 
 def specialize(I: PartitionIndex, at: PartitionIndex, z: EvaluationPoints,
@@ -511,7 +507,7 @@ def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
 
     divided by prod_{a<b} [v_a - v_b][v_b - v_a - 1].
     """
-    return _identity_term(next(_level_factors([I], t, z, Pdyn, mp, modified=True)))
+    return _identity_term(I, t, z, Pdyn, mp, modified=True)
 
 
 def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -531,12 +527,28 @@ def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         e = require_normal(e_lambda(lam, t, z, mp), "E factor")
         return require_finite(h_lambda(lam, t, z, mp) * wt / e, "modified weight function")
     if route == "sym":
-        return _sym_sum(next(_level_factors([I], t, z, Pdyn, mp, modified=True))).value
+        return _sym_sums([I], t, z, Pdyn, mp, modified=True)[0].value
     raise ParameterError(f"unknown route {route!r}")
 
 
 def _reversed_colors(I: PartitionIndex) -> PartitionIndex:
     return PartitionIndex.from_colors(tuple(reversed(I.colors())), I.N)
+
+
+def _stab_column(labels, J: PartitionIndex, z: EvaluationPoints, Pdyn: DynamicalParams,
+                 mp: ModularParams) -> list[complex]:
+    """The restrictions of the stable envelopes of ``labels`` to fixed point J,
+    from one ``specialize_labels`` call and one H and E factor."""
+    if any(abs(a) >= abs(b) for a, b in zip(z.z, z.z[1:])):
+        raise ParameterError("chamber requires |z_1| < ... < |z_n|")
+    lam = J.shape()
+    J_rev, z_rev = _reversed_colors(J), z.inverted_reversed()
+    t = TVariables.specialization(J_rev, z_rev)
+    wts = specialize_labels([_reversed_colors(I) for I in labels], J_rev, z_rev,
+                            Pdyn.inverted(), mp)
+    e = require_normal(e_lambda(lam, t, z_rev, mp), "E factor")
+    h = h_lambda(lam, t, z_rev, mp)
+    return [require_finite(h * wt.value / e, "stable envelope") for wt in wts]
 
 
 def stable_envelope_restriction(I: PartitionIndex, J: PartitionIndex,
@@ -549,25 +561,13 @@ def stable_envelope_restriction(I: PartitionIndex, J: PartitionIndex,
     points, inverted dynamical parameters, specialized at t = z_J^(-1).
     Only the chamber |z_1| < ... < |z_n| is implemented.
     """
-    mods = [abs(x) for x in z.z]
-    if any(a >= b for a, b in zip(mods, mods[1:])):
-        raise ParameterError("chamber requires |z_1| < ... < |z_n|")
-    if I.shape() != J.shape():
-        raise ShapeError("restriction requires equal shapes")
-    lam = I.shape()
-    I_rev = _reversed_colors(I)
-    J_rev = _reversed_colors(J)
-    z_rev = z.inverted_reversed()
-    P_inv = Pdyn.inverted()
-    t = TVariables.specialization(J_rev, z_rev)
-    wt = specialize(I_rev, J_rev, z_rev, P_inv, mp).value
-    e = require_normal(e_lambda(lam, t, z_rev, mp), "E factor")
-    return require_finite(h_lambda(lam, t, z_rev, mp) * wt / e, "stable envelope")
+    return _stab_column([I], J, z, Pdyn, mp)[0]
 
 
 def stab_matrix(lam: Composition, z: EvaluationPoints, Pdyn: DynamicalParams,
                 mp: ModularParams):
-    """All stable-envelope restrictions for a shape, as a nested dict.
+    """All stable-envelope restrictions for a shape, as a nested dict [I][J],
+    one ``specialize_labels`` call per column J.
 
     This doubles as the numeric probe for orthogonality-type experiments:
     the diagonal-normalized Gram data can be formed from it, but no specific
@@ -575,8 +575,8 @@ def stab_matrix(lam: Composition, z: EvaluationPoints, Pdyn: DynamicalParams,
     unspecified.
     """
     parts = enumerate_partitions(lam)
-    return {I: {J: stable_envelope_restriction(I, J, z, Pdyn, mp)
-                for J in parts} for I in parts}
+    cols = {J: _stab_column(parts, J, z, Pdyn, mp) for J in parts}
+    return {I: {J: cols[J][k] for J in parts} for k, I in enumerate(parts)}
 
 
 def triangularity_violations(lam: Composition, z: EvaluationPoints,

@@ -134,8 +134,9 @@ def test_phi_kernel_matches_scalar_gamma_loop(rng):
 def test_phi_kernel_coincident_variables_is_a_pole(rng):
     mp, z, t = _trace_shaped(rng)
     ta = t.levels[0][0]
-    with pytest.raises(PoleError, match=r"m=0, n=0"):
+    with pytest.raises(PoleError, match=r"m=0, n=0") as exc:
         phi_kernel(TVariables(((ta, ta),)), z, mp, 0.2)
+    assert "(t^(1)_1/t^(1)_2)" in str(exc.value)
 
 
 def test_nome_params_substitution(mp):

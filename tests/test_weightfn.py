@@ -10,6 +10,7 @@ from conftest import random_pdyn, random_points, random_t, shape_of
 from ellqg.ellfn import ModularParams, jacobi_bracket
 from ellqg import weightfn
 from ellqg.errors import EllqgError, FloatRangeError, ParameterError, PoleError
+from ellqg.gtrep import gt_vector
 from ellqg.suites import _compositions as all_compositions
 from ellqg.suites import _wf_cases
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
@@ -249,14 +250,19 @@ def _term_ref(I, t, z, pd, mp, modified=False, memo=None):
     return total
 
 
-def _brute_force_sum(I, t, z, pd, mp, modified=False):
-    """Plain sum of the reference term over every product of block permutations
-    of t; the terms share one bracket memo, since they permute the same values."""
+def _brute_force_terms(I, t, z, pd, mp, modified=False):
+    """The reference term at every product of block permutations of t; the
+    terms share one bracket memo, since they permute the same values."""
     lam = I.shape()
     blocks = [permutations(range(lam.prefix(l))) for l in range(1, lam.N)]
     memo: dict = {}
-    return sum((_term_ref(I, t.permuted(perms), z, pd, mp, modified, memo)
-                for perms in product(*blocks)), 0.0 + 0.0j)
+    return [_term_ref(I, t.permuted(perms), z, pd, mp, modified, memo)
+            for perms in product(*blocks)]
+
+
+def _brute_force_sum(I, t, z, pd, mp, modified=False):
+    """Plain sum of the reference terms."""
+    return sum(_brute_force_terms(I, t, z, pd, mp, modified), 0.0 + 0.0j)
 
 
 def test_enumerator_equals_brute_force_sum(mp, rng):
@@ -275,9 +281,13 @@ def test_enumerator_equals_brute_force_sum(mp, rng):
             assert abs(u_tilde(I, t, z, pd, mp) - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
             for at in parts:
                 res = specialize(I, at, z, pd, mp)
-                ref = _brute_force_sum(I, TVariables.specialization(at, z), z, pd, mp)
+                terms = _brute_force_terms(I, TVariables.specialization(at, z), z, pd, mp)
+                ref = sum(terms, 0.0 + 0.0j)
                 assert abs(res.value - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I, at)
                 assert res.skipped_singular == 0
+                # At generic z a term is exactly 0 only through an exactly-zero
+                # factor, and exactly those terms are pruned.
+                assert res.terms_pruned == sum(x == 0 for x in terms), (lam, I, at)
                 pruned += res.terms_pruned if at != I else 0
     assert pruned > 0
 
@@ -507,6 +517,58 @@ def test_e_lambda_includes_diagonal_one_brackets(mp, rng):
     assert abs(val - expected) < 1e-12 * abs(expected)
 
 
+# gt_vector at _fixed_resonant_point, per (sizes, sign, colors of I): the text
+# of the PoleError it raises, or its coefficients (to 1e-13).
+_RESONANT_GT = {
+    ((1, 1), 1, (1, 2)): "[v^2_2 - v^1_1 + 1] vanished",
+    ((1, 1), 1, (2, 1)): {(2, 1): (0.9999999999999999+0j)},
+    ((1, 1), -1, (1, 2)): {
+        (1, 2): (0.9452106426634034+0j),
+        (2, 1): (0.7678615928493232-0.2660418481424157j),
+    },
+    ((1, 1), -1, (2, 1)): "[v^2_1 - v^1_1 + 1] vanished",
+    ((2, 1), 1, (1, 1, 2)): "[v^2_2 - v^1_1 + 1] vanished",
+    ((2, 1), 1, (1, 2, 1)): "[v^2_2 - v^1_1 + 1] vanished",
+    ((2, 1), 1, (2, 1, 1)): {(2, 1, 1): (0.9999999999999996+3.260072046674286e-16j)},
+    ((2, 1), -1, (1, 1, 2)): "[v^2_1 - v^1_1 + 1] vanished",
+    ((2, 1), -1, (1, 2, 1)): {
+        (1, 2, 1): (0.9452106426634033-2.2336275574035224e-17j),
+        (2, 1, 1): (0.7678615928493231-0.26604184814241577j),
+    },
+    ((2, 1), -1, (2, 1, 1)): "[v^2_1 - v^1_1 + 1] vanished",
+    ((1, 2), 1, (1, 2, 2)): "[v^2_2 - v^1_1 + 1] vanished",
+    ((1, 2), 1, (2, 1, 2)): {
+        (2, 1, 2): (0.7540127725629258-0.7602900046809439j),
+        (2, 2, 1): (-0.0038032842379966876-2.0579239141219343j),
+    },
+    ((1, 2), 1, (2, 2, 1)): {(2, 2, 1): (1+0j)},
+    ((1, 2), -1, (1, 2, 2)): {
+        (1, 2, 2): (0.3771181836480729-0.6255317449313998j),
+        (2, 1, 2): (0.13029576915059152-0.6143085936384867j),
+        (2, 2, 1): (-0.05673080009351115-1.2712949828628248j),
+    },
+    ((1, 2), -1, (2, 1, 2)): "[v^2_1 - v^1_1 + 1] vanished",
+    ((1, 2), -1, (2, 2, 1)): {(2, 2, 1): (1+0j)},
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (1, 2)])
+def test_resonant_gt_vector_outcomes_are_pinned(sizes, sign):
+    # The labels of a point run as one stack; which label raises, and its
+    # message, must be those of the label evaluated alone.
+    mp, z, pd = _fixed_resonant_point(sum(sizes), sign)
+    for I in enumerate_partitions(Composition(sizes)):
+        want = _RESONANT_GT[sizes, sign, I.colors()]
+        got = _outcome(lambda: gt_vector(I, z, pd, mp))
+        if isinstance(want, str):
+            assert got == (PoleError, want), I
+            continue
+        assert set(got.terms) == set(want), I
+        for colors, coeff in want.items():
+            assert abs(got.terms[colors][0] - coeff) <= 1e-13 * abs(coeff), (I, colors)
+
+
 def _ordered_points(rng, n, q):
     mods = np.sort(rng.uniform(0.35, 0.95, n))
     while np.min(np.diff(mods)) < 1e-3 if n > 1 else False:
@@ -556,6 +618,17 @@ def test_stab_matrix_probe_shape(mp, rng):
     pd = random_pdyn(rng, 2)
     mat = stab_matrix(lam, z, pd, mp)
     assert len(mat) == 2 and all(len(row) == 2 for row in mat.values())
+
+
+def test_stab_matrix_equals_pairwise_restrictions(mp, rng):
+    # Each column is one batch over the labels; it equals the single pairs bitwise.
+    for N, sizes in [(2, (2, 1)), (3, (1, 1, 1)), (3, (2, 1, 1))]:
+        lam = Composition(sizes)
+        z = _ordered_points(rng, lam.n, mp.q)
+        pd = random_pdyn(rng, N)
+        mat = stab_matrix(lam, z, pd, mp)
+        for I, J in product(enumerate_partitions(lam), repeat=2):
+            assert mat[I][J] == stable_envelope_restriction(I, J, z, pd, mp), (I, J)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 7, 11])
