@@ -8,13 +8,11 @@ from .ellfn import (ModularParams, bracket_derivative_at_zero, ell_gamma,
                     theta)
 from .errors import (DomainError, EllqgError, FloatRangeError, ParameterError,
                      PoleError, ResourceCapError, ShapeError, SingularityError)
-from .gtrep import (CurrentActionResult, CurrentTerm, TensorState, e_on_gt,
-                    eval_rep_single, exchange_check, f_on_gt, gauge_constants,
-                    gt_vector, lplus_tensor, phi_on_gt)
+from .gtrep import (CurrentTerm, TensorState, e_on_gt, exchange_check, f_on_gt,
+                    gauge_constants, gt_vector, phi_on_gt)
 from .qkz import (IntegrandSpec, e_factor, integrand, nome_params, phi_kernel,
                   phi_trig, torus_quadrature)
-from .rmat import (DynRMatrix, check_dybe, check_inversion, embedded_rbar, r_plus,
-                   rbar)
+from .rmat import DynRMatrix, check_dybe, check_inversion, embedded_rbar, rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, leq, weight_of)
 from .weightfn import (TVariables, WeightFunctionEval, diagonal_value,

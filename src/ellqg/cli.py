@@ -251,7 +251,7 @@ def _cmd_gt(cfg: RunConfig, args) -> int:
         for I in parts:
             state = gtrep.gt_vector(I, z, pd, mp)
             row = [{"colors": list(cols), "re": coeff.real, "im": coeff.imag}
-                   for cols, (coeff, _) in state.items_sorted()]
+                   for cols, coeff in state.items_sorted()]
             records.append({"I": I.to_json(), "expansion": row})
         _emit({"action": "basis", "records": records}, args.out)
         return 0
@@ -270,7 +270,7 @@ def _cmd_gt(cfg: RunConfig, args) -> int:
             terms = [{"site": trm.site, "re": trm.coeff.real,
                       "im": trm.coeff.imag, "target": trm.target.to_json(),
                       "tag": list(trm.tag)}
-                     for trm in act(j, I, z, mp).terms]
+                     for trm in act(j, I, z, mp)]
             records.append({"I": I.to_json(), "terms": terms})
     _emit({"action": "act", "op": args.op, "j": j, "records": records}, args.out)
     return 0

@@ -211,16 +211,14 @@ def pole_tol(one: complex) -> float:
     return _POLE_TOL * abs(require_normal(one, "[1]"))
 
 
-def bracket_derivative_at_zero(mp: ModularParams, starred: bool = False,
-                               step: float = 1e-4) -> complex:
+def bracket_derivative_at_zero(mp: ModularParams, step: float = 1e-4) -> complex:
     """[0]' by central differences, Richardson-extrapolated over step and step/2.
 
     A closed form is deliberately avoided: the constant only ever enters
     through the gauge product of the raising/lowering normalisations.
     """
     def central(h: float) -> complex:
-        return (jacobi_bracket(h, mp, starred)
-                - jacobi_bracket(-h, mp, starred)) / (2.0 * h)
+        return (jacobi_bracket(h, mp) - jacobi_bracket(-h, mp)) / (2.0 * h)
 
     d1 = central(step)
     d2 = central(step / 2.0)
@@ -274,7 +272,8 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
         # of rows) stop early, at a cost of one test per 16 rows.
         if m % 16 == 15 and not np.isfinite(acc).all():
             break
-    gamma = acc[:zs.size] / acc[zs.size:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gamma = acc[:zs.size] / acc[zs.size:]
     bad = ~(np.isfinite(gamma) & np.isfinite(acc[zs.size:]))  # an inf divisor gives 0
     if bad.any():
         raise FloatRangeError(f"elliptic Gamma overflows at z={zs[bad][0]}")

@@ -1,10 +1,10 @@
-"""Level-0 evaluation representation and the Gelfand-Tsetlin basis action.
+"""The level-0 Gelfand-Tsetlin basis and the current action on it.
 
 Everything here works at level 0, where the two nomes coincide (p* = p); the
-ModularParams must have k = 0.  States are finite linear combinations of
-standard basis vectors labeled by color strings; each term carries an exact
-integer tag vector counting the accumulated dynamical shift operators, one
-slot per simple root.
+ModularParams must have k = 0.  A GT vector is a finite linear combination of
+standard basis vectors labeled by color strings.  Each term of a current
+action carries an exact integer tag vector counting the dynamical shift
+operators it adds, one slot per simple root.
 
 A tag tau makes every *later* power of a dynamical parameter see
 
@@ -18,19 +18,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ellfn import (ModularParams, bracket_derivative_at_zero, jacobi_bracket,
-                    jacobi_brackets, pole_tol, qpoch, require_normal, theta)
-from .errors import FloatRangeError, ParameterError, PoleError, ShapeError
-from .rmat import embedded_rbar
+                    jacobi_brackets, pole_tol, require_normal, theta)
+from .errors import FloatRangeError, ParameterError, PoleError
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions)
 from .weightfn import specialize_labels
-
-PRUNE_TOL = 1e-14
 
 
 def require_level_zero(mp: ModularParams) -> None:
@@ -56,28 +53,14 @@ def _unit_tag(j: int, N: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(1, N))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorState:
-    """Finite combination of standard basis vectors with per-term tags."""
+    """Finite combination of standard basis vectors."""
 
-    N: int
-    terms: dict = field(default_factory=dict)  # colors -> (coeff, tau)
-
-    def add(self, colors, coeff: complex, tau) -> None:
-        colors = tuple(colors)
-        tau = tuple(tau)
-        old = self.terms.get(colors)
-        if old is not None and old[1] != tau:
-            raise ShapeError("conflicting tags on one basis vector")
-        acc = coeff + (old[0] if old else 0.0)
-        if abs(acc) < PRUNE_TOL:
-            self.terms.pop(colors, None)
-        else:
-            self.terms[colors] = (acc, tau)
+    terms: dict  # colors -> nonzero coeff
 
     def coefficient(self, colors) -> complex:
-        entry = self.terms.get(tuple(colors))
-        return entry[0] if entry else 0.0 + 0.0j
+        return self.terms.get(tuple(colors), 0.0 + 0.0j)
 
     def items_sorted(self):
         return sorted(self.terms.items())
@@ -93,85 +76,12 @@ class CurrentTerm:
     tag: tuple[int, ...]         # dynamical shift tag added by this action
 
 
-@dataclass(frozen=True)
-class CurrentActionResult:
-    terms: tuple[CurrentTerm, ...]
-
-
 def gauge_constants(mp: ModularParams) -> tuple[complex, complex]:
     """(a, a*) with a = 1; the product is -[0]'/((q - 1/q)[1])."""
     require_level_zero(mp)
     prod = -bracket_derivative_at_zero(mp) / (
         (mp.q - 1.0 / mp.q) * require_normal(jacobi_bracket(1.0, mp), "[1]"))
     return 1.0 + 0.0j, prod
-
-
-def eval_rep_single(op: str, j: int, z: complex, mp: ModularParams, N: int,
-                    w: complex | None = None, m: int | None = None):
-    """Single-site evaluation-representation matrix of one generator.
-
-    op in {"e", "f", "phi+", "phi-", "alpha"}.  For "e"/"f" the delta factor
-    is handled structurally: the returned matrix is the coefficient at the
-    support point w = q^(j-N+1) z.  Returns (matrix, tag) where tag is the
-    dynamical shift vector attached by the generator (all zeros for f and
-    alpha).
-    """
-    require_level_zero(mp)
-    if not 1 <= j <= N - 1:
-        raise ShapeError(f"generator index must lie in 1..{N-1}")
-    p, q = mp.p, mp.q
-    M = np.zeros((N, N), dtype=complex)
-    zero = (0,) * (N - 1)
-    if op == "e":
-        M[j - 1, j] = qpoch(p * q ** 2, p, **mp.truncation) / qpoch(p, p, **mp.truncation)
-        return M, _unit_tag(j, N)
-    if op == "f":
-        M[j, j - 1] = qpoch(p * q ** -2, p, **mp.truncation) / qpoch(p, p, **mp.truncation)
-        return M, zero
-    if op == "alpha":
-        if m is None or m == 0:
-            raise ParameterError("alpha requires a nonzero mode index m")
-        c = (q ** m - q ** -m) / (q - 1.0 / q) / m * (q ** (j - N + 1) * z) ** m
-        M[j - 1, j - 1] = c * q ** -m
-        M[j, j] = -c * q ** m
-        return M, zero
-    if op in ("phi+", "phi-"):
-        if w is None:
-            raise ParameterError("phi needs the current argument w")
-        for col in range(1, N + 1):
-            h = (1 if col == j else 0) - (1 if col == j + 1 else 0)
-            if op == "phi+":
-                den = theta(q ** (-j + N - 1) * w / z, p, **mp.truncation)
-                num = theta(q ** (-j + N - 1 + 2 * h) * w / z, p, **mp.truncation)
-                pref = q ** -h
-            else:
-                den = theta(q ** (j - N + 1) * z / w, p, **mp.truncation)
-                num = theta(q ** (j - N + 1 - 2 * h) * z / w, p, **mp.truncation)
-                pref = q ** h
-            if den == 0:
-                raise PoleError(f"theta ratio pole of the diagonal current at w={w}")
-            M[col - 1, col - 1] = pref * num / den
-        return M, _unit_tag(j, N)
-    raise ParameterError(f"unknown generator {op!r}")
-
-
-def lplus_tensor(w: complex, z: EvaluationPoints, Pdyn: DynamicalParams,
-                 mp: ModularParams) -> np.ndarray:
-    """Tensor action of the L+ operator row on slot 0 x chain, as a dense matrix.
-
-    Ordered product of dynamically shifted R-bar factors: the factor tying
-    slot 0 to chain slot i carries Pi* shifted by the weights of the colors
-    in slots 1..i-1; factors apply in order i = 1, ..., n.  Basis index order
-    is (slot0, slot1, ..., slotn), slot0 slowest.
-    """
-    require_level_zero(mp)
-    n = z.n
-    uw = mp.u_of(w)
-    mat = np.eye(Pdyn.N ** (n + 1), dtype=complex)
-    for i in range(1, n + 1):
-        mat = embedded_rbar(z.z[i - 1] / w, z.u[i - 1] - uw, Pdyn, mp, n + 1, (1, i + 1),
-                            spectators=range(2, i + 1), starred=True) @ mat
-    return mat
 
 
 def gt_vector(I: PartitionIndex, z: EvaluationPoints, Pdyn: DynamicalParams,
@@ -181,20 +91,17 @@ def gt_vector(I: PartitionIndex, z: EvaluationPoints, Pdyn: DynamicalParams,
     Coefficients are the weight functions specialized at the inverted
     spectral points, with the dynamical parameters shifted by the total
     weight of the color string; the expansion is triangular with respect to
-    the partial order on partitions.
+    the partial order on partitions.  Exactly-zero coefficients are left out;
+    every other one is kept, however small.
     """
     require_level_zero(mp)
     z.require_distinct()
-    lam = I.shape()
     zinv = EvaluationPoints(tuple(1.0 / x for x in z.z), z.q)
     shifted = Pdyn.shifted_by_colors(I.colors(), sign=1)
-    state = TensorState(N=lam.N)
-    zero = (0,) * (lam.N - 1)
-    labels = enumerate_partitions(lam)
-    for J, res in zip(labels, specialize_labels(labels, I, zinv, shifted, mp)):
-        if abs(res.value) >= PRUNE_TOL:
-            state.add(J.colors(), res.value, zero)
-    return state
+    labels = enumerate_partitions(I.shape())
+    return TensorState({J.colors(): res.value for J, res in
+                        zip(labels, specialize_labels(labels, I, zinv, shifted, mp))
+                        if res.value != 0})
 
 
 def _bracket_ratios(val: complex, factors, mp: ModularParams) -> complex:
@@ -239,7 +146,7 @@ def _move(I: PartitionIndex, i: int, src: int, dst: int) -> PartitionIndex:
 
 
 def e_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
-            mp: ModularParams) -> CurrentActionResult:
+            mp: ModularParams) -> tuple[CurrentTerm, ...]:
     """Raising current on a GT vector: supports at z_i for i in I_{j+1}.
 
     Coefficient a* prod_{k in I_{j+1}, k != i} [u_k - u_i + 1]/[u_k - u_i];
@@ -257,11 +164,11 @@ def e_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
         out.append(CurrentTerm(site=i, coeff=coeff,
                                target=_move(I, i, j + 1, j),
                                tag=_unit_tag(j, I.N)))
-    return CurrentActionResult(terms=tuple(out))
+    return tuple(out)
 
 
 def f_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
-            mp: ModularParams) -> CurrentActionResult:
+            mp: ModularParams) -> tuple[CurrentTerm, ...]:
     """Lowering current on a GT vector: supports at z_i for i in I_j.
 
     Coefficient a prod_{k in I_j, k != i} [u_i - u_k + 1]/[u_i - u_k]; the
@@ -278,7 +185,7 @@ def f_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
                                     for k in I.parts[j - 1] if k != i], mp)
         out.append(CurrentTerm(site=i, coeff=coeff,
                                target=_move(I, i, j, j + 1), tag=zero))
-    return CurrentActionResult(terms=tuple(out))
+    return tuple(out)
 
 
 def _small_power(site: int, j: int, shape: Composition, tau,
@@ -333,10 +240,10 @@ def exchange_check(j1: int, j2: int, I: PartitionIndex, z: EvaluationPoints,
     def composite(first_j: int, second_j: int):
         """(site_first, site_second, target colors) -> small-current coefficient."""
         table: dict = {}
-        for t1 in act(first_j, I, z, mp).terms:
+        for t1 in act(first_j, I, z, mp):
             pw1 = _small_power(t1.site, first_j, I.shape(), zero, z, Pdyn, mp, current)
             tau1 = t1.tag if tag_shift else zero
-            for t2 in act(second_j, t1.target, z, mp).terms:
+            for t2 in act(second_j, t1.target, z, mp):
                 if t2.site == t1.site:
                     continue
                 pw2 = _small_power(t2.site, second_j, t1.target.shape(), tau1,

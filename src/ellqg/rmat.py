@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .ellfn import ModularParams, jacobi_brackets, require_normal, rho_plus
+from .ellfn import ModularParams, jacobi_brackets, require_normal
 from .errors import SingularityError
 from .tensorspace import DynamicalParams
 
@@ -34,12 +34,10 @@ _SING_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class DynRMatrix:
-    """Sparse dynamical R-matrix with metadata (z, nome choice)."""
+    """Sparse dynamical R-matrix: (in_pair, out_pair) -> nonzero entry."""
 
     N: int
-    z: complex
     entries: dict
-    starred: bool = False
 
     def entry(self, in_pair, out_pair) -> complex:
         return self.entries.get((tuple(in_pair), tuple(out_pair)), 0.0 + 0.0j)
@@ -103,16 +101,7 @@ def rbar(z: complex, Pdyn: DynamicalParams, mp: ModularParams,
         entries[((j2, j1), (j2, j1))] = bu / bu1
         entries[((j2, j1), (j1, j2))] = b1 * bspu / dens[1]
         entries[((j1, j2), (j2, j1))] = b1 * bsmu / dens[1]
-    return DynRMatrix(N=N, z=complex(z), entries=entries, starred=starred)
-
-
-def r_plus(z: complex, Pdyn: DynamicalParams, mp: ModularParams) -> DynRMatrix:
-    """R+(z, Pi) = rho+(z) R-bar(z, Pi)."""
-    base = rbar(z, Pdyn, mp)
-    rho = rho_plus(z, Pdyn.N, mp)
-    return DynRMatrix(N=base.N, z=base.z,
-                      entries={k: rho * v for k, v in base.entries.items()},
-                      starred=False)
+    return DynRMatrix(N=N, entries=entries)
 
 
 def permutation_dense(N: int) -> np.ndarray:
@@ -125,8 +114,7 @@ def permutation_dense(N: int) -> np.ndarray:
 
 
 def embedded_rbar(z: complex, u: complex, Pdyn: DynamicalParams, mp: ModularParams,
-                  n_slots: int, pair: tuple[int, int], spectators=(),
-                  starred: bool = False) -> np.ndarray:
+                  n_slots: int, pair: tuple[int, int], spectators=()) -> np.ndarray:
     """Dense operator on ``n_slots`` sites applying R-bar(z, Pi) to the slots in ``pair``.
 
     Pi is shifted by the h-weights of the colors in the ``spectators`` slots,
@@ -144,7 +132,7 @@ def embedded_rbar(z: complex, u: complex, Pdyn: DynamicalParams, mp: ModularPara
         key = tuple(colors[s - 1] for s in spectators)
         if key not in cache:
             pd = Pdyn.shifted_by_colors(key) if key else Pdyn
-            cache[key] = rbar(z, pd, mp, starred=starred, u=u)
+            cache[key] = rbar(z, pd, mp, u=u)
         a, b = colors[i - 1], colors[j - 1]
         for (a2, b2), coeff in cache[key].apply(a, b):
             M[col + (a2 - a) * step_i + (b2 - b) * step_j, col] += coeff
@@ -152,25 +140,24 @@ def embedded_rbar(z: complex, u: complex, Pdyn: DynamicalParams, mp: ModularPara
 
 
 def check_dybe(z1: complex, z2: complex, z3: complex, Pdyn: DynamicalParams,
-               mp: ModularParams, starred: bool = False) -> float:
+               mp: ModularParams) -> float:
     """Max-norm residual of the dynamical Yang-Baxter equation on V x V x V."""
     zs = (z1, z2, z3)
     us = tuple(mp.u_of(x) for x in zs)
 
     def R(i: int, j: int, *spectators: int) -> np.ndarray:
         return embedded_rbar(zs[i - 1] / zs[j - 1], us[i - 1] - us[j - 1], Pdyn, mp,
-                             3, (i, j), spectators, starred)
+                             3, (i, j), spectators)
 
     lhs = R(1, 2, 3) @ R(1, 3) @ R(2, 3, 1)
     rhs = R(2, 3) @ R(1, 3, 2) @ R(1, 2)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_inversion(z: complex, Pdyn: DynamicalParams, mp: ModularParams,
-                    starred: bool = False) -> float:
+def check_inversion(z: complex, Pdyn: DynamicalParams, mp: ModularParams) -> float:
     """Unitarity residual || R-bar(z, Pi) P R-bar(1/z, Pi) P - Id ||_max."""
     N = Pdyn.N
-    A = rbar(z, Pdyn, mp, starred=starred).dense()
-    B = rbar(1.0 / z, Pdyn, mp, starred=starred).dense()
+    A = rbar(z, Pdyn, mp).dense()
+    B = rbar(1.0 / z, Pdyn, mp).dense()
     P = permutation_dense(N)
     return float(np.max(np.abs(A @ P @ B @ P - np.eye(N * N))))

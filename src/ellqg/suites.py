@@ -352,7 +352,7 @@ def check_gt_diagonal(cfg, rng):
 
 def _exchange_worst(cfg, rng, current: str) -> float:
     mp = replace(cfg.modular(), k=0.0)
-    tag = not getattr(cfg, "break_shift", False)
+    tag = not cfg.break_shift
     worst = 0.0
     cases = [(2, (1, 1)), (2, (2, 2)), (2, (1, 2, 1, 2)), (3, (2, 3, 2, 3)),
              (3, (1, 2, 2, 3))]

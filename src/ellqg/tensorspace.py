@@ -212,9 +212,6 @@ class DynamicalParams:
         return sum((self.P[i] + self.eta[i] for i in range(j - 1, k - 1)),
                    start=0.0 + 0.0j)
 
-    def pi_value(self, j: int, k: int, q: float) -> complex:
-        return cmath.exp(2.0 * self.value(j, k) * math.log(q))
-
     def inverted(self) -> "DynamicalParams":
         """Pi -> Pi^(-1): negate every component and offset."""
         return DynamicalParams(tuple(-p for p in self.P),

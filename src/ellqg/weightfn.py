@@ -312,7 +312,8 @@ def _identity_term(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         entries = g.rows[:, 0] + g.cols[:, 0]
         if bad[entries].any():
             raise PoleError(_pole_message(l, bad, modified, g, 0, 0))
-        total *= complex(values[entries[:g.cross]].prod() * values[entries[g.cross:]].prod())
+        with np.errstate(over="ignore", invalid="ignore"):  # require_finite raises
+            total *= complex(values[entries[:g.cross]].prod() * values[entries[g.cross:]].prod())
     return require_finite(total, "weight-function term")
 
 
@@ -360,25 +361,27 @@ def _sym_sums(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalP
         one = np.ones(f.shape[1:], complex)
         return reduce(np.multiply, f[:g.cross], one) * reduce(np.multiply, f[g.cross:], one)
 
-    vec = np.empty((L, math.factorial(levels[-1][0])), complex)  # F_{N-1}[:, id]
-    for pattern, ks in groups[-1].items():  # the top level has one column
-        ks = np.array(ks)
-        vec[ks] = factor(len(levels), pattern, ks, slice(None))
-    nz = vec != 0  # per order: the number of its terms without an exactly-zero factor
-    unpruned = st.bad[:levels[-1][2]].any(axis=0) | modified  # flags at levels 1..N-2
-    for l in range(len(levels) - 1, 0, -1):  # vec[k] = F_l @ vec[k] over the live columns
-        live = (nz != 0) | unpruned[:, None]
-        out, count = (np.zeros((L, math.factorial(levels[l - 1][0])), dtype)
-                      for dtype in (complex, np.intp))
-        for pattern, ks in groups[l - 1].items():
-            lab, col = live[ks].nonzero()
-            rows = np.array(ks)[lab]
-            F = factor(l, pattern, rows, col)
-            np.add.at(count, rows, (F != 0) * nz[rows, col, None])
-            np.add.at(out, rows, F * vec[rows, col, None])
-        vec, nz = out, count
+    # A product beyond the float range raises FloatRangeError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = np.empty((L, math.factorial(levels[-1][0])), complex)  # F_{N-1}[:, id]
+        for pattern, ks in groups[-1].items():  # the top level has one column
+            ks = np.array(ks)
+            vec[ks] = factor(len(levels), pattern, ks, slice(None))
+        nz = vec != 0  # per order: the number of its terms without an exactly-zero factor
+        unpruned = st.bad[:levels[-1][2]].any(axis=0) | modified  # flags at levels 1..N-2
+        for l in range(len(levels) - 1, 0, -1):  # vec[k] = F_l @ vec[k] over the live columns
+            live = (nz != 0) | unpruned[:, None]
+            out, count = (np.zeros((L, math.factorial(levels[l - 1][0])), dtype)
+                          for dtype in (complex, np.intp))
+            for pattern, ks in groups[l - 1].items():
+                lab, col = live[ks].nonzero()
+                rows = np.array(ks)[lab]
+                F = factor(l, pattern, rows, col)
+                np.add.at(count, rows, (F != 0) * nz[rows, col, None])
+                np.add.at(out, rows, F * vec[rows, col, None])
+            vec, nz = out, count
+        sums = vec.sum(axis=1)
     total = math.prod(math.factorial(X) for X, *_ in levels)
-    sums = vec.sum(axis=1)
     for k in np.flatnonzero(st.bad.any(axis=0) | ~np.isfinite(sums)):
         error = st.a_pole.get(k) or _first_pole(st, k)
         if error:
@@ -474,12 +477,19 @@ def transition_check(mu, i: int, t: TVariables, z: EvaluationPoints,
     return abs(lhs - rhs)
 
 
+def _bracket_product(args, mp: ModularParams, label: str) -> complex:
+    """prod [x] over args from one bracket call; beyond the float range it
+    raises FloatRangeError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(complex(jacobi_brackets(args, mp).prod()), label)
+
+
 def h_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
              mp: ModularParams) -> complex:
     """H factor: prod_l prod_{a,b} [v^(l+1)_b - v^(l)_a + 1]."""
     vs = _vees(t, z, mp)
     args = [vb - va + 1.0 for l in range(1, lam.N) for va in vs[l - 1] for vb in vs[l]]
-    return require_finite(complex(jacobi_brackets(args, mp).prod()), "H factor")
+    return _bracket_product(args, mp, "H factor")
 
 
 def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
@@ -492,7 +502,7 @@ def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
     """
     vs = _vees(t, z, mp)
     args = [vb - va + 1.0 for l in range(1, lam.N) for va in vs[l - 1] for vb in vs[l - 1]]
-    return require_finite(complex(jacobi_brackets(args, mp).prod()), "E factor")
+    return _bracket_product(args, mp, "E factor")
 
 
 def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,

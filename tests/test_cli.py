@@ -180,9 +180,19 @@ def test_gt_basis_and_act(capsys):
     assert main(["gt", "basis"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["records"]) == 2
-    assert main(["gt", "act", "--op", "e", "--j", "1"]) == 0
+    # e_1 tags each term with the first simple root, f_1 tags none, and the
+    # diagonal current carries the tag of e_1.
+    for op, tag in (("e", [1]), ("f", [0])):
+        assert main(["gt", "act", "--op", op, "--j", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["op"] == op
+        terms = [t for rec in out["records"] for t in rec["terms"]]
+        assert len(terms) == 2
+        assert all(t["tag"] == tag for t in terms)
+    assert main(["gt", "act", "--op", "phi", "--j", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["op"] == "e"
+    assert out["op"] == "phi"
+    assert [rec["tag"] for rec in out["records"]] == [[1], [1]]
 
 
 def test_qkz_eval_and_quad(capsys):

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import random_pdyn
-from ellqg.ellfn import ModularParams, jacobi_bracket, rho_plus
+from ellqg.ellfn import ModularParams, jacobi_bracket
 from ellqg.errors import SingularityError
-from ellqg.rmat import (check_dybe, check_inversion, embedded_rbar, permutation_dense,
-                        r_plus, rbar)
+from ellqg.rmat import check_dybe, check_inversion, embedded_rbar, permutation_dense, rbar
 from ellqg.tensorspace import DynamicalParams
 
 
@@ -81,32 +80,10 @@ def test_ice_rule_structural(mp, rng):
             assert sorted((a, b)) == sorted((a2, b2))
 
 
-def test_r_plus_is_scalar_multiple(mp, rng):
-    pd = random_pdyn(rng, 2)
-    z = 0.8 * cmath.exp(0.4j)
-    Rp = r_plus(z, pd, mp)
-    Rb = rbar(z, pd, mp)
-    rho = rho_plus(z, 2, mp)
-    for key, val in Rb.entries.items():
-        assert abs(Rp.entries[key] - rho * val) < 1e-12 * max(1.0, abs(val))
-
-
-def test_r_plus_rank_one_is_identity(mp):
-    R = r_plus(0.6 + 0.2j, DynamicalParams(()), mp)
-    dense = R.dense()
+def test_rbar_rank_one_is_identity(mp):
+    dense = rbar(0.6 + 0.2j, DynamicalParams(()), mp).dense()
     assert dense.shape == (1, 1)
     assert abs(dense[0, 0] - 1.0) < 1e-12
-
-
-def test_r_plus_exchange_entry_is_product(mp, rng):
-    pd = random_pdyn(rng, 2)
-    z = 0.85 * cmath.exp(-0.6j)
-    u = mp.u_of(z)
-    s = pd.value(1, 2)
-    br = lambda x: jacobi_bracket(x, mp)
-    c = br(1) * br(s + u) / (br(s) * br(u + 1))
-    expected = rho_plus(z, 2, mp) * c
-    assert abs(r_plus(z, pd, mp).entry((2, 1), (1, 2)) - expected) < 1e-12
 
 
 def test_dybe_residual_small(mp, rng):

@@ -566,7 +566,7 @@ def test_resonant_gt_vector_outcomes_are_pinned(sizes, sign):
             continue
         assert set(got.terms) == set(want), I
         for colors, coeff in want.items():
-            assert abs(got.terms[colors][0] - coeff) <= 1e-13 * abs(coeff), (I, colors)
+            assert abs(got.terms[colors] - coeff) <= 1e-13 * abs(coeff), (I, colors)
 
 
 def _ordered_points(rng, n, q):
