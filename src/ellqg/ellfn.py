@@ -3,7 +3,9 @@
 q-Pochhammer products, the odd theta function, Jacobi-style theta brackets
 and the elliptic Gamma function, all evaluated by adaptively truncated
 products.  Every library product of brackets is one ``jacobi_brackets``
-call, and a batch of Gamma values one ``ell_gamma`` call, each a numpy pass.
+call, and a batch of Gamma values one ``ell_gamma`` call, each a numpy pass;
+``ell_gamma`` computes only the points of its p^m s^n grid that some argument
+keeps, laid out m-major in slabs of whole rows.
 The uncached scalar ``qpoch``/``theta``/``jacobi_bracket`` chain is the
 single-value API and the reference of the tests, suites and closed forms.
 
@@ -240,13 +242,17 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
     """Elliptic Gamma function Gamma(z; p, s) = (ps/z; p, s)_inf / (z; p, s)_inf.
 
     ``z`` is one argument (gives a complex) or a 1-D sequence (gives an array),
-    all evaluated in one numpy pass over the p^m s^n grid, one m-row at a time.
+    all evaluated in one numpy pass over the kept points of the p^m s^n grid.
     Each (x; p, s)_inf keeps the factors with m, n < max_terms and |x| p^m s^n
-    >= eps; an argument that needs more raises ResourceCapError.  A vanishing
-    factor of a (z; p, s)_inf raises PoleError naming (m, n): the smallest m,
-    then the earliest z, then the smallest n.  A product or quotient beyond
-    the float range, or a 0 with no exactly-zero numerator factor, raises
-    FloatRangeError.  Gamma(z) Gamma(ps/z) = 1.
+    >= eps; an argument that needs more raises ResourceCapError.  Grid row m
+    is computed only up to the last point some argument keeps, the rows in
+    slabs of as many whole grid rows as fit ``_BATCH_ENTRIES`` entries (at
+    least one), and the row products are folded in m order.  A vanishing factor of a (z; p, s)_inf raises
+    PoleError naming (m, n): the smallest m, then the earliest z, then the
+    smallest n.  A product or quotient beyond the float range, or a 0 with no
+    exactly-zero numerator factor, raises FloatRangeError; a running product
+    that has left the float range stops the fold at the next row m = 15 mod
+    16, and a pole in a later row is not looked for.  Gamma(z) Gamma(ps/z) = 1.
     """
     if abs(p) >= 1.0 or abs(s) >= 1.0:
         raise ParameterError("elliptic Gamma requires |p| < 1 and |s| < 1")
@@ -256,31 +262,58 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
     args = np.concatenate((p * s / zs, zs))
     top = np.abs(args).max(initial=0.0)
     prow, srow = (_nome_powers(x, top, eps, max_terms, "elliptic Gamma") for x in (p, s))
-    row = np.multiply.outer(args, srow)             # x s^n; row m scales it by p^m
-    size = np.abs(row)
+    row = np.multiply.outer(srow, args)             # x s^n by n; grid row m scales it by p^m
     acc = np.ones(args.size, dtype=complex)
-    for m, pm in enumerate(prow):
-        f = 1.0 - pm * row
-        f[abs(pm) * size < eps] = 1.0               # factors an argument drops
-        small = np.abs(f[zs.size:])
-        if small.min() < _POLE_TOL:
-            j, n = np.argwhere(small < _POLE_TOL)[0]
-            raise PoleError(f"elliptic Gamma pole: factor (m={m}, n={n}) "
-                            f"vanishes at z={zs[j]}")
-        acc = acc * np.multiply.reduce(f, axis=1)
-        # A product beyond the float range stays there: near q = 1 (thousands
-        # of rows) stop early, at a cost of one test per 16 rows.
-        if m % 16 == 15 and not np.isfinite(acc).all():
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, product in _gamma_rows(zs, prow, row, eps):
+            acc = acc * product
+            # A product beyond the float range stays there: near q = 1
+            # (thousands of rows) stop early, at a cost of one test per 16 rows.
+            if m % 16 == 15 and not np.isfinite(acc).all():
+                break
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma = acc[:zs.size] / acc[zs.size:]
     bad = ~(np.isfinite(gamma) & np.isfinite(acc[zs.size:]))  # an inf divisor gives 0
     if bad.any():
         raise FloatRangeError(f"elliptic Gamma overflows at z={zs[bad][0]}")
     for j in np.flatnonzero(gamma == 0):            # a true zero has a zero numerator factor
-        if (1.0 - np.multiply.outer(prow, row[j])).all():
+        if (1.0 - np.multiply.outer(prow, row[:, j])).all():
             raise FloatRangeError(f"elliptic Gamma underflows at z={zs[j]}")
     return complex(gamma[0]) if np.ndim(z) == 0 else gamma
+
+
+def _gamma_rows(zs: np.ndarray, prow: np.ndarray, row: np.ndarray, eps: float):
+    """Yield (m, the products of row m's factors 1 - p^m (x s^n), one per argument).
+
+    The points (m, n) of a slab of rows up to the last point any argument
+    keeps are laid out m-major in one (points x arguments) array, with the
+    factors an argument drops set to 1; each row's products are one
+    ``reduceat``.  A vanishing factor of one of the last ``zs.size``
+    arguments raises PoleError when its row is reached, so a caller that
+    stops folding earlier never sees it.
+    """
+    size = np.abs(row)
+    pabs, reach = np.abs(prow), size.max(axis=1, initial=0.0)
+    step = max(1, _BATCH_ENTRIES // max(size.size, 1))
+    for lo in range(0, prow.size, step):
+        mi, ni = np.nonzero(np.multiply.outer(pabs[lo:lo + step], reach) >= eps)
+        mi += lo
+        f = row.take(ni, axis=0)
+        np.multiply(prow.take(mi)[:, None], f, out=f)
+        np.subtract(1.0, f, out=f)
+        drop = size.take(ni, axis=0)
+        np.multiply(pabs.take(mi)[:, None], drop, out=drop)
+        f[drop < eps] = 1.0                             # factors an argument drops
+        pole = np.abs(f[:, -zs.size:]) < _POLE_TOL
+        first = mi[pole.any(axis=1)].min() if pole.any() else -1
+        for m, product in enumerate(np.multiply.reduceat(f, np.flatnonzero(ni == 0), axis=0),
+                                    start=lo):
+            if m == first:
+                pt, j = np.nonzero(pole & (mi == m)[:, None])
+                j, n = min(zip(j, ni[pt]))
+                raise PoleError(f"elliptic Gamma pole: factor (m={m}, n={n}) "
+                                f"vanishes at z={zs[j]}")
+            yield m, product
 
 
 def rho_plus(z: complex, N: int, mp: ModularParams) -> complex:

@@ -1,11 +1,15 @@
 import cmath
 import math
+import re
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellqg import ellfn
 from ellqg.ellfn import (ModularParams, bracket_derivative_at_zero, ell_gamma,
                          jacobi_bracket, jacobi_brackets, mu_scalar, qpoch, rho_plus,
                          theta)
@@ -330,6 +334,79 @@ def test_gamma_underflow_raises_instead_of_a_false_zero():
         ell_gamma(0.2, p, s, max_terms=4096)
     with pytest.raises(FloatRangeError, match="underflows"):
         ell_gamma([0.5, 0.2], p, s, max_terms=4096)
+
+
+def test_gamma_overflow_raises_the_error_not_a_warning():
+    # (1e30; 0.5, 0.5)_inf leaves the float range in its first grid row.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match=r"overflows at z=\(1e\+30\+0j\)"):
+            ell_gamma([1e30], 0.5, 0.5)
+
+
+def test_gamma_overflow_in_the_first_rows_comes_before_a_later_pole():
+    # (1e6; p, s)_inf overflows in row 0, so the fold stops at the end of
+    # row 15 and the pole of the other argument, in row 20 or 30, is not
+    # reached: the overflow is reported, in either argument order.
+    p, s = 0.97, 0.9
+    for m in (20, 30):
+        pole = 1.0 / (p ** m * s ** 2)
+        with pytest.raises(PoleError, match=rf"m={m}, n=2\)"):
+            ell_gamma(pole, p, s, max_terms=4096)
+        for args in ([1e6, pole], [pole, 1e6]):
+            with pytest.raises(FloatRangeError, match=r"overflows at z=\(1000000\+0j\)"):
+                ell_gamma(args, p, s, max_terms=4096)
+
+
+def test_gamma_poles_in_different_slabs_are_named_in_grid_order():
+    # At p = 0.97 the grid has over 1,100 rows of 335 points, 2,010 entries a
+    # row for these 3 arguments, so rows 10 and 100 lie in different slabs.
+    # The smallest m names the pole, not the earliest z; within row 10 the
+    # earlier z wins over the smaller n.
+    p, s = 0.97, 0.9
+    assert 90 * 2010 > ellfn._BATCH_ENTRIES
+    pole = lambda m, n: 1.0 / (p ** m * s ** n)
+    args = [pole(100, 0), pole(10, 3), pole(10, 1)]
+    where = re.escape(str(np.complex128(args[1])))
+    with pytest.raises(PoleError, match=rf"\(m=10, n=3\) vanishes at z={where}"):
+        ell_gamma(args, p, s, max_terms=4096)
+
+
+def _plain_gamma(x, p, s, eps=1e-14):
+    """Gamma(x; p, s) from plain loops: the factors 1 - p^m (y s^n) with
+    p^m |y s^n| >= eps, multiplied along each row n = 0, 1, ..., and the rows
+    in m order."""
+    def double(y):
+        val, pm = 1.0 + 0.0j, 1.0
+        while pm * abs(y) >= eps:
+            row, sn = 1.0 + 0.0j, 1.0
+            while pm * abs(y * sn) >= eps:
+                row *= 1.0 - pm * (y * sn)
+                sn *= s
+            val *= row
+            pm *= p
+        return val
+    return double(p * s / x) / double(x)
+
+
+def _gamma_sweep_cases():
+    rng = np.random.default_rng(1311)
+    args = lambda n, lo, hi: list(np.exp(rng.uniform(np.log(lo), np.log(hi), n)
+                                         + 1j * rng.uniform(-math.pi, math.pi, n)))
+    shallow = [(float(p), float(s)) for p, s in
+               zip(np.exp(rng.uniform(np.log(1e-4), np.log(0.3), 3)),
+                   np.exp(rng.uniform(np.log(1e-4), np.log(0.3), 3)))]
+    nomes = shallow + [(0.5 ** 6.2, 1e-6), (0.8 ** 6.2, 0.2)]  # s = 1e-6; the q-KZ pair
+    cases = [(args(n, 0.05, 20.0), p, s) for p, s in nomes for n in (1, 4, 20, 100)]
+    # Near q = 1: about 450 rows of 90 points for 16 arguments, ten slabs.
+    return cases + [(args(8, 0.5, 2.0), 0.93, 0.7)]
+
+
+@pytest.mark.parametrize("zs, p, s", _gamma_sweep_cases())
+def test_gamma_sweep_against_plain_loops(zs, p, s):
+    for x, val in zip(zs, ell_gamma(zs, p, s, max_terms=4096)):
+        ref = _plain_gamma(complex(x), p, s)
+        assert abs(val - ref) <= 1e-14 * abs(ref), (x, p, s)
 
 
 # ---------------------------------------------- bracket layer vs mpmath --
