@@ -234,8 +234,7 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
         t = _default_t(cfg)
         for I in parts:
             mu = I.colors()
-            for i in range(1, cfg.n):
-                res = weightfn.transition_check(mu, i, t, z, pd, mp)
+            for i, res in enumerate(weightfn.transition_residuals(mu, t, z, pd, mp), 1):
                 records.append({"lambda": list(lam.sizes), "I": I.to_json(),
                                 "position": i, "residual": res})
     _emit({"action": args.action, "records": records}, args.out)

@@ -248,8 +248,8 @@ def check_wf_transition(cfg, rng):
                 z = _rand_points(rng, n, mp.q)
                 pd = _rand_pdyn(rng, N)
                 t = _rand_t(rng, lam)
-                for i in range(1, n):
-                    worst = np.maximum(worst, weightfn.transition_check(mu, i, t, z, pd, mp))
+                for res in weightfn.transition_residuals(mu, t, z, pd, mp):
+                    worst = np.maximum(worst, res)
     return worst, 1e-9
 
 

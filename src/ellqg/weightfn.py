@@ -19,7 +19,12 @@ the labels of a call as one stack (one for ``w_tilde``, every label at
 t = z_at for ``specialize_labels``): the bracket arguments are only the
 O(n^2) values v_x - v_y + c, c in {0, +-1, A}, so one ``jacobi_brackets``
 pass gives every label's tables, and per level the labels that share a slot
-pattern gather their entries in one index operation.  A column of a label's
+pattern gather their entries in one index operation.  A stack item may read
+the spectral points through a site permutation (its z-level variable indices
+are remapped before the arguments and their keys are formed), so
+``transition_residuals`` evaluates a whole transition case, swapped points
+included, as one stack, each value bitwise that of ``w_tilde`` at the
+permuted points.  A column of a label's
 F_l whose every term already has an exactly-zero factor (as at t = z_J) is
 not gathered and its terms count as pruned, unless the label is a u_mod sum
 or has a denominator of levels 1..N-2 that meets the pole test
@@ -229,26 +234,37 @@ class _Stack(NamedTuple):
 
 
 def _stack(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
-           mp: ModularParams, modified: bool) -> _Stack:
+           mp: ModularParams, modified: bool, perms: list | None = None) -> _Stack:
     """The factor tables of the labels' u_tilde (with ``modified``, u_mod) terms
     at t, from one ``jacobi_brackets`` call, over the distinct arguments of a
     stack of several (a constant is keyed by its formula, so equal keys are the
     same operations on the same values); [A] divides every term and is tested
-    here, against [1]."""
+    here, against [1].  With ``perms``, label k reads the spectral point of
+    site s+1 from ``z.z[perms[k][s]]`` (None: the identity), as if z were
+    permuted."""
     lam, patterns, slots = zip(*map(_label, labels))
     t.check_shape(lam[0])
     levels, (i, j, c), ratio = _layout(lam[0], modified)
     v = np.array([x for level in _vees(t, z, mp) for x in level] + [0.0], dtype=complex)
+    if perms is None:
+        i, j = i[:, None], j[:, None]
+    else:  # remap each label's z-level variables, before arguments and keys are formed
+        var = np.tile(np.arange(v.size), (len(labels), 1))
+        z0 = v.size - 1 - len(z.z)
+        for k, perm in enumerate(perms):
+            if perm is not None:
+                var[k, z0:-1] = z0 + np.array(perm)
+        i, j = var[:, i].T, var[:, j].T  # (brackets, labels)
     ids = {0: 0, 1: 1, 2: 2}  # constant keys: 0, 1, -1 by place, a slot's A by (l, color, C)
     cids = np.array([[0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
                                   for l, _, color, C in sl] for sl in slots])
     const = np.array([0.0, 1.0, -1.0] + [Pdyn.value(color, l + 1) - C
                                          for l, color, C in list(ids)[3:]], dtype=complex)
     c = cids.T[c]  # (brackets, labels)
-    args = (v[i] - v[j])[:, None] + const[c]  # equal keys, bitwise equal arguments
-    br = np.ones((len(i) + 1, len(labels)), complex)  # the last row: an exact 1
+    args = v[i] - v[j] + const[c]  # equal keys, bitwise equal arguments
+    br = np.ones((len(c) + 1, len(labels)), complex)  # the last row: an exact 1
     if len(labels) > 1:  # each distinct argument once
-        keys = ((i * v.size + j) * len(ids))[:, None] + c
+        keys = (i * v.size + j) * len(ids) + c
         rank = (np.cumsum(np.bincount(keys.ravel()) > 0) - 1)[keys]  # place among the keys
         distinct = np.empty(rank.max() + 1, dtype=complex)
         distinct[rank] = args
@@ -332,20 +348,23 @@ def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
 
 
 def _sym_sums(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
-              mp: ModularParams, modified: bool = False) -> list[WeightFunctionEval]:
+              mp: ModularParams, modified: bool = False,
+              perms: list | None = None) -> list[WeightFunctionEval]:
     """Each label's plain sum of its u_tilde (u_mod) terms over block
-    permutations, the labels as one stack (module docstring).  Then, label by
-    label in order, a vanishing [A], a term through a vanishing denominator
-    (the PoleError the depth-first order of terms meets first) and a sum
-    beyond the float range (FloatRangeError) raise.  If the shared bracket
-    call raises, each label makes its own, so the first label's error is
-    raised."""
+    permutations, the labels as one stack (module docstring), label k at z
+    permuted by ``perms[k]`` (``_stack``).  Then, label by label in order, a
+    vanishing [A], a term through a vanishing denominator (the PoleError the
+    depth-first order of terms meets first) and a sum beyond the float range
+    (FloatRangeError) raise.  If the shared bracket call raises, each label
+    makes its own, so the first label's error is raised."""
     try:
-        st = _stack(labels, t, z, Pdyn, mp, modified)
+        st = _stack(labels, t, z, Pdyn, mp, modified, perms)
     except EllqgError:
         if len(labels) == 1:
             raise
-        return [_sym_sums([I], t, z, Pdyn, mp, modified)[0] for I in labels]
+        alone = [None] * len(labels) if perms is None else [[perm] for perm in perms]
+        return [_sym_sums([I], t, z, Pdyn, mp, modified, one)[0]
+                for I, one in zip(labels, alone)]
     levels, L = st.levels, len(labels)
     values, width = st.values.ravel(), st.values.shape[1]  # label-major
     groups: list = [{} for _ in levels]  # per level: the labels by slot pattern
@@ -441,9 +460,10 @@ def diagonal_value(I: PartitionIndex, z: EvaluationPoints, mp: ModularParams) ->
     return total
 
 
-def transition_check(mu, i: int, t: TVariables, z: EvaluationPoints,
-                     Pdyn: DynamicalParams, mp: ModularParams) -> float:
-    """|LHS - RHS| of the adjacent-swap transition identity at position i.
+def transition_residuals(mu, t: TVariables, z: EvaluationPoints,
+                         Pdyn: DynamicalParams, mp: ModularParams) -> list[float]:
+    """|LHS - RHS| of the adjacent-swap transition identity at each position
+    i = 1..n-1, in order.
 
     LHS: the weight function labeled by mu with colors i, i+1 swapped,
     evaluated at spectral points with z_i, z_{i+1} swapped.  RHS: the
@@ -451,30 +471,55 @@ def transition_check(mu, i: int, t: TVariables, z: EvaluationPoints,
     -sum_{j>=i} of the color weights, of the unswapped-argument functions.
     The R entry used maps in-pair (mu'_i, mu'_{i+1}) [summed] to out-pair
     (mu_i, mu_{i+1}); this orientation is normative for the package.
+
+    Every weight function of the case is one item of a single ``_sym_sums``
+    stack, the swapped spectral points as a site permutation of the item, so
+    each value is bitwise the one ``w_tilde`` gives at ``z.swapped(i)``.
+    Items are taken in the order of the position-by-position evaluation (per
+    i: LHS, then each RHS function whose R entry is nonzero, each item once),
+    and an error is the one that order meets first: the first raising item,
+    or the R-bar of a position whose items before it evaluate.
     """
-    mu = tuple(mu)
-    n = len(mu)
-    if not 1 <= i <= n - 1:
-        raise ShapeError(f"swap position must lie in 1..{n-1}")
-    N = Pdyn.N
-    mu_sw = list(mu)
-    mu_sw[i - 1], mu_sw[i] = mu_sw[i], mu_sw[i - 1]
-    lhs = w_tilde(PartitionIndex.from_colors(mu_sw, N), t, z.swapped(i),
-                  Pdyn, mp).value
-    shift = Pdyn.shifted_by_colors(mu[i - 1:], sign=-1)
-    R = rbar(z.z[i - 1] / z.z[i], shift, mp, u=z.u[i - 1] - z.u[i])
-    out_pair = (mu[i - 1], mu[i])
-    rhs = 0.0 + 0.0j
-    in_pairs = [out_pair] if mu[i - 1] == mu[i] else [out_pair, (mu[i], mu[i - 1])]
-    for cin in in_pairs:
-        coeff = R.entry(cin, out_pair)
-        if coeff == 0:
-            continue
-        mu_p = list(mu)
-        mu_p[i - 1], mu_p[i] = cin
-        rhs += coeff * w_tilde(PartitionIndex.from_colors(mu_p, N), t, z,
-                               Pdyn, mp).value
-    return abs(lhs - rhs)
+    mu, N = tuple(mu), Pdyn.N
+    if len(mu) != z.n:  # a site permutation must cover every spectral point
+        raise ShapeError(f"{len(mu)} colors need {len(mu)} spectral points, got {z.n}")
+    labels, perms, place = [], [], {}  # the stack's items; (colors, perm) -> item
+
+    def item(colors, perm=None) -> int:
+        if (colors, perm) not in place:
+            place[colors, perm] = len(labels)
+            labels.append(PartitionIndex.from_colors(colors, N))
+            perms.append(perm)
+        return place[colors, perm]
+
+    def values() -> list[complex]:
+        return [w.value for w in _sym_sums(labels, t, z, Pdyn, mp, perms=perms)]
+
+    cases = []  # per position: LHS item, then (R entry, item) of the RHS
+    for i in range(1, len(mu)):
+        swap = list(range(len(mu)))
+        swap[i - 1], swap[i] = i, i - 1
+        lhs = item(tuple(mu[s] for s in swap), tuple(swap))
+        try:
+            shift = Pdyn.shifted_by_colors(mu[i - 1:], sign=-1)
+            R = rbar(z.z[i - 1] / z.z[i], shift, mp, u=z.u[i - 1] - z.u[i])
+        except EllqgError:
+            values()  # an item met before this R-bar raises first
+            raise
+        out_pair, rhs = mu[i - 1:i + 1], []
+        for cin in [out_pair] if mu[i - 1] == mu[i] else [out_pair, out_pair[::-1]]:
+            coeff = R.entry(cin, out_pair)
+            if coeff != 0:
+                rhs.append((coeff, item(mu[:i - 1] + cin + mu[i + 1:])))
+        cases.append((lhs, rhs))
+    w = values() if labels else []
+    out = []
+    for lhs, rhs in cases:
+        total = 0.0 + 0.0j
+        for coeff, k in rhs:
+            total += coeff * w[k]
+        out.append(abs(w[lhs] - total))
+    return out
 
 
 def _bracket_product(args, mp: ModularParams, label: str) -> complex:

@@ -11,6 +11,7 @@ from ellqg import suites
 from ellqg.cli import ConfigError, build_config, main, parse_config, run_suite
 from ellqg.errors import FloatRangeError
 from ellqg.rmat import rbar
+from ellqg.tensorspace import Composition, enumerate_partitions
 
 MINIMAL = {
     "q": 0.5, "r": 3.0, "k": 0.0, "N": 2, "n": 2, "lambda": [1, 1],
@@ -174,6 +175,19 @@ def test_wf_eval_and_triangularity(capsys):
     assert main(["wf", "triangularity"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["records"]) == 4
+
+
+def test_wf_transition_records(tmp_path, capsys):
+    # One record per (label, position), labels in enumeration order, then positions.
+    config = {**MINIMAL, "N": 3, "n": 4, "lambda": [2, 1, 1], "P": [1.7, [0.9, -0.4]],
+              "z": [[0.8, 0.0], [0.0, 0.9], [-0.5, 0.3], [0.2, -0.6]]}
+    assert main(["--config", write_config(tmp_path, config), "wf", "transition"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    labels = enumerate_partitions(Composition((2, 1, 1)))
+    assert [(rec["I"], rec["position"]) for rec in records] == [
+        (I.to_json(), i) for I in labels for i in (1, 2, 3)]
+    assert all(rec["lambda"] == [2, 1, 1] for rec in records)
+    assert all(rec["residual"] <= 1e-9 for rec in records)
 
 
 def test_gt_basis_and_act(capsys):

@@ -9,15 +9,17 @@ import pytest
 from conftest import random_pdyn, random_points, random_t, shape_of
 from ellqg.ellfn import ModularParams, jacobi_bracket
 from ellqg import weightfn
-from ellqg.errors import EllqgError, FloatRangeError, ParameterError, PoleError
+from ellqg.errors import (EllqgError, FloatRangeError, ParameterError, PoleError,
+                          ShapeError, SingularityError)
 from ellqg.gtrep import gt_vector
+from ellqg.rmat import rbar
 from ellqg.suites import _compositions as all_compositions
 from ellqg.suites import _wf_cases
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                                PartitionIndex, enumerate_partitions, leq)
 from ellqg.weightfn import (TVariables, diagonal_value, e_lambda,
                             modified_w, specialize, specialize_labels, stab_matrix,
-                            stable_envelope_restriction, transition_check,
+                            stable_envelope_restriction, transition_residuals,
                             triangularity_violations, u_mod, u_tilde, w_tilde)
 
 
@@ -461,8 +463,9 @@ def test_transition_property(mp, rng):
                 z = random_points(rng, n, mp.q)
                 pd = random_pdyn(rng, N)
                 t = random_t(rng, lam)
-                for i in range(1, n):
-                    assert transition_check(mu, i, t, z, pd, mp) < 1e-9
+                residuals = transition_residuals(mu, t, z, pd, mp)
+                assert len(residuals) == n - 1
+                assert all(res < 1e-9 for res in residuals), (mu, residuals)
 
 
 def test_transition_equal_colors_is_z_symmetry(mp, rng):
@@ -471,7 +474,94 @@ def test_transition_equal_colors_is_z_symmetry(mp, rng):
     z = random_points(rng, 2, mp.q)
     pd = random_pdyn(rng, 2)
     t = random_t(rng, lam)
-    assert transition_check(mu, 1, t, z, pd, mp) < 1e-10
+    (res,) = transition_residuals(mu, t, z, pd, mp)
+    assert res < 1e-10
+
+
+def test_transition_needs_one_spectral_point_per_color(mp, rng):
+    t = random_t(rng, shape_of((1, 2), 2))
+    with pytest.raises(ShapeError, match="2 colors need 2 spectral points, got 3"):
+        transition_residuals((1, 2), t, random_points(rng, 3, mp.q), random_pdyn(rng, 2), mp)
+
+
+def _swap(n, i):
+    """s_i as a stack item's site permutation: site s reads z[perm[s]] (0-based)."""
+    perm = list(range(n))
+    perm[i - 1], perm[i] = i, i - 1
+    return tuple(perm)
+
+
+def test_swapped_stack_items_are_bitwise_w_tilde(mp, rng):
+    # An item that reads z through s_i is w_tilde at z.swapped(i) bit for bit,
+    # alone and in one stack with the identity items and the other swaps.
+    for N in (2, 3):
+        for n in (2, 3, 4):
+            for lam in all_compositions(n, N):
+                z = random_points(rng, n, mp.q)
+                pd = random_pdyn(rng, N)
+                t = random_t(rng, lam)
+                items = [(I, i) for i in range(n) for I in enumerate_partitions(lam)]
+                perms = [_swap(n, i) if i else None for _, i in items]
+                alone = [weightfn._sym_sums([I], t, z, pd, mp, perms=[perm])[0]
+                         for (I, _), perm in zip(items, perms)]
+                for (I, i), w in zip(items, alone):
+                    assert w == w_tilde(I, t, z.swapped(i) if i else z, pd, mp), (I, i)
+                labels = [I for I, _ in items]
+                assert weightfn._sym_sums(labels, t, z, pd, mp, perms=perms) == alone, lam
+
+
+def _sequential_residuals(mu, t, z, pd, mp):
+    """The transition identity position by position: w_tilde of the LHS, then
+    R-bar, then w_tilde of each RHS label with a nonzero R entry."""
+    out = []
+    for i in range(1, len(mu)):
+        sw = list(mu)
+        sw[i - 1], sw[i] = sw[i], sw[i - 1]
+        lhs = w_tilde(PartitionIndex.from_colors(sw, pd.N), t, z.swapped(i), pd, mp).value
+        R = rbar(z.z[i - 1] / z.z[i], pd.shifted_by_colors(mu[i - 1:], sign=-1), mp,
+                 u=z.u[i - 1] - z.u[i])
+        out_pair, rhs = tuple(mu[i - 1:i + 1]), 0.0 + 0.0j
+        for cin in [out_pair] if mu[i - 1] == mu[i] else [out_pair, out_pair[::-1]]:
+            coeff = R.entry(cin, out_pair)
+            if coeff != 0:
+                mu_p = mu[:i - 1] + cin + mu[i + 1:]
+                rhs += coeff * w_tilde(PartitionIndex.from_colors(mu_p, pd.N), t, z, pd, mp).value
+        out.append(abs(lhs - rhs))
+    return out
+
+
+def _resonant_case(mu, j, k):
+    """q=0.5, r=3.1, P=1.2+0.3i; t^(1)_1 = q^2 z_j, and z_{k+1} = q^2 z_k
+    unless k is None (so [u+1] of R-bar(z_k/z_{k+1}) vanishes)."""
+    q = 0.5
+    z = [0.6 * cmath.exp(0.3j), 0.8 * cmath.exp(-1j), 0.45 * cmath.exp(2.1j)][:len(mu)]
+    if k is not None:
+        z[k] = q ** 2 * z[k - 1]
+    rest = tuple(0.7 * cmath.exp(0.5j * a) for a in range(1, mu.count(1)))
+    return (TVariables(((q ** 2 * z[j - 1],) + rest,)), EvaluationPoints(tuple(z), q),
+            DynamicalParams((1.2 + 0.3j,)), ModularParams(q=q, r=3.1))
+
+
+@pytest.mark.parametrize("mu, j, k, error", [
+    # the LHS and the RHS label (1,2) at z raise different PoleErrors; the LHS comes first
+    ((1, 2), 1, None, (PoleError, "[v^2_2 - v^1_1 + 1] vanished")),
+    # R-bar at position 1 raises before two RHS labels raise PoleErrors
+    ((1, 2, 1), 2, 1, (SingularityError, "[u+1] ~ 0 at z=(4+0j)")),
+    # three labels raise different PoleErrors; the first in evaluation order wins
+    ((2, 1, 2), 2, None, (PoleError, "[v^2_1 - v^1_1 + 1] vanished")),
+])
+def test_transition_raises_the_first_error_of_the_sequential_order(mu, j, k, error):
+    t, z, pd, mp = _resonant_case(mu, j, k)
+    assert _outcome(lambda: transition_residuals(mu, t, z, pd, mp)) == error
+    assert _outcome(lambda: _sequential_residuals(mu, t, z, pd, mp)) == error
+
+
+def test_transition_outcomes_match_the_sequential_order_at_resonant_points():
+    for mu in [(1, 2), (2, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2), (2, 1, 1)]:
+        for j, k in product(range(1, len(mu) + 1), [None, *range(1, len(mu))]):
+            t, z, pd, mp = _resonant_case(mu, j, k)
+            want = _outcome(lambda: _sequential_residuals(mu, t, z, pd, mp))
+            assert _outcome(lambda: transition_residuals(mu, t, z, pd, mp)) == want, (mu, j, k)
 
 
 def test_modified_routes_agree(mp, rng):
