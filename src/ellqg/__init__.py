@@ -17,7 +17,6 @@ from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, leq, weight_of)
 from .weightfn import (TVariables, WeightFunctionEval, diagonal_value,
                        modified_w, specialize, specialize_labels, stab_matrix,
-                       stable_envelope_restriction, transition_residuals, u_tilde,
-                       w_tilde)
+                       stable_envelope_restriction, transition_residuals, w_tilde)
 
 __version__ = "0.1.0"

@@ -370,7 +370,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run a verification suite")
     p_ver.add_argument("suite", nargs="?", default="all",
-                       choices=("ellfn", "rmat", "wf", "gt", "qkz", "all"))
+                       choices=(*suites.SUITE_NAMES, "all"))
     p_ver.add_argument("--break-shift", action="store_true",
                        help="negative control: disable dynamical-shift "
                             "bookkeeping (the gt suite must then fail)")

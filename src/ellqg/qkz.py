@@ -180,7 +180,7 @@ def phi_trig(t: TVariables, z: EvaluationPoints, mp: ModularParams) -> complex:
 
 def integrand(spec: IntegrandSpec, t: TVariables) -> complex:
     """e(t, Pi) * Phi(t, z) * W_I, times the nome-Q cycle insertion if set."""
-    t.check_shape(spec.lam)
+    t.check_shape(spec.lam, spec.z)
     val = e_factor(t, spec.Pdyn, spec.mp)
     if spec.trig:
         val *= phi_trig(t, spec.z, spec.mp)

@@ -505,7 +505,7 @@ SUITES = {
     ],
 }
 
-SUITE_NAMES = ("ellfn", "rmat", "wf", "gt", "qkz")
+SUITE_NAMES = tuple(SUITES)
 
 
 def checks_for(name: str):

@@ -14,7 +14,8 @@ Every symmetrized sum is one chain of per-level matrices: the level-l factor
 F_l[p, p'] of the terms whose level-l and level-(l+1) variables are in the
 orders p and p' is gathered from tables of bracket ratios with index arrays
 cached per slot pattern, and the sum is F_1 @ ... @ F_{N-1}[:, id] summed;
-``u_tilde``/``u_mod`` are the identity entries.  ``_sym_sums`` evaluates
+the term U_I of ``w_tilde`` (of ``modified_w``) is the identity entry.
+``_sym_sums``, the only code that multiplies table entries, evaluates
 the labels of a call as one stack (one for ``w_tilde``, every label at
 t = z_at for ``specialize_labels``): the bracket arguments are only the
 O(n^2) values v_x - v_y + c, c in {0, +-1, A}, so one ``jacobi_brackets``
@@ -26,7 +27,7 @@ are remapped before the arguments and their keys are formed), so
 included, as one stack, each value bitwise that of ``w_tilde`` at the
 permuted points.  A column of a label's
 F_l whose every term already has an exactly-zero factor (as at t = z_J) is
-not gathered and its terms count as pruned, unless the label is a u_mod sum
+not gathered and its terms count as pruned, unless the label is a modified sum
 or has a denominator of levels 1..N-2 that meets the pole test
 ``ellfn.pole_tol`` (the level-(N-1) factor is always evaluated whole).  A
 term through a vanishing denominator raises PoleError, at a specialization
@@ -79,7 +80,10 @@ class TVariables:
         return TVariables(tuple(tuple(lvl[i] for i in perm)
                                 for lvl, perm in zip(self.levels, perms)))
 
-    def check_shape(self, lam: Composition) -> None:
+    def check_shape(self, lam: Composition, z: EvaluationPoints) -> None:
+        """Shape lam needs these t-levels and one spectral point per site."""
+        if z.n != lam.n:
+            raise ShapeError(f"need {lam.n} spectral points, got {z.n}")
         if len(self.levels) != lam.N - 1:
             raise ShapeError(f"need {lam.N - 1} t-levels, got {len(self.levels)}")
         for l, lvl in enumerate(self.levels, 1):
@@ -199,8 +203,8 @@ def _gather(modified: bool, pattern: tuple, Y: int, top: bool, lo: int) -> _Gath
     (identity first), columns over every order of level l+1, or only its
     identity at the top level.  Tables (X slots, Y variables at level l+1, row
     x is v_x): the matched-slot ratio of each slot a (X tables, X x Y), the
-    later-slot ratio (X x Y), the earlier-slot factor of u_mod (X x Y, unused
-    by u_tilde), then the same-level ratio (X x X)."""
+    later-slot ratio (X x Y), the earlier-slot factor of the modified term
+    (X x Y, unused by the plain one), then the same-level ratio (X x X)."""
     X = len(pattern)
     rows = np.array(list(permutations(range(X))), dtype=np.intp)
     cols = np.arange(Y)[None] if top else np.array(list(permutations(range(Y))), dtype=np.intp)
@@ -235,15 +239,15 @@ class _Stack(NamedTuple):
 
 def _stack(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
            mp: ModularParams, modified: bool, perms: list | None = None) -> _Stack:
-    """The factor tables of the labels' u_tilde (with ``modified``, u_mod) terms
-    at t, from one ``jacobi_brackets`` call, over the distinct arguments of a
-    stack of several (a constant is keyed by its formula, so equal keys are the
-    same operations on the same values); [A] divides every term and is tested
-    here, against [1].  With ``perms``, label k reads the spectral point of
-    site s+1 from ``z.z[perms[k][s]]`` (None: the identity), as if z were
+    """The factor tables of the labels' terms (with ``modified``, the modified
+    terms) at t, from one ``jacobi_brackets`` call, over the distinct arguments
+    of a stack of several (a constant is keyed by its formula, so equal keys
+    are the same operations on the same values); [A] divides every term and is
+    tested here, against [1].  With ``perms``, label k reads the spectral point
+    of site s+1 from ``z.z[perms[k][s]]`` (None: the identity), as if z were
     permuted."""
     lam, patterns, slots = zip(*map(_label, labels))
-    t.check_shape(lam[0])
+    t.check_shape(lam[0], z)
     levels, (i, j, c), ratio = _layout(lam[0], modified)
     v = np.array([x for level in _vees(t, z, mp) for x in level] + [0.0], dtype=complex)
     if perms is None:
@@ -282,12 +286,6 @@ def _stack(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalPara
     return _Stack(modified, levels, patterns, values.T.copy(), bad, a_pole)
 
 
-def _label_levels(st: _Stack, k: int) -> list:
-    """Per level l of label k of a stack: (l, ``_gather``, table values, flags)."""
-    return [(l, _gather(st.modified, p, Y, l == len(st.levels), lo), st.values[k], st.bad[:, k])
-            for l, ((_, Y, lo, _), p) in enumerate(zip(st.levels, st.patterns[k]), 1)]
-
-
 def _pole_message(l: int, bad: np.ndarray, modified: bool, g: _Gather, p: int, pn: int) -> str:
     """The PoleError text of the first vanishing denominator of F_l[p, pn]."""
     for k, is_cross, a, j in g.terms:
@@ -303,54 +301,24 @@ def _pole_message(l: int, bad: np.ndarray, modified: bool, g: _Gather, p: int, p
 def _first_pole(st: _Stack, k: int) -> str | None:
     """The PoleError text of label k's first term, in depth-first order (top level
     slowest), that uses a vanishing denominator, or None if none does."""
-    levels = _label_levels(st, k)
+    levels = [(l, _gather(st.modified, p, Y, l == len(st.levels), lo), st.bad[:, k])
+              for l, ((_, Y, lo, _), p) in enumerate(zip(st.levels, st.patterns[k]), 1)]
     marks = [bad[g.rows[:, :, None] + g.cols[:, None]].any(axis=0)  # F_l[p, p'] uses a flag
-             for _, g, _, bad in levels]
+             for _, g, bad in levels]
     if not any(m.any() for m in marks):
         return None
-    for idx in product(*(range(g.rows.shape[1]) for _, g, _, _ in reversed(levels))):
+    for idx in product(*(range(g.rows.shape[1]) for _, g, _ in reversed(levels))):
         path = idx[::-1] + (0,)
         hit = [l for l, m in enumerate(marks, 1) if m[path[l - 1], path[l]]]
         if hit:  # the walk meets the highest marked level of this term first
-            l, g, _, bad = levels[hit[-1] - 1]
+            l, g, bad = levels[hit[-1] - 1]
             return _pole_message(l, bad, st.modified, g, path[l - 1], path[l])
-
-
-def _identity_term(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
-                   Pdyn: DynamicalParams, mp: ModularParams, modified: bool) -> complex:
-    """The unpermuted term of label I, prod_l F_l[id, id], from a stack of one
-    label; levels are tested from 1 up."""
-    st = _stack([I], t, z, Pdyn, mp, modified)
-    if st.a_pole:
-        raise PoleError(st.a_pole[0])
-    total = 1.0 + 0.0j
-    for l, g, values, bad in _label_levels(st, 0):
-        entries = g.rows[:, 0] + g.cols[:, 0]
-        if bad[entries].any():
-            raise PoleError(_pole_message(l, bad, modified, g, 0, 0))
-        with np.errstate(over="ignore", invalid="ignore"):  # require_finite raises
-            total *= complex(values[entries[:g.cross]].prod() * values[entries[g.cross:]].prod())
-    return require_finite(total, "weight-function term")
-
-
-def u_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
-            Pdyn: DynamicalParams, mp: ModularParams) -> complex:
-    """Single pre-symmetrization term of the weight function.
-
-    Per level l and slot a (site s = i^(l)_a, color mu_s, matched slot b at
-    level l+1 with i^(l+1)_b = s, A = (P+h)_{mu_s,l+1} - C_{mu_s,l+1}(s)):
-
-        [v'_b - v_a + A][1] / ([v'_b - v_a + 1][A])
-        * prod_{b' : i^(l+1)_{b'} > s}  [v'_{b'} - v_a] / [v'_{b'} - v_a + 1]
-        * prod_{a' > a}                 [v_a - v_{a'} - 1] / [v_a - v_{a'}]
-    """
-    return _identity_term(I, t, z, Pdyn, mp, modified=False)
 
 
 def _sym_sums(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
               mp: ModularParams, modified: bool = False,
               perms: list | None = None) -> list[WeightFunctionEval]:
-    """Each label's plain sum of its u_tilde (u_mod) terms over block
+    """Each label's plain sum of its terms (modified terms) over block
     permutations, the labels as one stack (module docstring), label k at z
     permuted by ``perms[k]`` (``_stack``).  Then, label by label in order, a
     vanishing [A], a term through a vanishing denominator (the PoleError the
@@ -412,7 +380,14 @@ def _sym_sums(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalP
 
 def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
             Pdyn: DynamicalParams, mp: ModularParams) -> WeightFunctionEval:
-    """Weight function: plain sum of u_tilde over block permutations of t.
+    """Weight function: plain sum of the term U_I over block permutations of t.
+
+    U_I, per level l and slot a (site s = i^(l)_a, color mu_s, matched slot b
+    at level l+1 with i^(l+1)_b = s, A = (P+h)_{mu_s,l+1} - C_{mu_s,l+1}(s)):
+
+        [v'_b - v_a + A][1] / ([v'_b - v_a + 1][A])
+        * prod_{b' : i^(l+1)_{b'} > s}  [v'_{b'} - v_a] / [v'_{b'} - v_a + 1]
+        * prod_{a' > a}                 [v_a - v_{a'} - 1] / [v_a - v_{a'}]
 
     Summed by ``_sym_sums`` as a stack of one label, exactly-zero branches
     pruned (module docstring); a vanishing denominator raises PoleError.
@@ -550,11 +525,17 @@ def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
     return _bracket_product(args, mp, "E factor")
 
 
-def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
-          Pdyn: DynamicalParams, mp: ModularParams) -> complex:
-    """Pre-symmetrization term of the modified weight function.
+def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
+               Pdyn: DynamicalParams, mp: ModularParams,
+               route: str = "ratio") -> complex:
+    """Modified weight function, by either of two equivalent routes.
 
-    Per level l: the product over slots a of
+    route="ratio": H * w_tilde / E.  route="sym": plain symmetrization sum of
+    the modified terms, by the same enumerator as w_tilde.  The two agree
+    identically; both are kept as a cross check.  A value beyond the float
+    range raises FloatRangeError.
+
+    The modified term, per level l: the product over slots a of
 
         [v'_b - v_a + A] / [A]  (at the matched slot b)
         * prod_{b' : i'_{b'} > s} [v'_{b'} - v_a]
@@ -562,22 +543,8 @@ def u_mod(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
 
     divided by prod_{a<b} [v_a - v_b][v_b - v_a - 1].
     """
-    return _identity_term(I, t, z, Pdyn, mp, modified=True)
-
-
-def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
-               Pdyn: DynamicalParams, mp: ModularParams,
-               route: str = "ratio") -> complex:
-    """Modified weight function, by either of two equivalent routes.
-
-    route="ratio": H * w_tilde / E.  route="sym": plain symmetrization sum of
-    the u_mod terms, by the same enumerator as w_tilde.  The two agree
-    identically; both are kept as a cross check.  A value beyond the float
-    range raises FloatRangeError.
-    """
-    lam = I.shape()
-    t.check_shape(lam)
     if route == "ratio":
+        lam = I.shape()
         wt = w_tilde(I, t, z, Pdyn, mp).value
         e = require_normal(e_lambda(lam, t, z, mp), "E factor")
         return require_finite(h_lambda(lam, t, z, mp) * wt / e, "modified weight function")

@@ -177,6 +177,15 @@ def test_integrand_cycle_insertion_requires_uniform_shape(mp_level, rng):
         IntegrandSpec(I=I, z=z, Pdyn=pd, mp=mp_level, Q=0.2, J=I)
 
 
+def test_integrand_needs_one_spectral_point_per_site(mp_level, rng):
+    # The kernel would run over three points and the weight function over two.
+    I = PartitionIndex.from_colors((1, 2), 2)
+    z = qkz_points(rng, 3, mp_level.q, mp_level.p)
+    spec = IntegrandSpec(I=I, z=z, Pdyn=random_pdyn(rng, 2), mp=mp_level, trig=True)
+    with pytest.raises(ShapeError, match="need 2 spectral points, got 3"):
+        integrand(spec, random_t(rng, I.shape()))
+
+
 def test_integrand_cycle_insertion_value(mp_level, rng):
     mu = (1, 2)
     I = PartitionIndex.from_colors(mu, 2)

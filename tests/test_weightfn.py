@@ -20,7 +20,7 @@ from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
 from ellqg.weightfn import (TVariables, diagonal_value, e_lambda,
                             modified_w, specialize, specialize_labels, stab_matrix,
                             stable_envelope_restriction, transition_residuals,
-                            triangularity_violations, u_mod, u_tilde, w_tilde)
+                            triangularity_violations, w_tilde)
 
 
 # ------------------------------------------------------ independent oracle --
@@ -76,30 +76,30 @@ def _w_ref_22(t, z, pd, mp):
     return term(v1, v2) + term(v2, v1)
 
 
-def test_u_tilde_all_colors_last_is_one(mp, rng):
+def test_w_tilde_all_colors_last_is_one(mp, rng):
     I = PartitionIndex.from_colors((2, 2, 2), 2)
     z = random_points(rng, 3, mp.q)
     t = TVariables(((),))
     pd = random_pdyn(rng, 2)
-    assert u_tilde(I, t, z, pd, mp) == 1.0
+    assert w_tilde(I, t, z, pd, mp).value == 1.0
 
 
-def test_u_tilde_single_site_oracle(mp, rng):
+def test_w_tilde_single_site_oracle(mp, rng):
     I = PartitionIndex.from_colors((1,), 2)
     z = random_points(rng, 1, mp.q)
     pd = random_pdyn(rng, 2)
     tval = 0.7 * cmath.exp(0.9j)
-    got = u_tilde(I, TVariables(((tval,),)), z, pd, mp)
+    got = w_tilde(I, TVariables(((tval,),)), z, pd, mp).value
     ref = _u_ref_n1_color1(tval, z.z[0], pd.value(1, 2), mp)
     assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
 
 
-def test_u_tilde_two_site_oracle(mp, rng):
+def test_w_tilde_two_site_oracle(mp, rng):
     I = PartitionIndex.from_colors((1, 2), 2)
     z = random_points(rng, 2, mp.q)
     pd = random_pdyn(rng, 2)
     tval = 0.6 * cmath.exp(-0.4j)
-    got = u_tilde(I, TVariables(((tval,),)), z, pd, mp)
+    got = w_tilde(I, TVariables(((tval,),)), z, pd, mp).value
     ref = _u_ref_n2_12(tval, z.z[0], z.z[1], pd.value(1, 2), mp)
     assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
 
@@ -126,7 +126,7 @@ def test_w_tilde_trivial_sym_equals_u_tilde(mp, rng):
     t = random_t(rng, lam)
     res = w_tilde(I, t, z, pd, mp)
     assert res.terms_evaluated == 1
-    assert abs(res.value - u_tilde(I, t, z, pd, mp)) < 1e-14
+    assert abs(res.value - _term_ref(I, t, z, pd, mp)) < 1e-14
 
 
 def test_w_tilde_22_against_transcription(mp, rng):
@@ -222,8 +222,9 @@ def _slots_ref(I, pd, l):
 
 
 def _term_ref(I, t, z, pd, mp, modified=False, memo=None):
-    """One u_tilde (with ``modified``, u_mod) term from its docstring formula,
-    on scalar brackets; ``memo`` shares bracket values between terms."""
+    """One term U_I of w_tilde (with ``modified``, of modified_w) from the
+    formula in that function's docstring, on scalar brackets; ``memo`` shares
+    bracket values between terms."""
     memo = {} if memo is None else memo
 
     def br(x):
@@ -279,8 +280,6 @@ def test_enumerator_equals_brute_force_sum(mp, rng):
             ref = _brute_force_sum(I, t, z, pd, mp)
             assert abs(res.value - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
             assert res.terms_pruned == 0
-            ref = _term_ref(I, t, z, pd, mp)
-            assert abs(u_tilde(I, t, z, pd, mp) - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
             for at in parts:
                 res = specialize(I, at, z, pd, mp)
                 terms = _brute_force_terms(I, TVariables.specialization(at, z), z, pd, mp)
@@ -300,8 +299,6 @@ def test_modified_sum_equals_brute_force_sum(mp, rng):
         pd = random_pdyn(rng, N)
         t = random_t(rng, lam)
         for I in enumerate_partitions(lam):
-            ref = _term_ref(I, t, z, pd, mp, modified=True)
-            assert abs(u_mod(I, t, z, pd, mp) - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
             ref = _brute_force_sum(I, t, z, pd, mp, modified=True)
             val = modified_w(I, t, z, pd, mp, route="sym")
             assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
@@ -482,6 +479,21 @@ def test_transition_needs_one_spectral_point_per_color(mp, rng):
     t = random_t(rng, shape_of((1, 2), 2))
     with pytest.raises(ShapeError, match="2 colors need 2 spectral points, got 3"):
         transition_residuals((1, 2), t, random_points(rng, 3, mp.q), random_pdyn(rng, 2), mp)
+
+
+def test_every_stack_needs_one_spectral_point_per_site(mp, rng):
+    # Three points for a two-site label: each call raises instead of returning
+    # a value read from only some of the points.
+    I = PartitionIndex.from_colors((1, 2), 2)
+    t = random_t(rng, I.shape())
+    z, pd = random_points(rng, 3, mp.q), random_pdyn(rng, 2)
+    calls = [lambda: w_tilde(I, t, z, pd, mp),
+             lambda: modified_w(I, t, z, pd, mp, route="ratio"),
+             lambda: modified_w(I, t, z, pd, mp, route="sym"),
+             lambda: specialize(I, I, z, pd, mp)]
+    for call in calls:
+        with pytest.raises(ShapeError, match="need 2 spectral points, got 3"):
+            call()
 
 
 def _swap(n, i):
@@ -743,11 +755,39 @@ def test_trig_degeneration_contracts(seed):
     assert d[2] < 0.7 * d[1]
 
 
-def test_u_tilde_pole_error_names_bracket(mp, rng):
+def test_w_tilde_pole_error_names_bracket(mp, rng):
     I = PartitionIndex.from_colors((1, 2), 2)
     z = random_points(rng, 2, mp.q)
     pd = random_pdyn(rng, 2)
     # t at q^2 z_1 makes the matched-site denominator [v - u_1 + 1] vanish
     t = TVariables(((mp.q ** 2 * z.z[0],),))
     with pytest.raises(PoleError):
-        u_tilde(I, t, z, pd, mp)
+        w_tilde(I, t, z, pd, mp)
+
+
+def _pole_text(f) -> str:
+    with pytest.raises(PoleError) as exc:
+        f()
+    return str(exc.value)
+
+
+def test_w_tilde_names_the_highest_vanishing_level_of_a_term():
+    # lambda=(1,0,1), one term: v^2 = u_1 + 1 and v^1 = v^2 + 1 make both
+    # [v^2_1 - v^1_1 + 1] and [v^3_1 - v^2_1 + 1] vanish.
+    mp = ModularParams(q=0.5, r=3.1)
+    z = EvaluationPoints((0.6 * cmath.exp(0.3j), 0.8 * cmath.exp(-1j)), mp.q)
+    pd = DynamicalParams((1.2 + 0.3j, 0.9 - 0.2j))
+    I = PartitionIndex.from_colors((1, 3), 3)
+    t2 = mp.q ** 2 * z.z[0]
+    t = TVariables(((mp.q ** 2 * t2,), (t2,)))
+    assert _pole_text(lambda: w_tilde(I, t, z, pd, mp)) == "[v^3_1 - v^2_1 + 1] vanished"
+
+
+def test_same_level_pole_texts(mp, rng):
+    # Equal level-1 variables make the same-level denominator vanish.
+    I = PartitionIndex.from_colors((1, 1, 2), 2)
+    z, pd = random_points(rng, 3, mp.q), random_pdyn(rng, 2)
+    t = TVariables(((0.7 * cmath.exp(0.4j),) * 2,))
+    assert _pole_text(lambda: w_tilde(I, t, z, pd, mp)) == "[v^1_1 - v^1_2] vanished"
+    assert (_pole_text(lambda: modified_w(I, t, z, pd, mp, route="sym"))
+            == "level-1 denominator vanished")
