@@ -9,14 +9,14 @@ from .ellfn import (ModularParams, bracket_derivative_at_zero, ell_gamma,
 from .errors import (DomainError, EllqgError, FloatRangeError, ParameterError,
                      PoleError, ResourceCapError, ShapeError, SingularityError)
 from .gtrep import (CurrentTerm, TensorState, e_on_gt, exchange_check, f_on_gt,
-                    gauge_constants, gt_vector, phi_on_gt)
+                    gauge_constants, gt_vector, gt_vectors, phi_on_gt)
 from .qkz import (IntegrandSpec, e_factor, integrand, nome_params, phi_kernel,
                   phi_trig, torus_quadrature)
-from .rmat import DynRMatrix, check_dybe, check_inversion, embedded_rbar, rbar
+from .rmat import DynRMatrix, check_dybe, check_inversion, embedded_rbar, rbar, rbars
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, leq, weight_of)
 from .weightfn import (TVariables, WeightFunctionEval, diagonal_value,
-                       modified_w, specialize, specialize_labels, stab_matrix,
+                       modified_w, specialize, specialize_all, stab_matrix,
                        stable_envelope_restriction, transition_residuals, w_tilde)
 
 __version__ = "0.1.0"

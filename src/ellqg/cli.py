@@ -222,8 +222,9 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
         if args.action == "stab":
             mat = weightfn.stab_matrix(lam, z, pd, mp)
         else:
-            cols = {J: weightfn.specialize_labels(parts, J, z, pd, mp) for J in parts}
-            mat = {I: {J: cols[J][k].value for J in parts} for k, I in enumerate(parts)}
+            vals = weightfn.specialize_all([(I, J, pd) for J in parts for I in parts], z, mp)
+            mat = {I: {J: vals[m * len(parts) + k].value for m, J in enumerate(parts)}
+                   for k, I in enumerate(parts)}
         for I in parts:
             for J in parts:
                 val = mat[I][J]
@@ -232,9 +233,9 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
                                 "value_im": val.imag})
     else:  # transition
         t = _default_t(cfg)
-        for I in parts:
-            mu = I.colors()
-            for i, res in enumerate(weightfn.transition_residuals(mu, t, z, pd, mp), 1):
+        cases = [(I.colors(), t, z, pd) for I in parts]
+        for I, residuals in zip(parts, weightfn.transition_residuals(cases, mp)):
+            for i, res in enumerate(residuals, 1):
                 records.append({"lambda": list(lam.sizes), "I": I.to_json(),
                                 "position": i, "residual": res})
     _emit({"action": args.action, "records": records}, args.out)
@@ -247,31 +248,30 @@ def _cmd_gt(cfg: RunConfig, args) -> int:
     parts = enumerate_partitions(cfg.composition())
     if args.action == "basis":
         records = []
-        for I in parts:
-            state = gtrep.gt_vector(I, z, pd, mp)
+        for I, state in zip(parts, gtrep.gt_vectors(parts, z, pd, mp)):
             row = [{"colors": list(cols), "re": coeff.real, "im": coeff.imag}
                    for cols, coeff in state.items_sorted()]
             records.append({"I": I.to_json(), "expansion": row})
         _emit({"action": "basis", "records": records}, args.out)
         return 0
-    j = args.j
+    j, op = 1 if args.j is None else args.j, args.op or "e"
     if not 1 <= j <= cfg.N - 1:
         raise ConfigError(f"--j must lie in 1..{cfg.N - 1}")
     records = []
     for I in parts:
-        if args.op == "phi":
+        if op == "phi":
             v = 0.3 + 0.1j
             val, tag = gtrep.phi_on_gt(j, v, I, z, mp)
             records.append({"I": I.to_json(), "eigenvalue_re": val.real,
                             "eigenvalue_im": val.imag, "tag": list(tag)})
         else:
-            act = gtrep.e_on_gt if args.op == "e" else gtrep.f_on_gt
+            act = gtrep.e_on_gt if op == "e" else gtrep.f_on_gt
             terms = [{"site": trm.site, "re": trm.coeff.real,
                       "im": trm.coeff.imag, "target": trm.target.to_json(),
                       "tag": list(trm.tag)}
                      for trm in act(j, I, z, mp)]
             records.append({"I": I.to_json(), "terms": terms})
-    _emit({"action": "act", "op": args.op, "j": j, "records": records}, args.out)
+    _emit({"action": "act", "op": op, "j": j, "records": records}, args.out)
     return 0
 
 
@@ -281,7 +281,8 @@ def _cmd_qkz(cfg: RunConfig, args) -> int:
     lam = cfg.composition()
     I = enumerate_partitions(lam)[0]
     spec = qkz.IntegrandSpec(I=I, z=z, Pdyn=pd, mp=mp, trig=not args.elliptic,
-                             Q=args.Q if args.elliptic else 0.0)
+                             Q=(0.2 if args.Q is None else args.Q) if args.elliptic else 0.0)
+    G = 32 if args.gridsize is None else args.gridsize
     if args.action == "eval":
         t = _default_t(cfg)
         val = qkz.integrand(spec, t)
@@ -294,7 +295,6 @@ def _cmd_qkz(cfg: RunConfig, args) -> int:
         if any(lam.prefix(l) > 1 for l in range(1, lam.N)):
             raise ConfigError(f"qkz grid needs at most one variable per t-level; "
                               f"lambda={list(lam.sizes)} has more")
-        G = args.gridsize
         rows = ["angle_index,re,im"]
         for k in range(G):
             w = cmath.exp(2j * math.pi * k / G)
@@ -306,7 +306,7 @@ def _cmd_qkz(cfg: RunConfig, args) -> int:
                 rows.append(f"{k},nan,nan")
         _emit("\n".join(rows) + "\n", args.out)
         return 0
-    val, report = qkz.torus_quadrature(spec, grid_size=args.gridsize)
+    val, report = qkz.torus_quadrature(spec, grid_size=G)
     _emit({"action": "quad", "value_re": val.real, "value_im": val.imag,
            "report": report}, args.out)
     return 0
@@ -356,16 +356,19 @@ def make_parser() -> argparse.ArgumentParser:
     p_gt = sub.add_parser("gt", parents=[common],
                           help="Gelfand-Tsetlin basis and current action")
     p_gt.add_argument("action", choices=("basis", "act"))
-    p_gt.add_argument("--op", choices=("e", "f", "phi"), default="e")
-    p_gt.add_argument("--j", type=int, default=1)
+    p_gt.add_argument("--op", choices=("e", "f", "phi"),
+                      help="current of gt act (default: e)")
+    p_gt.add_argument("--j", type=int, help="simple root of gt act (default: 1)")
 
     p_qkz = sub.add_parser("qkz", parents=[common],
                            help="q-KZ integrand evaluation and quadrature")
     p_qkz.add_argument("action", choices=("eval", "grid", "quad"))
-    p_qkz.add_argument("--gridsize", type=int, default=32)
+    p_qkz.add_argument("--gridsize", type=int,
+                       help="points per circle of qkz grid and quad (default: 32)")
     p_qkz.add_argument("--elliptic", action="store_true",
                        help="use the elliptic kernel (default: trigonometric)")
-    p_qkz.add_argument("--Q", type=float, default=0.2, help="trace nome")
+    p_qkz.add_argument("--Q", type=float,
+                       help="trace nome of the elliptic kernel (default: 0.2)")
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run a verification suite")
@@ -377,9 +380,26 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ignored_flag(args) -> str | None:
+    """The first flag given that the chosen action would not read."""
+    if args.command == "gt" and args.action == "basis":
+        for flag in ("op", "j"):
+            if getattr(args, flag) is not None:
+                return f"--{flag} applies only to gt act"
+    if args.command == "qkz":
+        if args.Q is not None and not args.elliptic:
+            return "--Q needs --elliptic"
+        if args.gridsize is not None and args.action == "eval":
+            return "--gridsize applies only to qkz grid and quad"
+    return None
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    ignored = _ignored_flag(args)
+    if ignored:
+        parser.error(ignored)
     for name in ("config", "out", "seed"):
         if not hasattr(args, name):
             setattr(args, name, None)

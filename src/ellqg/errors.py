@@ -33,3 +33,11 @@ class FloatRangeError(EllqgError):
     """A bracket or a product of brackets lies outside the normal float range
     (q close to 1): below it a divisor has lost its digits or is 0, above it
     the value is not representable."""
+
+
+def settle(outcomes: list) -> list:
+    """The results of a batch whose outcomes end at its first error: the list
+    if no item raised, else that EllqgError raised."""
+    if outcomes and isinstance(outcomes[-1], EllqgError):
+        raise outcomes[-1]
+    return outcomes

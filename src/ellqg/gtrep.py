@@ -27,7 +27,7 @@ from .ellfn import (ModularParams, bracket_derivative_at_zero, jacobi_bracket,
 from .errors import FloatRangeError, ParameterError, PoleError
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions)
-from .weightfn import specialize_labels
+from .weightfn import specialize_all
 
 
 def require_level_zero(mp: ModularParams) -> None:
@@ -86,22 +86,31 @@ def gauge_constants(mp: ModularParams) -> tuple[complex, complex]:
 
 def gt_vector(I: PartitionIndex, z: EvaluationPoints, Pdyn: DynamicalParams,
               mp: ModularParams) -> TensorState:
-    """Gelfand-Tsetlin vector expanded over the standard basis.
+    """Gelfand-Tsetlin vector expanded over the standard basis (``gt_vectors``)."""
+    return gt_vectors([I], z, Pdyn, mp)[0]
+
+
+def gt_vectors(labels, z: EvaluationPoints, Pdyn: DynamicalParams,
+               mp: ModularParams) -> list[TensorState]:
+    """The Gelfand-Tsetlin vector of each label, expanded over the standard basis.
 
     Coefficients are the weight functions specialized at the inverted
     spectral points, with the dynamical parameters shifted by the total
     weight of the color string; the expansion is triangular with respect to
     the partial order on partitions.  Exactly-zero coefficients are left out;
-    every other one is kept, however small.
+    every other one is kept, however small.  Every coefficient of the call
+    comes from one ``specialize_all`` call, a label being a point; an error
+    is the first that label by label meets.
     """
     require_level_zero(mp)
     z.require_distinct()
     zinv = EvaluationPoints(tuple(1.0 / x for x in z.z), z.q)
-    shifted = Pdyn.shifted_by_colors(I.colors(), sign=1)
-    labels = enumerate_partitions(I.shape())
-    return TensorState({J.colors(): res.value for J, res in
-                        zip(labels, specialize_labels(labels, I, zinv, shifted, mp))
-                        if res.value != 0})
+    rows = [(I, enumerate_partitions(I.shape()), Pdyn.shifted_by_colors(I.colors(), sign=1))
+            for I in labels]
+    values = iter(specialize_all([(J, I, shifted) for I, parts, shifted in rows for J in parts],
+                                 zinv, mp))
+    return [TensorState({J.colors(): res.value for J, res in zip(parts, values) if res.value != 0})
+            for _, parts, _ in rows]
 
 
 def _bracket_ratios(val: complex, factors, mp: ModularParams) -> complex:

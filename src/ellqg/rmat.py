@@ -20,16 +20,21 @@ weightfn) and verified numerically by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .ellfn import ModularParams, jacobi_brackets, require_normal
-from .errors import SingularityError
+from .errors import EllqgError, SingularityError, settle
 from .tensorspace import DynamicalParams
 
 # Relative to [1] like ellfn.pole_tol but stricter: an entry divides by [s]^2.
 _SING_TOL = 1e-10
+# Most brackets one ``jacobi_brackets`` call of ``rbars`` takes: the call's
+# temporaries grow with its arguments, and the 374 R-bars of ``verify all`` in
+# one call raised its peak memory by about 3 MB.
+_RBAR_BRACKETS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,28 +84,89 @@ def rbar(z: complex, Pdyn: DynamicalParams, mp: ModularParams,
     caller should pass the coherent difference of their u coordinates as
     ``u`` explicitly; all identity checks in this package do so.
     """
-    N = Pdyn.N
-    if u is None:
-        u = mp.u_of(z)
+    return settle(rbars([(z, Pdyn, u)], mp, starred))[0]
+
+
+def rbars(requests, mp: ModularParams, starred: bool = False) -> list:
+    """``rbar`` of each (z, Pdyn, u) request, u None for the principal log:
+    each DynRMatrix in order, up to the first request that raises, whose
+    EllqgError ends the list.  The brackets of consecutive requests, up to
+    ``_RBAR_BRACKETS`` of them, come from one ``jacobi_brackets`` call, and
+    each entry is bitwise that of the request alone."""
+    requests, args = list(requests), []
+    for z, Pdyn, u in requests:
+        if u is None:
+            u = mp.u_of(z)
+        s = np.array([Pdyn.value(j1, j2) for (j1, j2), _ in _entry_keys(Pdyn.N)[1]], dtype=complex)
+        args.append(np.concatenate(([1.0, u, u + 1.0], s, s + 1, s - 1, s + u, s - u)))
+    out: list = []
+    lo = 0
+    while lo < len(requests):
+        hi, size = lo + 1, args[lo].size
+        while hi < len(requests) and size + args[hi].size <= _RBAR_BRACKETS:
+            size, hi = size + args[hi].size, hi + 1
+        out += _rbar_group(requests[lo:hi], args[lo:hi], mp, starred)
+        if isinstance(out[-1], EllqgError):
+            break
+        lo = hi
+    return out
+
+
+def _rbar_group(requests: list, args: list, mp: ModularParams, starred: bool) -> list:
+    """The outcomes of ``rbars`` for requests whose brackets ``args`` make one
+    ``jacobi_brackets`` call; if that call raises, the requests are replayed
+    alone, in order."""
+    try:
+        br = jacobi_brackets(np.concatenate(args), mp, starred)
+    except EllqgError as exc:
+        if len(requests) == 1:
+            return [exc]
+        out: list = []
+        for k in range(len(requests)):
+            out += _rbar_group(requests[k:k + 1], args[k:k + 1], mp, starred)
+            if isinstance(out[-1], EllqgError):
+                break
+        return out
+    out, lo = [], 0
+    for (z, Pdyn, _), a in zip(requests, args):
+        try:
+            out.append(_rbar_entries(z, Pdyn.N, br[lo:lo + a.size]))
+        except EllqgError as exc:
+            return out + [exc]
+        lo += a.size
+    return out
+
+
+@lru_cache(maxsize=8)
+def _entry_keys(N: int) -> tuple:
+    """The (in_pair, out_pair) keys of an R-bar on N colors: the diagonal
+    ones, then per pair j1 < j2 the pair and its four keys.  One copy per N
+    is shared by every R-bar, so a list of R-bars holds only their values."""
     pairs = [(j1, j2) for j1 in range(1, N + 1) for j2 in range(j1 + 1, N + 1)]
-    s = np.array([Pdyn.value(j1, j2) for j1, j2 in pairs], dtype=complex)
-    br = jacobi_brackets(np.concatenate(([1.0, u, u + 1.0], s, s + 1, s - 1, s + u, s - u)),
-                         mp, starred)
+    return (tuple(((j, j), (j, j)) for j in range(1, N + 1)),
+            tuple(((j1, j2), (((j1, j2), (j1, j2)), ((j2, j1), (j2, j1)),
+                              ((j2, j1), (j1, j2)), ((j1, j2), (j2, j1))))
+                  for j1, j2 in pairs))
+
+
+def _rbar_entries(z: complex, N: int, br: np.ndarray) -> DynRMatrix:
+    """R-bar from its brackets [1], [u], [u+1], then [s], [s+1], [s-1],
+    [s+u], [s-u] per pair of ``_entry_keys``."""
     b1, bu, bu1 = br[:3].tolist()
     scale = abs(b1)
     if abs(bu1) < _SING_TOL * scale:
         raise SingularityError(f"[u+1] ~ 0 at z={z}")
-    entries: dict = {((j, j), (j, j)): 1.0 + 0.0j for j in range(1, N + 1)}
-    for (j1, j2), bs, bsp, bsm, bspu, bsmu in zip(pairs, *br[3:].reshape(5, -1).tolist()):
+    diagonal, pairs = _entry_keys(N)
+    entries: dict = dict.fromkeys(diagonal, 1.0 + 0.0j)
+    for ((j1, j2), keys), bs, bsp, bsm, bspu, bsmu in zip(pairs,
+                                                          *br[3:].reshape(5, -1).tolist()):
         if abs(bs) < _SING_TOL * scale:
             raise SingularityError(
                 f"resonant dynamical parameter: [s] ~ 0 for pair ({j1}, {j2})")
         dens = (bs * bs * bu1, bs * bu1)
         require_normal(min(dens, key=abs), f"[s]^2 [u+1] for pair ({j1}, {j2})")
-        entries[((j1, j2), (j1, j2))] = bsp * bsm * bu / dens[0]
-        entries[((j2, j1), (j2, j1))] = bu / bu1
-        entries[((j2, j1), (j1, j2))] = b1 * bspu / dens[1]
-        entries[((j1, j2), (j2, j1))] = b1 * bsmu / dens[1]
+        entries.update(zip(keys, (bsp * bsm * bu / dens[0], bu / bu1, b1 * bspu / dens[1],
+                                  b1 * bsmu / dens[1])))
     return DynRMatrix(N=N, entries=entries)
 
 

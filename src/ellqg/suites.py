@@ -215,10 +215,14 @@ def check_wf_diagonal(cfg, rng):
     for N, lam in _wf_cases():
         z = _rand_points(rng, lam.n, mp.q)
         pd = _rand_pdyn(rng, N)
-        for I in enumerate_partitions(lam):
-            ref = weightfn.diagonal_value(I, z, mp)
-            val = weightfn.specialize(I, I, z, pd, mp).value
-            worst = np.maximum(worst, abs(val - ref) / max(1e-30, abs(ref)))
+        parts, refs = enumerate_partitions(lam), []
+        try:
+            for I in parts:
+                refs.append(weightfn.diagonal_value(I, z, mp))
+        finally:  # as label by label: the values before a raising closed form come first
+            vals = weightfn.specialize_all([(I, I, pd) for I in parts[:len(refs)]], z, mp)
+        for ref, val in zip(refs, vals):
+            worst = np.maximum(worst, abs(val.value - ref) / max(1e-30, abs(ref)))
     return worst, 1e-9
 
 
@@ -240,16 +244,18 @@ def check_wf_symmetry(cfg, rng):
 
 def check_wf_transition(cfg, rng):
     mp = replace(cfg.modular(), k=0.0)
-    worst = 0.0
+    cases = []
     for N in (2, 3):
         for n in range(2, 5):
             for mu in iproduct(range(1, N + 1), repeat=n):
                 lam = PartitionIndex.from_colors(mu, N).shape()
                 z = _rand_points(rng, n, mp.q)
                 pd = _rand_pdyn(rng, N)
-                t = _rand_t(rng, lam)
-                for res in weightfn.transition_residuals(mu, t, z, pd, mp):
-                    worst = np.maximum(worst, res)
+                cases.append((mu, _rand_t(rng, lam), z, pd))
+    worst = 0.0
+    for residuals in weightfn.transition_residuals(cases, mp):
+        for res in residuals:
+            worst = np.maximum(worst, res)
     return worst, 1e-9
 
 
@@ -327,9 +333,9 @@ def check_gt_triangular(cfg, rng):
     for N, lam in _wf_cases(max_n=4):
         z = _rand_points(rng, lam.n, mp.q)
         pd = _rand_pdyn(rng, N)
-        for I in enumerate_partitions(lam):
-            state = gtrep.gt_vector(I, z, pd, mp)
-            for J in enumerate_partitions(lam):
+        parts = enumerate_partitions(lam)
+        for I, state in zip(parts, gtrep.gt_vectors(parts, z, pd, mp)):
+            for J in parts:
                 if not leq(I, J):
                     worst = np.maximum(worst, abs(state.coefficient(J.colors())))
     return worst, 1e-10
@@ -342,9 +348,13 @@ def check_gt_diagonal(cfg, rng):
         z = _rand_points(rng, lam.n, mp.q)
         pd = _rand_pdyn(rng, N)
         zinv = EvaluationPoints(tuple(1.0 / x for x in z.z), mp.q)
-        for I in enumerate_partitions(lam):
-            state = gtrep.gt_vector(I, z, pd, mp)
-            ref = weightfn.diagonal_value(I, zinv, mp)
+        parts, refs = enumerate_partitions(lam), []
+        try:
+            for I in parts:
+                refs.append(weightfn.diagonal_value(I, zinv, mp))
+        finally:  # as label by label: each vector comes before its closed form
+            states = gtrep.gt_vectors(parts[:len(refs) + 1], z, pd, mp)
+        for I, state, ref in zip(parts, states, refs):
             worst = np.maximum(worst, abs(state.coefficient(I.colors()) - ref)
                                / max(1e-30, abs(ref)))
     return worst, 1e-9

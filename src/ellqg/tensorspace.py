@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .errors import ParameterError, ResourceCapError, ShapeError
@@ -113,7 +113,7 @@ class PartitionIndex:
 
 def leq(I: PartitionIndex, J: PartitionIndex) -> bool:
     """Partial order: I <= J iff i^(l)_a <= j^(l)_a for all l, a."""
-    if I.shape() != J.shape():
+    if list(map(len, I.parts)) != list(map(len, J.parts)):  # the shapes, without building them
         raise ShapeError("leq requires equal shapes")
     for l in range(1, I.N):
         for ia, ja in zip(I.union(l), J.union(l)):
@@ -129,7 +129,7 @@ def enumerate_partitions(lam: Composition) -> tuple[PartitionIndex, ...]:
     return _partitions(lam)
 
 
-@lru_cache(maxsize=16)  # gt_vector enumerates its shape once per label
+@lru_cache(maxsize=16)  # gt_vectors enumerates the shape of each of its labels
 def _partitions(lam: Composition) -> tuple[PartitionIndex, ...]:
     out: list[PartitionIndex] = []
     remaining = list(lam.sizes)
@@ -236,7 +236,7 @@ class EvaluationPoints:
     def n(self) -> int:
         return len(self.z)
 
-    @property
+    @cached_property
     def u(self) -> tuple[complex, ...]:
         lq = 2.0 * math.log(self.q)
         return tuple(cmath.log(x) / lq for x in self.z)

@@ -15,17 +15,22 @@ F_l[p, p'] of the terms whose level-l and level-(l+1) variables are in the
 orders p and p' is gathered from tables of bracket ratios with index arrays
 cached per slot pattern, and the sum is F_1 @ ... @ F_{N-1}[:, id] summed;
 the term U_I of ``w_tilde`` (of ``modified_w``) is the identity entry.
-``_sym_sums``, the only code that multiplies table entries, evaluates
-the labels of a call as one stack (one for ``w_tilde``, every label at
-t = z_at for ``specialize_labels``): the bracket arguments are only the
-O(n^2) values v_x - v_y + c, c in {0, +-1, A}, so one ``jacobi_brackets``
-pass gives every label's tables, and per level the labels that share a slot
-pattern gather their entries in one index operation.  A stack item may read
-the spectral points through a site permutation (its z-level variable indices
-are remapped before the arguments and their keys are formed), so
-``transition_residuals`` evaluates a whole transition case, swapped points
-included, as one stack, each value bitwise that of ``w_tilde`` at the
-permuted points.  A column of a label's
+``_sym_sums``, the only code that multiplies table entries, evaluates a
+list of items, each a label I at a point (t, z, Pdyn), optionally reading z
+through a site permutation.  Items of one shape are summed as stacks: a
+stack takes whole points while its items times its shape's ``_layout``
+table entries stay within ``_STACK_ENTRIES``, and a point over that alone
+is a stack of its own.  Each point has its own range of variable indices
+and its own constants A, keyed by (point, level, color, C), so a bracket
+argument is only ever shared between items of one point: they are the
+O(n^2) values v_x - v_y + c, c in {0, +-1, A}, and one ``jacobi_brackets``
+pass gives every item's tables, while per level the items that share a slot
+pattern gather their entries in one index operation.  Every value is
+bitwise that of the item alone (``w_tilde`` at the permuted points), and an
+error is the one evaluating the items one by one meets first.  So
+``specialize_all``, ``triangularity_violations``, ``stab_matrix``,
+``gtrep.gt_vectors`` and ``transition_residuals`` each evaluate a whole
+shape, or a whole list of transition cases, in one call.  A column of a label's
 F_l whose every term already has an exactly-zero factor (as at t = z_J) is
 not gathered and its terms count as pruned, unless the label is a modified sum
 or has a denominator of levels 1..N-2 that meets the pole test
@@ -41,15 +46,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import NamedTuple
 
 import numpy as np
 
 from .ellfn import (ModularParams, jacobi_bracket, jacobi_brackets, pole_tol,
                     require_finite, require_normal)
-from .errors import EllqgError, ParameterError, PoleError, ShapeError
-from .rmat import rbar
+from .errors import EllqgError, ParameterError, PoleError, ShapeError, settle
+from .rmat import rbars
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, eps_pairing, leq)
 
@@ -227,48 +232,66 @@ def _gather(modified: bool, pattern: tuple, Y: int, top: bool, lo: int) -> _Gath
 
 
 class _Stack(NamedTuple):
-    """The factor tables of a stack of labels of one shape, one row per label."""
+    """The factor tables of a stack of items of one shape, one row per item."""
 
     modified: bool
     levels: tuple       # per level, as ``_layout``'s
-    patterns: tuple     # per label: its slot pattern of each level
-    values: np.ndarray  # (labels, entries): the ratios, laid out by ``_layout``
-    bad: np.ndarray     # (entries, labels): a denominator meets the pole test
-    a_pole: dict        # label -> the PoleError text of its vanishing [A]
+    patterns: tuple     # per item: its label's slot pattern of each level
+    values: np.ndarray  # (items, entries): the ratios, laid out by ``_layout``
+    bad: np.ndarray     # (entries, items): a denominator meets the pole test
+    a_pole: dict        # item -> the PoleError text of its vanishing [A]
 
 
-def _stack(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
-           mp: ModularParams, modified: bool, perms: list | None = None) -> _Stack:
-    """The factor tables of the labels' terms (with ``modified``, the modified
-    terms) at t, from one ``jacobi_brackets`` call, over the distinct arguments
-    of a stack of several (a constant is keyed by its formula, so equal keys
-    are the same operations on the same values); [A] divides every term and is
-    tested here, against [1].  With ``perms``, label k reads the spectral point
-    of site s+1 from ``z.z[perms[k][s]]`` (None: the identity), as if z were
-    permuted."""
-    lam, patterns, slots = zip(*map(_label, labels))
-    t.check_shape(lam[0], z)
+def _stack(items: list, mp: ModularParams, modified: bool) -> _Stack:
+    """The factor tables of the items' terms (with ``modified``, the modified
+    terms), from one ``jacobi_brackets`` call over the distinct arguments of
+    the stack; [A] divides every term and is tested here, against [1].
+
+    Item (I, (t, z, Pdyn), perm) is label I at its point; with a perm, site
+    s+1 reads the spectral point ``z.z[perm[s]]``, as if z were permuted.
+    Each point (told apart by identity) has its own variable indices and its
+    own A constants, and a bracket is keyed by (point, variables, constant),
+    so equal keys are the same operations on the same values and each value
+    is bitwise that of the item alone."""
+    lam, patterns, slots = zip(*(_label(I) for I, _, _ in items))
+    if lam.count(lam[0]) != len(lam):
+        raise ShapeError("the items of a stack must share a shape")
     levels, (i, j, c), ratio = _layout(lam[0], modified)
-    v = np.array([x for level in _vees(t, z, mp) for x in level] + [0.0], dtype=complex)
-    if perms is None:
-        i, j = i[:, None], j[:, None]
-    else:  # remap each label's z-level variables, before arguments and keys are formed
-        var = np.tile(np.arange(v.size), (len(labels), 1))
-        z0 = v.size - 1 - len(z.z)
-        for k, perm in enumerate(perms):
-            if perm is not None:
-                var[k, z0:-1] = z0 + np.array(perm)
-        i, j = var[:, i].T, var[:, j].T  # (brackets, labels)
+    index, points, at = {}, [], []  # point -> its place; the points; per item its point
+    for _, point, _ in items:
+        at.append(index.setdefault(id(point), len(points)))
+        if at[-1] == len(points):
+            points.append(point)
+    v = []
+    for t, z, _ in points:
+        t.check_shape(lam[0], z)
+        v += [x for level in _vees(t, z, mp) for x in level] + [0.0]
+    v = np.array(v, dtype=complex)
+    V = v.size // len(points)  # variables of a point, its spare 0 last
     ids = {0: 0, 1: 1, 2: 2}  # constant keys: 0, 1, -1 by place, a slot's A by (l, color, C)
     cids = np.array([[0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
                                   for l, _, color, C in sl] for sl in slots])
-    const = np.array([0.0, 1.0, -1.0] + [Pdyn.value(color, l + 1) - C
-                                         for l, color, C in list(ids)[3:]], dtype=complex)
-    c = cids.T[c]  # (brackets, labels)
-    args = v[i] - v[j] + const[c]  # equal keys, bitwise equal arguments
-    br = np.ones((len(c) + 1, len(labels)), complex)  # the last row: an exact 1
-    if len(labels) > 1:  # each distinct argument once
-        keys = (i * v.size + j) * len(ids) + c
+    W = len(ids)  # each point has its own row of constants
+    const = np.array([[0.0, 1.0, -1.0] + [Pdyn.value(color, l + 1) - C
+                                          for l, color, C in list(ids)[3:]] for _, _, Pdyn in points],
+                     dtype=complex)
+    c = cids.T[c]  # (brackets, items): constant ids within the item's point's row
+    perms = [perm for _, _, perm in items]
+    if len(points) == 1 and not any(perms):
+        i, j, cg = i[:, None], j[:, None], c
+    else:  # each item's own variables (z-level ones remapped) and constants
+        var = np.tile(np.arange(V), (len(items), 1))
+        z0 = V - 1 - lam[0].n
+        for k, perm in enumerate(perms):
+            if perm is not None:
+                var[k, z0:-1] = z0 + np.array(perm)
+        at = np.array(at)
+        var += V * at[:, None]
+        i, j, cg = var[:, i].T, var[:, j].T, c + W * at  # (brackets, items)
+    args = v[i] - v[j] + const.ravel()[cg]  # equal keys, bitwise equal arguments
+    br = np.ones((len(c) + 1, len(items)), complex)  # the last row: an exact 1
+    if len(items) > 1:  # each distinct argument once
+        keys = (i * V + j % V) * W + c  # i carries the point
         rank = (np.cumsum(np.bincount(keys.ravel()) > 0) - 1)[keys]  # place among the keys
         distinct = np.empty(rank.max() + 1, dtype=complex)
         distinct[rank] = args
@@ -315,33 +338,34 @@ def _first_pole(st: _Stack, k: int) -> str | None:
             return _pole_message(l, bad, st.modified, g, path[l - 1], path[l])
 
 
-def _sym_sums(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalParams,
-              mp: ModularParams, modified: bool = False,
-              perms: list | None = None) -> list[WeightFunctionEval]:
-    """Each label's plain sum of its terms (modified terms) over block
-    permutations, the labels as one stack (module docstring), label k at z
-    permuted by ``perms[k]`` (``_stack``).  Then, label by label in order, a
+def _sums(items: list, mp: ModularParams, modified: bool) -> list:
+    """The outcomes of one stack, in item order: each item's plain sum of its
+    terms (modified terms) over block permutations, up to the first item
+    that raises, whose EllqgError ends the list.  An item raises for a
     vanishing [A], a term through a vanishing denominator (the PoleError the
-    depth-first order of terms meets first) and a sum beyond the float range
-    (FloatRangeError) raise.  If the shared bracket call raises, each label
-    makes its own, so the first label's error is raised."""
+    depth-first order of terms meets first) or a sum beyond the float range
+    (FloatRangeError).  If the shared bracket call raises, the items are
+    replayed alone, in order."""
     try:
-        st = _stack(labels, t, z, Pdyn, mp, modified, perms)
-    except EllqgError:
-        if len(labels) == 1:
-            raise
-        alone = [None] * len(labels) if perms is None else [[perm] for perm in perms]
-        return [_sym_sums([I], t, z, Pdyn, mp, modified, one)[0]
-                for I, one in zip(labels, alone)]
-    levels, L = st.levels, len(labels)
-    values, width = st.values.ravel(), st.values.shape[1]  # label-major
-    groups: list = [{} for _ in levels]  # per level: the labels by slot pattern
+        st = _stack(items, mp, modified)
+    except EllqgError as exc:
+        if len(items) == 1:
+            return [exc]
+        out: list = []
+        for item in items:
+            out += _sums([item], mp, modified)
+            if isinstance(out[-1], EllqgError):
+                break
+        return out
+    levels, L = st.levels, len(items)
+    values, width = st.values.ravel(), st.values.shape[1]  # item-major
+    groups: list = [{} for _ in levels]  # per level: the items by slot pattern
     for k, patterns in enumerate(st.patterns):
         for group, pattern in zip(groups, patterns):
             group.setdefault(pattern, []).append(k)
 
     def factor(l, pattern, rows, col):
-        """F_l[:, col[m]] of label rows[m]; elementwise products, since numpy rounds
+        """F_l[:, col[m]] of item rows[m]; elementwise products, since numpy rounds
         a one-element reduction otherwise and no value may depend on its stack."""
         g = _gather(modified, pattern, levels[l - 1][1], l == len(levels), levels[l - 1][2])
         f = np.take(values, g.rows[:, None] + (g.cols[:, col] + rows * width)[:, :, None])
@@ -369,13 +393,72 @@ def _sym_sums(labels: list, t: TVariables, z: EvaluationPoints, Pdyn: DynamicalP
             vec, nz = out, count
         sums = vec.sum(axis=1)
     total = math.prod(math.factorial(X) for X, *_ in levels)
+    out = [WeightFunctionEval(value, total, terms_pruned=0 if u else total - n)
+           for value, n, u in zip(sums.tolist(), nz.sum(axis=1).tolist(), unpruned.tolist())]
     for k in np.flatnonzero(st.bad.any(axis=0) | ~np.isfinite(sums)):
         error = st.a_pole.get(k) or _first_pole(st, k)
-        if error:
-            raise PoleError(error)
-        require_finite(complex(sums[k]), "weight-function sum")
-    return [WeightFunctionEval(value, total, terms_pruned=0 if u else total - n)
-            for value, n, u in zip(sums.tolist(), nz.sum(axis=1).tolist(), unpruned.tolist())]
+        try:
+            if error:
+                raise PoleError(error)
+            require_finite(complex(sums[k]), "weight-function sum")
+        except EllqgError as exc:
+            return out[:k] + [exc]
+    return out
+
+
+# Most items x ``_layout`` table entries one stack holds: a stack takes whole
+# points while it stays within this, or one point that exceeds it alone.
+_STACK_ENTRIES = 4096
+
+
+def _stacks(items: list, modified: bool) -> list[list[int]]:
+    """The item indices of each stack, ordered by their first: per shape (of
+    a point's first item), the points in order of their first item, whole
+    points per stack."""
+    shapes: dict = {}  # shape -> per point its items
+    points: dict = {}  # point -> its items
+    for k, (I, point, _) in enumerate(items):
+        if id(point) not in points:
+            points[id(point)] = []
+            shapes.setdefault(_label(I)[0], []).append(points[id(point)])
+        points[id(point)].append(k)
+    out = []
+    for lam, groups in shapes.items():
+        entries, stack = _layout(lam, modified)[2].shape[1], []
+        for ks in groups:
+            if stack and (len(stack) + len(ks)) * entries > _STACK_ENTRIES:
+                out.append(sorted(stack))
+                stack = []
+            stack += ks
+        out.append(sorted(stack))
+    return sorted(out)
+
+
+def _outcomes(items: list, mp: ModularParams, modified: bool = False) -> list:
+    """The outcomes of ``items`` in order, each (label I, point (t, z, Pdyn),
+    site permutation or None) as in ``_stack``: each WeightFunctionEval, up to
+    the first item that raises, whose EllqgError ends the list.  The items
+    are summed in the stacks of ``_stacks``, each value bitwise that of the
+    item alone, and the error is the one evaluating them one by one meets
+    first."""
+    if len(items) == 1:
+        return _sums(items, mp, modified)
+    out: list = [None] * len(items)
+    first = len(items)  # the first item that raises
+    for ks in _stacks(items, modified):
+        if ks[0] > first:
+            break
+        res = _sums([items[k] for k in ks], mp, modified)
+        for k, r in zip(ks, res):
+            out[k] = r
+        if isinstance(res[-1], EllqgError):
+            first = min(first, ks[len(res) - 1])
+    return out[:first + 1]
+
+
+def _sym_sums(items: list, mp: ModularParams, modified: bool = False) -> list[WeightFunctionEval]:
+    """Each item's sum (``_outcomes``), or the first error raised."""
+    return settle(_outcomes(items, mp, modified))
 
 
 def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -389,33 +472,49 @@ def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         * prod_{b' : i^(l+1)_{b'} > s}  [v'_{b'} - v_a] / [v'_{b'} - v_a + 1]
         * prod_{a' > a}                 [v_a - v_{a'} - 1] / [v_a - v_{a'}]
 
-    Summed by ``_sym_sums`` as a stack of one label, exactly-zero branches
+    Summed by ``_sym_sums`` as a stack of one item, exactly-zero branches
     pruned (module docstring); a vanishing denominator raises PoleError.
     """
-    return _sym_sums([I], t, z, Pdyn, mp)[0]
+    return _sym_sums([(I, (t, z, Pdyn), None)], mp)[0]
 
 
-def specialize_labels(labels, at: PartitionIndex, z: EvaluationPoints,
-                      Pdyn: DynamicalParams, mp: ModularParams) -> list[WeightFunctionEval]:
-    """w_tilde of each label I at the specialization t = z_at, zero unless at <= I.
+def _specializations(items, z: EvaluationPoints) -> list:
+    """The stack items of (label I, point at, Pdyn) items at t = z_at, one
+    point per (at, Pdyn) object pair; checks the shapes and that z is
+    distinct first."""
+    items = list(items)
+    keys, shapes = [(id(at), id(Pdyn)) for _, at, Pdyn in items], {}
+    for (I, at, _), key in zip(items, keys):
+        if key not in shapes:
+            shapes[key] = at.shape()
+        if _label(I)[0] != shapes[key]:
+            raise ShapeError("specialization point and label must share a shape")
+    z.require_distinct()
+    points: dict = {}
+    for (_, at, Pdyn), key in zip(items, keys):
+        if key not in points:
+            points[key] = (TVariables.specialization(at, z), z, Pdyn)
+    return [(I, points[key], None) for (I, _, _), key in zip(items, keys)]
 
-    The labels are summed as one stack (``_sym_sums``); if one raises, the
-    first such label's error is raised.  Each value is w_tilde's at t = z_at,
+
+def specialize_all(items, z: EvaluationPoints, mp: ModularParams) -> list[WeightFunctionEval]:
+    """w_tilde of each (label I, point at, Pdyn) item at the specialization
+    t = z_at of the shared z, zero unless at <= I.
+
+    The items are summed by ``_sym_sums``, the items of a point sharing its
+    bracket arguments; if one raises, the first such item's error is raised,
+    as evaluating them one by one would.  Each value is w_tilde's at t = z_at,
     by the same code: a term through a vanishing denominator (at resonant
     points z_j = q^(+-2) z_i) raises PoleError naming the bracket, even where
     the limit in z is finite.
     """
-    labels, shape = list(labels), at.shape()
-    if any(_label(I)[0] != shape for I in labels):
-        raise ShapeError("specialization point and label must share a shape")
-    z.require_distinct()
-    return _sym_sums(labels, TVariables.specialization(at, z), z, Pdyn, mp) if labels else []
+    return _sym_sums(_specializations(items, z), mp)
 
 
 def specialize(I: PartitionIndex, at: PartitionIndex, z: EvaluationPoints,
                Pdyn: DynamicalParams, mp: ModularParams) -> WeightFunctionEval:
-    """w_tilde of label I at the specialization t = z_at (``specialize_labels``)."""
-    return specialize_labels([I], at, z, Pdyn, mp)[0]
+    """w_tilde of label I at the specialization t = z_at (``specialize_all``)."""
+    return specialize_all([(I, at, Pdyn)], z, mp)[0]
 
 
 def diagonal_value(I: PartitionIndex, z: EvaluationPoints, mp: ModularParams) -> complex:
@@ -435,10 +534,9 @@ def diagonal_value(I: PartitionIndex, z: EvaluationPoints, mp: ModularParams) ->
     return total
 
 
-def transition_residuals(mu, t: TVariables, z: EvaluationPoints,
-                         Pdyn: DynamicalParams, mp: ModularParams) -> list[float]:
-    """|LHS - RHS| of the adjacent-swap transition identity at each position
-    i = 1..n-1, in order.
+def transition_residuals(cases, mp: ModularParams) -> list[list[float]]:
+    """Per case (mu, t, z, Pdyn): |LHS - RHS| of the adjacent-swap transition
+    identity at each position i = 1..n-1, in order.
 
     LHS: the weight function labeled by mu with colors i, i+1 swapped,
     evaluated at spectral points with z_i, z_{i+1} swapped.  RHS: the
@@ -447,54 +545,76 @@ def transition_residuals(mu, t: TVariables, z: EvaluationPoints,
     The R entry used maps in-pair (mu'_i, mu'_{i+1}) [summed] to out-pair
     (mu_i, mu_{i+1}); this orientation is normative for the package.
 
-    Every weight function of the case is one item of a single ``_sym_sums``
-    stack, the swapped spectral points as a site permutation of the item, so
-    each value is bitwise the one ``w_tilde`` gives at ``z.swapped(i)``.
-    Items are taken in the order of the position-by-position evaluation (per
-    i: LHS, then each RHS function whose R entry is nonzero, each item once),
-    and an error is the one that order meets first: the first raising item,
-    or the R-bar of a position whose items before it evaluate.
+    Every R-bar of the call comes from one ``rbars`` call, and every weight
+    function is an item of one ``_sym_sums`` call, a case being a point and
+    the swapped spectral points a site permutation of the item, so each value
+    is bitwise the one ``w_tilde`` gives at ``z.swapped(i)``.  Items are taken
+    in the order of the case-by-case, position-by-position evaluation (per i:
+    LHS, then each RHS function whose R entry is nonzero, each item of a case
+    once), and an error is the one that order meets first: a case's shape,
+    the first raising item, or the R-bar of a position whose items before it
+    evaluate.
     """
-    mu, N = tuple(mu), Pdyn.N
-    if len(mu) != z.n:  # a site permutation must cover every spectral point
-        raise ShapeError(f"{len(mu)} colors need {len(mu)} spectral points, got {z.n}")
-    labels, perms, place = [], [], {}  # the stack's items; (colors, perm) -> item
+    items, terms, stop = _transition_items(cases, mp)
+    w = [res.value for res in _sym_sums(items, mp)]
+    if stop is not None:  # met after every item before it evaluated
+        raise stop
+    return [[abs(w[lhs] - sum((coeff * w[k] for coeff, k in rhs), 0.0 + 0.0j))
+             for lhs, rhs in case] for case in terms]
 
-    def item(colors, perm=None) -> int:
-        if (colors, perm) not in place:
-            place[colors, perm] = len(labels)
-            labels.append(PartitionIndex.from_colors(colors, N))
-            perms.append(perm)
-        return place[colors, perm]
 
-    def values() -> list[complex]:
-        return [w.value for w in _sym_sums(labels, t, z, Pdyn, mp, perms=perms)]
+def _transition_items(cases, mp: ModularParams) -> tuple:
+    """The stack items of ``transition_residuals``, in order; per case and
+    position the LHS item and the (R entry, item) pairs of the RHS; and the
+    error that stops the order after those items (a case's shape or an
+    R-bar), or None.  The R-bars are dropped once their entries are read."""
+    cases, stop = [(tuple(mu), t, z, Pdyn) for mu, t, z, Pdyn in cases], None
+    positions, requests = [], []  # per position of the cases before a bad one: (case, i), R-bar
+    for c, (mu, _, z, Pdyn) in enumerate(cases):
+        try:  # a site permutation must cover every spectral point
+            if len(mu) != z.n:
+                raise ShapeError(f"{len(mu)} colors need {len(mu)} spectral points, got {z.n}")
+            if len(mu) > 1:
+                PartitionIndex.from_colors(mu, Pdyn.N)
+        except ShapeError as exc:
+            cases, stop = cases[:c], exc
+            break
+        u = z.u
+        positions += [(c, i) for i in range(1, len(mu))]
+        requests += [(z.z[i - 1] / z.z[i], Pdyn.shifted_by_colors(mu[i - 1:], sign=-1),
+                      u[i - 1] - u[i]) for i in range(1, len(mu))]
+    Rs = rbars(requests, mp)
+    if Rs and isinstance(Rs[-1], EllqgError):
+        stop = Rs.pop()  # met after the LHS item of its position
+    items: list = []
+    points = [(t, z, Pdyn) for _, t, z, Pdyn in cases]
+    places: list = [{} for _ in cases]  # per case: (colors, perm) -> item
+    labels: dict = {}  # (colors, N) -> the label, one object for every case
+    terms: list = [[] for _ in cases]
 
-    cases = []  # per position: LHS item, then (R entry, item) of the RHS
-    for i in range(1, len(mu)):
+    def item(c, colors, perm=None) -> int:
+        if (colors, perm) not in places[c]:
+            places[c][colors, perm] = len(items)
+            key = colors, cases[c][3].N
+            if key not in labels:
+                labels[key] = PartitionIndex.from_colors(*key)
+            items.append((labels[key], points[c], perm))
+        return places[c][colors, perm]
+
+    for n, (c, i) in enumerate(positions):
+        mu = cases[c][0]
         swap = list(range(len(mu)))
         swap[i - 1], swap[i] = i, i - 1
-        lhs = item(tuple(mu[s] for s in swap), tuple(swap))
-        try:
-            shift = Pdyn.shifted_by_colors(mu[i - 1:], sign=-1)
-            R = rbar(z.z[i - 1] / z.z[i], shift, mp, u=z.u[i - 1] - z.u[i])
-        except EllqgError:
-            values()  # an item met before this R-bar raises first
-            raise
+        lhs = item(c, tuple(mu[s] for s in swap), tuple(swap))
+        if n == len(Rs):  # this position's R-bar raises
+            break
         out_pair, rhs = mu[i - 1:i + 1], []
         for cin in [out_pair] if mu[i - 1] == mu[i] else [out_pair, out_pair[::-1]]:
-            coeff = R.entry(cin, out_pair)
+            coeff = Rs[n].entry(cin, out_pair)
             if coeff != 0:
-                rhs.append((coeff, item(mu[:i - 1] + cin + mu[i + 1:])))
-        cases.append((lhs, rhs))
-    w = values() if labels else []
-    out = []
-    for lhs, rhs in cases:
-        total = 0.0 + 0.0j
-        for coeff, k in rhs:
-            total += coeff * w[k]
-        out.append(abs(w[lhs] - total))
-    return out
+                rhs.append((coeff, item(c, mu[:i - 1] + cin + mu[i + 1:])))
+        terms[c].append((lhs, rhs))
+    return items, terms, stop
 
 
 def _bracket_product(args, mp: ModularParams, label: str) -> complex:
@@ -549,7 +669,7 @@ def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         e = require_normal(e_lambda(lam, t, z, mp), "E factor")
         return require_finite(h_lambda(lam, t, z, mp) * wt / e, "modified weight function")
     if route == "sym":
-        return _sym_sums([I], t, z, Pdyn, mp, modified=True)[0].value
+        return _sym_sums([(I, (t, z, Pdyn), None)], mp, modified=True)[0].value
     raise ParameterError(f"unknown route {route!r}")
 
 
@@ -557,20 +677,26 @@ def _reversed_colors(I: PartitionIndex) -> PartitionIndex:
     return PartitionIndex.from_colors(tuple(reversed(I.colors())), I.N)
 
 
-def _stab_column(labels, J: PartitionIndex, z: EvaluationPoints, Pdyn: DynamicalParams,
-                 mp: ModularParams) -> list[complex]:
-    """The restrictions of the stable envelopes of ``labels`` to fixed point J,
-    from one ``specialize_labels`` call and one H and E factor."""
+def _stab_columns(labels, Js, z: EvaluationPoints, Pdyn: DynamicalParams,
+                  mp: ModularParams) -> list[list[complex]]:
+    """Per fixed point J of ``Js``, the restrictions of the stable envelopes of
+    ``labels`` to J, from one ``_outcomes`` call over every (label, J) pair
+    and one H and E factor per J; an error is the first that J by J meets."""
     if any(abs(a) >= abs(b) for a, b in zip(z.z, z.z[1:])):
         raise ParameterError("chamber requires |z_1| < ... < |z_n|")
-    lam = J.shape()
-    J_rev, z_rev = _reversed_colors(J), z.inverted_reversed()
-    t = TVariables.specialization(J_rev, z_rev)
-    wts = specialize_labels([_reversed_colors(I) for I in labels], J_rev, z_rev,
-                            Pdyn.inverted(), mp)
-    e = require_normal(e_lambda(lam, t, z_rev, mp), "E factor")
-    h = h_lambda(lam, t, z_rev, mp)
-    return [require_finite(h * wt.value / e, "stable envelope") for wt in wts]
+    z_rev, P_inv = z.inverted_reversed(), Pdyn.inverted()
+    rev = [_reversed_colors(I) for I in labels]
+    Js = [(J.shape(), _reversed_colors(J)) for J in Js]
+    wts = iter(_outcomes(_specializations([(I, J_rev, P_inv) for _, J_rev in Js for I in rev],
+                                          z_rev), mp))
+    cols = []
+    for lam, J_rev in Js:
+        col = settle(list(islice(wts, len(labels))))
+        t = TVariables.specialization(J_rev, z_rev)
+        e = require_normal(e_lambda(lam, t, z_rev, mp), "E factor")
+        h = h_lambda(lam, t, z_rev, mp)
+        cols.append([require_finite(h * wt.value / e, "stable envelope") for wt in col])
+    return cols
 
 
 def stable_envelope_restriction(I: PartitionIndex, J: PartitionIndex,
@@ -583,13 +709,13 @@ def stable_envelope_restriction(I: PartitionIndex, J: PartitionIndex,
     points, inverted dynamical parameters, specialized at t = z_J^(-1).
     Only the chamber |z_1| < ... < |z_n| is implemented.
     """
-    return _stab_column([I], J, z, Pdyn, mp)[0]
+    return _stab_columns([I], [J], z, Pdyn, mp)[0][0]
 
 
 def stab_matrix(lam: Composition, z: EvaluationPoints, Pdyn: DynamicalParams,
                 mp: ModularParams):
     """All stable-envelope restrictions for a shape, as a nested dict [I][J],
-    one ``specialize_labels`` call per column J.
+    from one ``_stab_columns`` call.
 
     This doubles as the numeric probe for orthogonality-type experiments:
     the diagonal-normalized Gram data can be formed from it, but no specific
@@ -597,16 +723,17 @@ def stab_matrix(lam: Composition, z: EvaluationPoints, Pdyn: DynamicalParams,
     unspecified.
     """
     parts = enumerate_partitions(lam)
-    cols = {J: _stab_column(parts, J, z, Pdyn, mp) for J in parts}
-    return {I: {J: cols[J][k] for J in parts} for k, I in enumerate(parts)}
+    cols = _stab_columns(parts, parts, z, Pdyn, mp)
+    return {I: {J: col[k] for J, col in zip(parts, cols)} for k, I in enumerate(parts)}
 
 
 def triangularity_violations(lam: Composition, z: EvaluationPoints,
                              Pdyn: DynamicalParams, mp: ModularParams) -> float:
-    """Max |w_tilde_I(z_at)| over pairs with NOT at <= I (should be ~0)."""
+    """Max |w_tilde_I(z_at)| over pairs with NOT at <= I (should be ~0), from
+    one ``specialize_all`` call."""
     parts = enumerate_partitions(lam)
     worst = 0.0
-    for at in parts:
-        for res in specialize_labels([I for I in parts if not leq(at, I)], at, z, Pdyn, mp):
-            worst = np.maximum(worst, abs(res.value))
+    for res in specialize_all([(I, at, Pdyn) for at in parts for I in parts
+                               if not leq(at, I)], z, mp):
+        worst = np.maximum(worst, abs(res.value))
     return float(worst)

@@ -134,7 +134,7 @@ def test_criterion_5_transition_property():
                 z = _rand_points(rng, n, MP.q)
                 pd = _rand_pdyn(rng, N)
                 t = _rand_t(rng, lam)
-                for res in transition_residuals(mu, t, z, pd, MP):
+                for res in transition_residuals([(mu, t, z, pd)], MP)[0]:
                     worst = max(worst, res)
     ok = worst < 1e-9
     report(5, "transition property, all adjacent swaps, n<=4, N<=3",

@@ -147,6 +147,37 @@ def test_gt_verify_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["qkz", "eval", "--Q", "0.7"], "--Q"),
+    (["qkz", "grid", "--Q", "0.7"], "--Q"),
+    (["qkz", "quad", "--gridsize", "4", "--Q", "0.7"], "--Q"),
+    (["gt", "basis", "--j", "2"], "--j"),
+    (["gt", "basis", "--op", "phi"], "--op"),
+    (["qkz", "eval", "--gridsize", "8"], "--gridsize"),
+])
+def test_a_flag_the_action_ignores_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_flags_the_action_reads_still_apply(capsys):
+    # The defaults stand for the flags left out; each given flag changes the output.
+    outputs = {}
+    for name, argv in [("eval", ["qkz", "eval", "--elliptic"]),
+                       ("eval_Q", ["qkz", "eval", "--elliptic", "--Q", "0.02"]),
+                       ("grid", ["qkz", "grid", "--gridsize", "4"]),
+                       ("grid_default", ["qkz", "grid"]),
+                       ("act", ["gt", "act"]),
+                       ("act_f", ["gt", "act", "--op", "f", "--j", "1"])]:
+        assert main(argv) == 0
+        outputs[name] = capsys.readouterr().out
+    assert outputs["eval"] != outputs["eval_Q"]
+    assert outputs["grid"].count("\n") == 5 and outputs["grid_default"].count("\n") == 33
+    assert json.loads(outputs["act"])["op"] == "e" and outputs["act"] != outputs["act_f"]
+
+
 def test_qkz_grid_refuses_two_variables_in_a_level(tmp_path, capsys):
     path = write_config(tmp_path, {**MINIMAL, "n": 3, "lambda": [2, 1],
                                    "z": [0.5, [0.3, -0.6], [0.7, 0.2]]})

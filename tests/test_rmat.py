@@ -6,8 +6,9 @@ import pytest
 
 from conftest import random_pdyn
 from ellqg.ellfn import ModularParams, jacobi_bracket
-from ellqg.errors import SingularityError
-from ellqg.rmat import check_dybe, check_inversion, embedded_rbar, permutation_dense, rbar
+from ellqg.errors import EllqgError, SingularityError, settle
+from ellqg.rmat import (check_dybe, check_inversion, embedded_rbar, permutation_dense, rbar,
+                        rbars)
 from ellqg.tensorspace import DynamicalParams
 
 
@@ -138,3 +139,27 @@ def test_resonant_parameter_raises(mp):
     pd = DynamicalParams((0.0,))  # [s] = [0] = 0
     with pytest.raises(SingularityError):
         rbar(0.7, pd, mp)
+
+
+def _entries_or_error(f):
+    """The entries ``f()`` returns, or the type and text of its library error."""
+    try:
+        return f().entries
+    except EllqgError as exc:
+        return type(exc), str(exc)
+
+
+def test_rbars_equal_single_calls_up_to_the_first_error(mp, rng):
+    # Entry for entry the R-bars of one request each, up to the first request
+    # that raises alone: here one whose brackets overflow, which makes the
+    # shared bracket call raise, or one with [u+1] = 0.
+    pd2, pd3 = random_pdyn(rng, 2), random_pdyn(rng, 3)
+    fine = [(0.7, pd2, None), (1.3j, pd3, None), (0.4 - 0.2j, pd3, 0.1 + 0.3j)]
+    overflow, singular = (1.0, pd2, 3000j), (mp.q ** -2, pd3, -1.0)
+    for requests in (fine, fine + [overflow] + fine + [singular],
+                     fine + [singular, overflow], [overflow, singular]):
+        singles = [_entries_or_error(lambda: rbar(*request[:2], mp, u=request[2]))
+                   for request in requests]
+        errors = [k for k, single in enumerate(singles) if isinstance(single, tuple)]
+        want = singles[:errors[0] + 1] if errors else singles
+        assert [_entries_or_error(lambda: settle([x])[0]) for x in rbars(requests, mp)] == want

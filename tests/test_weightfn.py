@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from dataclasses import replace
 from itertools import permutations, product
 from types import SimpleNamespace
 
@@ -7,8 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import random_pdyn, random_points, random_t, shape_of
+from ellqg.cli import build_config, main, run_suite
 from ellqg.ellfn import ModularParams, jacobi_bracket
-from ellqg import weightfn
+from ellqg import suites, weightfn
 from ellqg.errors import (EllqgError, FloatRangeError, ParameterError, PoleError,
                           ShapeError, SingularityError)
 from ellqg.gtrep import gt_vector
@@ -18,7 +21,7 @@ from ellqg.suites import _wf_cases
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                                PartitionIndex, enumerate_partitions, leq)
 from ellqg.weightfn import (TVariables, diagonal_value, e_lambda,
-                            modified_w, specialize, specialize_labels, stab_matrix,
+                            modified_w, specialize, specialize_all, stab_matrix,
                             stable_envelope_restriction, transition_residuals,
                             triangularity_violations, w_tilde)
 
@@ -151,8 +154,8 @@ def test_triangularity_all_shapes(mp, rng):
 
 def test_triangularity_violations_keep_a_nan(mp, rng, monkeypatch):
     # max(0.0, nan) is 0.0: a fold by max would report no violation.
-    monkeypatch.setattr("ellqg.weightfn.specialize_labels",
-                        lambda labels, *a: [SimpleNamespace(value=complex("nan"))] * len(labels))
+    monkeypatch.setattr("ellqg.weightfn.specialize_all",
+                        lambda items, *a: [SimpleNamespace(value=complex("nan"))] * len(items))
     z = random_points(rng, 2, mp.q)
     assert math.isnan(triangularity_violations(Composition((1, 1)), z,
                                                random_pdyn(rng, 2), mp))
@@ -312,13 +315,22 @@ def _outcome(f):
         return type(exc), str(exc)
 
 
-def _assert_batch_is_single_calls(parts, at, z, pd, mp):
-    """specialize_labels equals one specialize per label, or raises the first
-    label's error; returns whether it raised."""
-    singles = [_outcome(lambda: specialize(I, at, z, pd, mp)) for I in parts]
-    got = _outcome(lambda: specialize_labels(parts, at, z, pd, mp))
+def _bits(outcome):
+    """An outcome with each value as the bits of its parts, so == is bitwise."""
+    if isinstance(outcome, tuple):  # an error
+        return outcome
+    return [(w.value.real.hex(), w.value.imag.hex(), w.terms_evaluated, w.terms_pruned)
+            for w in outcome]
+
+
+def _assert_batch_is_single_calls(call, items):
+    """``call(items)`` equals ``call([item])`` item by item, bit for bit, or
+    raises the error of the first item that raises alone; returns whether
+    one did."""
+    singles = [_bits(_outcome(lambda: call([item]))) for item in items]
     errors = [s for s in singles if isinstance(s, tuple)]
-    assert got == (errors[0] if errors else singles), (parts, at)
+    want = errors[0] if errors else [w for single in singles for w in single]
+    assert _bits(_outcome(lambda: call(items))) == want, items
     return bool(errors)
 
 
@@ -333,22 +345,31 @@ def _resonant_points(rng, n, q):
 
 
 def test_batch_equals_single_label_calls(mp, rng):
+    # Stacks over several points: every label at every specialization point,
+    # under two sets of dynamical parameters; then every label, alone and
+    # through the first and last swap of sites, at a random t and at a
+    # specialization t, at generic and at resonant z.
     raised = 0
     for N, lam in _wf_cases():
-        pd = random_pdyn(rng, N)
+        pds = random_pdyn(rng, N), random_pdyn(rng, N)
         parts = enumerate_partitions(lam)
+        perms = [None] + [_swap(lam.n, i) for i in sorted({1, lam.n - 1}) if 0 < i < lam.n]
         for z in _resonant_points(rng, lam.n, mp.q):
-            for at in parts:
-                raised += _assert_batch_is_single_calls(parts, at, z, pd, mp)
+            items = [(I, at, pds[m % 2]) for m, at in enumerate(parts) for I in parts]
+            raised += _assert_batch_is_single_calls(lambda b: specialize_all(b, z, mp), items)
+            points = [(random_t(rng, lam), z, pds[0]),
+                      (TVariables.specialization(parts[-1], z), z, pds[1])]
+            items = [(I, point, perm) for point in points for I in parts for perm in perms]
+            raised += _assert_batch_is_single_calls(lambda b: weightfn._sym_sums(b, mp), items)
     assert raised > 0  # the resonant points reach the first-error rule
 
 
-def _first_kernel_call(monkeypatch, labels, *point):
-    """The arguments of the first bracket call of ``specialize_labels(labels, *point)``."""
+def _first_kernel_call(monkeypatch, call):
+    """The arguments of the first bracket call that ``call()`` makes."""
     kernel, calls = weightfn.jacobi_brackets, []
     monkeypatch.setattr(weightfn, "jacobi_brackets",
                         lambda u, mp, starred=False: calls.append(u) or kernel(u, mp, starred))
-    _outcome(lambda: specialize_labels(labels, *point))
+    _outcome(call)
     monkeypatch.setattr(weightfn, "jacobi_brackets", kernel)
     return calls[0]
 
@@ -362,9 +383,10 @@ def test_failed_shared_call_raises_the_first_labels_error(mp, rng, monkeypatch):
     kernel = weightfn.jacobi_brackets
     for z in _resonant_points(rng, lam.n, mp.q):
         for at in parts:
-            point = (at, z, pd, mp)
-            bad = np.setdiff1d(_first_kernel_call(monkeypatch, parts[5:6], *point),
-                               _first_kernel_call(monkeypatch, parts[:5], *point))[0]
+            items = [(I, at, pd) for I in parts]
+            call = lambda b: specialize_all(b, z, mp)
+            bad = np.setdiff1d(_first_kernel_call(monkeypatch, lambda: call(items[5:6])),
+                               _first_kernel_call(monkeypatch, lambda: call(items[:5])))[0]
 
             def failing(u, mp, starred=False):
                 if np.isin(bad, u):
@@ -372,7 +394,7 @@ def test_failed_shared_call_raises_the_first_labels_error(mp, rng, monkeypatch):
                 return kernel(u, mp, starred)
 
             monkeypatch.setattr(weightfn, "jacobi_brackets", failing)
-            assert _assert_batch_is_single_calls(parts, *point)
+            assert _assert_batch_is_single_calls(call, items)
             monkeypatch.setattr(weightfn, "jacobi_brackets", kernel)
 
 
@@ -460,7 +482,7 @@ def test_transition_property(mp, rng):
                 z = random_points(rng, n, mp.q)
                 pd = random_pdyn(rng, N)
                 t = random_t(rng, lam)
-                residuals = transition_residuals(mu, t, z, pd, mp)
+                residuals = transition_residuals([(mu, t, z, pd)], mp)[0]
                 assert len(residuals) == n - 1
                 assert all(res < 1e-9 for res in residuals), (mu, residuals)
 
@@ -471,14 +493,14 @@ def test_transition_equal_colors_is_z_symmetry(mp, rng):
     z = random_points(rng, 2, mp.q)
     pd = random_pdyn(rng, 2)
     t = random_t(rng, lam)
-    (res,) = transition_residuals(mu, t, z, pd, mp)
+    (res,) = transition_residuals([(mu, t, z, pd)], mp)[0]
     assert res < 1e-10
 
 
 def test_transition_needs_one_spectral_point_per_color(mp, rng):
     t = random_t(rng, shape_of((1, 2), 2))
     with pytest.raises(ShapeError, match="2 colors need 2 spectral points, got 3"):
-        transition_residuals((1, 2), t, random_points(rng, 3, mp.q), random_pdyn(rng, 2), mp)
+        transition_residuals([((1, 2), t, random_points(rng, 3, mp.q), random_pdyn(rng, 2))], mp)
 
 
 def test_every_stack_needs_one_spectral_point_per_site(mp, rng):
@@ -514,12 +536,12 @@ def test_swapped_stack_items_are_bitwise_w_tilde(mp, rng):
                 t = random_t(rng, lam)
                 items = [(I, i) for i in range(n) for I in enumerate_partitions(lam)]
                 perms = [_swap(n, i) if i else None for _, i in items]
-                alone = [weightfn._sym_sums([I], t, z, pd, mp, perms=[perm])[0]
-                         for (I, _), perm in zip(items, perms)]
+                point = (t, z, pd)
+                stack = [(I, point, perm) for (I, _), perm in zip(items, perms)]
+                alone = [weightfn._sym_sums([item], mp)[0] for item in stack]
                 for (I, i), w in zip(items, alone):
                     assert w == w_tilde(I, t, z.swapped(i) if i else z, pd, mp), (I, i)
-                labels = [I for I, _ in items]
-                assert weightfn._sym_sums(labels, t, z, pd, mp, perms=perms) == alone, lam
+                assert weightfn._sym_sums(stack, mp) == alone, lam
 
 
 def _sequential_residuals(mu, t, z, pd, mp):
@@ -564,7 +586,7 @@ def _resonant_case(mu, j, k):
 ])
 def test_transition_raises_the_first_error_of_the_sequential_order(mu, j, k, error):
     t, z, pd, mp = _resonant_case(mu, j, k)
-    assert _outcome(lambda: transition_residuals(mu, t, z, pd, mp)) == error
+    assert _outcome(lambda: transition_residuals([(mu, t, z, pd)], mp)[0]) == error
     assert _outcome(lambda: _sequential_residuals(mu, t, z, pd, mp)) == error
 
 
@@ -573,7 +595,36 @@ def test_transition_outcomes_match_the_sequential_order_at_resonant_points():
         for j, k in product(range(1, len(mu) + 1), [None, *range(1, len(mu))]):
             t, z, pd, mp = _resonant_case(mu, j, k)
             want = _outcome(lambda: _sequential_residuals(mu, t, z, pd, mp))
-            assert _outcome(lambda: transition_residuals(mu, t, z, pd, mp)) == want, (mu, j, k)
+            assert _outcome(lambda: transition_residuals([(mu, t, z, pd)], mp)[0]) == want, (mu, j, k)
+
+
+def test_multi_case_transition_equals_per_case_calls(mp, rng):
+    # One call over many cases equals one call per case, value for value, or
+    # raises the error the first raising case raises alone: an earlier case's
+    # item error before a later case's R-bar error, and the reverse.
+    generic = [(mu, random_t(rng, shape_of(mu, N)), random_points(rng, len(mu), mp.q),
+                random_pdyn(rng, N))
+               for N, mu in [(2, (1, 2)), (2, (2, 1, 1)), (3, (3, 1, 2)), (3, (1, 2, 3, 2))]]
+    resonant = [(mu, *_resonant_case(mu, j, k)[:3])
+                for mu in [(1, 2), (2, 1, 2), (1, 1, 2)]
+                for j, k in product(range(1, len(mu) + 1), [None, *range(1, len(mu))])]
+    item_raises = ((1, 2), *_resonant_case((1, 2), 1, None)[:3])
+    rbar_raises = ((1, 2, 1), *_resonant_case((1, 2, 1), 2, 1)[:3])
+    bad_shape = ((1, 2), generic[0][1], generic[1][2], generic[0][3])
+    batches = [generic, resonant, generic + resonant + generic,
+               generic + [item_raises, rbar_raises] + generic,
+               generic + [rbar_raises, item_raises], generic + [bad_shape, item_raises],
+               [item_raises, bad_shape], generic[:1] * 2,
+               # a stack that starts first and raises last: the other shape's error wins
+               generic[1:2] + [item_raises] + resonant[-6:]]
+    for cases in batches:
+        singles = [_outcome(lambda: transition_residuals([case], mp)) for case in cases]
+        errors = [single for single in singles if isinstance(single, tuple)]
+        want = errors[0] if errors else [res for single in singles for res in single]
+        assert _outcome(lambda: transition_residuals(cases, mp)) == want
+    assert _outcome(lambda: transition_residuals([item_raises, rbar_raises], mp))[0] is PoleError
+    assert (_outcome(lambda: transition_residuals([rbar_raises, item_raises], mp))[0]
+            is SingularityError)
 
 
 def test_modified_routes_agree(mp, rng):
@@ -791,3 +842,99 @@ def test_same_level_pole_texts(mp, rng):
     assert _pole_text(lambda: w_tilde(I, t, z, pd, mp)) == "[v^1_1 - v^1_2] vanished"
     assert (_pole_text(lambda: modified_w(I, t, z, pd, mp, route="sym"))
             == "level-1 denominator vanished")
+
+
+# ------------------------------------------------ guards on the batched checks --
+
+def _check_rng(cfg, check_id):
+    """The rng ``run_suite`` gives the check ``check_id``."""
+    index = [cid for cid, _ in suites.checks_for("all")].index(check_id)
+    return np.random.default_rng(cfg.seed + 7919 * index)
+
+
+def _one_point_residuals(cfg):
+    """The residuals of the five batched checks, folded from one-point public
+    calls in the order their loops made them before the calls were batched."""
+    mp = replace(cfg.modular(), k=0.0)
+    out = {}
+    rng, worst = _check_rng(cfg, "wf.triangularity"), 0.0
+    for N, lam in _wf_cases():
+        z, pd = suites._rand_points(rng, lam.n, mp.q), suites._rand_pdyn(rng, N)
+        parts, inner = enumerate_partitions(lam), 0.0
+        for at in parts:
+            for I in parts:
+                if not leq(at, I):
+                    inner = np.maximum(inner, abs(specialize(I, at, z, pd, mp).value))
+        worst = np.maximum(worst, float(inner))
+    out["wf.triangularity"] = worst
+    rng, worst = _check_rng(cfg, "wf.diagonal"), 0.0
+    for N, lam in _wf_cases():
+        z, pd = suites._rand_points(rng, lam.n, mp.q), suites._rand_pdyn(rng, N)
+        for I in enumerate_partitions(lam):
+            ref = diagonal_value(I, z, mp)
+            val = specialize(I, I, z, pd, mp).value
+            worst = np.maximum(worst, abs(val - ref) / max(1e-30, abs(ref)))
+    out["wf.diagonal"] = worst
+    rng, worst = _check_rng(cfg, "wf.transition"), 0.0
+    for N in (2, 3):
+        for n in range(2, 5):
+            for mu in product(range(1, N + 1), repeat=n):
+                z, pd = suites._rand_points(rng, n, mp.q), suites._rand_pdyn(rng, N)
+                t = suites._rand_t(rng, shape_of(mu, N))
+                for res in transition_residuals([(mu, t, z, pd)], mp)[0]:
+                    worst = np.maximum(worst, res)
+    out["wf.transition"] = worst
+    rng, worst = _check_rng(cfg, "gt.basis_triangular"), 0.0
+    for N, lam in _wf_cases(max_n=4):
+        z, pd = suites._rand_points(rng, lam.n, mp.q), suites._rand_pdyn(rng, N)
+        for I in enumerate_partitions(lam):
+            state = gt_vector(I, z, pd, mp)
+            for J in enumerate_partitions(lam):
+                if not leq(I, J):
+                    worst = np.maximum(worst, abs(state.coefficient(J.colors())))
+    out["gt.basis_triangular"] = worst
+    rng, worst = _check_rng(cfg, "gt.basis_diagonal"), 0.0
+    for N, lam in _wf_cases(max_n=3):
+        z, pd = suites._rand_points(rng, lam.n, mp.q), suites._rand_pdyn(rng, N)
+        zinv = EvaluationPoints(tuple(1.0 / x for x in z.z), mp.q)
+        for I in enumerate_partitions(lam):
+            state = gt_vector(I, z, pd, mp)
+            ref = diagonal_value(I, zinv, mp)
+            worst = np.maximum(worst, abs(state.coefficient(I.colors()) - ref)
+                               / max(1e-30, abs(ref)))
+    out["gt.basis_diagonal"] = worst
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_batched_checks_equal_their_one_point_loops(seed):
+    cfg = build_config({"seed": seed})
+    checks = dict(suites.checks_for("all"))
+    for check_id, want in _one_point_residuals(cfg).items():
+        got, _ = checks[check_id](cfg, _check_rng(cfg, check_id))
+        assert float(got).hex() == float(want).hex(), check_id
+
+
+def test_stacks_hold_whole_points_within_the_cap(monkeypatch, tmp_path):
+    stacks, stack = [], weightfn._stack
+
+    def recording(items, mp, modified):
+        entries = weightfn._layout(weightfn._label(items[0][0])[0], modified)[2].shape[1]
+        stacks.append((len(items), len({id(point) for _, point, _ in items}), entries))
+        return stack(items, mp, modified)
+
+    monkeypatch.setattr(weightfn, "_stack", recording)
+    assert run_suite("all", build_config({}))["all_pass"]
+    assert 0 < len(stacks) <= 300
+    assert max(points for _, points, _ in stacks) > 1
+    assert all(items * entries <= weightfn._STACK_ENTRIES or points == 1
+               for items, points, entries in stacks)
+    # gt basis at (2,2,1): each label is a point of 30 items, over the cap alone
+    stacks.clear()
+    config = tmp_path / "gt.json"
+    config.write_text(json.dumps({"N": 3, "n": 5, "lambda": [2, 2, 1], "P": [1.2, [0.9, -0.2]],
+                                  "z": [[0.5, 0.1], [0.2, -0.6], [-0.7, 0.1], [0.3, 0.8],
+                                        [-0.6, -0.6]]}))
+    assert main(["gt", "basis", "--config", str(config), "--out", str(tmp_path / "o.json")]) == 0
+    assert stacks == [(30, 1, stacks[0][2])] * 30
+    assert 30 * stacks[0][2] > weightfn._STACK_ENTRIES
