@@ -290,11 +290,11 @@ def _cmd_qkz(cfg: RunConfig, args) -> int:
                "value_im": val.imag}, args.out)
         return 0
     if args.action == "grid":
-        # Every variable sits on the same circle point, where a level of two
-        # or more makes the integrand singular.
-        if any(lam.prefix(l) > 1 for l in range(1, lam.N)):
-            raise ConfigError(f"qkz grid needs at most one variable per t-level; "
-                              f"lambda={list(lam.sizes)} has more")
+        # Every variable sits on the same circle point, where any two of them
+        # (of one level or of adjacent levels) meet a kernel pole.
+        if spec.n_vars > 1:
+            raise ConfigError(f"qkz grid needs at most one variable per t-level and one "
+                              f"in total; lambda={list(lam.sizes)} has {spec.n_vars}")
         rows = ["angle_index,re,im"]
         for k in range(G):
             w = cmath.exp(2j * math.pi * k / G)

@@ -28,6 +28,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,14 +228,29 @@ def bracket_derivative_at_zero(mp: ModularParams, step: float = 1e-4) -> complex
     return (4.0 * d2 - d1) / 3.0
 
 
-def _nome_powers(x: float, top: float, eps: float, max_terms: int, what: str) -> np.ndarray:
-    """1, x, x^2, ... while top |x|^n >= eps; more than max_terms raises ResourceCapError."""
+@lru_cache(maxsize=64)
+def _power_row(x: float, max_terms: int) -> tuple:
+    """1, x, x^2, ... by repeated multiplication, up to x^max_terms or to the
+    last power before an exact 0 (every later one is 0 as well), and their
+    magnitudes; both read-only."""
     out = [1.0]
-    while top * abs(out[-1]) >= eps and len(out) <= max_terms:
+    while len(out) <= max_terms and out[-1] * x != 0.0:
         out.append(out[-1] * x)
-    if top * abs(out[-1]) >= eps:
+    row = np.array(out)
+    mag = np.abs(row)
+    row.flags.writeable = mag.flags.writeable = False
+    return row, mag
+
+
+def _nome_powers(x: float, top: float, eps: float, max_terms: int, what: str) -> np.ndarray:
+    """1, x, x^2, ... while top |x|^n >= eps, from the cached row of x; more
+    than max_terms raises ResourceCapError.  |x^n| never grows (|x| < 1), so
+    the powers kept are a prefix of the row."""
+    row, mag = _power_row(x, max_terms)
+    n = np.count_nonzero(top * mag >= eps)
+    if n > max_terms:
         raise ResourceCapError(f"{what} needs more than max_terms={max_terms} factors")
-    return np.array(out[:-1])
+    return row[:n]
 
 
 def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DEFAULT_EPS,
@@ -247,12 +263,13 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
     >= eps; an argument that needs more raises ResourceCapError.  Grid row m
     is computed only up to the last point some argument keeps, the rows in
     slabs of as many whole grid rows as fit ``_BATCH_ENTRIES`` entries (at
-    least one), and the row products are folded in m order.  A vanishing factor of a (z; p, s)_inf raises
-    PoleError naming (m, n): the smallest m, then the earliest z, then the
-    smallest n.  A product or quotient beyond the float range, or a 0 with no
-    exactly-zero numerator factor, raises FloatRangeError; a running product
-    that has left the float range stops the fold at the next row m = 15 mod
-    16, and a pole in a later row is not looked for.  Gamma(z) Gamma(ps/z) = 1.
+    least one), and the row products are folded in m order (``_gamma_fold``).
+    A vanishing factor of a (z; p, s)_inf raises PoleError naming (m, n): the
+    smallest m, then the earliest z, then the smallest n.  A product or
+    quotient beyond the float range, or a 0 with no exactly-zero numerator
+    factor, raises FloatRangeError; a running product that has left the
+    float range stops the fold at the next row m = 15 mod 16, and a pole in
+    a later row is not looked for.  Gamma(z) Gamma(ps/z) = 1.
     """
     if abs(p) >= 1.0 or abs(s) >= 1.0:
         raise ParameterError("elliptic Gamma requires |p| < 1 and |s| < 1")
@@ -263,14 +280,8 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
     top = np.abs(args).max(initial=0.0)
     prow, srow = (_nome_powers(x, top, eps, max_terms, "elliptic Gamma") for x in (p, s))
     row = np.multiply.outer(srow, args)             # x s^n by n; grid row m scales it by p^m
-    acc = np.ones(args.size, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, product in _gamma_rows(zs, prow, row, eps):
-            acc = acc * product
-            # A product beyond the float range stays there: near q = 1
-            # (thousands of rows) stop early, at a cost of one test per 16 rows.
-            if m % 16 == 15 and not np.isfinite(acc).all():
-                break
+        acc = _gamma_fold(zs, prow, row, eps)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma = acc[:zs.size] / acc[zs.size:]
     bad = ~(np.isfinite(gamma) & np.isfinite(acc[zs.size:]))  # an inf divisor gives 0
@@ -282,19 +293,27 @@ def ell_gamma(z: complex | list[complex], p: float, s: float, *, eps: float = DE
     return complex(gamma[0]) if np.ndim(z) == 0 else gamma
 
 
-def _gamma_rows(zs: np.ndarray, prow: np.ndarray, row: np.ndarray, eps: float):
-    """Yield (m, the products of row m's factors 1 - p^m (x s^n), one per argument).
+def _gamma_fold(zs: np.ndarray, prow: np.ndarray, row: np.ndarray, eps: float) -> np.ndarray:
+    """The products of the factors 1 - p^m (x s^n) of each argument x = row[0]
+    over the kept grid points, the row products folded in m order.
 
     The points (m, n) of a slab of rows up to the last point any argument
     keeps are laid out m-major in one (points x arguments) array, with the
     factors an argument drops set to 1; each row's products are one
-    ``reduceat``.  A vanishing factor of one of the last ``zs.size``
-    arguments raises PoleError when its row is reached, so a caller that
-    stops folding earlier never sees it.
+    ``reduceat``.  The fold is one ``multiply.reduce`` per run of rows that
+    ends at a row m = 15 mod 16 or at the slab's end: over axis 0 of two or
+    more columns (there are always two arguments per z) it is the elementwise
+    acc * row loop bit for bit, which ``multiply.accumulate`` and a
+    one-column reduce are not where that loop fuses multiply-adds.  A product
+    that has left the float range ends the fold after such a row.  A
+    vanishing factor of one of the last ``zs.size`` arguments raises
+    PoleError when the fold reaches its row, named by the smallest m, then
+    the earliest z, then the smallest n.
     """
     size = np.abs(row)
     pabs, reach = np.abs(prow), size.max(axis=1, initial=0.0)
     step = max(1, _BATCH_ENTRIES // max(size.size, 1))
+    acc = np.ones(row.shape[1], dtype=complex)
     for lo in range(0, prow.size, step):
         mi, ni = np.nonzero(np.multiply.outer(pabs[lo:lo + step], reach) >= eps)
         mi += lo
@@ -305,15 +324,19 @@ def _gamma_rows(zs: np.ndarray, prow: np.ndarray, row: np.ndarray, eps: float):
         np.multiply(pabs.take(mi)[:, None], drop, out=drop)
         f[drop < eps] = 1.0                             # factors an argument drops
         pole = np.abs(f[:, -zs.size:]) < _POLE_TOL
-        first = mi[pole.any(axis=1)].min() if pole.any() else -1
-        for m, product in enumerate(np.multiply.reduceat(f, np.flatnonzero(ni == 0), axis=0),
-                                    start=lo):
-            if m == first:
-                pt, j = np.nonzero(pole & (mi == m)[:, None])
+        first = mi[pole.any(axis=1)].min() if pole.any() else prow.size
+        products = np.multiply.reduceat(f, np.flatnonzero(ni == 0), axis=0)
+        ends = [*range((15 - lo) % 16 + 1, len(products), 16), len(products)]
+        for a, b in zip([0, *ends], ends):
+            if first < lo + b:
+                pt, j = np.nonzero(pole & (mi == first)[:, None])
                 j, n = min(zip(j, ni[pt]))
-                raise PoleError(f"elliptic Gamma pole: factor (m={m}, n={n}) "
+                raise PoleError(f"elliptic Gamma pole: factor (m={first}, n={n}) "
                                 f"vanishes at z={zs[j]}")
-            yield m, product
+            acc = np.multiply.reduce(np.vstack((acc, products[a:b])), axis=0)
+            if (lo + b) % 16 == 0 and not np.isfinite(acc).all():
+                return acc
+    return acc
 
 
 def rho_plus(z: complex, N: int, mp: ModularParams) -> complex:

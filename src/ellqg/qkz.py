@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, count, pairwise, product
 
 from .ellfn import _POLE_TOL, ModularParams, ell_gamma, qpoch
@@ -71,6 +72,11 @@ class IntegrandSpec:
     @property
     def lam(self) -> Composition:
         return self.I.shape()
+
+    @cached_property
+    def trace_mp(self) -> ModularParams:
+        """``mp`` with the unstarred nome Q, as the cycle insertion W_J reads it."""
+        return nome_params(self.mp, self.Q)
 
     @property
     def n_vars(self) -> int:
@@ -188,8 +194,7 @@ def integrand(spec: IntegrandSpec, t: TVariables) -> complex:
         val *= phi_kernel(t, spec.z, spec.mp, spec.Q)
     val *= w_tilde(spec.I, t, spec.z, spec.Pdyn, spec.mp).value
     if spec.J is not None:
-        mp_q = nome_params(spec.mp, spec.Q)
-        val *= w_tilde(spec.J, t, spec.z, spec.Pdyn, mp_q).value
+        val *= w_tilde(spec.J, t, spec.z, spec.Pdyn, spec.trace_mp).value
     return val
 
 

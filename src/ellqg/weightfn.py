@@ -25,7 +25,19 @@ and its own constants A, keyed by (point, level, color, C), so a bracket
 argument is only ever shared between items of one point: they are the
 O(n^2) values v_x - v_y + c, c in {0, +-1, A}, and one ``jacobi_brackets``
 pass gives every item's tables, while per level the items that share a slot
-pattern gather their entries in one index operation.  Every value is
+pattern gather their entries in one index operation.
+
+A stack is evaluated in two parts.  Its plan (``_plan``) is value-free: the
+shape's ``_layout``, the constant ids and each distinct bracket's (variable,
+variable, constant) indices, every bracket's distinct place, the slot-pattern
+groups of each level and the top level's gather indices.  It is built once
+per structure and kept in a cache of 16 plans whose key is the structure
+alone: per item its label, the place of its point among the stack's points
+and its site permutation, never a point or its id.  Its arrays are
+read-only.  The value pass (``_stack``) is all a new point pays for: the
+coordinates and constants of each point, one ``jacobi_brackets`` call over
+the distinct arguments, the pole test, the ratio tables and the contraction,
+whose pruning below the top level depends on the values.  Every value is
 bitwise that of the item alone (``w_tilde`` at the permuted points), and an
 error is the one evaluating the items one by one meets first.  So
 ``specialize_all``, ``triangularity_violations``, ``stab_matrix``,
@@ -53,7 +65,7 @@ import numpy as np
 
 from .ellfn import (ModularParams, jacobi_bracket, jacobi_brackets, pole_tol,
                     require_finite, require_normal)
-from .errors import EllqgError, ParameterError, PoleError, ShapeError, settle
+from .errors import EllqgError, FloatRangeError, ParameterError, PoleError, ShapeError, settle
 from .rmat import rbars
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, eps_pairing, leq)
@@ -135,12 +147,18 @@ def _layout(lam: Composition, modified: bool) -> tuple:
     spare, one = start[-1], -1
     args, ratio, levels = [], [], []
 
+    def rows(*parts) -> np.ndarray:
+        """The parts broadcast together, one row each."""
+        out = np.empty((len(parts),) + np.broadcast(*parts).shape, np.intp)
+        for k, part in enumerate(parts):
+            out[k] = part
+        return out.reshape(len(parts), -1)
+
     def put(i, j, c):
         """Brackets [v_i - v_j + const_c] (broadcast); returns their indices."""
-        i, j, c = np.broadcast_arrays(i, j, c)
         first = sum(x.shape[1] for x in args)
-        args.append(np.stack([i.ravel(), j.ravel(), c.ravel()]))
-        return first + np.arange(i.size).reshape(i.shape)
+        args.append(rows(i, j, c))
+        return first + np.arange(args[-1].shape[1]).reshape(np.broadcast(i, j, c).shape)
 
     b1 = put(spare, spare, 1)
     bA = put(spare, spare, 3 + np.arange(start[-2]))
@@ -161,8 +179,7 @@ def _layout(lam: Composition, modified: bool) -> tuple:
                       (np.full((X, Y), one), one, one, one),
                       (np.where(eye, one, Dm), one, np.where(eye, one, D), one)]
         lo = sum(x.shape[1] for x in ratio)
-        ratio += [np.stack([x.ravel() for x in np.broadcast_arrays(*block)])
-                  for block in blocks]
+        ratio += [rows(*block) for block in blocks]
         levels.append((X, Y, lo, lo + X * X * Y + 2 * X * Y + X * X))
     args, ratio = np.concatenate(args, axis=1), np.concatenate(ratio, axis=1)
     args.flags.writeable = ratio.flags.writeable = False
@@ -231,82 +248,138 @@ def _gather(modified: bool, pattern: tuple, Y: int, top: bool, lo: int) -> _Gath
     return out
 
 
-class _Stack(NamedTuple):
-    """The factor tables of a stack of items of one shape, one row per item."""
+class _Plan(NamedTuple):
+    """The value-free part of a stack of items of one shape: everything that
+    depends only on its structure (per item: its label, the place of its
+    point among the stack's points, its site permutation).  A bracket reads
+    one row per call: each point's coordinates (its variables level by level,
+    z last, then a spare 0), then each point's constants (0, 1, -1, then one
+    A per distinct (level, color, C) of the stack)."""
 
+    lam: Composition
     modified: bool
-    levels: tuple       # per level, as ``_layout``'s
-    patterns: tuple     # per item: its label's slot pattern of each level
-    values: np.ndarray  # (items, entries): the ratios, laid out by ``_layout``
+    levels: tuple          # per level, as ``_layout``'s
+    ratio: np.ndarray      # (4, entries): the brackets of each table entry, ``_layout``'s
+    consts: tuple          # per A constant: (color, level l+1, C)
+    args: np.ndarray       # (3, distinct): each distinct bracket [row[i] - row[j] + row[c]]
+    rank: np.ndarray       # (brackets + 1, items): the distinct bracket of each, then an exact 1
+    slots: tuple           # per [A]: its (level, slot)
+    patterns: tuple        # per item: its label's slot pattern of each level
+    groups: tuple          # per level below the top: per slot pattern (its _Gather, its items)
+    top: tuple             # per top-level slot pattern: (its _Gather, its items, their gather index)
+
+
+# A q-KZ integrand repeats two stack structures, a gt basis one and a verify
+# run mostly a few neighbouring ones; more plans kept add memory, not reuse.
+@lru_cache(maxsize=16)
+def _plan(modified: bool, structure: tuple) -> _Plan:
+    """The plan of a stack of items (label I, point place, site permutation
+    or None).  A bracket is keyed by (point, variables, constant): equal keys
+    are the same operations on the same values, so each distinct one is
+    evaluated once.  Table entry e of item k is entry e * items + k of the
+    stack's tables."""
+    labels, at, perms = zip(*structure)
+    lam, patterns, slots = zip(*(_label(I) for I in labels))
+    if lam.count(lam[0]) != len(lam):
+        raise ShapeError("the items of a stack must share a shape")
+    lam, L = lam[0], len(structure)
+    levels, (i, j, c), ratio = _layout(lam, modified)
+    ids = {0: 0, 1: 1, 2: 2}  # constant keys: 0, 1, -1 by place, a slot's A by (l, color, C)
+    cids = np.array([[0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
+                                  for l, _, color, C in sl] for sl in slots])
+    V, W = sum(lam.prefix(l) for l in range(1, lam.N + 1)) + 1, len(ids)
+    c = cids.T[c]  # (brackets, items): constant ids within the item's point's constants
+    at = np.array(at)
+    var = np.arange(V) + V * at[:, None]  # (items, V): each item's own variables
+    z0 = V - 1 - lam.n
+    for k, perm in enumerate(perms):
+        if perm is not None:  # site s+1 reads z[perm[s]]
+            var[k, z0:-1] = var[k, z0 + np.array(perm)]
+    i, j = var[:, i].T, var[:, j].T  # (brackets, items); i carries the point
+    keys = ((i * V + j % V) * W + c).ravel()
+    rank = (np.cumsum(np.bincount(keys) > 0) - 1)[keys]  # place among the distinct keys
+    first = np.empty(rank.max() + 1, np.intp)
+    first[rank] = np.arange(rank.size)  # a use of each, any: equal keys read equal indices
+    args = np.stack([i, j, c + W * at + V * (at.max() + 1)]).reshape(3, -1)[:, first]
+    rank = np.vstack([rank.reshape(i.shape), np.full(L, first.size)])
+    groups = [{} for _ in levels]  # per level: the items by slot pattern
+    for k, pattern in enumerate(patterns):
+        for group, p in zip(groups, pattern):
+            group.setdefault(p, []).append(k)
+    groups = [[(_gather(modified, p, Y, l == len(levels), lo), _frozen(ks))
+               for p, ks in group.items()]
+              for l, ((_, Y, lo, _), group) in enumerate(zip(levels, groups), 1)]
+    top = tuple((g, ks, _frozen(g.rows[:, None] * L + (g.cols * L + ks)[:, :, None]))
+                for g, ks in groups[-1])
+    return _Plan(lam, modified, levels, ratio, tuple((color, l + 1, C) for l, color, C in list(ids)[3:]),
+                 _frozen(args), _frozen(rank), tuple(sl[:2] for sl in slots[0]), patterns,
+                 tuple(map(tuple, groups[:-1])), top)
+
+
+def _frozen(index) -> np.ndarray:
+    """``index`` (a list or a new array) as a read-only intp array, as a kept
+    plan holds its indices."""
+    out = np.asarray(index, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+class _Stack(NamedTuple):
+    """The factor tables of a stack of items of one shape, one column per item."""
+
+    plan: _Plan
+    values: np.ndarray  # (entries, items): the ratios, laid out by ``_layout``
     bad: np.ndarray     # (entries, items): a denominator meets the pole test
-    a_pole: dict        # item -> the PoleError text of its vanishing [A]
+    small: np.ndarray   # (brackets + 1, items): a bracket meets the pole test
 
 
 def _stack(items: list, mp: ModularParams, modified: bool) -> _Stack:
     """The factor tables of the items' terms (with ``modified``, the modified
-    terms), from one ``jacobi_brackets`` call over the distinct arguments of
-    the stack; [A] divides every term and is tested here, against [1].
+    terms): the value pass over the stack's plan, with one
+    ``jacobi_brackets`` call over its distinct brackets and the pole test
+    against item 0's [1].
 
     Item (I, (t, z, Pdyn), perm) is label I at its point; with a perm, site
     s+1 reads the spectral point ``z.z[perm[s]]``, as if z were permuted.
-    Each point (told apart by identity) has its own variable indices and its
-    own A constants, and a bracket is keyed by (point, variables, constant),
-    so equal keys are the same operations on the same values and each value
-    is bitwise that of the item alone."""
-    lam, patterns, slots = zip(*(_label(I) for I, _, _ in items))
-    if lam.count(lam[0]) != len(lam):
-        raise ShapeError("the items of a stack must share a shape")
-    levels, (i, j, c), ratio = _layout(lam[0], modified)
-    index, points, at = {}, [], []  # point -> its place; the points; per item its point
-    for _, point, _ in items:
-        at.append(index.setdefault(id(point), len(points)))
-        if at[-1] == len(points):
+    Points are told apart by identity within the call, and the plan is keyed
+    by the places of the points, never by the points themselves, so each
+    value is bitwise that of the item alone."""
+    places: dict = {}  # point -> its place
+    points, structure = [], []
+    for I, point, perm in items:
+        k = places.setdefault(id(point), len(points))
+        if k == len(points):
             points.append(point)
-    v = []
+        structure.append((I, k, perm))
+    plan = _plan(modified, tuple(structure))
+    row = []
     for t, z, _ in points:
-        t.check_shape(lam[0], z)
-        v += [x for level in _vees(t, z, mp) for x in level] + [0.0]
-    v = np.array(v, dtype=complex)
-    V = v.size // len(points)  # variables of a point, its spare 0 last
-    ids = {0: 0, 1: 1, 2: 2}  # constant keys: 0, 1, -1 by place, a slot's A by (l, color, C)
-    cids = np.array([[0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
-                                  for l, _, color, C in sl] for sl in slots])
-    W = len(ids)  # each point has its own row of constants
-    const = np.array([[0.0, 1.0, -1.0] + [Pdyn.value(color, l + 1) - C
-                                          for l, color, C in list(ids)[3:]] for _, _, Pdyn in points],
-                     dtype=complex)
-    c = cids.T[c]  # (brackets, items): constant ids within the item's point's row
-    perms = [perm for _, _, perm in items]
-    if len(points) == 1 and not any(perms):
-        i, j, cg = i[:, None], j[:, None], c
-    else:  # each item's own variables (z-level ones remapped) and constants
-        var = np.tile(np.arange(V), (len(items), 1))
-        z0 = V - 1 - lam[0].n
-        for k, perm in enumerate(perms):
-            if perm is not None:
-                var[k, z0:-1] = z0 + np.array(perm)
-        at = np.array(at)
-        var += V * at[:, None]
-        i, j, cg = var[:, i].T, var[:, j].T, c + W * at  # (brackets, items)
-    args = v[i] - v[j] + const.ravel()[cg]  # equal keys, bitwise equal arguments
-    br = np.ones((len(c) + 1, len(items)), complex)  # the last row: an exact 1
-    if len(items) > 1:  # each distinct argument once
-        keys = (i * V + j % V) * W + c  # i carries the point
-        rank = (np.cumsum(np.bincount(keys.ravel()) > 0) - 1)[keys]  # place among the keys
-        distinct = np.empty(rank.max() + 1, dtype=complex)
-        distinct[rank] = args
-        br[:-1] = jacobi_brackets(distinct, mp)[rank]
-    else:
-        br[:-1, 0] = jacobi_brackets(args[:, 0], mp)
+        t.check_shape(plan.lam, z)
+        row += [x for level in _vees(t, z, mp) for x in level] + [0.0]
+    for _, _, Pdyn in points:
+        row += [0.0, 1.0, -1.0] + [Pdyn.value(color, l) - C for color, l, C in plan.consts]
+    vi, vj, const = np.array(row, dtype=complex)[plan.args]
+    args = vi - vj + const
+    try:
+        br = np.concatenate((jacobi_brackets(args, mp), [1.0]))[plan.rank]
+    except FloatRangeError:
+        if len(items) == 1:  # name the first of the item's brackets, in its order, that overflows
+            jacobi_brackets(args[plan.rank[:-1, 0]], mp)
+        raise
     small = np.abs(br) < pole_tol(br[0, 0])
     small[-1] = False
-    a_small = small[1:1 + len(slots[0])]
-    a_pole = {k: "[(P+h) - C] vanished at level {}, slot {}".format(
-        *slots[k][a_small[:, k].argmax()][:2]) for k in np.flatnonzero(a_small.any(axis=0))}
-    n1, n2, d1, d2 = br[ratio]
-    bad = small[ratio[2]] | small[ratio[3]]
-    values = n1 * n2 / np.where(bad, 1.0, d1 * d2)
-    return _Stack(modified, levels, patterns, values.T.copy(), bad, a_pole)
+    n1, n2, d1, d2 = br[plan.ratio]
+    bad = small[plan.ratio[2]] | small[plan.ratio[3]]
+    return _Stack(plan, n1 * n2 / np.where(bad, 1.0, d1 * d2), bad, small)
+
+
+def _a_pole(st: _Stack, k: int) -> str | None:
+    """The PoleError text of item k's first vanishing [A], or None: [A]
+    divides every term."""
+    small = st.small[1:1 + len(st.plan.slots), k]
+    if small.any():
+        return "[(P+h) - C] vanished at level {}, slot {}".format(*st.plan.slots[small.argmax()])
+    return None
 
 
 def _pole_message(l: int, bad: np.ndarray, modified: bool, g: _Gather, p: int, pn: int) -> str:
@@ -324,8 +397,9 @@ def _pole_message(l: int, bad: np.ndarray, modified: bool, g: _Gather, p: int, p
 def _first_pole(st: _Stack, k: int) -> str | None:
     """The PoleError text of label k's first term, in depth-first order (top level
     slowest), that uses a vanishing denominator, or None if none does."""
-    levels = [(l, _gather(st.modified, p, Y, l == len(st.levels), lo), st.bad[:, k])
-              for l, ((_, Y, lo, _), p) in enumerate(zip(st.levels, st.patterns[k]), 1)]
+    plan = st.plan
+    levels = [(l, _gather(plan.modified, p, Y, l == len(plan.levels), lo), st.bad[:, k])
+              for l, ((_, Y, lo, _), p) in enumerate(zip(plan.levels, plan.patterns[k]), 1)]
     marks = [bad[g.rows[:, :, None] + g.cols[:, None]].any(axis=0)  # F_l[p, p'] uses a flag
              for _, g, bad in levels]
     if not any(m.any() for m in marks):
@@ -335,7 +409,15 @@ def _first_pole(st: _Stack, k: int) -> str | None:
         hit = [l for l, m in enumerate(marks, 1) if m[path[l - 1], path[l]]]
         if hit:  # the walk meets the highest marked level of this term first
             l, g, bad = levels[hit[-1] - 1]
-            return _pole_message(l, bad, st.modified, g, path[l - 1], path[l])
+            return _pole_message(l, bad, plan.modified, g, path[l - 1], path[l])
+
+
+def _factor(g: _Gather, f: np.ndarray) -> np.ndarray:
+    """The level factor from its gathered entries f (factors first):
+    elementwise products, since numpy rounds a one-element reduction
+    otherwise and no value may depend on its stack."""
+    one = np.ones(f.shape[1:], complex)
+    return reduce(np.multiply, f[:g.cross], one) * reduce(np.multiply, f[g.cross:], one)
 
 
 def _sums(items: list, mp: ModularParams, modified: bool) -> list:
@@ -357,37 +439,25 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
             if isinstance(out[-1], EllqgError):
                 break
         return out
-    levels, L = st.levels, len(items)
-    values, width = st.values.ravel(), st.values.shape[1]  # item-major
-    groups: list = [{} for _ in levels]  # per level: the items by slot pattern
-    for k, patterns in enumerate(st.patterns):
-        for group, pattern in zip(groups, patterns):
-            group.setdefault(pattern, []).append(k)
-
-    def factor(l, pattern, rows, col):
-        """F_l[:, col[m]] of item rows[m]; elementwise products, since numpy rounds
-        a one-element reduction otherwise and no value may depend on its stack."""
-        g = _gather(modified, pattern, levels[l - 1][1], l == len(levels), levels[l - 1][2])
-        f = np.take(values, g.rows[:, None] + (g.cols[:, col] + rows * width)[:, :, None])
-        one = np.ones(f.shape[1:], complex)
-        return reduce(np.multiply, f[:g.cross], one) * reduce(np.multiply, f[g.cross:], one)
-
+    plan, L = st.plan, len(items)
+    levels = plan.levels
+    values = st.values.ravel()  # entry-major
     # A product beyond the float range raises FloatRangeError below.
     with np.errstate(over="ignore", invalid="ignore"):
         vec = np.empty((L, math.factorial(levels[-1][0])), complex)  # F_{N-1}[:, id]
-        for pattern, ks in groups[-1].items():  # the top level has one column
-            ks = np.array(ks)
-            vec[ks] = factor(len(levels), pattern, ks, slice(None))
+        for g, ks, index in plan.top:  # the top level has one column
+            vec[ks] = _factor(g, np.take(values, index))
         nz = vec != 0  # per order: the number of its terms without an exactly-zero factor
         unpruned = st.bad[:levels[-1][2]].any(axis=0) | modified  # flags at levels 1..N-2
         for l in range(len(levels) - 1, 0, -1):  # vec[k] = F_l @ vec[k] over the live columns
             live = (nz != 0) | unpruned[:, None]
             out, count = (np.zeros((L, math.factorial(levels[l - 1][0])), dtype)
                           for dtype in (complex, np.intp))
-            for pattern, ks in groups[l - 1].items():
+            for g, ks in plan.groups[l - 1]:
                 lab, col = live[ks].nonzero()
-                rows = np.array(ks)[lab]
-                F = factor(l, pattern, rows, col)
+                rows = ks[lab]
+                F = _factor(g, np.take(values, g.rows[:, None] * L
+                                       + (g.cols[:, col] * L + rows)[:, :, None]))
                 np.add.at(count, rows, (F != 0) * nz[rows, col, None])
                 np.add.at(out, rows, F * vec[rows, col, None])
             vec, nz = out, count
@@ -396,7 +466,7 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
     out = [WeightFunctionEval(value, total, terms_pruned=0 if u else total - n)
            for value, n, u in zip(sums.tolist(), nz.sum(axis=1).tolist(), unpruned.tolist())]
     for k in np.flatnonzero(st.bad.any(axis=0) | ~np.isfinite(sums)):
-        error = st.a_pole.get(k) or _first_pole(st, k)
+        error = _a_pole(st, k) or _first_pole(st, k)
         try:
             if error:
                 raise PoleError(error)

@@ -185,6 +185,15 @@ def test_qkz_grid_refuses_two_variables_in_a_level(tmp_path, capsys):
     assert "at most one variable per t-level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("elliptic", [[], ["--elliptic"]])
+def test_qkz_grid_refuses_two_variables_in_different_levels(tmp_path, capsys, elliptic):
+    # t^(1)_1 and t^(2)_1 on one circle point are a kernel pole: every row
+    # would read nan.
+    path = write_config(tmp_path, {**MINIMAL, "N": 3, "lambda": [1, 0, 1], "P": [1.7, 0.9]})
+    assert main(["--config", path, "qkz", "grid", "--gridsize", "4", *elliptic]) == 2
+    assert "lambda=[1, 0, 1] has 2" in capsys.readouterr().err
+
+
 def test_theta_command_runs(capsys):
     assert main(["theta"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -488,6 +488,42 @@ def test_brackets_refuse_to_truncate_at_the_cap():
         jacobi_brackets([0.3 + 0.2j], mp)
 
 
+def _nome_powers_loop(x, top, eps, max_terms, what):
+    """The reference of ``_nome_powers``: 1, x, x^2, ... by a plain loop while
+    top |x|^n >= eps, at most max_terms of them."""
+    out = [1.0]
+    while top * abs(out[-1]) >= eps and len(out) <= max_terms:
+        out.append(out[-1] * x)
+    if top * abs(out[-1]) >= eps:
+        raise ResourceCapError(f"{what} needs more than max_terms={max_terms} factors")
+    return np.array(out[:-1])
+
+
+def _powers_outcome(f, *args):
+    try:
+        out = f(*args)
+    except ResourceCapError as exc:
+        return str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("top", [0.0, 1.0, 1e3, math.inf, math.nan])
+def test_cached_nome_powers_equal_the_loop(top):
+    # Each count of powers the loop needs, then caps just below it, at it
+    # and beyond it; top = inf keeps every power down to the first 0.
+    for x in (0.2, 0.5, 0.8 ** 6.2, 0.9, 0.99, 0.999):
+        args = lambda cap: (x, top, 1e-14, cap, "theta bracket")
+        need = _powers_outcome(_nome_powers_loop, *args(20000))
+        caps = {1, 512, 20000}
+        if not isinstance(need, str):
+            caps |= {n for n in (need[1][0] - 1, need[1][0], need[1][0] + 1) if n >= 1}
+        for cap in sorted(caps):
+            want = _powers_outcome(_nome_powers_loop, *args(cap))
+            assert _powers_outcome(ellfn._nome_powers, *args(cap)) == want, (x, cap)
+            if not isinstance(want, str):
+                assert not ellfn._nome_powers(*args(cap)).flags.writeable
+
+
 def test_brackets_beyond_float_range_raise():
     mp = ModularParams(q=0.999, r=3.1, max_terms=40000)
     u = 3000j  # q^(u^2/r) = exp(2.9e3): not a float

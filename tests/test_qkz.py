@@ -10,7 +10,7 @@ from ellqg.errors import ParameterError, PoleError, ResourceCapError, ShapeError
 from ellqg.qkz import (IntegrandSpec, e_factor, integrand, nome_params,
                        phi_kernel, phi_trig, torus_quadrature)
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
-                               PartitionIndex)
+                               PartitionIndex, enumerate_partitions)
 from ellqg.weightfn import TVariables, specialize, w_tilde
 
 
@@ -252,3 +252,73 @@ def test_quadrature_caps(mp_level, rng):
     spec_big = IntegrandSpec(I=big, z=z8, Pdyn=pd, mp=mp_level, trig=True)
     with pytest.raises(ResourceCapError):
         torus_quadrature(spec_big, grid_size=8)
+
+
+def _golden_cases():
+    """Seeded integrand inputs, (spec, t points) per case: lambda=(2,2) with
+    the trace insertion, N=3 lambda=(1,1,1) on the elliptic kernel, and
+    lambda=(1,2) on the trigonometric kernel."""
+    rng = np.random.default_rng(2417)
+
+    def circle(n, lo, hi):
+        mods, phases = np.sort(rng.uniform(lo, hi, n)), rng.uniform(0.0, 2.0 * np.pi, n)
+        return [float(m) * cmath.exp(1j * float(ph)) for m, ph in zip(mods, phases)]
+
+    def ts(lam, count):
+        return [TVariables(tuple(tuple(circle(lam.prefix(l), 0.4, 0.9))
+                                 for l in range(1, lam.N))) for _ in range(count)]
+
+    def pdyn(N):
+        return DynamicalParams(tuple(complex(rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5))
+                                     for _ in range(N - 1)))
+
+    r = 3.1
+    mp = ModularParams(q=0.8, r=r, k=r / 3.0)
+    lam = Composition((2, 2))
+    labels = enumerate_partitions(lam)
+    trace = IntegrandSpec(I=labels[0], z=EvaluationPoints(tuple(circle(4, 0.35, 0.7)), mp.q),
+                          Pdyn=pdyn(2), mp=mp, Q=0.2, J=labels[-1])
+    mp3 = ModularParams(q=0.5, r=3.1, k=0.8)
+    lam3 = Composition((1, 1, 1))
+    elliptic = IntegrandSpec(I=enumerate_partitions(lam3)[2],
+                             z=EvaluationPoints(tuple(circle(3, 0.35, 0.7)), mp3.q),
+                             Pdyn=pdyn(3), mp=mp3, Q=0.3)
+    lam2 = Composition((1, 2))
+    trig = IntegrandSpec(I=enumerate_partitions(lam2)[1],
+                         z=EvaluationPoints(tuple(circle(3, 0.35, 0.7)), mp3.q),
+                         Pdyn=pdyn(2), mp=mp3, trig=True)
+    return [(trace, ts(lam, 8)), (elliptic, ts(lam3, 6)), (trig, ts(lam2, 6))]
+
+
+
+# float.hex of the integrand at the ``_golden_cases`` points, in order.
+_GOLDEN = [
+    [("-0x1.976cc058ceff0p-13", "-0x1.33f0411034557p-9"),
+     ("-0x1.1c287ce99e6c4p+4", "-0x1.79d6281b677cep+3"),
+     ("-0x1.c1f9646af2afcp+1", "-0x1.34a9830f56be1p+7"),
+     ("-0x1.69adab2447560p-4", "-0x1.49c19e73cd0e0p-3"),
+     ("-0x1.22243ef3ba412p-7", "-0x1.ebd6fb50e6699p-6"),
+     ("0x1.210bb9a55fd48p+0", "-0x1.2491f25bdae2fp-2"),
+     ("-0x1.66be366a8bc2bp-1", "0x1.6921264814e80p-5"),
+     ("0x1.9c7e6247e84cfp+0", "0x1.62d5a50d5fe14p+1")],
+    [("0x1.159137ddfca71p-3", "0x1.3688b53b45476p-5"),
+     ("0x1.314ed21b53835p-12", "0x1.3512e0e7d10c8p-13"),
+     ("-0x1.610bb7cadc5b0p-10", "-0x1.4c948f9ee029dp-10"),
+     ("-0x1.b4d225cb78f3bp-7", "0x1.782ef8ceffaf2p-9"),
+     ("-0x1.709b490b8e49ep+0", "0x1.ec7f73fb2ccd5p-1"),
+     ("-0x1.711423123e248p-6", "-0x1.194023cd7b716p-1")],
+    [("-0x1.a1e3af935e9cdp-6", "-0x1.73c213a5f087ap-4"),
+     ("0x1.6bb7b4bce660ep-4", "-0x1.358c38e9974cbp-3"),
+     ("-0x1.5c55ddf4391b9p-5", "0x1.72aaee0e5d8efp-5"),
+     ("-0x1.7719f1bbd9896p-5", "-0x1.137afa1ef38f4p-4"),
+     ("-0x1.1d171c7ffbe18p-4", "-0x1.4fbeeb9271867p-6"),
+     ("-0x1.6dbdde9b95400p-7", "0x1.c381e6eac43d0p-3")]
+]
+
+
+def test_integrand_values_are_pinned_bit_for_bit():
+    # Any change to the arithmetic of the kernel, the weight-function stacks
+    # or the brackets moves some of these bits.
+    for (spec, ts), want in zip(_golden_cases(), _GOLDEN, strict=True):
+        got = [integrand(spec, t) for t in ts]
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == want, spec.lam

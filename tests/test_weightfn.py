@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 from dataclasses import replace
 from itertools import permutations, product
 from types import SimpleNamespace
@@ -362,6 +363,106 @@ def test_batch_equals_single_label_calls(mp, rng):
             items = [(I, point, perm) for point in points for I in parts for perm in perms]
             raised += _assert_batch_is_single_calls(lambda b: weightfn._sym_sums(b, mp), items)
     assert raised > 0  # the resonant points reach the first-error rule
+
+
+def _outcome_bits(outcomes):
+    """``_outcomes`` with each value as the bits of its parts and its term
+    counts, and each error as its type and text."""
+    return [(type(o), str(o)) if isinstance(o, EllqgError)
+            else (o.value.real.hex(), o.value.imag.hex(), o.terms_evaluated, o.terms_pruned)
+            for o in outcomes]
+
+
+def _cold_and_warm(items_at, mp, modified):
+    """The outcomes of the stacks of ``items_at(1)`` with an empty plan cache,
+    then with the plans ``items_at(0)``, of the same structure, left."""
+    weightfn._plan.cache_clear()
+    cold = _outcome_bits(weightfn._outcomes(items_at(1), mp, modified))
+    weightfn._plan.cache_clear()
+    weightfn._outcomes(items_at(0), mp, modified)
+    hits = weightfn._plan.cache_info().hits
+    warm = _outcome_bits(weightfn._outcomes(items_at(1), mp, modified))
+    assert weightfn._plan.cache_info().hits > hits
+    return cold, warm
+
+
+def test_plans_built_at_other_points_give_fresh_outcomes(mp, rng):
+    # Every shape, labels over two points and site swaps, at generic and
+    # resonant z, with random P and with P = 0 (a vanishing [A]), plain and
+    # modified: the stacks give bit for bit the same values and errors with
+    # plans built at other points as with new ones.
+    errors = set()
+    for N, lam in _wf_cases():
+        parts = enumerate_partitions(lam)
+        perms = [None] + [_swap(lam.n, i) for i in sorted({1, lam.n - 1}) if 0 < i < lam.n]
+        for z in _resonant_points(rng, lam.n, mp.q):
+            for pd in (random_pdyn(rng, N), DynamicalParams((0.0,) * (N - 1))):
+                ts = [random_t(rng, lam), random_t(rng, lam)]
+                ats = [(TVariables.specialization(at, z), z, pd) for at in parts]
+                for modified in (False, True):
+                    cold, warm = _cold_and_warm(
+                        lambda m: [(I, point, perm) for point in [(ts[m], z, pd)] + ats
+                                   for I in parts for perm in perms], mp, modified)
+                    assert cold == warm, (lam, modified)
+                    errors |= {o[1] for o in cold if len(o) == 2}
+                    cold, warm = _cold_and_warm(
+                        lambda m: [(parts[-1], (ts[m], z, pd), perms[-1])], mp, modified)
+                    assert cold == warm, (lam, modified)
+                    errors |= {o[1] for o in cold if len(o) == 2}
+    # Near q = 1 the modified sum of this label leaves the float range.
+    # Near q = 1 the modified sum of this label at this point (as in
+    # test_modified_w_beyond_float_range_raises) leaves the float range.
+    rng1 = np.random.default_rng(1)
+    mp99 = ModularParams(q=0.99, r=3.1, max_terms=4096)
+    I = PartitionIndex.from_colors((2, 1, 2, 1), 2)
+    z, pd, t = random_points(rng1, 4, mp99.q), random_pdyn(rng1, 2), random_t(rng1, I.shape())
+    ts = [random_t(rng1, I.shape()), t]
+    cold, warm = _cold_and_warm(lambda m: [(I, (ts[m], z, pd), None)], mp99, True)
+    assert cold == warm and cold[0][0] is FloatRangeError, cold
+    assert {"[(P+h) - C] vanished at level 1, slot 1", "[v^2_1 - v^1_1 + 1] vanished",
+            "level-1 denominator vanished"} <= errors
+
+
+def test_stacks_of_other_layouts_or_permutations_get_their_own_plans(mp, rng):
+    # The same labels over one point, over two points, and through a site
+    # swap: each stack has its own plan and gives each item's own value; a
+    # stack of the same structure at other points reuses its plan.
+    lam = Composition((1, 1, 2))
+    parts, z, pd = enumerate_partitions(lam)[:2], random_points(rng, lam.n, mp.q), random_pdyn(rng, 3)
+    p1, p2, p3 = ((random_t(rng, lam), z, pd) for _ in range(3))
+    swap = _swap(lam.n, 2)
+    stacks = [[(parts[0], p1, None), (parts[1], p1, None)],
+              [(parts[0], p1, None), (parts[1], p2, None)],
+              [(parts[0], p1, swap), (parts[1], p1, swap)],
+              [(parts[0], p1, None), (parts[1], p1, swap)]]
+    weightfn._plan.cache_clear()
+    plans = [weightfn._stack(items, mp, False).plan for items in stacks]
+    assert len({id(plan) for plan in plans}) == len(stacks)
+    assert weightfn._stack([(parts[0], p2, None), (parts[1], p3, None)], mp, False).plan is plans[1]
+    for items in stacks:
+        want = [w_tilde(I, t, z.swapped(2) if perm else z, pd, mp) for I, (t, _, _), perm in items]
+        assert weightfn._sym_sums(items, mp) == want
+    for plan in plans:
+        arrays = [plan.args, plan.rank] + [ks for group in plan.groups for _, ks in group]
+        arrays += [a for _, ks, index in plan.top for a in (ks, index)]
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_recycled_point_ids_give_fresh_values(mp, rng):
+    # Points made and dropped in a loop come back at the ids of earlier ones,
+    # in stacks of another structure; every value is that of an empty cache.
+    lam = Composition((2, 1))
+    parts, z, pd = enumerate_partitions(lam), random_points(rng, lam.n, mp.q), random_pdyn(rng, 2)
+    ids = []
+    for k in range(40):
+        points = [(random_t(rng, lam), z, pd) for _ in range(1 + k % 2)]
+        items = [(I, points[m % len(points)], None) for m, I in enumerate(parts)]
+        ids += [id(point) for point in points]
+        got = _outcome_bits(weightfn._outcomes(items, mp))
+        weightfn._plan.cache_clear()
+        assert _outcome_bits(weightfn._outcomes(items, mp)) == got
+        del points, items
+    assert len(set(ids)) < len(ids)
 
 
 def _first_kernel_call(monkeypatch, call):
@@ -804,6 +905,19 @@ def test_trig_degeneration_contracts(seed):
     d = [abs(v - vals[-1]) for v in vals[:-1]]
     assert d[1] < 0.7 * d[0]
     assert d[2] < 0.7 * d[1]
+
+
+def test_w_tilde_names_its_first_overflowing_bracket():
+    # q = 0.999: several brackets of this label leave the float range; the
+    # error names the first in the label's own order of brackets, not the
+    # first of the stack's distinct ones.
+    mp = ModularParams(q=0.999, r=3.1, max_terms=40000)
+    z = EvaluationPoints(tuple(m * cmath.exp(1j * ph) for m, ph in
+                               ((0.5, -2.5), (0.7, -2.5), (0.9, -2.5))), mp.q)
+    t = TVariables(((0.6 * cmath.exp(-2.5j),), (0.8 * cmath.exp(-2.5j), 0.5 * cmath.exp(0.5j))))
+    I = PartitionIndex.from_colors((1, 2, 3), 3)
+    with pytest.raises(FloatRangeError, match=re.escape("[91.1152-1499.25j] overflows")):
+        w_tilde(I, t, z, DynamicalParams((1.2 + 0.3j, 0.9 - 0.2j)), mp)
 
 
 def test_w_tilde_pole_error_names_bracket(mp, rng):
