@@ -4,8 +4,7 @@ weight functions and stable envelopes, the Gelfand-Tsetlin action, and q-KZ
 integrand kernels, each backed by numerical identity checks."""
 
 from .ellfn import (ModularParams, bracket_derivative_at_zero, ell_gamma,
-                    jacobi_bracket, jacobi_brackets, mu_scalar, qpoch, rho_plus,
-                    theta)
+                    jacobi_bracket, jacobi_brackets, qpoch, theta)
 from .errors import (DomainError, EllqgError, FloatRangeError, ParameterError,
                      PoleError, ResourceCapError, ShapeError, SingularityError)
 from .gtrep import (CurrentTerm, TensorState, e_on_gt, exchange_check, f_on_gt,

@@ -177,13 +177,13 @@ def _json_default(obj):
 
 def _cmd_theta(cfg: RunConfig, args) -> int:
     mp = cfg.modular()
-    rows = []
+    mp_star, rows = replace(mp, r=mp.rstar, k=0.0), []  # [u]* is [u] of (q, r*, k=0)
     for zi in cfg.z:
         rows.append({
             "z": zi,
             "theta_p": theta(zi, mp.p, **mp.truncation),
             "bracket_u": jacobi_bracket(mp.u_of(zi), mp),
-            "bracket_u_starred": jacobi_bracket(mp.u_of(zi), mp, starred=True),
+            "bracket_u_starred": jacobi_bracket(mp.u_of(zi), mp_star),
         })
     _emit({"params": {"q": cfg.q, "r": cfg.r, "k": cfg.k, "p": mp.p,
                       "pstar": mp.pstar}, "values": rows}, args.out)
@@ -194,7 +194,7 @@ def _cmd_rmat(cfg: RunConfig, args) -> int:
     mp = cfg.modular()
     zratio = _as_complex(json.loads(args.zratio), "zratio") if args.zratio else \
         cfg.z[0] / cfg.z[1] if cfg.n >= 2 else 0.7 + 0.0j
-    R = rbar(zratio, cfg.dynamical(), mp, starred=args.starred)
+    R = rbar(zratio, cfg.dynamical(), replace(mp, r=mp.rstar, k=0.0) if args.starred else mp)
     entries = [{"in": list(kin), "out": list(kout), "re": val.real, "im": val.imag}
                for (kin, kout), val in sorted(R.entries.items())]
     _emit({"N": cfg.N, "z": zratio, "starred": args.starred, "entries": entries},

@@ -136,27 +136,23 @@ def theta(z: complex, p: float, *, eps: float = DEFAULT_EPS,
             * qpoch(p, p, eps=eps, max_terms=max_terms))
 
 
-def jacobi_bracket(u: complex, mp: ModularParams, starred: bool = False) -> complex:
+def jacobi_bracket(u: complex, mp: ModularParams) -> complex:
     """Theta bracket [u] = q^(u^2/r - u) theta_p(q^(2u)).
 
-    With ``starred`` the pair (p, r) is replaced by (p*, r*).  The bracket is
-    odd, [-u] = -[u], and quasi-periodic: [u + r] = -[u].  A prefactor beyond
-    the float range raises FloatRangeError.
+    The bracket is odd, [-u] = -[u], and quasi-periodic: [u + r] = -[u].  A
+    prefactor beyond the float range raises FloatRangeError.  [u]* is [u] of
+    ``replace(mp, r=mp.rstar, k=0.0)``, whose p and r are p* and r* bit for bit.
     """
     u = complex(u)
-    if starred:
-        nome, height = mp.pstar, mp.rstar
-    else:
-        nome, height = mp.p, mp.r
     try:
-        pref = cmath.exp((u * u / height - u) * math.log(mp.q))
+        pref = cmath.exp((u * u / mp.r - u) * math.log(mp.q))
     except OverflowError:
         raise FloatRangeError(f"[{u:.6g}] overflows") from None
-    return pref * theta(mp.qpow(2.0 * u), nome,
+    return pref * theta(mp.qpow(2.0 * u), mp.p,
                         eps=mp.trunc_eps, max_terms=mp.max_terms)
 
 
-def jacobi_brackets(u, mp: ModularParams, starred: bool = False) -> np.ndarray:
+def jacobi_brackets(u, mp: ModularParams) -> np.ndarray:
     """The brackets [u] of a 1-D array of u, in one numpy pass.
 
     Same formula and factor set as ``jacobi_bracket``: each (x; p)_inf of
@@ -168,8 +164,7 @@ def jacobi_brackets(u, mp: ModularParams, starred: bool = False) -> np.ndarray:
     the scalar one does.
     """
     u = np.asarray(u, dtype=complex)
-    nome, height = (mp.pstar, mp.rstar) if starred else (mp.p, mp.r)
-    lq = math.log(mp.q)
+    nome, lq = mp.p, math.log(mp.q)
     x = np.exp(2.0 * u * lq)
     if not x.all():
         raise DomainError("theta(z, p) requires z != 0")
@@ -184,7 +179,7 @@ def jacobi_brackets(u, mp: ModularParams, starred: bool = False) -> np.ndarray:
         prods[lo:lo + step] = np.multiply.reduce(f, axis=0)
     n = x.size
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp((u * u / height - u) * lq) * (prods[:n] * prods[n:2 * n] * prods[-1])
+        out = np.exp((u * u / mp.r - u) * lq) * (prods[:n] * prods[n:2 * n] * prods[-1])
     if not np.isfinite(out).all():
         raise FloatRangeError(f"[{u[~np.isfinite(out)][0]:.6g}] overflows")
     return out
@@ -338,33 +333,3 @@ def _gamma_fold(zs: np.ndarray, prow: np.ndarray, row: np.ndarray, eps: float) -
                 return acc
     return acc
 
-
-def rho_plus(z: complex, N: int, mp: ModularParams) -> complex:
-    """Scalar prefactor of the dressed R-matrix for the N-color vector space.
-
-    rho+(z) = q^(-(N-1)/N) z^((N-1)/(rN))
-              Gamma(z) Gamma(q^(2N) z) / (Gamma(q^2 z) Gamma(q^(2N-2) z)),
-    all Gammas with nome pair (p, q^(2N)).  Degenerates to 1 at N = 1.
-    """
-    z = complex(z)
-    s = mp.q ** (2 * N)
-    g = ell_gamma([z, s * z, mp.q ** 2 * z, mp.q ** (2 * N - 2) * z], mp.p, s,
-                  **mp.truncation).tolist()
-    power = cmath.exp((N - 1) / (mp.r * N) * cmath.log(z)) if N > 1 else 1.0
-    return mp.qpow(-(N - 1) / N) * power * g[0] * g[1] / (g[2] * g[3])
-
-
-def mu_scalar(z: complex, N: int, mp: ModularParams) -> complex:
-    """Scalar factor of the vertex-operator exchange R-matrix.
-
-    mu(z) = z^(-((r-1)/r)((N-1)/N))
-            Gamma(pz) Gamma(q^(2N) z) / (Gamma(q^2 z) Gamma(p q^(2N-2) z)),
-    nome pair (p, q^(2N)) throughout.  Degenerates to 1 at N = 1.
-    """
-    z = complex(z)
-    s = mp.q ** (2 * N)
-    g = ell_gamma([mp.p * z, s * z, mp.q ** 2 * z, mp.p * mp.q ** (2 * N - 2) * z],
-                  mp.p, s, **mp.truncation).tolist()
-    expo = -((mp.r - 1.0) / mp.r) * ((N - 1) / N)
-    power = cmath.exp(expo * cmath.log(z)) if N > 1 else 1.0
-    return power * g[0] * g[1] / (g[2] * g[3])

@@ -41,3 +41,31 @@ def settle(outcomes: list) -> list:
     if outcomes and isinstance(outcomes[-1], EllqgError):
         raise outcomes[-1]
     return outcomes
+
+
+def in_order(items: list, groups, evaluate) -> list:
+    """The outcomes of ``items`` in order, up to the first error a one-by-one
+    loop meets, which ends the list.  ``evaluate`` maps a list of items to
+    their outcomes, up to the first that raises, in one shared call that may
+    raise itself; it gets each group of ``groups`` (ascending item indices,
+    the groups ordered by their first) that starts before that error, and a
+    group of more items whose shared call raises is replayed item by item."""
+    if len(items) == 1:  # one call and no bookkeeping: a q-KZ point makes two
+        try:
+            return evaluate(items)
+        except EllqgError as exc:
+            return [exc]
+    out, first = [None] * len(items), len(items)  # first: the first item that raises
+    for ks in groups:
+        if ks[0] > first:
+            break
+        try:
+            res = evaluate([items[k] for k in ks])
+        except EllqgError as exc:
+            res = [exc] if len(ks) == 1 else in_order([items[k] for k in ks],
+                                                      [[k] for k in range(len(ks))], evaluate)
+        for k, r in zip(ks, res):
+            out[k] = r
+        if isinstance(res[-1], EllqgError):
+            first = min(first, ks[len(res) - 1])
+    return out[:first + 1]

@@ -141,6 +141,7 @@ def phi_on_gt(j: int, v: complex, I: PartitionIndex, z: EvaluationPoints,
     The two expansion directions share this meromorphic value.
     """
     require_level_zero(mp)
+    z.require_q(mp.q)
     u = z.u
     factors = ([(u[a - 1] - v, 1.0, f"u_{a} - v") for a in I.parts[j - 1]]
                + [(u[b - 1] - v, -1.0, f"u_{b} - v") for b in I.parts[j]])
@@ -163,6 +164,7 @@ def e_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
     shift of the j-th simple root.
     """
     require_level_zero(mp)
+    z.require_q(mp.q)
     z.require_distinct()
     _, astar = gauge_constants(mp)
     u = z.u
@@ -180,18 +182,18 @@ def f_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
             mp: ModularParams) -> tuple[CurrentTerm, ...]:
     """Lowering current on a GT vector: supports at z_i for i in I_j.
 
-    Coefficient a prod_{k in I_j, k != i} [u_i - u_k + 1]/[u_i - u_k]; the
-    site i moves from I_j to I_{j+1}; no dynamical tag is attached.
+    Coefficient a prod_{k in I_j, k != i} [u_i - u_k + 1]/[u_i - u_k], a = 1;
+    the site i moves from I_j to I_{j+1}; no dynamical tag is attached.
     """
     require_level_zero(mp)
+    z.require_q(mp.q)
     z.require_distinct()
-    a, _ = gauge_constants(mp)
     u = z.u
     zero = (0,) * (I.N - 1)
     out = []
     for i in I.parts[j - 1]:
-        coeff = _bracket_ratios(a, [(u[i - 1] - u[k - 1], 1.0, f"u_{i} - u_{k}")
-                                    for k in I.parts[j - 1] if k != i], mp)
+        coeff = _bracket_ratios(1.0 + 0.0j, [(u[i - 1] - u[k - 1], 1.0, f"u_{i} - u_{k}")
+                                             for k in I.parts[j - 1] if k != i], mp)
         out.append(CurrentTerm(site=i, coeff=coeff,
                                target=_move(I, i, j, j + 1), tag=zero))
     return tuple(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, count, pairwise, product
 
@@ -28,9 +28,7 @@ def nome_params(mp: ModularParams, nome: float) -> ModularParams:
     """ModularParams with the same q whose unstarred nome equals ``nome``."""
     if not 0.0 < nome < 1.0:
         raise ParameterError("substituted nome must lie in (0, 1)")
-    r = math.log(nome) / (2.0 * math.log(mp.q))
-    return ModularParams(q=mp.q, r=r, k=0.0,
-                         trunc_eps=mp.trunc_eps, max_terms=mp.max_terms)
+    return replace(mp, r=math.log(nome) / (2.0 * math.log(mp.q)), k=0.0)
 
 
 @dataclass(frozen=True)
@@ -63,6 +61,7 @@ class IntegrandSpec:
                 raise ParameterError("trace nome Q must lie in (0, 1)")
         if not self.trig and self.J is None and not 0.0 < self.Q < 1.0:
             raise ParameterError("elliptic kernel needs a trace nome Q in (0, 1)")
+        self.z.require_q(self.mp.q)
         p = self.mp.p
         for x in self.z.z:
             if not p < abs(x) < 1.0:

@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .ellfn import ModularParams, jacobi_brackets, require_normal
-from .errors import EllqgError, SingularityError, settle
+from .errors import EllqgError, SingularityError, in_order, settle
 from .tensorspace import DynamicalParams
 
 # Relative to [1] like ellfn.pole_tol but stricter: an entry divides by [s]^2.
@@ -65,7 +65,7 @@ class DynRMatrix:
 
 
 def rbar(z: complex, Pdyn: DynamicalParams, mp: ModularParams,
-         starred: bool = False, u: complex | None = None) -> DynRMatrix:
+         u: complex | None = None) -> DynRMatrix:
     """The bare dynamical R-matrix R-bar(z, Pi).
 
     Diagonal 1 on equal-color pairs; for colors j1 < j2 with u = log z / (2 log q)
@@ -76,7 +76,7 @@ def rbar(z: complex, Pdyn: DynamicalParams, mp: ModularParams,
         (j2,j1) -> (j1,j2): [1][s+u] / ([s][u+1])
         (j1,j2) -> (j2,j1): [1][s-u] / ([s][u+1])
 
-    With ``starred`` every bracket uses the (p*, r*) pair instead of (p, r).
+    The R-bar on the starred pair (p*, r*) is the one of (q, r*, k = 0).
     At z = 1 the matrix is the permutation operator.
 
     By default u comes from the principal logarithm of z.  The entries are
@@ -84,53 +84,36 @@ def rbar(z: complex, Pdyn: DynamicalParams, mp: ModularParams,
     caller should pass the coherent difference of their u coordinates as
     ``u`` explicitly; all identity checks in this package do so.
     """
-    return settle(rbars([(z, Pdyn, u)], mp, starred))[0]
+    return settle(rbars([(z, Pdyn, u)], mp))[0]
 
 
-def rbars(requests, mp: ModularParams, starred: bool = False) -> list:
+def rbars(requests, mp: ModularParams) -> list:
     """``rbar`` of each (z, Pdyn, u) request, u None for the principal log:
     each DynRMatrix in order, up to the first request that raises, whose
     EllqgError ends the list.  The brackets of consecutive requests, up to
-    ``_RBAR_BRACKETS`` of them, come from one ``jacobi_brackets`` call, and
-    each entry is bitwise that of the request alone."""
-    requests, args = list(requests), []
-    for z, Pdyn, u in requests:
-        if u is None:
-            u = mp.u_of(z)
+    ``_RBAR_BRACKETS`` of them, come from one ``jacobi_brackets`` call
+    (``errors.in_order``), and each entry is bitwise that of the request alone."""
+    items, groups, size = [], [], _RBAR_BRACKETS
+    for k, (z, Pdyn, u) in enumerate(requests):
+        u = mp.u_of(z) if u is None else u
         s = np.array([Pdyn.value(j1, j2) for (j1, j2), _ in _entry_keys(Pdyn.N)[1]], dtype=complex)
-        args.append(np.concatenate(([1.0, u, u + 1.0], s, s + 1, s - 1, s + u, s - u)))
-    out: list = []
-    lo = 0
-    while lo < len(requests):
-        hi, size = lo + 1, args[lo].size
-        while hi < len(requests) and size + args[hi].size <= _RBAR_BRACKETS:
-            size, hi = size + args[hi].size, hi + 1
-        out += _rbar_group(requests[lo:hi], args[lo:hi], mp, starred)
-        if isinstance(out[-1], EllqgError):
-            break
-        lo = hi
-    return out
+        args = np.concatenate(([1.0, u, u + 1.0], s, s + 1, s - 1, s + u, s - u))
+        if size + args.size > _RBAR_BRACKETS:
+            groups.append([])
+            size = 0
+        groups[-1].append(k)
+        size += args.size
+        items.append((z, Pdyn.N, args))
+    return in_order(items, groups, lambda group: _rbar_group(group, mp))
 
 
-def _rbar_group(requests: list, args: list, mp: ModularParams, starred: bool) -> list:
-    """The outcomes of ``rbars`` for requests whose brackets ``args`` make one
-    ``jacobi_brackets`` call; if that call raises, the requests are replayed
-    alone, in order."""
-    try:
-        br = jacobi_brackets(np.concatenate(args), mp, starred)
-    except EllqgError as exc:
-        if len(requests) == 1:
-            return [exc]
-        out: list = []
-        for k in range(len(requests)):
-            out += _rbar_group(requests[k:k + 1], args[k:k + 1], mp, starred)
-            if isinstance(out[-1], EllqgError):
-                break
-        return out
-    out, lo = [], 0
-    for (z, Pdyn, _), a in zip(requests, args):
+def _rbar_group(items: list, mp: ModularParams) -> list:
+    """The outcomes of ``rbars`` for (z, N, brackets) items whose brackets
+    make one ``jacobi_brackets`` call, which raises if that call does."""
+    br, out, lo = jacobi_brackets(np.concatenate([a for *_, a in items]), mp), [], 0
+    for z, N, a in items:
         try:
-            out.append(_rbar_entries(z, Pdyn.N, br[lo:lo + a.size]))
+            out.append(_rbar_entries(z, N, br[lo:lo + a.size]))
         except EllqgError as exc:
             return out + [exc]
         lo += a.size

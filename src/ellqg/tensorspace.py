@@ -241,6 +241,11 @@ class EvaluationPoints:
         lq = 2.0 * math.log(self.q)
         return tuple(cmath.log(x) / lq for x in self.z)
 
+    def require_q(self, q: float) -> None:
+        """ParameterError unless u was made with the brackets' ``q``."""
+        if self.q != q:
+            raise ParameterError(f"spectral points built at q={self.q} used with q={q}")
+
     def require_distinct(self) -> None:
         for a in range(self.n):
             for b in range(a + 1, self.n):

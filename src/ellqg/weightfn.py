@@ -6,9 +6,9 @@ integration-variable block, with no 1/lambda! prefactor; this normalisation
 is the one that reproduces the closed-form diagonal value and is asserted by
 the tests.
 
-Brackets are always the unstarred [.] built on the nome carried by the
-ModularParams argument (so substituting a different nome, as the q-KZ cycle
-insertion does, is just a parameter change).
+Brackets are always the [.] of the ModularParams argument (so the starred
+pair (p*, r*), or the nome Q of the q-KZ cycle insertion, is just another
+pack with the same q, ``dataclasses.replace(mp, r=..., k=0)``).
 
 Every symmetrized sum is one chain of per-level matrices: the level-l factor
 F_l[p, p'] of the terms whose level-l and level-(l+1) variables are in the
@@ -65,7 +65,8 @@ import numpy as np
 
 from .ellfn import (ModularParams, jacobi_bracket, jacobi_brackets, pole_tol,
                     require_finite, require_normal)
-from .errors import EllqgError, FloatRangeError, ParameterError, PoleError, ShapeError, settle
+from .errors import (EllqgError, FloatRangeError, ParameterError, PoleError, ShapeError,
+                     in_order, settle)
 from .rmat import rbars
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, eps_pairing, leq)
@@ -121,6 +122,7 @@ class WeightFunctionEval:
 
 def _vees(t: TVariables, z: EvaluationPoints, mp: ModularParams):
     """Additive coordinates per level; index [l-1] is level l, [N-1] is z-level."""
+    z.require_q(mp.q)
     lq = 2.0 * math.log(mp.q)
     vs = [tuple(cmath.log(x) / lq for x in lvl) for lvl in t.levels]
     vs.append(z.u)
@@ -426,21 +428,10 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
     that raises, whose EllqgError ends the list.  An item raises for a
     vanishing [A], a term through a vanishing denominator (the PoleError the
     depth-first order of terms meets first) or a sum beyond the float range
-    (FloatRangeError).  If the shared bracket call raises, the items are
-    replayed alone, in order."""
-    try:
-        st = _stack(items, mp, modified)
-    except EllqgError as exc:
-        if len(items) == 1:
-            return [exc]
-        out: list = []
-        for item in items:
-            out += _sums([item], mp, modified)
-            if isinstance(out[-1], EllqgError):
-                break
-        return out
-    plan, L = st.plan, len(items)
-    levels = plan.levels
+    (FloatRangeError).  An error of the shared ``_stack`` call, such as its
+    bracket call's, is raised."""
+    st = _stack(items, mp, modified)
+    plan, L, levels = st.plan, len(items), st.plan.levels
     values = st.values.ravel()  # entry-major
     # A product beyond the float range raises FloatRangeError below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -508,22 +499,11 @@ def _outcomes(items: list, mp: ModularParams, modified: bool = False) -> list:
     """The outcomes of ``items`` in order, each (label I, point (t, z, Pdyn),
     site permutation or None) as in ``_stack``: each WeightFunctionEval, up to
     the first item that raises, whose EllqgError ends the list.  The items
-    are summed in the stacks of ``_stacks``, each value bitwise that of the
-    item alone, and the error is the one evaluating them one by one meets
-    first."""
-    if len(items) == 1:
-        return _sums(items, mp, modified)
-    out: list = [None] * len(items)
-    first = len(items)  # the first item that raises
-    for ks in _stacks(items, modified):
-        if ks[0] > first:
-            break
-        res = _sums([items[k] for k in ks], mp, modified)
-        for k, r in zip(ks, res):
-            out[k] = r
-        if isinstance(res[-1], EllqgError):
-            first = min(first, ks[len(res) - 1])
-    return out[:first + 1]
+    are summed in the stacks of ``_stacks`` (one item alone) by ``in_order``,
+    each value bitwise that of the item alone, and the error is the one
+    evaluating them one by one meets first."""
+    groups = [[0]] if len(items) == 1 else _stacks(items, modified)
+    return in_order(items, groups, lambda stack: _sums(stack, mp, modified))
 
 
 def _sym_sums(items: list, mp: ModularParams, modified: bool = False) -> list[WeightFunctionEval]:
@@ -592,6 +572,7 @@ def diagonal_value(I: PartitionIndex, z: EvaluationPoints, mp: ModularParams) ->
 
     prod_{k<l} prod_{a in I_k} prod_{b in I_l, a<b} [u_b - u_a] / [u_b - u_a + 1].
     """
+    z.require_q(mp.q)
     br = lambda x: jacobi_bracket(x, mp)
     u = z.u
     total = 1.0 + 0.0j

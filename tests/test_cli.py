@@ -109,6 +109,79 @@ def test_bracket_underflow_is_a_failing_row(tmp_path, capsys, suite):
     assert "underflows" in errors[hit]
 
 
+# Every failing row of ``verify all`` at q = 0.999 with a cap the products fit
+# in: the brackets leave the float range, and each row names where.
+Q999_FAILING = {
+    "ellfn.bracket_derivative": "[0]' underflows: |[0]'| = 0",
+    "ellfn.bracket_quasi_period_r":
+        "[0.365273-0.358489j] underflows: |[0.365273-0.358489j]| = 0",
+    "ellfn.bracket_quasi_period_rtau": "[-0.680927+3139.69j] overflows",
+    "ellfn.gamma_reflection":
+        "elliptic Gamma overflows at z=(-0.1271083610324621+0.6335979020288284j)",
+    "ellfn.gamma_trig_limit": None,
+    "ellfn.theta_quasi_periodicity":
+        "theta_p(1.27883+0.0220065j) underflows: |theta_p(1.27883+0.0220065j)| = 0",
+    "ellfn.truncation_stability":
+        "[-0.742667+0.469995j] underflows: |[-0.742667+0.469995j]| = 0",
+    **dict.fromkeys(["gt.basis_diagonal", "gt.basis_triangular", "gt.exchange_commuting",
+                     "gt.exchange_ee", "gt.exchange_ff", "gt.phi_ratio", "wf.diagonal",
+                     "wf.stable_envelope", "wf.symmetry", "wf.triangularity"],
+                    "[1] underflows: |[1]| = 0"),
+    "qkz.quadrature_convergence": "spectral point (0.35000317772109635+0.1479789700772872j) "
+                                  "outside the contour domain |p| < |z| < 1",
+    **dict.fromkeys(["rmat.dybe_n2", "rmat.dybe_n3", "rmat.ice_rule", "rmat.inversion",
+                     "rmat.unit_permutation"],
+                    "[s]^2 [u+1] for pair (1, 2) underflows: |[s]^2 [u+1] for pair (1, 2)| = 0"),
+    "wf.modified_routes": "[-103.072+2136.65j] overflows",
+    "wf.transition": "[-186.916+1872.87j] overflows",
+}
+
+
+def test_verify_all_failing_rows_at_q_0999_are_pinned(tmp_path, capsys):
+    path = write_config(tmp_path, {"q": 0.999, "max_terms": 40000})
+    assert main(["--config", path, "verify", "all"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert len(Q999_FAILING) == 25
+    assert {c["id"]: c.get("error") for c in report["checks"] if not c["pass"]} == Q999_FAILING
+
+
+# float.hex of (re, im) of the starred outputs, computed when the bracket
+# functions took a flag for the (p*, r*) pair; they now read the parameters
+# (q, r*, k=0), whose p and r are p* and r* bit for bit.
+STARRED_BRACKETS = {
+    0.0: [("0x1.17817cedb1ebap-1", "-0x1.42db23a3c5bf3p-3"),
+          ("0x1.714e9cb722142p-2", "0x1.6eb20706a78aep+0")],
+    0.8: [("0x1.f5beb861536a3p-2", "-0x1.10c05daa72b2cp-3"),
+          ("0x1.b8115e5c642ccp-2", "0x1.72e90c5fc4de7p+0")],
+}
+STARRED_RBAR = {
+    0.0: {((1, 2), (1, 2)): ("0x1.db60d586de55ap-3", "-0x1.01b6997af7e22p-3"),
+          ((1, 2), (2, 1)): ("0x1.afc951413f049p-1", "0x1.62dc93f2300e8p-1"),
+          ((2, 1), (1, 2)): ("0x1.646c506579af7p-1", "0x1.9baa66c129cedp-5"),
+          ((2, 1), (2, 1)): ("0x1.bb6a8950748a0p-2", "-0x1.66536f10af296p-1")},
+    0.8: {((1, 2), (1, 2)): ("0x1.9cbbd5552c198p-9", "-0x1.60552bdcfdb56p-3"),
+          ((1, 2), (2, 1)): ("0x1.4dcf5f56c7276p+0", "0x1.b99496ef46898p-3"),
+          ((2, 1), (1, 2)): ("0x1.356bb3a64ddebp-1", "0x1.264c8ade7b30bp-3"),
+          ((2, 1), (2, 1)): ("0x1.cdae0b5a122e8p-3", "-0x1.c3ecf4205a2fbp-1")},
+}
+
+
+@pytest.mark.parametrize("k", [0.0, 0.8])
+def test_starred_outputs_are_pinned_bit_for_bit(tmp_path, capsys, k):
+    path = write_config(tmp_path, {"k": k})
+    assert main(["--config", path, "theta"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert [(v["bracket_u_starred"]["re"].hex(), v["bracket_u_starred"]["im"].hex())
+            for v in values] == STARRED_BRACKETS[k]
+    assert main(["--config", path, "rmat", "--starred"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["starred"] is True
+    entries = {(tuple(e["in"]), tuple(e["out"])): (e["re"].hex(), e["im"].hex())
+               for e in out["entries"]}
+    one = ("0x1.0000000000000p+0", "0x0.0p+0")
+    assert entries == {((1, 1), (1, 1)): one, ((2, 2), (2, 2)): one, **STARRED_RBAR[k]}
+
+
 def test_suites_honour_config_truncation():
     # q = 0.99 needs more factors than the built-in cap of 512.
     cfg = build_config({"q": 0.99, "max_terms": 4096})

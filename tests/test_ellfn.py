@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 
 from ellqg import ellfn
 from ellqg.ellfn import (ModularParams, bracket_derivative_at_zero, ell_gamma,
-                         jacobi_bracket, jacobi_brackets, mu_scalar, qpoch, rho_plus,
-                         theta)
+                         jacobi_bracket, jacobi_brackets, qpoch, theta)
 from ellqg.errors import (DomainError, FloatRangeError, ParameterError, PoleError,
                           ResourceCapError)
 
@@ -104,8 +104,10 @@ def test_bracket_shift_by_r_tau(mp, rng):
 
 def test_starred_bracket_uses_shifted_nome(mp_level):
     u = 0.4 + 0.1j
-    b = jacobi_bracket(u, mp_level, starred=True)
-    assert abs(jacobi_bracket(u + mp_level.rstar, mp_level, starred=True) + b) \
+    starred = replace(mp_level, r=mp_level.rstar, k=0.0)
+    assert starred.p == mp_level.pstar and starred.r == mp_level.rstar
+    b = jacobi_bracket(u, starred)
+    assert abs(jacobi_bracket(u + mp_level.rstar, starred) + b) \
         < 1e-10 * abs(b)
 
 
@@ -170,57 +172,6 @@ def test_gamma_against_fixed_double_product_oracle():
     assert abs(ell_gamma(0.3, 0.1, 0.2) - oracle) < 1e-12
 
 
-def test_rho_plus_finite_and_matches_gamma_product(mp):
-    z = 0.9 + 0.0j
-    N = 2
-    s = mp.q ** (2 * N)
-    direct = (mp.qpow(-(N - 1) / N)
-              * cmath.exp((N - 1) / (mp.r * N) * cmath.log(z))
-              * ell_gamma(z, mp.p, s) * ell_gamma(s * z, mp.p, s)
-              / (ell_gamma(mp.q ** 2 * z, mp.p, s)
-                 * ell_gamma(mp.q ** (2 * N - 2) * z, mp.p, s)))
-    val = rho_plus(z, N, mp)
-    assert val != 0.0
-    assert abs(val - direct) < 1e-12 * abs(direct)
-
-
-def test_rho_plus_degenerates_at_rank_one(mp):
-    assert abs(rho_plus(0.7 + 0.2j, 1, mp) - 1.0) < 1e-12
-
-
-def test_rho_plus_trigonometric_limit():
-    # As p -> 0 each Gamma collapses to an inverse q-Pochhammer.
-    q, N = 0.5, 2
-    r = math.log(1e-8) / (2 * math.log(q))
-    mp_small = ModularParams(q=q, r=r)
-    z = 0.8 * cmath.exp(0.5j)
-    s = q ** (2 * N)
-    trig = (mp_small.qpow(-(N - 1) / N)
-            * cmath.exp((N - 1) / (mp_small.r * N) * cmath.log(z))
-            * qpoch(q ** 2 * z, s) * qpoch(q ** (2 * N - 2) * z, s)
-            / (qpoch(z, s) * qpoch(q ** (2 * N) * z, s)))
-    assert abs(rho_plus(z, N, mp_small) - trig) < 1e-6 * abs(trig)
-
-
-def test_mu_scalar_rank_one_and_value(mp):
-    assert abs(mu_scalar(0.6 + 0.1j, 1, mp) - 1.0) < 1e-12
-    val = mu_scalar(mp.q ** 2 * 0.9, 2, mp)
-    assert val != 0.0 and abs(val) < 1e6
-
-
-def test_mu_over_rho_cancellation(mp):
-    # Two of the four Gamma factors cancel between mu and rho+.
-    z, N = 0.85 * cmath.exp(0.3j), 2
-    s = mp.q ** (2 * N)
-    lhs = mu_scalar(z, N, mp) / rho_plus(z, N, mp)
-    rhs = (mp.qpow((N - 1) / N)
-           * cmath.exp(-(N - 1) / N * cmath.log(z))
-           * ell_gamma(mp.p * z, mp.p, s) * ell_gamma(mp.q ** (2 * N - 2) * z, mp.p, s)
-           / (ell_gamma(z, mp.p, s)
-              * ell_gamma(mp.p * mp.q ** (2 * N - 2) * z, mp.p, s)))
-    assert abs(lhs - rhs) < 1e-10 * abs(rhs)
-
-
 def test_truncation_stability(mp):
     doubled = ModularParams(q=mp.q, r=mp.r, trunc_eps=mp.trunc_eps,
                             max_terms=2 * mp.max_terms)
@@ -237,8 +188,8 @@ def test_gamma_pole_names_offending_factor():
         ell_gamma(1.0, 0.1, 0.2)
 
 
-# Nome pairs (p, s): the q-KZ trace kernel at q=0.8, r=3.1, Q=0.2; rho_plus at
-# q=0.5, r=3.1, N=2; and a generic pair.
+# Nome pairs (p, s): the q-KZ trace kernel at q=0.8, r=3.1, Q=0.2; (p, q^(2N))
+# at q=0.5, r=3.1, N=2; and a generic pair.
 ORACLE_NOMES = ((0.8 ** 6.2, 0.2), (0.5 ** 6.2, 0.5 ** 4), (0.1, 0.2))
 ORACLE_ARGS = tuple(mod * cmath.exp(1j * phase)
                     for mod in (0.25, 0.6, 0.95, 1.3, 2.6) for phase in (0.4, 1.9, -2.7))
@@ -271,24 +222,6 @@ def _mp_gamma(x, p, s):
     return _mp_double_qpoch(p * s / x, p, s) / _mp_double_qpoch(x, p, s)
 
 
-@pytest.mark.parametrize("q, r", [(0.5, 3.1), (0.6, 2.5)])
-@pytest.mark.parametrize("N", [2, 3])
-def test_rho_plus_and_mu_scalar_against_mpmath(q, r, N):
-    mp = ModularParams(q=q, r=r)
-    for z in (0.9, 0.6 * cmath.exp(0.8j), 1.3 * cmath.exp(-2.1j)):
-        with mpmath.workdps(40):
-            mq, mr, mz = mpmath.mpf(q), mpmath.mpf(r), mpmath.mpc(z)
-            p, s, frac = mq ** (2 * mr), mq ** (2 * N), mpmath.mpf(N - 1) / N
-            g = lambda x: _mp_gamma(x, p, s)
-            rho = (mq ** -frac * mpmath.exp(frac / mr * mpmath.log(mz))
-                   * g(mz) * g(s * mz) / (g(mq ** 2 * mz) * g(mq ** (2 * N - 2) * mz)))
-            mu = (mpmath.exp(-(mr - 1) / mr * frac * mpmath.log(mz))
-                  * g(p * mz) * g(s * mz) / (g(mq ** 2 * mz) * g(p * mq ** (2 * N - 2) * mz)))
-            rho, mu = complex(rho), complex(mu)
-        assert abs(rho_plus(z, N, mp) - rho) <= 1e-12 * abs(rho), (q, r, N, z)
-        assert abs(mu_scalar(z, N, mp) - mu) <= 1e-12 * abs(mu), (q, r, N, z)
-
-
 def test_gamma_batch_matches_scalar_calls():
     for p, s in ORACLE_NOMES:
         batch = ell_gamma(ORACLE_ARGS, p, s)
@@ -315,8 +248,6 @@ def test_gamma_refuses_to_truncate_at_the_cap():
     # q = 0.999: the double products need thousands of factors in n.
     with pytest.raises(ResourceCapError):
         ell_gamma(0.5 + 0.2j, 0.999 ** 6.2, 0.999 ** 4)
-    with pytest.raises(ResourceCapError):
-        rho_plus(0.9, 2, ModularParams(q=0.999, r=3.1))
 
 
 def test_gamma_beyond_float_range_raises():
@@ -458,11 +389,14 @@ def test_brackets_against_mpmath(q, starred):
     # Batch and scalar round differently; at q = 0.99 each bracket is a
     # product of about 1,500 factors and the two drift apart by up to 5e-14.
     agree = 1e-14 if q < 0.95 else 1e-13
-    batch = jacobi_brackets(BRACKET_ARGS, mp, starred)
+    r = mp.rstar if starred else mp.r
+    if starred:  # [u]* is the bracket of the pack (q, r*, k=0)
+        mp = replace(mp, r=mp.rstar, k=0.0)
+    batch = jacobi_brackets(BRACKET_ARGS, mp)
     for u, val in zip(BRACKET_ARGS, batch):
         with mpmath.workdps(40):
-            ref = complex(_mp_bracket(u, q, mp.rstar if starred else mp.r))
-        single = jacobi_bracket(u, mp, starred)
+            ref = complex(_mp_bracket(u, q, r))
+        single = jacobi_bracket(u, mp)
         assert abs(single - ref) <= 1e-12 * abs(ref), (u, q)
         assert abs(val - ref) <= 1e-12 * abs(ref), (u, q)
         assert abs(val - single) <= agree * abs(single), (u, q)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,9 +40,10 @@ def test_entries_match_bracket_formulas(mp):
     mpk = ModularParams(q=q, r=r, k=0.7)
     pd3 = DynamicalParams((1.3 + 0.2j, 0.8 - 0.4j))
     u = 0.3 - 0.15j
-    for starred in (False, True):
-        R = rbar(mpk.qpow(2 * u), pd3, mpk, starred=starred, u=u)
-        br = lambda x: jacobi_bracket(x, mpk, starred)
+    for starred in (False, True):  # the starred R-bar is the one of (q, r*, k=0)
+        mps = replace(mpk, r=mpk.rstar, k=0.0) if starred else mpk
+        R = rbar(mpk.qpow(2 * u), pd3, mps, u=u)
+        br = lambda x: jacobi_bracket(x, mps)
         for j1, j2 in ((1, 2), (1, 3), (2, 3)):
             s = pd3.value(j1, j2)
             expected = {((j1, j2), (j1, j2)): br(s + 1) * br(s - 1) * br(u)
@@ -129,7 +131,7 @@ def test_inversion_nome_mismatch_is_large(mp_level, rng):
     pd = random_pdyn(rng, 2)
     z = 0.8 * cmath.exp(0.5j)
     A = rbar(z, pd, mp_level).dense()
-    B = rbar(1.0 / z, pd, mp_level, starred=True).dense()
+    B = rbar(1.0 / z, pd, replace(mp_level, r=mp_level.rstar, k=0.0)).dense()
     P = permutation_dense(2)
     resid = np.max(np.abs(A @ P @ B @ P - np.eye(4)))
     assert resid > 1e-3

@@ -15,7 +15,8 @@ from ellqg.ellfn import ModularParams, jacobi_bracket
 from ellqg import suites, weightfn
 from ellqg.errors import (EllqgError, FloatRangeError, ParameterError, PoleError,
                           ShapeError, SingularityError)
-from ellqg.gtrep import gt_vector
+from ellqg.gtrep import e_on_gt, f_on_gt, gt_vector, phi_on_gt
+from ellqg.qkz import IntegrandSpec
 from ellqg.rmat import rbar
 from ellqg.suites import _compositions as all_compositions
 from ellqg.suites import _wf_cases
@@ -469,7 +470,7 @@ def _first_kernel_call(monkeypatch, call):
     """The arguments of the first bracket call that ``call()`` makes."""
     kernel, calls = weightfn.jacobi_brackets, []
     monkeypatch.setattr(weightfn, "jacobi_brackets",
-                        lambda u, mp, starred=False: calls.append(u) or kernel(u, mp, starred))
+                        lambda u, mp: calls.append(u) or kernel(u, mp))
     _outcome(call)
     monkeypatch.setattr(weightfn, "jacobi_brackets", kernel)
     return calls[0]
@@ -489,10 +490,10 @@ def test_failed_shared_call_raises_the_first_labels_error(mp, rng, monkeypatch):
             bad = np.setdiff1d(_first_kernel_call(monkeypatch, lambda: call(items[5:6])),
                                _first_kernel_call(monkeypatch, lambda: call(items[:5])))[0]
 
-            def failing(u, mp, starred=False):
+            def failing(u, mp):
                 if np.isin(bad, u):
                     raise FloatRangeError(f"[{bad:.6g}] overflows")
-                return kernel(u, mp, starred)
+                return kernel(u, mp)
 
             monkeypatch.setattr(weightfn, "jacobi_brackets", failing)
             assert _assert_batch_is_single_calls(call, items)
@@ -905,6 +906,30 @@ def test_trig_degeneration_contracts(seed):
     d = [abs(v - vals[-1]) for v in vals[:-1]]
     assert d[1] < 0.7 * d[0]
     assert d[2] < 0.7 * d[1]
+
+
+def test_points_built_at_another_q_are_refused():
+    # u = log z / (2 log q) depends on q: points made at q = 0.6 and read by a
+    # q = 0.5 pack would give another number, with no error.
+    mp, pd = ModularParams(q=0.5, r=3.1), DynamicalParams((1.2 + 0.3j,))
+    I, t = PartitionIndex.from_colors((1, 2), 2), TVariables(((0.6 + 0.2j,),))
+    zs = (0.55 + 0.1j, 0.2 - 0.75j)
+    calls = [lambda z: w_tilde(I, t, z, pd, mp),
+             lambda z: modified_w(I, t, z, pd, mp, route="sym"),
+             lambda z: specialize(I, I, z, pd, mp),
+             lambda z: transition_residuals([(I.colors(), t, z, pd)], mp),
+             lambda z: stable_envelope_restriction(I, I, z, pd, mp),
+             lambda z: diagonal_value(I, z, mp),
+             lambda z: e_lambda(I.shape(), t, z, mp),
+             lambda z: gt_vector(I, z, pd, mp),
+             lambda z: e_on_gt(1, I, z, mp),
+             lambda z: f_on_gt(1, I, z, mp),
+             lambda z: phi_on_gt(1, 0.3 + 0.1j, I, z, mp),
+             lambda z: IntegrandSpec(I=I, z=z, Pdyn=pd, mp=mp, trig=True)]
+    for call in calls:
+        call(EvaluationPoints(zs, 0.5))
+        with pytest.raises(ParameterError, match=r"built at q=0\.6 used with q=0\.5"):
+            call(EvaluationPoints(zs, 0.6))
 
 
 def test_w_tilde_names_its_first_overflowing_bracket():
