@@ -499,8 +499,8 @@ def _outcomes(items: list, mp: ModularParams, modified: bool = False) -> list:
     """The outcomes of ``items`` in order, each (label I, point (t, z, Pdyn),
     site permutation or None) as in ``_stack``: each WeightFunctionEval, up to
     the first item that raises, whose EllqgError ends the list.  The items
-    are summed in the stacks of ``_stacks`` (one item alone) by ``in_order``,
-    each value bitwise that of the item alone, and the error is the one
+    are summed by ``in_order`` in the stacks of ``_stacks`` (one item is its
+    own), each value bitwise that of the item alone, and the error is the one
     evaluating them one by one meets first."""
     groups = [[0]] if len(items) == 1 else _stacks(items, modified)
     return in_order(items, groups, lambda stack: _sums(stack, mp, modified))
