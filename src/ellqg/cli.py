@@ -43,81 +43,74 @@ class ConfigError(Exception):
     """Configuration problem; maps to exit code 2."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    q: float
-    r: float
-    k: float
-    trunc_eps: float
-    max_terms: int
-    N: int
-    n: int
-    lam: tuple[int, ...]
-    P: tuple[complex, ...]
-    z: tuple[complex, ...]
+    """One validated run: the library's parameter objects, built once by
+    ``build_config`` and read by every command and suite check.  ``lam``
+    carries N and n; ``--seed`` and ``--break-shift`` give a ``replace``d copy.
+    """
+
+    mp: ModularParams
+    lam: Composition
+    Pdyn: DynamicalParams
+    z: EvaluationPoints
     seed: int
     break_shift: bool = False
 
-    def modular(self) -> ModularParams:
-        return ModularParams(q=self.q, r=self.r, k=self.k,
-                             trunc_eps=self.trunc_eps, max_terms=self.max_terms)
 
-    def dynamical(self) -> DynamicalParams:
-        return DynamicalParams(self.P)
+def _as_real(value, name: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"field {name!r}: expected a finite number, got {value!r}")
+    return float(value)
 
-    def points(self) -> EvaluationPoints:
-        return EvaluationPoints(self.z, self.q)
 
-    def composition(self) -> Composition:
-        return Composition(self.lam)
+def _as_int(value, name: str) -> int:
+    if (isinstance(value, bool) or not isinstance(value, int)
+            and not (isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"field {name!r}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _as_complex(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"field {name!r}: expected a number or [re, im] pair, got {value!r}")
+    """A number, or an [re, im] pair of numbers."""
+    re, im = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
+    return complex(_as_real(re, name), _as_real(im, name))
+
+
+def _as_array(value, name: str, length: int, read) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"field {name!r}: expected a JSON list, got {value!r}")
+    if len(value) != length:
+        raise ConfigError(f"field {name!r}: needs {length} entries, got {len(value)}")
+    return tuple(read(x, name) for x in value)
 
 
 def build_config(data: dict) -> RunConfig:
-    merged = dict(DEFAULTS)
+    """RunConfig of a config object, missing keys from DEFAULTS.  Each field
+    passes a strict reader (no bools, strings or coercion; arrays are JSON
+    lists), then the library constructor that owns it; any refusal is a
+    ConfigError (exit 2)."""
     unknown = set(data) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged.update(data)
-    try:
-        q = float(merged["q"])
-        r = float(merged["r"])
-        k = float(merged["k"])
-        trunc_eps = float(merged["trunc_eps"])
-        max_terms = int(merged["max_terms"])
-        N = int(merged["N"])
-        n = int(merged["n"])
-        seed = int(merged["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scalar field: {exc}") from exc
+    merged = {**DEFAULTS, **data}
+    N, n = _as_int(merged["N"], "N"), _as_int(merged["n"], "n")
     if N < 1:
         raise ConfigError(f"field 'N': must be >= 1, got {N}")
-    lam = tuple(int(x) for x in merged["lambda"])
-    if len(lam) != N:
-        raise ConfigError(f"field 'lambda': needs {N} parts, got {len(lam)}")
+    lam = _as_array(merged["lambda"], "lambda", N, _as_int)
     if sum(lam) != n:
         raise ConfigError(f"field 'lambda': parts sum to {sum(lam)}, expected n={n}")
-    P = tuple(_as_complex(x, "P") for x in merged["P"])
-    if len(P) != N - 1:
-        raise ConfigError(f"field 'P': needs {N - 1} entries, got {len(P)}")
-    z = tuple(_as_complex(x, "z") for x in merged["z"])
-    if len(z) != n:
-        raise ConfigError(f"field 'z': needs {n} entries, got {len(z)}")
-    cfg = RunConfig(q=q, r=r, k=k, trunc_eps=trunc_eps, max_terms=max_terms,
-                    N=N, n=n, lam=lam, P=P, z=z, seed=seed)
-    try:  # the library's own checks of (q, r, k, truncation) and of z
-        cfg.modular(), cfg.points()
+    P = _as_array(merged["P"], "P", N - 1, _as_complex)
+    z = _as_array(merged["z"], "z", n, _as_complex)
+    real = {key: _as_real(merged[key], key) for key in ("q", "r", "k", "trunc_eps")}
+    max_terms, seed = _as_int(merged["max_terms"], "max_terms"), _as_int(merged["seed"], "seed")
+    try:
+        mp = ModularParams(**real, max_terms=max_terms)
+        return RunConfig(mp=mp, lam=Composition(lam), Pdyn=DynamicalParams(P),
+                         z=EvaluationPoints(z, mp.q), seed=seed)
     except EllqgError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def parse_config(path: str | None) -> RunConfig:
@@ -176,40 +169,38 @@ def _json_default(obj):
 
 
 def _cmd_theta(cfg: RunConfig, args) -> int:
-    mp = cfg.modular()
+    mp = cfg.mp
     mp_star, rows = replace(mp, r=mp.rstar, k=0.0), []  # [u]* is [u] of (q, r*, k=0)
-    for zi in cfg.z:
+    for zi in cfg.z.z:
         rows.append({
             "z": zi,
             "theta_p": theta(zi, mp.p, **mp.truncation),
             "bracket_u": jacobi_bracket(mp.u_of(zi), mp),
             "bracket_u_starred": jacobi_bracket(mp.u_of(zi), mp_star),
         })
-    _emit({"params": {"q": cfg.q, "r": cfg.r, "k": cfg.k, "p": mp.p,
+    _emit({"params": {"q": mp.q, "r": mp.r, "k": mp.k, "p": mp.p,
                       "pstar": mp.pstar}, "values": rows}, args.out)
     return 0
 
 
 def _cmd_rmat(cfg: RunConfig, args) -> int:
-    mp = cfg.modular()
-    zratio = _as_complex(json.loads(args.zratio), "zratio") if args.zratio else \
-        cfg.z[0] / cfg.z[1] if cfg.n >= 2 else 0.7 + 0.0j
-    R = rbar(zratio, cfg.dynamical(), replace(mp, r=mp.rstar, k=0.0) if args.starred else mp)
+    mp, z = cfg.mp, cfg.z.z
+    zratio = _as_complex(args.zratio, "zratio") if args.zratio is not None else \
+        z[0] / z[1] if len(z) >= 2 else 0.7 + 0.0j
+    R = rbar(zratio, cfg.Pdyn, replace(mp, r=mp.rstar, k=0.0) if args.starred else mp)
     entries = [{"in": list(kin), "out": list(kout), "re": val.real, "im": val.imag}
                for (kin, kout), val in sorted(R.entries.items())]
-    _emit({"N": cfg.N, "z": zratio, "starred": args.starred, "entries": entries},
+    _emit({"N": cfg.lam.N, "z": zratio, "starred": args.starred, "entries": entries},
           args.out)
     return 0
 
 
 def _default_t(cfg: RunConfig) -> TVariables:
-    return suites._rand_t(np.random.default_rng(cfg.seed + 31), cfg.composition())
+    return suites._rand_t(np.random.default_rng(cfg.seed + 31), cfg.lam)
 
 
 def _cmd_wf(cfg: RunConfig, args) -> int:
-    mp = replace(cfg.modular(), k=0.0)
-    pd, z = cfg.dynamical(), cfg.points()
-    lam = cfg.composition()
+    mp, pd, z, lam = cfg.mp, cfg.Pdyn, cfg.z, cfg.lam
     parts = enumerate_partitions(lam)
     records = []
     if args.action == "eval":
@@ -243,9 +234,9 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
 
 
 def _cmd_gt(cfg: RunConfig, args) -> int:
-    mp = replace(cfg.modular(), k=0.0)
-    pd, z = cfg.dynamical(), cfg.points()
-    parts = enumerate_partitions(cfg.composition())
+    mp = replace(cfg.mp, k=0.0)  # the Gelfand-Tsetlin layer works at level 0
+    pd, z = cfg.Pdyn, cfg.z
+    parts = enumerate_partitions(cfg.lam)
     if args.action == "basis":
         records = []
         for I, state in zip(parts, gtrep.gt_vectors(parts, z, pd, mp)):
@@ -255,8 +246,8 @@ def _cmd_gt(cfg: RunConfig, args) -> int:
         _emit({"action": "basis", "records": records}, args.out)
         return 0
     j, op = 1 if args.j is None else args.j, args.op or "e"
-    if not 1 <= j <= cfg.N - 1:
-        raise ConfigError(f"--j must lie in 1..{cfg.N - 1}")
+    if not 1 <= j <= cfg.lam.N - 1:
+        raise ConfigError(f"--j must lie in 1..{cfg.lam.N - 1}")
     records = []
     for I in parts:
         if op == "phi":
@@ -276,9 +267,7 @@ def _cmd_gt(cfg: RunConfig, args) -> int:
 
 
 def _cmd_qkz(cfg: RunConfig, args) -> int:
-    mp = cfg.modular()
-    pd, z = cfg.dynamical(), cfg.points()
-    lam = cfg.composition()
+    mp, pd, z, lam = cfg.mp, cfg.Pdyn, cfg.z, cfg.lam
     I = enumerate_partitions(lam)[0]
     spec = qkz.IntegrandSpec(I=I, z=z, Pdyn=pd, mp=mp, trig=not args.elliptic,
                              Q=(0.2 if args.Q is None else args.Q) if args.elliptic else 0.0)
@@ -345,7 +334,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_rmat = sub.add_parser("rmat", parents=[common],
                             help="dump R-matrix entries as JSON")
-    p_rmat.add_argument("--zratio", help="spectral ratio as JSON number or [re,im]")
+    p_rmat.add_argument("--zratio", type=json.loads,
+                        help="spectral ratio as JSON number or [re,im]")
     p_rmat.add_argument("--starred", action="store_true",
                         help="use the (p*, r*) bracket pair")
 
@@ -405,10 +395,8 @@ def main(argv=None) -> int:
             setattr(args, name, None)
     try:
         cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if getattr(args, "break_shift", False):
-            cfg.break_shift = True
+        cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
+                      break_shift=getattr(args, "break_shift", False))
         # A value beyond the float range raises FloatRangeError, which the
         # report or exit code 2 carries; numpy's warnings on the way add nothing.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

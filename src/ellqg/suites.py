@@ -50,7 +50,7 @@ def _compositions(n: int, N: int):
 # ---------------------------------------------------------------- ellfn ----
 
 def check_theta_quasi_periodicity(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     worst = 0.0
     for _ in range(50):
         z = rng.uniform(0.3, 1.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -62,7 +62,7 @@ def check_theta_quasi_periodicity(cfg, rng):
 
 
 def check_bracket_quasi_period_r(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     worst = 0.0
     for _ in range(20):
         u = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(-1.0, 1.0)
@@ -72,7 +72,7 @@ def check_bracket_quasi_period_r(cfg, rng):
 
 
 def check_bracket_quasi_period_rtau(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     tau = -2j * math.pi / math.log(mp.p)
     worst = 0.0
     for _ in range(20):
@@ -85,7 +85,7 @@ def check_bracket_quasi_period_rtau(cfg, rng):
 
 
 def check_gamma_reflection(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     s = mp.q ** 4
     z = [rng.uniform(0.2, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
          for _ in range(50)]
@@ -94,7 +94,7 @@ def check_gamma_reflection(cfg, rng):
 
 
 def check_gamma_trig_limit(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     z = [rng.uniform(0.2, 0.8) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
          for _ in range(10)]
     worst = 0.0
@@ -105,14 +105,14 @@ def check_gamma_trig_limit(cfg, rng):
 
 
 def check_bracket_derivative(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     d1 = ellfn.require_normal(ellfn.bracket_derivative_at_zero(mp, step=1e-4), "[0]'")
     d2 = ellfn.bracket_derivative_at_zero(mp, step=5e-5)
     return abs(d1 - d2) / abs(d1), 1e-8
 
 
 def check_truncation_stability(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     doubled = replace(mp, max_terms=2 * mp.max_terms)
     worst = 0.0
     for _ in range(10):
@@ -129,7 +129,7 @@ def check_truncation_stability(cfg, rng):
 # ----------------------------------------------------------------- rmat ----
 
 def check_unit_permutation(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     worst = 0.0
     for N in (2, 3):
         pd = _rand_pdyn(rng, N)
@@ -139,7 +139,7 @@ def check_unit_permutation(cfg, rng):
 
 
 def check_ice_rule(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     bad = 0.0
     for N in (2, 3):
         pd = _rand_pdyn(rng, N)
@@ -159,7 +159,7 @@ def check_ice_rule(cfg, rng):
 
 
 def check_inversion(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     worst = 0.0
     for N in (2, 3):
         for _ in range(5):
@@ -170,7 +170,7 @@ def check_inversion(cfg, rng):
 
 
 def check_dybe_n2(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     worst = 0.0
     for _ in range(20):
         pd = _rand_pdyn(rng, 2)
@@ -181,7 +181,7 @@ def check_dybe_n2(cfg, rng):
 
 
 def check_dybe_n3(cfg, rng):
-    mp = cfg.modular()
+    mp = cfg.mp
     worst = 0.0
     for _ in range(3):
         pd = _rand_pdyn(rng, 3)
@@ -200,7 +200,7 @@ def _wf_cases(max_n: int = 4):
 
 
 def check_wf_triangularity(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = cfg.mp
     worst = 0.0
     for N, lam in _wf_cases():
         z = _rand_points(rng, lam.n, mp.q)
@@ -210,7 +210,7 @@ def check_wf_triangularity(cfg, rng):
 
 
 def check_wf_diagonal(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = cfg.mp
     worst = 0.0
     for N, lam in _wf_cases():
         z = _rand_points(rng, lam.n, mp.q)
@@ -227,7 +227,7 @@ def check_wf_diagonal(cfg, rng):
 
 
 def check_wf_symmetry(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = cfg.mp
     worst = 0.0
     for N, mu in [(2, (1, 1, 2)), (2, (1, 2, 1, 2)), (3, (1, 2, 3, 2))]:
         I = PartitionIndex.from_colors(mu, N)
@@ -243,7 +243,7 @@ def check_wf_symmetry(cfg, rng):
 
 
 def check_wf_transition(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = cfg.mp
     cases = []
     for N in (2, 3):
         for n in range(2, 5):
@@ -260,7 +260,7 @@ def check_wf_transition(cfg, rng):
 
 
 def check_wf_modified_routes(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = cfg.mp
     worst = 0.0
     cases = [(2, (1, 2)), (2, (1, 1, 2)), (2, (2, 1, 2, 1)), (3, (1, 2, 3)),
              (3, (2, 1, 3, 1))]
@@ -278,7 +278,7 @@ def check_wf_modified_routes(cfg, rng):
 
 
 def check_wf_stab(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = cfg.mp
     worst = 0.0
     for N, mu_shape in [(2, (1, 1)), (2, (2, 1)), (3, (1, 1, 1))]:
         lam = Composition(mu_shape)
@@ -311,8 +311,7 @@ def check_wf_trig_degeneration(cfg, rng):
     I = PartitionIndex.from_colors(mu, N)
     vals = []
     for p_target in (1e-4, 1e-6, 1e-8, 1e-12):
-        r = math.log(p_target) / (2.0 * math.log(cfg.q))
-        mp = replace(cfg.modular(), r=r, k=0.0)
+        mp = qkz.nome_params(cfg.mp, p_target)
         rng_local = np.random.default_rng(cfg.seed + 104729)
         z = _rand_points(rng_local, lam.n, mp.q)
         pd = _rand_pdyn(rng_local, N)
@@ -328,7 +327,7 @@ def check_wf_trig_degeneration(cfg, rng):
 # ---------------------------------------------------------------- gtrep ----
 
 def check_gt_triangular(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = replace(cfg.mp, k=0.0)
     worst = 0.0
     for N, lam in _wf_cases(max_n=4):
         z = _rand_points(rng, lam.n, mp.q)
@@ -342,7 +341,7 @@ def check_gt_triangular(cfg, rng):
 
 
 def check_gt_diagonal(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = replace(cfg.mp, k=0.0)
     worst = 0.0
     for N, lam in _wf_cases(max_n=3):
         z = _rand_points(rng, lam.n, mp.q)
@@ -361,7 +360,7 @@ def check_gt_diagonal(cfg, rng):
 
 
 def _exchange_worst(cfg, rng, current: str) -> float:
-    mp = replace(cfg.modular(), k=0.0)
+    mp = replace(cfg.mp, k=0.0)
     tag = not cfg.break_shift
     worst = 0.0
     cases = [(2, (1, 1)), (2, (2, 2)), (2, (1, 2, 1, 2)), (3, (2, 3, 2, 3)),
@@ -386,7 +385,7 @@ def check_gt_exchange_ff(cfg, rng):
 
 
 def check_gt_exchange_commuting(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = replace(cfg.mp, k=0.0)
     worst = 0.0
     for mu in ((2, 4, 2, 4), (1, 3, 1, 3)):
         I = PartitionIndex.from_colors(mu, 4)
@@ -399,7 +398,7 @@ def check_gt_exchange_commuting(cfg, rng):
 
 
 def check_gt_phi_ratio(cfg, rng):
-    mp = replace(cfg.modular(), k=0.0)
+    mp = replace(cfg.mp, k=0.0)
     worst = 0.0
     for N, mu in [(2, (1, 2, 2, 1)), (3, (1, 2, 3, 2))]:
         I = PartitionIndex.from_colors(mu, N)
@@ -413,7 +412,7 @@ def check_gt_phi_ratio(cfg, rng):
 # ------------------------------------------------------------------ qkz ----
 
 def check_qkz_degeneration(cfg, rng):
-    mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
+    mp = replace(cfg.mp, k=cfg.mp.k or cfg.mp.r / 3.0)
     worst = 0.0
     for N, mu in [(2, (1, 2)), (2, (1, 1, 2)), (3, (1, 2, 3))]:
         lam = PartitionIndex.from_colors(mu, N).shape()
@@ -426,7 +425,7 @@ def check_qkz_degeneration(cfg, rng):
 
 
 def check_qkz_covariance(cfg, rng):
-    mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
+    mp = replace(cfg.mp, k=cfg.mp.k or cfg.mp.r / 3.0)
     worst = 0.0
     for N, mu in [(2, (1, 2)), (3, (1, 2, 3))]:
         lam = PartitionIndex.from_colors(mu, N).shape()
@@ -445,7 +444,7 @@ def check_qkz_covariance(cfg, rng):
 
 
 def check_qkz_symmetry(cfg, rng):
-    mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
+    mp = replace(cfg.mp, k=cfg.mp.k or cfg.mp.r / 3.0)
     lam = Composition((2, 1))
     z = _rand_points(rng, 3, mp.q, lo=0.35, hi=0.7)
     t = _rand_t(rng, lam)
@@ -463,7 +462,7 @@ def check_qkz_quadrature(cfg, rng):
     product trapezoid converges algebraically there; the kernel alone is
     single valued on the torus and must self-converge geometrically.
     """
-    mp = replace(cfg.modular(), k=cfg.k or cfg.r / 3.0)
+    mp = replace(cfg.mp, k=cfg.mp.k or cfg.mp.r / 3.0)
     pd = DynamicalParams((0.9 + 0.2j,))
     z = EvaluationPoints((0.38 * cmath.exp(0.4j), 0.45 * cmath.exp(-1.3j)), mp.q)
     I = PartitionIndex.from_colors((1, 2), 2)

@@ -27,11 +27,11 @@ def write_config(tmp_path, data):
 
 def test_parse_minimal_config(tmp_path):
     cfg = parse_config(write_config(tmp_path, MINIMAL))
-    assert cfg.q == 0.5
-    assert cfg.P == (1.7 + 0j,)
-    assert cfg.z == (0.8 + 0j, 0.9j)
-    assert cfg.trunc_eps == 1e-14
-    assert cfg.max_terms == 512
+    assert cfg.mp.q == 0.5
+    assert cfg.Pdyn.P == (1.7 + 0j,)
+    assert cfg.z.z == (0.8 + 0j, 0.9j)
+    assert cfg.mp.trunc_eps == 1e-14
+    assert cfg.mp.max_terms == 512
     assert cfg.seed == 0
 
 
@@ -60,6 +60,72 @@ def test_parse_rejects_unknown_key(tmp_path):
 def test_parse_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/config.json")
+
+
+# Malformed fields: each is refused at parse time, for every command, with
+# exit 2 and one error line that names the field; no value is coerced.
+MALFORMED = [
+    ({"lambda": [2.9, 0]}, "'lambda'"),
+    ({"lambda": "11"}, "'lambda'"),
+    ({"lambda": 2}, "'lambda'"),
+    ({"lambda": [1, "a"]}, "'lambda'"),
+    ({"lambda": [1, True]}, "'lambda'"),
+    ({"seed": 2.5}, "'seed'"),
+    ({"seed": True}, "'seed'"),
+    ({"max_terms": 600.9}, "'max_terms'"),
+    ({"N": True, "lambda": [2]}, "'N'"),
+    ({"r": True}, "'r'"),
+    ({"q": "0.5"}, "'q'"),
+    ({"r": float("nan")}, "'r'"),
+    ({"trunc_eps": float("inf")}, "'trunc_eps'"),
+    ({"P": 1.2}, "'P'"),
+    ({"P": [True]}, "'P'"),
+    ({"z": 0.5}, "'z'"),
+    ({"z": [[0.55, False], [0.2, -0.75]]}, "'z'"),
+    ({"z": [[0.55, 0.1, 0.0], [0.2, -0.75]]}, "'z'"),
+    ({"lambda": [3, -1]}, "nonnegative"),
+]
+
+
+@pytest.mark.parametrize("data, names", MALFORMED, ids=[json.dumps(d) for d, _ in MALFORMED])
+def test_malformed_field_exits_2_with_one_error_line(tmp_path, capsys, data, names):
+    path = write_config(tmp_path, {**MINIMAL, **data})
+    for argv in (["verify", "wf"], ["wf", "eval"]):
+        assert main(["--config", path, *argv]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and not captured.out
+        assert names in lines[0]
+
+
+def test_strict_readers_accept_integral_numbers_and_pairs():
+    cfg = build_config({**MINIMAL, "r": 3, "N": 2.0, "max_terms": 512.0, "seed": 7.0,
+                        "P": [[1, 0]], "z": [1, [0, -1]]})
+    assert (cfg.mp.r, cfg.mp.max_terms, cfg.lam.N, cfg.seed) == (3.0, 512, 2, 7)
+    assert type(cfg.mp.r) is float and type(cfg.seed) is int
+    assert cfg.Pdyn.P == (1 + 0j,) and cfg.z.z == (1 + 0j, -1j)
+
+
+def test_zratio_that_is_not_a_number_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rmat", "--zratio", "abc"])
+    assert exc.value.code == 2 and "argument --zratio" in capsys.readouterr().err
+    for text in ("[1, 2, 3]", "true", '"0.5"'):
+        assert main(["rmat", "--zratio", text]) == 2
+        assert capsys.readouterr().err.startswith("error: field 'zratio'")
+    assert main(["rmat", "--zratio", "[0.8, 0.1]"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["verify", "wf"], ["wf", "eval"], ["wf", "triangularity"],
+                                  ["wf", "transition"], ["wf", "stab"], ["gt", "basis"],
+                                  ["rmat"]], ids=" ".join)
+def test_weightfn_and_rmat_never_read_k(tmp_path, capsys, argv):
+    # Weight functions and R-bars read p = q^(2r) only; k enters p* and r*,
+    # which they never use, and the gt layer runs at k = 0.
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(["--config", write_config(tmp_path, {"k": 0.8}), *argv]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
@@ -94,7 +160,7 @@ def test_bracket_underflow_raises_library_error():
     with pytest.raises(FloatRangeError, match="underflows"):  # not a pass on 0 == 0
         suites.check_truncation_stability(cfg, np.random.default_rng(0))
     with pytest.raises(FloatRangeError, match=r"\[s\]\^2 \[u\+1\] for pair \(1, 2\)"):
-        rbar(0.9 * cmath.exp(0.4j), cfg.dynamical(), cfg.modular())
+        rbar(0.9 * cmath.exp(0.4j), cfg.Pdyn, cfg.mp)
 
 
 @pytest.mark.parametrize("suite", ["ellfn", "rmat", "wf", "gt"])

@@ -465,3 +465,35 @@ def test_brackets_beyond_float_range_raise():
         jacobi_bracket(u, mp)
     with pytest.raises(FloatRangeError):
         jacobi_brackets([0.5, u], mp)
+
+
+def _three_term(b):
+    """Weierstrass's three-term identity for brackets b(a, s) = [a + s][a - s]
+    of the pairs (x, y), (u, v), (x, u), (y, v), (x, v), (y, u), normalized by
+    the sum of the three terms' moduli."""
+    terms = (b("x", "y") * b("u", "v"), -b("x", "u") * b("y", "v"),
+             b("x", "v") * b("y", "u"))
+    return abs(sum(terms)) / sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("q,max_terms,points", [(0.5, 512, 50), (0.8, 512, 50),
+                                                (0.99, 4096, 20)])
+def test_weierstrass_three_term_identity(q, max_terms, points):
+    # [x+y][x-y][u+v][u-v] - [x+u][x-u][y+v][y-v] + [x+v][x-v][y+u][y-u] = 0,
+    # the theta identity behind the dynamical Yang-Baxter equation; a ratio
+    # oracle that needs no mpmath.
+    mp = ModularParams(q=q, r=3.1, max_terms=max_terms)
+    rng = np.random.default_rng(20240817)
+    pts = {k: rng.uniform(-1.0, 1.0, points) + 1j * rng.uniform(-0.5, 0.5, points)
+           for k in "xyuv"}
+    names = [("x", "y"), ("u", "v"), ("x", "u"), ("y", "v"), ("x", "v"), ("y", "u")]
+    args = np.concatenate([np.concatenate((pts[a] + pts[s], pts[a] - pts[s]))
+                           for a, s in names])
+    vals = jacobi_brackets(args, mp).reshape(len(names), 2, points)
+    table = {pair: vals[i, 0] * vals[i, 1] for i, pair in enumerate(names)}
+    worst = np.max(_three_term(lambda a, s: table[(a, s)]))
+    assert worst <= 1e-10
+    one = {k: complex(v[0]) for k, v in pts.items()}   # the scalar chain at one point
+    scalar = _three_term(lambda a, s: jacobi_bracket(one[a] + one[s], mp)
+                         * jacobi_bracket(one[a] - one[s], mp))
+    assert scalar <= 1e-10

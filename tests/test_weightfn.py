@@ -994,7 +994,7 @@ def _check_rng(cfg, check_id):
 def _one_point_residuals(cfg):
     """The residuals of the five batched checks, folded from one-point public
     calls in the order their loops made them before the calls were batched."""
-    mp = replace(cfg.modular(), k=0.0)
+    mp = replace(cfg.mp, k=0.0)
     out = {}
     rng, worst = _check_rng(cfg, "wf.triangularity"), 0.0
     for N, lam in _wf_cases():
