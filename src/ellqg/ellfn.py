@@ -11,8 +11,8 @@ single-value API and the reference of the tests, suites and closed forms.
 
 Conventions fixed here once for the whole package:
 
-* q, r, k are real with 0 < q < 1 and r > k >= 0, so the nomes p = q^(2r)
-  and p* = q^(2(r-k)) are real numbers in (0, 1).
+* q, r, k are finite reals with 0 < q < 1 and r > k >= 0, so the nomes
+  p = q^(2r) and p* = q^(2(r-k)) are real numbers in (0, 1).
 * q^x := exp(x log q) is single valued for complex x because log q is real;
   powers z^a of other complex quantities use the principal logarithm with
   the branch cut on the negative real axis.
@@ -60,17 +60,20 @@ class ModularParams:
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self) -> None:
+        # Each test is written so that a NaN fails it.
         if not 0.0 < self.q < 1.0:
             raise ParameterError(f"q must lie in (0, 1), got {self.q}")
-        if self.k < 0.0:
+        if not (math.isfinite(self.r) and math.isfinite(self.k)):
+            raise ParameterError(f"r and k must be finite (got r={self.r}, k={self.k})")
+        if not self.k >= 0.0:
             raise ParameterError(f"k must be >= 0, got {self.k}")
-        if self.r <= self.k:
+        if not self.r > self.k:
             raise ParameterError(
                 f"r must exceed k (got r={self.r}, k={self.k}); otherwise p* >= 1"
             )
-        if self.trunc_eps <= 0.0:
-            raise ParameterError("trunc_eps must be positive")
-        if self.max_terms < 1:
+        if not 0.0 < self.trunc_eps < math.inf:
+            raise ParameterError("trunc_eps must be positive and finite")
+        if not self.max_terms >= 1:
             raise ParameterError("max_terms must be a positive integer")
 
     @property

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +77,7 @@ class CurrentTerm:
     tag: tuple[int, ...]         # dynamical shift tag added by this action
 
 
+@lru_cache(maxsize=16)  # e_on_gt asks for it at every call, mostly with one pack
 def gauge_constants(mp: ModularParams) -> tuple[complex, complex]:
     """(a, a*) with a = 1; the product is -[0]'/((q - 1/q)[1])."""
     require_level_zero(mp)
@@ -268,10 +270,12 @@ def exchange_check(j1: int, j2: int, I: PartitionIndex, z: EvaluationPoints,
     scale1 = mp.q ** (j1 - N + 1)
     scale2 = mp.q ** (j2 - N + 1)
     worst = 0.0
-    for (sb, sa, target), val in lhs_tab.items():
+    # Every term either order produces, keyed as the LHS keys it.
+    keys = dict.fromkeys([*lhs_tab, *((sb, sa, target) for sa, sb, target in rhs_tab)])
+    for sb, sa, target in keys:
         za = scale1 * z.z[sa - 1]   # true argument of the j1 current
         zb = scale2 * z.z[sb - 1]   # true argument of the j2 current
-        L = za * theta(qb * zb / za, nome, **mp.truncation) * val
+        L = za * theta(qb * zb / za, nome, **mp.truncation) * lhs_tab.get((sb, sa, target), 0.0)
         R = (-zb * theta(qb * za / zb, nome, **mp.truncation)
              * rhs_tab.get((sa, sb, target), 0.0))
         worst = np.maximum(worst, abs(L - R) / max(1.0, abs(L), abs(R)))

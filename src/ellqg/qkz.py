@@ -93,8 +93,6 @@ def e_factor(t: TVariables, Pdyn: DynamicalParams, mp: ModularParams) -> complex
     lp = math.log(mp.p)
     total = 0.0 + 0.0j
     for l, lvl in enumerate(t.levels, 1):
-        if l >= Pdyn.N:
-            break
         log_pi = 2.0 * Pdyn.value(l, l + 1) * lq
         total += log_pi * sum(cmath.log(x) for x in lvl) / lp
     return cmath.exp(total)

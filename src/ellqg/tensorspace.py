@@ -185,6 +185,8 @@ class DynamicalParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "P", tuple(complex(x) for x in self.P))
+        if not all(map(cmath.isfinite, self.P)):
+            raise ParameterError(f"dynamical parameters must be finite, got {self.P}")
         if not self.eta:
             object.__setattr__(self, "eta", (0,) * len(self.P))
         if len(self.eta) != len(self.P):
@@ -227,6 +229,8 @@ class EvaluationPoints:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", tuple(complex(x) for x in self.z))
+        if not all(map(cmath.isfinite, self.z)):
+            raise ParameterError(f"spectral points must be finite, got {self.z}")
         if any(x == 0 for x in self.z):
             raise ParameterError("spectral points must be nonzero")
         if not 0.0 < self.q < 1.0:

@@ -12,30 +12,23 @@ pack with the same q, ``dataclasses.replace(mp, r=..., k=0)``).
 
 Every symmetrized sum is one chain of per-level matrices: the level-l factor
 F_l[p, p'] of the terms whose level-l and level-(l+1) variables are in the
-orders p and p' is gathered from tables of bracket ratios with index arrays
-cached per slot pattern, and the sum is F_1 @ ... @ F_{N-1}[:, id] summed;
-the term U_I of ``w_tilde`` (of ``modified_w``) is the identity entry.
-``_sym_sums``, the only code that multiplies table entries, evaluates a
-list of items, each a label I at a point (t, z, Pdyn), optionally reading z
-through a site permutation.  Items of one shape are summed as stacks: a
-stack takes whole points while its items times its shape's ``_layout``
-table entries stay within ``_STACK_ENTRIES``, and a point over that alone
-is a stack of its own.  Each point has its own range of variable indices
-and its own constants A, keyed by (point, level, color, C), so a bracket
-argument is only ever shared between items of one point: they are the
-O(n^2) values v_x - v_y + c, c in {0, +-1, A}, and one ``jacobi_brackets``
-pass gives every item's tables, while per level the items that share a slot
-pattern gather their entries in one index operation.
+orders p and p' is gathered from the ratio tables of ``_layout``, and the sum
+is F_1 @ ... @ F_{N-1}[:, id] summed; the term U_I of ``w_tilde`` (of
+``modified_w``) is the identity entry.  ``_sym_sums``, the only code that
+multiplies table entries, evaluates a list of items, each a label I at a
+point (t, z, Pdyn), optionally reading z through a site permutation.  Items
+of one shape are summed as stacks of whole points within ``_STACK_ENTRIES``
+table entries, a point over that alone being a stack of its own.  A bracket
+argument v_x - v_y + c, c in {0, +-1, A}, is only ever shared between items
+of one point, one ``jacobi_brackets`` pass gives every item's tables, and
+per level the items that share a slot pattern gather their entries in one
+index operation.
 
-A stack is evaluated in two parts.  Its plan (``_plan``) is value-free: the
-shape's ``_layout``, the constant ids and each distinct bracket's (variable,
-variable, constant) indices, every bracket's distinct place, the slot-pattern
-groups of each level and the top level's gather indices.  It is built once
-per structure and kept in a cache of 16 plans whose key is the structure
-alone: per item its label, the place of its point among the stack's points
-and its site permutation, never a point or its id.  Its arrays are
-read-only.  The value pass (``_stack``) is all a new point pays for: the
-coordinates and constants of each point, one ``jacobi_brackets`` call over
+A stack is evaluated in two parts.  Its plan (``_plan``) is its value-free
+index work, built once per structure (per item its label, the place of its
+point among the stack's points and its site permutation, never a point or
+its id) and kept in a cache of 16 read-only plans.  The value pass
+(``_stack``) is all a new point pays for: one ``jacobi_brackets`` call over
 the distinct arguments, the pole test, the ratio tables and the contraction,
 whose pruning below the top level depends on the values.  Every value is
 bitwise that of the item alone (``w_tilde`` at the permuted points), and an
@@ -129,6 +122,18 @@ def _vees(t: TVariables, z: EvaluationPoints, mp: ModularParams):
     return vs
 
 
+class _Level(NamedTuple):
+    """One level of ``_layout``: its X slots, the Y variables of level l+1
+    and the first entry of each of its blocks."""
+
+    X: int
+    Y: int
+    matched: int
+    later: int
+    same: int
+    earlier: int | None = None  # modified layouts only
+
+
 @lru_cache(maxsize=64)
 def _layout(lam: Composition, modified: bool) -> tuple:
     """Where each bracket and table entry of the terms of every label of shape
@@ -140,9 +145,17 @@ def _layout(lam: Composition, modified: bool) -> tuple:
     [A_a] first, then per level l [v'_y - v_x], [v'_y - v_x + 1],
     [v'_y - v_x + A_a] per slot a, [v_x - v_x'] and [v_x - v_x' - 1].  Entry
     e of the tables is [n1][n2] / ([d1][d2]) with brackets (n1, n2, d1, d2) =
-    ratio[:, e] (-1: an exact 1), laid out per level as ``_gather`` reads
-    them; levels holds per level (its size, size of level l+1, first and end
-    entries).
+    ratio[:, e] (-1: an exact 1).  Per level l, ``levels`` holds a ``_Level``
+    with the first entry of each block.  A block is row-major over slot x of
+    level l (v = v_x), then variable y of level l+1 (v' = v'_y), or slot x'
+    of level l in the same-level block (v' = v_x'); the matched block holds
+    one such table per slot a.  Only the same-level diagonal is an exact 1:
+
+        block     plain entry                    modified entry
+        matched   [v'-v+A_a][1]/([v'-v+1][A_a])  [v'-v+A_a]/[A_a]
+        later     [v'-v]/[v'-v+1]                [v'-v]
+        same      [v-v'-1]/[v-v']                1/([v-v'][v'-v-1])
+        earlier   (none)                         [v'-v+1]
     """
     sizes = [lam.prefix(l) for l in range(1, lam.N + 1)]
     start = np.cumsum([0] + sizes)
@@ -172,17 +185,18 @@ def _layout(lam: Composition, modified: bool) -> tuple:
         TA = put(w, v[:, None], 3 + k[:, None, None])
         D, Dm = put(v[:, None], v, 0), put(v[:, None], v, 2)
         eye = np.eye(X, dtype=bool)
-        if modified:  # [.+A]/[A]; [v'-v]; [v'-v+1]; 1/([v_x - v_x'][v_x' - v_x - 1])
+        if modified:  # matched, later, same, earlier
             blocks = [(TA, one, A[:, None, None], one), (T0, one, one, one),
-                      (T1, one, one, one), (one, one, np.where(eye, one, D),
-                                            np.where(eye, one, Dm.T))]
-        else:  # [.+A][1]/([.+1][A]); [v'-v]/[v'-v+1]; unused; [v-v'-1]/[v-v']
+                      (one, one, np.where(eye, one, D), np.where(eye, one, Dm.T)),
+                      (T1, one, one, one)]
+        else:  # matched, later, same
             blocks = [(TA, b1, T1, A[:, None, None]), (T0, one, T1, one),
-                      (np.full((X, Y), one), one, one, one),
                       (np.where(eye, one, Dm), one, np.where(eye, one, D), one)]
-        lo = sum(x.shape[1] for x in ratio)
-        ratio += [rows(*block) for block in blocks]
-        levels.append((X, Y, lo, lo + X * X * Y + 2 * X * Y + X * X))
+        first = [sum(x.shape[1] for x in ratio)]
+        for block in blocks:
+            ratio.append(rows(*block))
+            first.append(first[-1] + ratio[-1].shape[1])
+        levels.append(_Level(X, Y, *first[:-1]))
     args, ratio = np.concatenate(args, axis=1), np.concatenate(ratio, axis=1)
     args.flags.writeable = ratio.flags.writeable = False
     return tuple(levels), args, ratio
@@ -221,27 +235,24 @@ class _Gather(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _gather(modified: bool, pattern: tuple, Y: int, top: bool, lo: int) -> _Gather:
-    """Index arrays of one level whose tables start at entry ``lo``, cached by
-    the integer slot pattern.  Rows run over every order of the level
-    (identity first), columns over every order of level l+1, or only its
-    identity at the top level.  Tables (X slots, Y variables at level l+1, row
-    x is v_x): the matched-slot ratio of each slot a (X tables, X x Y), the
-    later-slot ratio (X x Y), the earlier-slot factor of the modified term
-    (X x Y, unused by the plain one), then the same-level ratio (X x X)."""
-    X = len(pattern)
+def _gather(level: _Level, pattern: tuple, top: bool) -> _Gather:
+    """Index arrays of one level's slot pattern into its ``_layout`` blocks.
+    Rows run over every order of the level (identity first), columns over
+    every order of level l+1, or only its identity at the top level.  A
+    slot's cross-level ratios are its matched slot's, then its later slots',
+    then (modified layouts) its earlier slots'."""
+    X, Y = level.X, level.Y
     rows = np.array(list(permutations(range(X))), dtype=np.intp)
     cols = np.arange(Y)[None] if top else np.array(list(permutations(range(Y))), dtype=np.intp)
-    off_later, off_earlier, off_same = (lo + X * X * Y + k * X * Y for k in range(3))
     cross, same, terms = [], [], []  # per factor: its rows, its columns
     for a, (b, later) in enumerate(pattern):
-        slot = [(lo + a * X * Y, b)] + [(off_later, bp) for bp in later]
-        if modified:
-            slot += [(off_earlier, bp) for bp in range(Y) if bp != b and bp not in later]
+        slot = [(level.matched + a * X * Y, b)] + [(level.later, bp) for bp in later]
+        if level.earlier is not None:
+            slot += [(level.earlier, bp) for bp in range(Y) if bp != b and bp not in later]
         terms += [(len(cross) + k, True, a, j) for k, (_, j) in enumerate(slot)]
         terms += [(len(same) + k, False, a, a + 1 + k) for k in range(X - a - 1)]
         cross += [(off + rows[:, a] * Y, cols[:, j]) for off, j in slot]
-        same += [(off_same + rows[:, a] * X + rows[:, ap], 0 * cols[:, 0])
+        same += [(level.same + rows[:, a] * X + rows[:, ap], 0 * cols[:, 0])
                  for ap in range(a + 1, X)]
     out = _Gather(np.array([r for r, _ in cross + same], np.intp).reshape(-1, len(rows)),
                   np.array([c for _, c in cross + same], np.intp).reshape(-1, len(cols)),
@@ -308,9 +319,8 @@ def _plan(modified: bool, structure: tuple) -> _Plan:
     for k, pattern in enumerate(patterns):
         for group, p in zip(groups, pattern):
             group.setdefault(p, []).append(k)
-    groups = [[(_gather(modified, p, Y, l == len(levels), lo), _frozen(ks))
-               for p, ks in group.items()]
-              for l, ((_, Y, lo, _), group) in enumerate(zip(levels, groups), 1)]
+    groups = [[(_gather(level, p, l == len(levels)), _frozen(ks)) for p, ks in group.items()]
+              for l, (level, group) in enumerate(zip(levels, groups), 1)]
     top = tuple((g, ks, _frozen(g.rows[:, None] * L + (g.cols * L + ks)[:, :, None]))
                 for g, ks in groups[-1])
     return _Plan(lam, modified, levels, ratio, tuple((color, l + 1, C) for l, color, C in list(ids)[3:]),
@@ -319,8 +329,7 @@ def _plan(modified: bool, structure: tuple) -> _Plan:
 
 
 def _frozen(index) -> np.ndarray:
-    """``index`` (a list or a new array) as a read-only intp array, as a kept
-    plan holds its indices."""
+    """``index`` (a list or a new array) as a read-only intp array."""
     out = np.asarray(index, dtype=np.intp)
     out.flags.writeable = False
     return out
@@ -343,9 +352,7 @@ def _stack(items: list, mp: ModularParams, modified: bool) -> _Stack:
 
     Item (I, (t, z, Pdyn), perm) is label I at its point; with a perm, site
     s+1 reads the spectral point ``z.z[perm[s]]``, as if z were permuted.
-    Points are told apart by identity within the call, and the plan is keyed
-    by the places of the points, never by the points themselves, so each
-    value is bitwise that of the item alone."""
+    Points are told apart by identity within the call."""
     places: dict = {}  # point -> its place
     points, structure = [], []
     for I, point, perm in items:
@@ -384,34 +391,28 @@ def _a_pole(st: _Stack, k: int) -> str | None:
     return None
 
 
-def _pole_message(l: int, bad: np.ndarray, modified: bool, g: _Gather, p: int, pn: int) -> str:
-    """The PoleError text of the first vanishing denominator of F_l[p, pn]."""
-    for k, is_cross, a, j in g.terms:
-        if bad[g.rows[k, p] + g.cols[k, pn]]:
-            if modified:
+def _first_pole(st: _Stack, k: int) -> str | None:
+    """The PoleError text of label k's first term, in depth-first order (top level
+    slowest), that uses a vanishing denominator, or None if none does: the
+    first denominator its highest marked level tests."""
+    plan, bad = st.plan, st.bad[:, k]
+    gs = [_gather(level, p, l == len(plan.levels))
+          for l, (level, p) in enumerate(zip(plan.levels, plan.patterns[k]), 1)]
+    marks = [bad[g.rows[:, :, None] + g.cols[:, None]].any(axis=0) for g in gs]  # F_l[p, p'] flagged
+    if not any(m.any() for m in marks):
+        return None
+    for idx in product(*(range(g.rows.shape[1]) for g in reversed(gs))):
+        path = idx[::-1] + (0,)
+        hit = [l for l, m in enumerate(marks, 1) if m[path[l - 1], path[l]]]
+        if hit:  # the walk meets the highest marked level of this term first
+            l = hit[-1]
+            g, p, pn = gs[l - 1], path[l - 1], path[l]
+            _, is_cross, a, j = next(t for t in g.terms if bad[g.rows[t[0], p] + g.cols[t[0], pn]])
+            if plan.modified:
                 return f"level-{l} denominator vanished"
             if is_cross:
                 return f"[v^{l+1}_{j+1} - v^{l}_{a+1} + 1] vanished"
             return f"[v^{l}_{a+1} - v^{l}_{j+1}] vanished"
-    raise AssertionError("no vanishing denominator in a marked entry")
-
-
-def _first_pole(st: _Stack, k: int) -> str | None:
-    """The PoleError text of label k's first term, in depth-first order (top level
-    slowest), that uses a vanishing denominator, or None if none does."""
-    plan = st.plan
-    levels = [(l, _gather(plan.modified, p, Y, l == len(plan.levels), lo), st.bad[:, k])
-              for l, ((_, Y, lo, _), p) in enumerate(zip(plan.levels, plan.patterns[k]), 1)]
-    marks = [bad[g.rows[:, :, None] + g.cols[:, None]].any(axis=0)  # F_l[p, p'] uses a flag
-             for _, g, bad in levels]
-    if not any(m.any() for m in marks):
-        return None
-    for idx in product(*(range(g.rows.shape[1]) for _, g, _ in reversed(levels))):
-        path = idx[::-1] + (0,)
-        hit = [l for l, m in enumerate(marks, 1) if m[path[l - 1], path[l]]]
-        if hit:  # the walk meets the highest marked level of this term first
-            l, g, bad = levels[hit[-1] - 1]
-            return _pole_message(l, bad, plan.modified, g, path[l - 1], path[l])
 
 
 def _factor(g: _Gather, f: np.ndarray) -> np.ndarray:
@@ -435,14 +436,14 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
     values = st.values.ravel()  # entry-major
     # A product beyond the float range raises FloatRangeError below.
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = np.empty((L, math.factorial(levels[-1][0])), complex)  # F_{N-1}[:, id]
+        vec = np.empty((L, math.factorial(levels[-1].X)), complex)  # F_{N-1}[:, id]
         for g, ks, index in plan.top:  # the top level has one column
             vec[ks] = _factor(g, np.take(values, index))
         nz = vec != 0  # per order: the number of its terms without an exactly-zero factor
-        unpruned = st.bad[:levels[-1][2]].any(axis=0) | modified  # flags at levels 1..N-2
+        unpruned = st.bad[:levels[-1].matched].any(axis=0) | modified  # flags at levels 1..N-2
         for l in range(len(levels) - 1, 0, -1):  # vec[k] = F_l @ vec[k] over the live columns
             live = (nz != 0) | unpruned[:, None]
-            out, count = (np.zeros((L, math.factorial(levels[l - 1][0])), dtype)
+            out, count = (np.zeros((L, math.factorial(levels[l - 1].X)), dtype)
                           for dtype in (complex, np.intp))
             for g, ks in plan.groups[l - 1]:
                 lab, col = live[ks].nonzero()
@@ -453,7 +454,7 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
                 np.add.at(out, rows, F * vec[rows, col, None])
             vec, nz = out, count
         sums = vec.sum(axis=1)
-    total = math.prod(math.factorial(X) for X, *_ in levels)
+    total = math.prod(math.factorial(level.X) for level in levels)
     out = [WeightFunctionEval(value, total, terms_pruned=0 if u else total - n)
            for value, n, u in zip(sums.tolist(), nz.sum(axis=1).tolist(), unpruned.tolist())]
     for k in np.flatnonzero(st.bad.any(axis=0) | ~np.isfinite(sums)):
@@ -500,8 +501,7 @@ def _outcomes(items: list, mp: ModularParams, modified: bool = False) -> list:
     site permutation or None) as in ``_stack``: each WeightFunctionEval, up to
     the first item that raises, whose EllqgError ends the list.  The items
     are summed by ``in_order`` in the stacks of ``_stacks`` (one item is its
-    own), each value bitwise that of the item alone, and the error is the one
-    evaluating them one by one meets first."""
+    own); values and the error are those of the items one by one."""
     groups = [[0]] if len(items) == 1 else _stacks(items, modified)
     return in_order(items, groups, lambda stack: _sums(stack, mp, modified))
 

@@ -426,6 +426,26 @@ def test_verify_seed_changes_draws(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_each_suite_reports_its_verify_all_rows(seed):
+    # A check draws its inputs from its place in 'all', whichever suite runs it.
+    cfg = build_config({"seed": seed})
+    rows = {c["id"]: json.dumps(c) for c in run_suite("all", cfg)["checks"]}
+    for suite in suites.SUITE_NAMES:
+        checks = run_suite(suite, cfg)["checks"]
+        assert [json.dumps(c) for c in checks] == [rows[c["id"]] for c in checks], suite
+
+
+@pytest.mark.parametrize("argv", [["gt", "basis"], ["wf", "triangularity"]], ids=" ".join)
+def test_equal_spectral_points_exit_2(tmp_path, capsys, argv):
+    path = write_config(tmp_path, {**MINIMAL, "z": [[0.8, 0.1], [0.8, 0.1]]})
+    assert main(["--config", path, *argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and not captured.out
+    assert "pairwise distinct" in lines[0]
+
+
 def test_break_shift_fails_gt_suite(tmp_path):
     assert main(["--out", str(tmp_path / "r.json"), "verify", "gt",
                  "--break-shift"]) == 1

@@ -125,6 +125,16 @@ def test_params_validation():
         ModularParams(q=0.5, r=1.0, k=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r", math.nan), ("r", math.inf), ("k", math.nan), ("k", math.inf),
+    ("trunc_eps", math.nan), ("trunc_eps", math.inf), ("max_terms", math.nan)])
+def test_params_refuse_non_finite_values(field, value):
+    # Every comparison with NaN is false: a check written as "fail if r <= k"
+    # would let r = NaN through, and every bracket would then be NaN.
+    with pytest.raises(ParameterError):
+        ModularParams(**{"q": 0.5, "r": 3.1, field: value})
+
+
 def test_bracket_derivative_two_schemes(mp):
     d1 = bracket_derivative_at_zero(mp, step=1e-4)
     d2 = bracket_derivative_at_zero(mp, step=5e-5)

@@ -4,14 +4,15 @@ import pytest
 
 from conftest import random_pdyn, random_points
 from ellqg.ellfn import ModularParams, jacobi_bracket
-from ellqg.errors import ParameterError, PoleError
-from ellqg.gtrep import (cartan_matrix, e_on_gt, exchange_check, f_on_gt,
-                         gauge_constants, gt_vector, phi_move_ratio_check, phi_on_gt,
-                         require_level_zero, tag_p_offset)
+from ellqg import gtrep
+from ellqg.errors import FloatRangeError, ParameterError, PoleError
+from ellqg.gtrep import (CurrentTerm, cartan_matrix, e_on_gt, exchange_check, f_on_gt,
+                         gauge_constants, gt_vector, gt_vectors, phi_move_ratio_check,
+                         phi_on_gt, require_level_zero, tag_p_offset)
 from ellqg.suites import _compositions as all_compositions
 from ellqg.tensorspace import (DynamicalParams, EvaluationPoints, PartitionIndex,
                                enumerate_partitions, leq)
-from ellqg.weightfn import diagonal_value
+from ellqg.weightfn import diagonal_value, specialize_all
 
 
 def test_level_zero_guard(mp_level):
@@ -151,6 +152,13 @@ def test_gauge_product(mp):
     assert abs(a * astar - target) < 1e-12 * abs(target)
 
 
+def test_gauge_constants_are_computed_once_per_pack(mp):
+    first = gauge_constants(ModularParams(q=0.5, r=3.1))
+    assert gauge_constants(ModularParams(q=0.5, r=3.1)) is first
+    assert [x.hex() for c in first for x in (c.real, c.imag)] == \
+        [x.hex() for c in gauge_constants.__wrapped__(mp) for x in (c.real, c.imag)]
+
+
 def test_exchange_relations_all_pairs(mp, rng):
     cases = [(2, (1, 1)), (2, (2, 2)), (2, (1, 2, 1, 2)), (3, (2, 3, 2, 3)),
              (3, (1, 2, 2, 3))]
@@ -182,6 +190,43 @@ def test_exchange_non_adjacent_commutes(mp, rng):
     I_f = PartitionIndex.from_colors((1, 3, 1, 3), 4)
     assert exchange_check(1, 3, I_e, z, pd, mp, current="e") < 1e-12
     assert exchange_check(1, 3, I_f, z, pd, mp, current="f") < 1e-12
+
+
+def test_exchange_compares_terms_only_one_order_produces(mp, rng, monkeypatch):
+    # f_2 after f_1 gains a term back to I (site 2, coefficient 1); f_1 after
+    # f_2 never reaches I, so only the RHS composition has that term.
+    I = PartitionIndex.from_colors((1, 2, 1, 2), 3)
+    z, pd = random_points(rng, 4, mp.q), random_pdyn(rng, 3)
+    assert exchange_check(1, 2, I, z, pd, mp) < 1e-9
+    f_on_gt = gtrep.f_on_gt
+
+    def gaining(j, J, z, mp):
+        extra = (CurrentTerm(2, 1.0 + 0.0j, I, (0, 0)),) if j == 2 and J != I else ()
+        return f_on_gt(j, J, z, mp) + extra
+
+    monkeypatch.setattr(gtrep, "f_on_gt", gaining)
+    assert exchange_check(1, 2, I, z, pd, mp) > 1e-3
+
+
+@pytest.mark.parametrize("call", ["specialize_all", "gt_vectors", "e_on_gt", "f_on_gt"])
+def test_equal_spectral_points_are_refused(mp, call):
+    z = EvaluationPoints((0.8 + 0.1j, 0.8 + 0.1j), mp.q)
+    I = PartitionIndex.from_colors((2, 1), 2)
+    pd = DynamicalParams((1.2 + 0.3j,))
+    calls = {"specialize_all": lambda: specialize_all([(I, I, pd)], z, mp),
+             "gt_vectors": lambda: gt_vectors([I], z, pd, mp),
+             "e_on_gt": lambda: e_on_gt(1, I, z, mp),
+             "f_on_gt": lambda: f_on_gt(1, I, z, mp)}
+    with pytest.raises(ParameterError, match="pairwise distinct"):
+        calls[call]()
+
+
+def test_phi_on_gt_names_its_overflowing_bracket(mp):
+    # [1] is normal, so the overflow of [u_1 - v] is raised as is; u_1 = 1/2 at z_1 = q.
+    z = EvaluationPoints((0.5, 0.3j), mp.q)
+    I = PartitionIndex.from_colors((1, 2), 2)
+    with pytest.raises(FloatRangeError, match=r"^\[0\.5-60j\] overflows"):
+        phi_on_gt(1, 60j, I, z, mp)
 
 
 def test_exchange_negative_control(mp, rng):

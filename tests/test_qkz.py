@@ -34,6 +34,14 @@ def test_e_factor_trivial_cases(mp_level, rng):
     assert abs(e_factor(t1, pd, mp_level) - 1.0) < 1e-14
 
 
+def test_e_factor_refuses_more_t_levels_than_dynamical_parameters(mp_level, rng):
+    # Two t-levels need P_1 and P_2; with one, a level would be dropped silently.
+    t = random_t(rng, Composition((1, 1, 1)))
+    with pytest.raises(ShapeError):
+        e_factor(t, random_pdyn(rng, 2), mp_level)
+    assert e_factor(t, random_pdyn(rng, 3), mp_level) != 0
+
+
 def test_e_factor_p_shift_covariance(mp_level, rng):
     for N, mu in [(2, (1, 2)), (3, (1, 2, 3))]:
         lam = shape_of(mu, N)

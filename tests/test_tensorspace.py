@@ -1,10 +1,11 @@
+import math
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellqg.errors import ResourceCapError, ShapeError
+from ellqg.errors import ParameterError, ResourceCapError, ShapeError
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                                PartitionIndex, enumerate_partitions, leq, weight_of)
 
@@ -133,3 +134,18 @@ def test_partition_json_round_trip():
 def test_color_out_of_range_rejected():
     with pytest.raises(ShapeError):
         PartitionIndex.from_colors((1, 4), 3)
+
+
+NON_FINITE = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.5, -math.inf)]
+
+
+@pytest.mark.parametrize("x", NON_FINITE, ids=str)
+def test_evaluation_points_refuse_non_finite_points(x):
+    with pytest.raises(ParameterError, match="finite"):
+        EvaluationPoints((x, 0.5), 0.5)
+
+
+@pytest.mark.parametrize("x", NON_FINITE, ids=str)
+def test_dynamical_params_refuse_non_finite_values(x):
+    with pytest.raises(ParameterError, match="finite"):
+        DynamicalParams((1.2, x))

@@ -1054,6 +1054,22 @@ def test_batched_checks_equal_their_one_point_loops(seed):
         assert float(got).hex() == float(want).hex(), check_id
 
 
+@pytest.mark.parametrize("modified", [False, True])
+def test_layouts_hold_no_exact_one_but_the_same_level_diagonal(modified):
+    for _, lam in _wf_cases():
+        levels, _, ratio = weightfn._layout(lam, modified)
+        ones = np.flatnonzero((ratio == -1).all(axis=0))
+        assert ones.tolist() == [level.same + x * level.X + x
+                                 for level in levels for x in range(level.X)], lam
+
+
+@pytest.mark.parametrize("sizes, plain, modified", [((2, 2), 28, 36), ((2, 2, 1), 144, 172),
+                                                    ((3, 2, 2), 304, 354)])
+def test_table_entries_per_item(sizes, plain, modified):
+    assert [weightfn._layout(Composition(sizes), m)[2].shape[1]
+            for m in (False, True)] == [plain, modified]
+
+
 def test_stacks_hold_whole_points_within_the_cap(monkeypatch, tmp_path):
     stacks, stack = [], weightfn._stack
 
