@@ -143,16 +143,29 @@ def jacobi_bracket(u: complex, mp: ModularParams) -> complex:
     """Theta bracket [u] = q^(u^2/r - u) theta_p(q^(2u)).
 
     The bracket is odd, [-u] = -[u], and quasi-periodic: [u + r] = -[u].  A
-    prefactor beyond the float range raises FloatRangeError.  [u]* is [u] of
-    ``replace(mp, r=mp.rstar, k=0.0)``, whose p and r are p* and r* bit for bit.
+    prefactor, q^(2u) or p q^(-2u) (``_lost``), or bracket beyond the float
+    range raises FloatRangeError.  [u]* is [u] of ``replace(mp, r=mp.rstar,
+    k=0.0)``, whose p and r are p* and r* bit for bit.
     """
     u = complex(u)
+    try:
+        x = mp.qpow(2.0 * u)
+    except OverflowError:
+        x = math.inf
+    if x == 0 or not (cmath.isfinite(x) and cmath.isfinite(mp.p / x)):
+        raise _lost(u)
     try:
         pref = cmath.exp((u * u / mp.r - u) * math.log(mp.q))
     except OverflowError:
         raise FloatRangeError(f"[{u:.6g}] overflows") from None
-    return pref * theta(mp.qpow(2.0 * u), mp.p,
-                        eps=mp.trunc_eps, max_terms=mp.max_terms)
+    return require_finite(pref * theta(x, mp.p, eps=mp.trunc_eps, max_terms=mp.max_terms),
+                          f"[{u:.6g}]")
+
+
+def _lost(u: complex) -> FloatRangeError:
+    """The error of a bracket [u] whose q^(2u) or p q^(-2u) is 0 or beyond the
+    float range: theta_p(q^(2u)) cannot be formed, though [u] may be finite."""
+    return FloatRangeError(f"q^(2u) of [{u:.6g}] leaves the float range")
 
 
 def jacobi_brackets(u, mp: ModularParams) -> np.ndarray:
@@ -161,27 +174,28 @@ def jacobi_brackets(u, mp: ModularParams) -> np.ndarray:
     Same formula and factor set as ``jacobi_bracket``: each (x; p)_inf of
     theta_p(x) (p/x; p)_inf (p; p)_inf keeps the factors with |x p^n| >= eps,
     taken from one row of nome powers and masked per argument; an argument
-    that needs more than max_terms factors raises ResourceCapError, and
-    q^(2u) = 0 raises DomainError.  Agrees with the scalar bracket to
-    rounding.  A bracket beyond the float range raises FloatRangeError, as
-    the scalar one does.
+    that needs more than max_terms factors raises ResourceCapError.  Agrees
+    with the scalar bracket to rounding.  As there, a q^(2u) or p q^(-2u)
+    that is 0 or beyond the float range, or a bracket beyond it, raises
+    FloatRangeError naming the first such bracket.
     """
     u = np.asarray(u, dtype=complex)
-    nome, lq = mp.p, math.log(mp.q)
-    x = np.exp(2.0 * u * lq)
-    if not x.all():
-        raise DomainError("theta(z, p) requires z != 0")
-    args = np.concatenate((x, nome / x, [nome]))
-    size = np.abs(args)
-    powers = _nome_powers(nome, size.max(), mp.trunc_eps, mp.max_terms, "theta bracket")
-    prods = np.empty_like(args)
-    step = max(1, _BATCH_ENTRIES // max(powers.size, 1))
-    for lo in range(0, args.size, step):            # one slice unless the nome is near 1
-        f = 1.0 - np.multiply.outer(powers, args[lo:lo + step])
-        f[np.multiply.outer(powers, size[lo:lo + step]) < mp.trunc_eps] = 1.0
-        prods[lo:lo + step] = np.multiply.reduce(f, axis=0)
-    n = x.size
-    with np.errstate(over="ignore", invalid="ignore"):
+    nome, lq, n = mp.p, math.log(mp.q), u.size
+    # Values beyond the float range raise FloatRangeError below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.exp(2.0 * u * lq)
+        args = np.concatenate((x, nome / x, [nome]))
+        size = np.abs(args)
+        top = size.max()
+        if not top < math.inf:  # an inf or nan x or nome / x
+            raise _lost(u[~np.isfinite(size[:n] + size[n:-1])][0])
+        powers = _nome_powers(nome, top, mp.trunc_eps, mp.max_terms, "theta bracket")
+        prods = np.empty_like(args)
+        step = max(1, _BATCH_ENTRIES // max(powers.size, 1))
+        for lo in range(0, args.size, step):            # one slice unless the nome is near 1
+            f = 1.0 - np.multiply.outer(powers, args[lo:lo + step])
+            f[np.multiply.outer(powers, size[lo:lo + step]) < mp.trunc_eps] = 1.0
+            prods[lo:lo + step] = np.multiply.reduce(f, axis=0)
         out = np.exp((u * u / mp.r - u) * lq) * (prods[:n] * prods[n:2 * n] * prods[-1])
     if not np.isfinite(out).all():
         raise FloatRangeError(f"[{u[~np.isfinite(out)][0]:.6g}] overflows")

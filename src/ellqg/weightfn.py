@@ -21,8 +21,7 @@ of one shape are summed as stacks of whole points within ``_STACK_ENTRIES``
 table entries, a point over that alone being a stack of its own.  A bracket
 argument v_x - v_y + c, c in {0, +-1, A}, is only ever shared between items
 of one point, one ``jacobi_brackets`` pass gives every item's tables, and
-per level the items that share a slot pattern gather their entries in one
-index operation.
+every item of a level gathers in one index operation.
 
 A stack is evaluated in two parts.  Its plan (``_plan``) is its value-free
 index work, built once per structure (per item its label, the place of its
@@ -56,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ellfn import (ModularParams, jacobi_bracket, jacobi_brackets, pole_tol,
+from .ellfn import (_BATCH_ENTRIES, ModularParams, jacobi_bracket, jacobi_brackets, pole_tol,
                     require_finite, require_normal)
 from .errors import (EllqgError, FloatRangeError, ParameterError, PoleError, ShapeError,
                      in_order, settle)
@@ -278,8 +277,9 @@ class _Plan(NamedTuple):
     rank: np.ndarray       # (brackets + 1, items): the distinct bracket of each, then an exact 1
     slots: tuple           # per [A]: its (level, slot)
     patterns: tuple        # per item: its label's slot pattern of each level
-    groups: tuple          # per level below the top: per slot pattern (its _Gather, its items)
-    top: tuple             # per top-level slot pattern: (its _Gather, its items, their gather index)
+    gathers: tuple         # per level: its slot patterns' ``_gather``s, stacked (``_stacked``)
+    kinds: np.ndarray      # (levels, items): the place of each item's slot pattern in ``gathers``
+    top: np.ndarray        # (factors, items, orders): every item's gather index at the top level
 
 
 # A q-KZ integrand repeats two stack structures, a gt basis one and a verify
@@ -315,17 +315,29 @@ def _plan(modified: bool, structure: tuple) -> _Plan:
     first[rank] = np.arange(rank.size)  # a use of each, any: equal keys read equal indices
     args = np.stack([i, j, c + W * at + V * (at.max() + 1)]).reshape(3, -1)[:, first]
     rank = np.vstack([rank.reshape(i.shape), np.full(L, first.size)])
-    groups = [{} for _ in levels]  # per level: the items by slot pattern
-    for k, pattern in enumerate(patterns):
-        for group, p in zip(groups, pattern):
-            group.setdefault(p, []).append(k)
-    groups = [[(_gather(level, p, l == len(levels)), _frozen(ks)) for p, ks in group.items()]
-              for l, (level, group) in enumerate(zip(levels, groups), 1)]
-    top = tuple((g, ks, _frozen(g.rows[:, None] * L + (g.cols * L + ks)[:, :, None]))
-                for g, ks in groups[-1])
+    places = [{} for _ in levels]  # per level: slot pattern -> its place
+    kinds = np.array([[d.setdefault(p, len(d)) for d, p in zip(places, ps)] for ps in patterns]).T
+    gathers = tuple(_stacked(lv, tuple(d), lv is levels[-1]) for lv, d in zip(levels, places))
+    top = (gathers[-1].rows * L)[:, kinds[-1]]  # built in place: at (3,2,2) it is megabytes
+    top += (gathers[-1].cols[:, kinds[-1], 0] * L + np.arange(L))[:, :, None]
     return _Plan(lam, modified, levels, ratio, tuple((color, l + 1, C) for l, color, C in list(ids)[3:]),
                  _frozen(args), _frozen(rank), tuple(sl[:2] for sl in slots[0]), patterns,
-                 tuple(map(tuple, groups[:-1])), top)
+                 gathers, _frozen(kinds), _frozen(top))
+
+
+@lru_cache(maxsize=256)
+def _stacked(level: _Level, patterns: tuple, top: bool) -> _Gather:
+    """The ``_gather``s of ``patterns`` stacked on axis 1, those of fewer cross-level
+    factors padded in front with the exact-1 entry ``level.same`` (column 0):
+    ``_factor``'s products start from an exact 1, so they stay bit for bit."""
+    gs = [_gather(level, p, top) for p in patterns]
+    cross = max(g.cross for g in gs)
+    size = (cross - gs[0].cross + len(gs[0].rows), len(gs))  # the same-level ones are alike
+    rows = np.full(size + gs[0].rows.shape[1:], level.same, np.intp)
+    cols = np.zeros(size + gs[0].cols.shape[1:], np.intp)
+    for k, g in enumerate(gs):
+        rows[cross - g.cross:, k], cols[cross - g.cross:, k] = g.rows, g.cols
+    return _Gather(_frozen(rows), _frozen(cols), cross, ())
 
 
 def _frozen(index) -> np.ndarray:
@@ -396,8 +408,7 @@ def _first_pole(st: _Stack, k: int) -> str | None:
     slowest), that uses a vanishing denominator, or None if none does: the
     first denominator its highest marked level tests."""
     plan, bad = st.plan, st.bad[:, k]
-    gs = [_gather(level, p, l == len(plan.levels))
-          for l, (level, p) in enumerate(zip(plan.levels, plan.patterns[k]), 1)]
+    gs = [_gather(lv, p, lv is plan.levels[-1]) for lv, p in zip(plan.levels, plan.patterns[k])]
     marks = [bad[g.rows[:, :, None] + g.cols[:, None]].any(axis=0) for g in gs]  # F_l[p, p'] flagged
     if not any(m.any() for m in marks):
         return None
@@ -415,12 +426,17 @@ def _first_pole(st: _Stack, k: int) -> str | None:
             return f"[v^{l}_{a+1} - v^{l}_{j+1}] vanished"
 
 
-def _factor(g: _Gather, f: np.ndarray) -> np.ndarray:
-    """The level factor from its gathered entries f (factors first):
-    elementwise products, since numpy rounds a one-element reduction
-    otherwise and no value may depend on its stack."""
+def _factor(cross: int, f: np.ndarray) -> np.ndarray:
+    """Level factor of gathered entries f, ``cross`` cross-level ones first: elementwise products,
+    as numpy rounds a one-element reduction otherwise and no value may depend on its stack."""
     one = np.ones(f.shape[1:], complex)
-    return reduce(np.multiply, f[:g.cross], one) * reduce(np.multiply, f[g.cross:], one)
+    return reduce(np.multiply, f[:cross], one) * reduce(np.multiply, f[cross:], one)
+
+
+def _passes(n: int, width: int) -> list:
+    """Slices of range(n) whose rows of ``width`` entries fit ``_BATCH_ENTRIES``; [:] if all do."""
+    step = max(1, _BATCH_ENTRIES // max(width, 1))
+    return [slice(None)] if n <= step else [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _sums(items: list, mp: ModularParams, modified: bool) -> list:
@@ -430,28 +446,27 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
     vanishing [A], a term through a vanishing denominator (the PoleError the
     depth-first order of terms meets first) or a sum beyond the float range
     (FloatRangeError).  An error of the shared ``_stack`` call, such as its
-    bracket call's, is raised."""
+    bracket call's, is raised.  Each level is one gather, cut into ``_passes``."""
     st = _stack(items, mp, modified)
     plan, L, levels = st.plan, len(items), st.plan.levels
     values = st.values.ravel()  # entry-major
     # A product beyond the float range raises FloatRangeError below.
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = np.empty((L, math.factorial(levels[-1].X)), complex)  # F_{N-1}[:, id]
-        for g, ks, index in plan.top:  # the top level has one column
-            vec[ks] = _factor(g, np.take(values, index))
+        vec = np.concatenate([_factor(plan.gathers[-1].cross, np.take(values, plan.top[:, s]))
+                              for s in _passes(L, plan.top[:, 0].size)])  # F_{N-1}[:, id]
         nz = vec != 0  # per order: the number of its terms without an exactly-zero factor
         unpruned = st.bad[:levels[-1].matched].any(axis=0) | modified  # flags at levels 1..N-2
-        for l in range(len(levels) - 1, 0, -1):  # vec[k] = F_l @ vec[k] over the live columns
-            live = (nz != 0) | unpruned[:, None]
-            out, count = (np.zeros((L, math.factorial(levels[l - 1].X)), dtype)
+        # vec[k] = F_l @ vec[k] over the live columns, for l = N-2, ..., 1
+        for g, kinds, level in list(zip(plan.gathers, plan.kinds, levels))[-2::-1]:
+            out, count = (np.zeros((L, math.factorial(level.X)), dtype)
                           for dtype in (complex, np.intp))
-            for g, ks in plan.groups[l - 1]:
-                lab, col = live[ks].nonzero()
-                rows = ks[lab]
-                F = _factor(g, np.take(values, g.rows[:, None] * L
-                                       + (g.cols[:, col] * L + rows)[:, :, None]))
-                np.add.at(count, rows, (F != 0) * nz[rows, col, None])
-                np.add.at(out, rows, F * vec[rows, col, None])
+            lab, col = ((nz != 0) | unpruned[:, None]).nonzero()
+            for s in _passes(lab.size, g.rows[:, 0].size):
+                rows, cols, kind = lab[s], col[s], kinds[lab[s]]
+                F = _factor(g.cross, np.take(values, g.rows[:, kind] * L
+                                             + (g.cols[:, kind, cols] * L + rows)[:, :, None]))
+                np.add.at(count, rows, (F != 0) * nz[rows, cols, None])
+                np.add.at(out, rows, F * vec[rows, cols, None])
             vec, nz = out, count
         sums = vec.sum(axis=1)
     total = math.prod(math.factorial(level.X) for level in levels)

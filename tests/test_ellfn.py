@@ -477,6 +477,24 @@ def test_brackets_beyond_float_range_raise():
         jacobi_brackets([0.5, u], mp)
 
 
+@pytest.mark.parametrize("u, text", [
+    (1000.0, "q^(2u) of [1000+0j] leaves the float range"),  # q^(2u) = 0
+    (-1000.0, "q^(2u) of [-1000+0j] leaves the float range"),  # q^(2u) = inf
+    (537.0, "q^(2u) of [537+0j] leaves the float range"),  # p q^(-2u) = inf
+    (100.0, "[100+0j] overflows"),  # theta_p(q^(2u)) = inf, the prefactor 0
+], ids=["q2u-zero", "q2u-inf", "p-q-2u-inf", "theta-inf"])
+def test_brackets_whose_q2u_leaves_the_float_range_raise(mp, u, text):
+    # Both kernels raise the same FloatRangeError, not a DomainError, a bare
+    # OverflowError, a warning or a nan; theta(0) keeps its DomainError.
+    with pytest.raises(FloatRangeError) as scalar:
+        jacobi_bracket(u, mp)
+    with pytest.raises(FloatRangeError) as batch:
+        jacobi_brackets([0.5, u, -u], mp)
+    assert str(scalar.value) == str(batch.value) == text
+    with pytest.raises(DomainError):
+        theta(0.0, mp.p)
+
+
 def _three_term(b):
     """Weierstrass's three-term identity for brackets b(a, s) = [a + s][a - s]
     of the pairs (x, y), (u, v), (x, u), (y, v), (x, v), (y, u), normalized by

@@ -229,6 +229,15 @@ def test_phi_on_gt_names_its_overflowing_bracket(mp):
         phi_on_gt(1, 60j, I, z, mp)
 
 
+def test_phi_on_gt_far_from_the_points_raises_float_range_error(mp):
+    # q^(2(u_1 - v)) underflows to 0: the bracket is named, with no warning
+    # and no PoleError from a false zero.
+    z = EvaluationPoints((0.5, 0.3j), mp.q)
+    I = PartitionIndex.from_colors((1, 2), 2)
+    with pytest.raises(FloatRangeError, match=r"^q\^\(2u\) of \[-999\.5-0j\] leaves"):
+        phi_on_gt(1, 1e3, I, z, mp)
+
+
 def test_exchange_negative_control(mp, rng):
     # Disabling the dynamical-shift bookkeeping must break the raising
     # current exchange relation by an O(1) amount.

@@ -15,7 +15,7 @@ from ellqg.ellfn import ModularParams, jacobi_bracket
 from ellqg import suites, weightfn
 from ellqg.errors import (EllqgError, FloatRangeError, ParameterError, PoleError,
                           ShapeError, SingularityError)
-from ellqg.gtrep import e_on_gt, f_on_gt, gt_vector, phi_on_gt
+from ellqg.gtrep import e_on_gt, f_on_gt, gt_vector, gt_vectors, phi_on_gt
 from ellqg.qkz import IntegrandSpec
 from ellqg.rmat import rbar
 from ellqg.suites import _compositions as all_compositions
@@ -444,8 +444,8 @@ def test_stacks_of_other_layouts_or_permutations_get_their_own_plans(mp, rng):
         want = [w_tilde(I, t, z.swapped(2) if perm else z, pd, mp) for I, (t, _, _), perm in items]
         assert weightfn._sym_sums(items, mp) == want
     for plan in plans:
-        arrays = [plan.args, plan.rank] + [ks for group in plan.groups for _, ks in group]
-        arrays += [a for _, ks, index in plan.top for a in (ks, index)]
+        arrays = [plan.args, plan.rank, plan.kinds, plan.top]
+        arrays += [a for g in plan.gathers for a in (g.rows, g.cols)]
         assert not any(a.flags.writeable for a in arrays)
 
 
@@ -1093,3 +1093,78 @@ def test_stacks_hold_whole_points_within_the_cap(monkeypatch, tmp_path):
     assert main(["gt", "basis", "--config", str(config), "--out", str(tmp_path / "o.json")]) == 0
     assert stacks == [(30, 1, stacks[0][2])] * 30
     assert 30 * stacks[0][2] > weightfn._STACK_ENTRIES
+
+
+def test_factor_padded_in_front_with_exact_ones_is_bitwise_unpadded():
+    # Random factors with real rows of +-0.0 imaginary part and exact zeros:
+    # (1+0j) rows in front of the cross-level ones leave every product's bits.
+    rng = np.random.default_rng(5)
+    for cross, same in [(1, 0), (3, 3), (4, 1)]:
+        f = rng.normal(size=(cross + same, 6, 8)) + 1j * rng.normal(size=(cross + same, 6, 8))
+        real = rng.random(f.shape) < 0.3
+        f[real] = f[real].real + np.where(rng.random(real.sum()) < 0.5, 0.0, -0.0) * 1j
+        f[rng.random(f.shape) < 0.1] = 0.0
+        f[0, 0] = complex(2.0, -0.0)  # a product that a (1+0j) behind it would change
+        want = weightfn._factor(cross, f)
+        for pad in (1, 2, 3):
+            got = weightfn._factor(cross + pad, np.concatenate((np.ones((pad,) + f.shape[1:]), f)))
+            assert [(x.real.hex(), x.imag.hex()) for x in got.ravel()] == \
+                [(x.real.hex(), x.imag.hex()) for x in want.ravel()], (cross, pad)
+    behind = complex(2.0, -0.0) * np.complex128(1.0)
+    assert math.copysign(1.0, behind.imag) == 1.0  # why the padding goes in front
+
+
+def test_every_plan_holds_one_gather_per_level(mp, rng, monkeypatch):
+    # Every label of a shape in one stack: each level has one stacked gather,
+    # one row of slot-pattern places per level, and _sums gathers each level once.
+    calls, factor = [], weightfn._factor
+    monkeypatch.setattr(weightfn, "_factor", lambda *a: calls.append(1) or factor(*a))
+    for N, lam in _wf_cases():
+        parts = enumerate_partitions(lam)
+        z, pd, t = random_points(rng, lam.n, mp.q), random_pdyn(rng, N), random_t(rng, lam)
+        for modified in (False, True):
+            items = [(I, (t, z, pd), None) for I in parts]
+            plan = weightfn._stack(items, mp, modified).plan
+            assert len(plan.gathers) == len(plan.levels) == plan.kinds.shape[0], lam
+            for l, (level, g, kinds) in enumerate(zip(plan.levels, plan.gathers, plan.kinds)):
+                assert g.rows.shape[1:] == (len(set(kinds.tolist())), math.factorial(level.X))
+                assert g.cols.shape[:2] == g.rows.shape[:2] and kinds.shape == (len(parts),)
+                for k, kind in enumerate(kinds):  # each pattern's own gather, padded in front
+                    own = weightfn._gather(level, plan.patterns[k][l], level is plan.levels[-1])
+                    pad = g.cross - own.cross
+                    assert (g.rows[:pad, kind] == level.same).all() and not g.cols[:pad, kind].any()
+                    assert (g.rows[pad:, kind] == own.rows).all()
+                    assert (g.cols[pad:, kind] == own.cols).all()
+            assert plan.top.shape == (len(plan.gathers[-1].rows), len(parts),
+                                      math.factorial(plan.levels[-1].X))
+            calls.clear()
+            weightfn._sums(items, mp, modified)
+            assert len(calls) == len(plan.levels), (lam, modified)
+
+
+def test_gathers_cut_into_passes_give_the_same_outcomes(mp, rng, monkeypatch):
+    # With 64 entries per pass every level of these stacks takes several
+    # passes; values, term counts and errors stay those of one pass.
+    lam = Composition((2, 2, 1))
+    parts, pd = enumerate_partitions(lam), random_pdyn(rng, 3)
+    z = random_points(rng, lam.n, mp.q)
+    cases = [(mu, random_t(rng, shape_of(mu, N)), random_points(rng, len(mu), mp.q),
+              random_pdyn(rng, N)) for N, mu in [(2, (2, 1, 1)), (3, (3, 1, 2)), (3, (1, 2, 3, 2))]]
+    stacks = [[(I, point, None) for point in [(random_t(rng, lam), zr, p)]
+               + [(TVariables.specialization(at, zr), zr, p) for at in parts[::7]] for I in parts]
+              for zr in _resonant_points(rng, lam.n, mp.q) for p in (pd, DynamicalParams((0.0, 0.0)))]
+
+    def outcomes():
+        vectors = [sorted((k, v.real.hex(), v.imag.hex()) for k, v in state.terms.items())
+                   for state in gt_vectors(parts, z, pd, mp)]
+        residuals = [[x.hex() for x in row] for row in transition_residuals(cases, mp)]
+        return vectors, residuals, [_outcome_bits(weightfn._outcomes(items, mp, modified))
+                                    for items in stacks for modified in (False, True)]
+
+    want, passes = outcomes(), []
+    chunked = weightfn._passes
+    monkeypatch.setattr(weightfn, "_BATCH_ENTRIES", 64)
+    monkeypatch.setattr(weightfn, "_passes", lambda *a: passes.append(chunked(*a)) or passes[-1])
+    assert outcomes() == want
+    assert max(map(len, passes)) > 10
+    assert any(isinstance(o[-1][0], type) for o in want[2])  # a resonant stack raises
