@@ -2,8 +2,9 @@
 
 q-Pochhammer products, the odd theta function, Jacobi-style theta brackets
 and the elliptic Gamma function, all evaluated by adaptively truncated
-products.  Every library product of brackets is one ``jacobi_brackets``
-call, and a batch of Gamma values one ``ell_gamma`` call, each a numpy pass;
+products.  Every library product or ratio of brackets takes its brackets
+from one ``divisor_brackets`` call, [1] and the pole test included, and a
+batch of Gamma values is one ``ell_gamma`` call, each a numpy pass;
 ``ell_gamma`` computes only the points of its p^m s^n grid that some argument
 keeps, laid out m-major in slabs of whole rows.
 The uncached scalar ``qpoch``/``theta``/``jacobi_bracket`` chain is the
@@ -218,12 +219,16 @@ def require_finite(value: complex, label: str) -> complex:
     return value
 
 
-def pole_tol(one: complex) -> float:
-    """The pole test of a bracket divisor [x]: |[x]| < pole_tol([1]), with [1]
-    on the divisor's nome.  Relative to [1], so that at q close to 1, where
-    every bracket is small, only a zero reads as a pole; a [1] below the
-    normal float range raises FloatRangeError."""
-    return _POLE_TOL * abs(require_normal(one, "[1]"))
+def divisor_brackets(args, mp: ModularParams, rel: float = _POLE_TOL) -> tuple:
+    """([1] followed by [x] for each x of ``args``, the mask |[x]| < rel |[1]|)
+    from one ``jacobi_brackets`` call: the library's one pole rule, relative to
+    [1] so that at q close to 1, where every bracket is small, only a zero
+    reads as a pole.  Errors come in one order: the call's own, then a [1]
+    below the normal float range (FloatRangeError).  The absolute tests of
+    Pochhammer factors |1 - x p^m| (``_gamma_fold``, ``qkz.phi_trig``) stay
+    apart: those factors are dimensionless, with no [1] to scale by."""
+    br = jacobi_brackets(np.concatenate(([1.0], args)), mp)
+    return br, np.abs(br) < rel * abs(require_normal(br[0], "[1]"))
 
 
 def bracket_derivative_at_zero(mp: ModularParams, step: float = 1e-4) -> complex:

@@ -23,9 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ellfn import (ModularParams, bracket_derivative_at_zero, jacobi_bracket,
-                    jacobi_brackets, pole_tol, require_normal, theta)
-from .errors import FloatRangeError, ParameterError, PoleError
+from .ellfn import (ModularParams, bracket_derivative_at_zero, divisor_brackets,
+                    jacobi_bracket, require_normal, theta)
+from .errors import ParameterError, PoleError
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions)
 from .weightfn import specialize_all
@@ -116,18 +116,12 @@ def gt_vectors(labels, z: EvaluationPoints, Pdyn: DynamicalParams,
 
 
 def _bracket_ratios(val: complex, factors, mp: ModularParams) -> complex:
-    """val * prod [x + c]/[x] over (x, c, label) in order, all brackets and [1]
-    in one ``jacobi_brackets`` call; PoleError names the first [x] that meets
-    the pole test ``pole_tol``."""
+    """val * prod [x + c]/[x] over (x, c, label) in order, from one
+    ``divisor_brackets`` call; PoleError names the first [x] its pole test marks."""
     x, c = (np.array([f[k] for f in factors], dtype=complex) for k in (0, 1))
-    try:
-        br = jacobi_brackets(np.concatenate(([1.0], x, x + c)), mp).tolist()
-    except FloatRangeError:     # the pole test reads [1] first: an underflow of it wins
-        pole_tol(jacobi_brackets([1.0], mp)[0])
-        raise
-    tol = pole_tol(br[0])
-    for (_, _, label), den, num in zip(factors, br[1:], br[1 + len(factors):]):
-        if abs(den) < tol:
+    br, pole = (a.tolist() for a in divisor_brackets(np.concatenate((x, x + c)), mp))
+    for (_, _, label), den, num, vanished in zip(factors, br[1:], br[1 + len(factors):], pole[1:]):
+        if vanished:
             raise PoleError(f"[{label}] vanished")
         val *= num / den
     return val

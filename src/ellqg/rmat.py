@@ -25,13 +25,13 @@ from itertools import product
 
 import numpy as np
 
-from .ellfn import ModularParams, jacobi_brackets, require_normal
+from .ellfn import ModularParams, divisor_brackets, require_normal
 from .errors import EllqgError, SingularityError, in_order, settle
 from .tensorspace import DynamicalParams
 
-# Relative to [1] like ellfn.pole_tol but stricter: an entry divides by [s]^2.
+# The R-bar's pole rule, relative to [1] like ellfn's but stricter: an entry divides by [s]^2.
 _SING_TOL = 1e-10
-# Most brackets one ``jacobi_brackets`` call of ``rbars`` takes: the call's
+# Most brackets one ``divisor_brackets`` call of ``rbars`` takes: the call's
 # temporaries grow with its arguments, and the 374 R-bars of ``verify all`` in
 # one call raised its peak memory by about 3 MB.
 _RBAR_BRACKETS = 512
@@ -91,13 +91,13 @@ def rbars(requests, mp: ModularParams) -> list:
     """``rbar`` of each (z, Pdyn, u) request, u None for the principal log:
     each DynRMatrix in order, up to the first request that raises, whose
     EllqgError ends the list.  The brackets of consecutive requests, up to
-    ``_RBAR_BRACKETS`` of them, come from one ``jacobi_brackets`` call
+    ``_RBAR_BRACKETS`` of them, come from one ``divisor_brackets`` call
     (``errors.in_order``), and each entry is bitwise that of the request alone."""
     items, groups, size = [], [], _RBAR_BRACKETS
     for k, (z, Pdyn, u) in enumerate(requests):
         u = mp.u_of(z) if u is None else u
         s = np.array([Pdyn.value(j1, j2) for (j1, j2), _ in _entry_keys(Pdyn.N)[1]], dtype=complex)
-        args = np.concatenate(([1.0, u, u + 1.0], s, s + 1, s - 1, s + u, s - u))
+        args = np.concatenate(([u, u + 1.0], s, s + 1, s - 1, s + u, s - u))
         if size + args.size > _RBAR_BRACKETS:
             groups.append([])
             size = 0
@@ -109,11 +109,12 @@ def rbars(requests, mp: ModularParams) -> list:
 
 def _rbar_group(items: list, mp: ModularParams) -> list:
     """The outcomes of ``rbars`` for (z, N, brackets) items whose brackets
-    make one ``jacobi_brackets`` call, which raises if that call does."""
-    br, out, lo = jacobi_brackets(np.concatenate([a for *_, a in items]), mp), [], 0
+    make one ``divisor_brackets`` call, which raises if that call does."""
+    br, sing = divisor_brackets(np.concatenate([a for *_, a in items]), mp, rel=_SING_TOL)
+    one, out, lo = complex(br[0]), [], 1
     for z, N, a in items:
         try:
-            out.append(_rbar_entries(z, N, br[lo:lo + a.size]))
+            out.append(_rbar_entries(z, N, one, br[lo:lo + a.size], sing[lo:lo + a.size]))
         except EllqgError as exc:
             return out + [exc]
         lo += a.size
@@ -132,18 +133,17 @@ def _entry_keys(N: int) -> tuple:
                   for j1, j2 in pairs))
 
 
-def _rbar_entries(z: complex, N: int, br: np.ndarray) -> DynRMatrix:
-    """R-bar from its brackets [1], [u], [u+1], then [s], [s+1], [s-1],
-    [s+u], [s-u] per pair of ``_entry_keys``."""
-    b1, bu, bu1 = br[:3].tolist()
-    scale = abs(b1)
-    if abs(bu1) < _SING_TOL * scale:
+def _rbar_entries(z: complex, N: int, b1: complex, br: np.ndarray, sing: np.ndarray) -> DynRMatrix:
+    """R-bar from [1] and its brackets [u], [u+1], then [s], [s+1], [s-1],
+    [s+u], [s-u] per pair of ``_entry_keys``, with their pole marks ``sing``."""
+    bu, bu1 = br[:2].tolist()
+    if sing[1]:
         raise SingularityError(f"[u+1] ~ 0 at z={z}")
     diagonal, pairs = _entry_keys(N)
     entries: dict = dict.fromkeys(diagonal, 1.0 + 0.0j)
-    for ((j1, j2), keys), bs, bsp, bsm, bspu, bsmu in zip(pairs,
-                                                          *br[3:].reshape(5, -1).tolist()):
-        if abs(bs) < _SING_TOL * scale:
+    for ((j1, j2), keys), bs, bsp, bsm, bspu, bsmu, resonant in zip(
+            pairs, *br[2:].reshape(5, -1).tolist(), sing[2:]):
+        if resonant:
             raise SingularityError(
                 f"resonant dynamical parameter: [s] ~ 0 for pair ({j1}, {j2})")
         dens = (bs * bs * bu1, bs * bu1)

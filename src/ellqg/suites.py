@@ -289,7 +289,7 @@ def check_wf_stab(cfg, rng):
                for I in parts}
         mat = weightfn.stab_matrix(lam, z, pd, mp)
         for I in parts:
-            if abs(mat[I][I]) < ellfn.pole_tol(jacobi_bracket(1.0, mp)):
+            if abs(mat[I][I]) < ellfn._POLE_TOL * abs(jacobi_bracket(1.0, mp)):
                 worst = np.maximum(worst, 1.0)
             for J in parts:
                 if not leq(rev[J], rev[I]):

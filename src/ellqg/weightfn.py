@@ -20,15 +20,15 @@ point (t, z, Pdyn), optionally reading z through a site permutation.  Items
 of one shape are summed as stacks of whole points within ``_STACK_ENTRIES``
 table entries, a point over that alone being a stack of its own.  A bracket
 argument v_x - v_y + c, c in {0, +-1, A}, is only ever shared between items
-of one point, one ``jacobi_brackets`` pass gives every item's tables, and
+of one point, one ``divisor_brackets`` pass gives every item's tables, and
 every item of a level gathers in one index operation.
 
 A stack is evaluated in two parts.  Its plan (``_plan``) is its value-free
 index work, built once per structure (per item its label, the place of its
 point among the stack's points and its site permutation, never a point or
 its id) and kept in a cache of 16 read-only plans.  The value pass
-(``_stack``) is all a new point pays for: one ``jacobi_brackets`` call over
-the distinct arguments, the pole test, the ratio tables and the contraction,
+(``_stack``) is all a new point pays for: one ``divisor_brackets`` call over
+the distinct arguments, pole test included, the ratio tables and the contraction,
 whose pruning below the top level depends on the values.  Every value is
 bitwise that of the item alone (``w_tilde`` at the permuted points), and an
 error is the one evaluating the items one by one meets first.  So
@@ -37,8 +37,8 @@ error is the one evaluating the items one by one meets first.  So
 shape, or a whole list of transition cases, in one call.  A column of a label's
 F_l whose every term already has an exactly-zero factor (as at t = z_J) is
 not gathered and its terms count as pruned, unless the label is a modified sum
-or has a denominator of levels 1..N-2 that meets the pole test
-``ellfn.pole_tol`` (the level-(N-1) factor is always evaluated whole).  A
+or has a denominator of levels 1..N-2 that meets the pole test of
+``divisor_brackets`` (the level-(N-1) factor is always evaluated whole).  A
 term through a vanishing denominator raises PoleError, at a specialization
 t = z_at as anywhere else: at resonant points z_j = q^(+-2) z_i a
 specialization with a finite limit in z raises rather than returning a value.
@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ellfn import (_BATCH_ENTRIES, ModularParams, jacobi_bracket, jacobi_brackets, pole_tol,
+from .ellfn import (_BATCH_ENTRIES, ModularParams, divisor_brackets, jacobi_bracket,
                     require_finite, require_normal)
 from .errors import (EllqgError, FloatRangeError, ParameterError, PoleError, ShapeError,
                      in_order, settle)
@@ -274,7 +274,7 @@ class _Plan(NamedTuple):
     ratio: np.ndarray      # (4, entries): the brackets of each table entry, ``_layout``'s
     consts: tuple          # per A constant: (color, level l+1, C)
     args: np.ndarray       # (3, distinct): each distinct bracket [row[i] - row[j] + row[c]]
-    rank: np.ndarray       # (brackets + 1, items): the distinct bracket of each, then an exact 1
+    rank: np.ndarray       # (brackets + 1, items): 1 + the distinct bracket of each, then 0
     slots: tuple           # per [A]: its (level, slot)
     patterns: tuple        # per item: its label's slot pattern of each level
     gathers: tuple         # per level: its slot patterns' ``_gather``s, stacked (``_stacked``)
@@ -314,7 +314,7 @@ def _plan(modified: bool, structure: tuple) -> _Plan:
     first = np.empty(rank.max() + 1, np.intp)
     first[rank] = np.arange(rank.size)  # a use of each, any: equal keys read equal indices
     args = np.stack([i, j, c + W * at + V * (at.max() + 1)]).reshape(3, -1)[:, first]
-    rank = np.vstack([rank.reshape(i.shape), np.full(L, first.size)])
+    rank = np.vstack([rank.reshape(i.shape) + 1, np.zeros(L, np.intp)])
     places = [{} for _ in levels]  # per level: slot pattern -> its place
     kinds = np.array([[d.setdefault(p, len(d)) for d, p in zip(places, ps)] for ps in patterns]).T
     gathers = tuple(_stacked(lv, tuple(d), lv is levels[-1]) for lv, d in zip(levels, places))
@@ -359,8 +359,7 @@ class _Stack(NamedTuple):
 def _stack(items: list, mp: ModularParams, modified: bool) -> _Stack:
     """The factor tables of the items' terms (with ``modified``, the modified
     terms): the value pass over the stack's plan, with one
-    ``jacobi_brackets`` call over its distinct brackets and the pole test
-    against item 0's [1].
+    ``divisor_brackets`` call over its distinct brackets.
 
     Item (I, (t, z, Pdyn), perm) is label I at its point; with a perm, site
     s+1 reads the spectral point ``z.z[perm[s]]``, as if z were permuted.
@@ -382,13 +381,13 @@ def _stack(items: list, mp: ModularParams, modified: bool) -> _Stack:
     vi, vj, const = np.array(row, dtype=complex)[plan.args]
     args = vi - vj + const
     try:
-        br = np.concatenate((jacobi_brackets(args, mp), [1.0]))[plan.rank]
+        br, small = divisor_brackets(args, mp)
     except FloatRangeError:
         if len(items) == 1:  # name the first of the item's brackets, in its order, that overflows
-            jacobi_brackets(args[plan.rank[:-1, 0]], mp)
+            divisor_brackets(args[plan.rank[:-1, 0] - 1], mp)
         raise
-    small = np.abs(br) < pole_tol(br[0, 0])
-    small[-1] = False
+    br[0] = 1.0  # [1] is tested and its mask False: its place is the tables' exact 1
+    br, small = br[plan.rank], small[plan.rank]
     n1, n2, d1, d2 = br[plan.ratio]
     bad = small[plan.ratio[2]] | small[plan.ratio[3]]
     return _Stack(plan, n1 * n2 / np.where(bad, 1.0, d1 * d2), bad, small)
@@ -683,19 +682,13 @@ def _transition_items(cases, mp: ModularParams) -> tuple:
     return items, terms, stop
 
 
-def _bracket_product(args, mp: ModularParams, label: str) -> complex:
-    """prod [x] over args from one bracket call; beyond the float range it
-    raises FloatRangeError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return require_finite(complex(jacobi_brackets(args, mp).prod()), label)
-
-
 def h_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
              mp: ModularParams) -> complex:
-    """H factor: prod_l prod_{a,b} [v^(l+1)_b - v^(l)_a + 1]."""
+    """H factor: prod_l prod_{a,b} [v^(l+1)_b - v^(l)_a + 1], a numerator (no pole test)."""
     vs = _vees(t, z, mp)
     args = [vb - va + 1.0 for l in range(1, lam.N) for va in vs[l - 1] for vb in vs[l]]
-    return _bracket_product(args, mp, "H factor")
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond the float range: FloatRangeError
+        return require_finite(complex(divisor_brackets(args, mp)[0][1:].prod()), "H factor")
 
 
 def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
@@ -705,10 +698,17 @@ def e_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
     The double product runs over all (a, b) pairs of the same level, so each
     level contributes one [1] factor per variable.  This literal reading is
     the one under which the two modified-weight-function routes coincide.
+    E divides: its first bracket that meets the pole test raises PoleError.
     """
     vs = _vees(t, z, mp)
-    args = [vb - va + 1.0 for l in range(1, lam.N) for va in vs[l - 1] for vb in vs[l - 1]]
-    return _bracket_product(args, mp, "E factor")
+    pairs = [(l, a, b) for l in range(1, lam.N)
+             for a, b in product(range(len(vs[l - 1])), repeat=2)]
+    br, pole = divisor_brackets([vs[l - 1][b] - vs[l - 1][a] + 1.0 for l, a, b in pairs], mp)
+    if pole.any():
+        l, a, b = pairs[pole.argmax() - 1]
+        raise PoleError(f"[v^{l}_{b + 1} - v^{l}_{a + 1} + 1] vanished")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(complex(br[1:].prod()), "E factor")
 
 
 def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,

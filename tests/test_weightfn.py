@@ -12,7 +12,7 @@ import pytest
 from conftest import random_pdyn, random_points, random_t, shape_of
 from ellqg.cli import build_config, main, run_suite
 from ellqg.ellfn import ModularParams, jacobi_bracket
-from ellqg import suites, weightfn
+from ellqg import ellfn, suites, weightfn
 from ellqg.errors import (EllqgError, FloatRangeError, ParameterError, PoleError,
                           ShapeError, SingularityError)
 from ellqg.gtrep import e_on_gt, f_on_gt, gt_vector, gt_vectors, phi_on_gt
@@ -468,11 +468,11 @@ def test_recycled_point_ids_give_fresh_values(mp, rng):
 
 def _first_kernel_call(monkeypatch, call):
     """The arguments of the first bracket call that ``call()`` makes."""
-    kernel, calls = weightfn.jacobi_brackets, []
-    monkeypatch.setattr(weightfn, "jacobi_brackets",
+    kernel, calls = ellfn.jacobi_brackets, []
+    monkeypatch.setattr(ellfn, "jacobi_brackets",
                         lambda u, mp: calls.append(u) or kernel(u, mp))
     _outcome(call)
-    monkeypatch.setattr(weightfn, "jacobi_brackets", kernel)
+    monkeypatch.setattr(ellfn, "jacobi_brackets", kernel)
     return calls[0]
 
 
@@ -482,7 +482,7 @@ def test_failed_shared_call_raises_the_first_labels_error(mp, rng, monkeypatch):
     lam = Composition((1, 1, 2))
     parts = enumerate_partitions(lam)
     pd = random_pdyn(rng, 3)
-    kernel = weightfn.jacobi_brackets
+    kernel = ellfn.jacobi_brackets
     for z in _resonant_points(rng, lam.n, mp.q):
         for at in parts:
             items = [(I, at, pd) for I in parts]
@@ -495,9 +495,9 @@ def test_failed_shared_call_raises_the_first_labels_error(mp, rng, monkeypatch):
                     raise FloatRangeError(f"[{bad:.6g}] overflows")
                 return kernel(u, mp)
 
-            monkeypatch.setattr(weightfn, "jacobi_brackets", failing)
+            monkeypatch.setattr(ellfn, "jacobi_brackets", failing)
             assert _assert_batch_is_single_calls(call, items)
-            monkeypatch.setattr(weightfn, "jacobi_brackets", kernel)
+            monkeypatch.setattr(ellfn, "jacobi_brackets", kernel)
 
 
 def _fixed_resonant_point(n, sign=1):
@@ -770,6 +770,39 @@ def test_e_lambda_includes_diagonal_one_brackets(mp, rng):
     expected = br1 ** 3 * jacobi_bracket(v[1] - v[0] + 1, mp) \
         * jacobi_bracket(v[0] - v[1] + 1, mp)
     assert abs(val - expected) < 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("sign, pair", [(1, "[v^1_1 - v^1_2 + 1]"), (-1, "[v^1_2 - v^1_1 + 1]")])
+def test_a_vanishing_e_bracket_is_a_pole_on_both_routes(sign, pair):
+    # t_2 = q^(+-2) t_1 puts [0] into E: the ratio route divides by it, the
+    # sym route by a modified-term denominator.  Neither returns a number.
+    q = 0.5
+    mp, pd = ModularParams(q=q, r=3.1), DynamicalParams((1.2 + 0.3j,))
+    I = PartitionIndex.from_colors((1, 2, 1), 2)
+    z = EvaluationPoints((0.5, 0.3j, 0.4 + 0.2j), q)
+    t1 = 0.55 + 0.1j
+    t = TVariables(((t1, q ** (2 * sign) * t1),))
+    with pytest.raises(PoleError, match=f"^{re.escape(pair)} vanished$"):
+        e_lambda(I.shape(), t, z, mp)
+    with pytest.raises(PoleError, match=f"^{re.escape(pair)} vanished$"):
+        modified_w(I, t, z, pd, mp, route="ratio")
+    with pytest.raises(PoleError, match="^level-1 denominator vanished$"):
+        modified_w(I, t, z, pd, mp, route="sym")
+
+
+def test_stable_envelope_restriction_raises_at_a_vanishing_e_bracket():
+    # z_4 = q^(-2) z_3 puts [0] into the E factor at t = z_J^(-1) of J =
+    # (2,2,1,1), while no term of the specialized weight function divides by
+    # it; off the resonance the restriction is finite.
+    q = 0.5
+    mp, pd = ModularParams(q=q, r=3.1), DynamicalParams((1.2 + 0.3j,))
+    I, J = (PartitionIndex.from_colors(c, 2) for c in ((1, 1, 2, 2), (2, 2, 1, 1)))
+    z3 = 0.3 * cmath.exp(-1j)
+    points = [EvaluationPoints((0.1 * cmath.exp(0.3j), 0.2 * cmath.exp(2.1j), z3, f * z3), q)
+              for f in (q ** -2, q ** -2 * (1 + 1e-9))]
+    with pytest.raises(PoleError, match=r"^\[v\^1_2 - v\^1_1 \+ 1\] vanished$"):
+        stable_envelope_restriction(I, J, points[0], pd, mp)
+    assert cmath.isfinite(stable_envelope_restriction(I, J, points[1], pd, mp))
 
 
 # gt_vector at _fixed_resonant_point, per (sizes, sign, colors of I): the text
