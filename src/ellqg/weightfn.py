@@ -14,19 +14,23 @@ Every symmetrized sum is one chain of per-level matrices: the level-l factor
 F_l[p, p'] of the terms whose level-l and level-(l+1) variables are in the
 orders p and p' is gathered from the ratio tables of ``_layout``, and the sum
 is F_1 @ ... @ F_{N-1}[:, id] summed; the term U_I of ``w_tilde`` (of
-``modified_w``) is the identity entry.  ``_sym_sums``, the only code that
-multiplies table entries, evaluates a list of items, each a label I at a
-point (t, z, Pdyn), optionally reading z through a site permutation.  Items
-of one shape are summed as stacks of whole points within ``_STACK_ENTRIES``
-table entries, a point over that alone being a stack of its own.  A bracket
-argument v_x - v_y + c, c in {0, +-1, A}, is only ever shared between items
-of one point, one ``divisor_brackets`` pass gives every item's tables, and
-every item of a level gathers in one index operation.
+``modified_w``) is the identity entry.  A label gathers F_l by its slot
+pattern, the positions its level-l sites take among its level-(l+1) sites;
+``_layout`` holds one index table per shape and level, a column per pattern.
+``_sym_sums``, the only code that multiplies table entries, evaluates a list
+of items, each a label I at a point (t, z, Pdyn), optionally reading z
+through a site permutation.  Items of one shape are summed as stacks of
+whole points within ``_STACK_ENTRIES`` table entries, a point over that
+alone being a stack of its own.  A bracket argument v_x - v_y + c, c in
+{0, +-1, A}, is only ever shared between items of one point, one
+``divisor_brackets`` pass gives every item's tables, and every item of a
+level gathers in one index operation.
 
 A stack is evaluated in two parts.  Its plan (``_plan``) is its value-free
-index work, built once per structure (per item its label, the place of its
-point among the stack's points and its site permutation, never a point or
-its id) and kept in a cache of 16 read-only plans.  The value pass
+index work (its distinct brackets, each item's pattern columns and its
+top-level gather index), built once per structure (per item its label, the
+place of its point among the stack's points and its site permutation, never
+a point or its id) and kept in a cache of 16 read-only plans.  The value pass
 (``_stack``) is all a new point pays for: one ``divisor_brackets`` call over
 the distinct arguments, pole test included, the ratio tables and the contraction,
 whose pruning below the top level depends on the values.  Every value is
@@ -42,6 +46,8 @@ or has a denominator of levels 1..N-2 that meets the pole test of
 term through a vanishing denominator raises PoleError, at a specialization
 t = z_at as anywhere else: at resonant points z_j = q^(+-2) z_i a
 specialization with a finite limit in z raises rather than returning a value.
+The text names the bracket by its variables, v^l_a being variable a of level
+l (level N is z), e.g. "[v^2_1 - v^1_2 + 1] vanished" (``_first_pole``).
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -133,10 +139,22 @@ class _Level(NamedTuple):
     earlier: int | None = None  # modified layouts only
 
 
+class _Gather(NamedTuple):
+    """Index arrays that gather a level factor F[p, p'] from its tables, one
+    column per slot pattern: factor k of entry (p, p') of pattern s is table
+    entry ``rows[k, s, p] + cols[k, s, p']``, the first ``cross`` cross-level
+    ratios, then the same-level ones."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    cross: int
+
+
 @lru_cache(maxsize=64)
 def _layout(lam: Composition, modified: bool) -> tuple:
     """Where each bracket and table entry of the terms of every label of shape
-    ``lam`` comes from: (levels, args, ratio).
+    ``lam`` comes from, and how each slot pattern gathers them: (levels, args,
+    ratio, gathers).
 
     Variables are numbered level by level (level N is z), then a spare 0;
     constants are 0, 1, -1, then the A of each slot in ``_label``'s order.
@@ -145,10 +163,11 @@ def _layout(lam: Composition, modified: bool) -> tuple:
     [v'_y - v_x + A_a] per slot a, [v_x - v_x'] and [v_x - v_x' - 1].  Entry
     e of the tables is [n1][n2] / ([d1][d2]) with brackets (n1, n2, d1, d2) =
     ratio[:, e] (-1: an exact 1).  Per level l, ``levels`` holds a ``_Level``
-    with the first entry of each block.  A block is row-major over slot x of
-    level l (v = v_x), then variable y of level l+1 (v' = v'_y), or slot x'
-    of level l in the same-level block (v' = v_x'); the matched block holds
-    one such table per slot a.  Only the same-level diagonal is an exact 1:
+    with the first entry of each block and ``gathers`` the ``_gather`` of
+    every slot pattern.  A block is row-major over slot x of level l (v =
+    v_x), then variable y of level l+1 (v' = v'_y), or slot x' of level l in
+    the same-level block (v' = v_x'); the matched block holds one such table
+    per slot a.  Only the same-level diagonal is an exact 1:
 
         block     plain entry                    modified entry
         matched   [v'-v+A_a][1]/([v'-v+1][A_a])  [v'-v+A_a]/[A_a]
@@ -198,66 +217,59 @@ def _layout(lam: Composition, modified: bool) -> tuple:
         levels.append(_Level(X, Y, *first[:-1]))
     args, ratio = np.concatenate(args, axis=1), np.concatenate(ratio, axis=1)
     args.flags.writeable = ratio.flags.writeable = False
-    return tuple(levels), args, ratio
+    return tuple(levels), args, ratio, tuple(_gather(lv, lv is levels[-1]) for lv in levels)
+
+
+def _gather(level: _Level, top: bool) -> _Gather:
+    """Index arrays of every slot pattern of a level into its ``_layout``
+    blocks, stacked in the order of ``combinations``.  Pattern S places slot
+    a at S[a] among the variables of level l+1; its cross-level ratios are
+    its matched slot's (S[a]), then its later slots' (those after S[a]),
+    then (modified layouts) its earlier slots' (the rest).  Those of fewer
+    cross-level factors are padded in front with the exact-1 entry
+    ``level.same`` (column 0): ``_factor``'s products start from an exact 1,
+    so they stay bit for bit.  Rows run over every order of the level
+    (identity first), columns over every order of level l+1, or only its
+    identity at the top level."""
+    X, Y = level.X, level.Y
+    rows = np.array(list(permutations(range(X))), dtype=np.intp)
+    cols = np.arange(Y)[None] if top else np.array(list(permutations(range(Y))), dtype=np.intp)
+    same = [(level.same + rows[:, a] * X + rows[:, ap], 0) for a in range(X) for ap in range(a + 1, X)]
+    patterns = []  # per pattern: its cross-level factors, each (rows, cols)
+    for S in combinations(range(Y), X):
+        slots = [[(level.matched + a * X * Y, b)] + [(level.later, j) for j in range(b + 1, Y)]
+                 + [(level.earlier, j) for j in range(b) if level.earlier is not None]
+                 for a, b in enumerate(S)]
+        patterns.append([(off + rows[:, a] * Y, cols[:, j])
+                         for a, slot in enumerate(slots) for off, j in slot])
+    cross = max(len(p) for p in patterns)
+    out = _Gather(np.full((cross + len(same), len(patterns), len(rows)), level.same, np.intp),
+                  np.zeros((cross + len(same), len(patterns), len(cols)), np.intp), cross)
+    for s, factors in enumerate(patterns):
+        for k, (r, c) in enumerate(factors + same, cross - len(factors)):
+            out.rows[k, s], out.cols[k, s] = r, c
+    out.rows.flags.writeable = out.cols.flags.writeable = False
+    return out
 
 
 # Holds every label of a shape ((3,3,2) has 560): gt_vector specializes all of
 # them at each I, in one order, so a smaller cache evicts each before its reuse.
 @lru_cache(maxsize=4096)
 def _label(I: PartitionIndex) -> tuple:
-    """Label I's shape, slot pattern per level (per slot a: matched slot b, later
-    slots of level l+1) and, per slot in ``_layout``'s order, (level, slot,
-    color, C_{mu_s,l+1}(s) = #(j > s : mu_j = mu_s) - #(j > s : mu_j = l+1))."""
+    """Label I's shape, slot pattern per level (its place among ``_gather``'s:
+    the positions of the sites of level l among those of level l+1) and, per
+    slot in ``_layout``'s order, (level, slot, color, C_{mu_s,l+1}(s) =
+    #(j > s : mu_j = mu_s) - #(j > s : mu_j = l+1))."""
     lam, colors = I.shape(), I.colors()
     patterns, slots = [], []
     for l in range(1, lam.N):
         nxt = I.union(l + 1)
-        patterns.append(tuple((nxt.index(s), tuple(b for b, s2 in enumerate(nxt) if s2 > s))
-                              for s in I.union(l)))
+        S = tuple(nxt.index(s) for s in I.union(l))
+        patterns.append(list(combinations(range(len(nxt)), len(S))).index(S))
         slots += [(l, a + 1, colors[s - 1], sum(eps_pairing(colors[j], colors[s - 1], l + 1)
                                                 for j in range(s, len(colors))))
                   for a, s in enumerate(I.union(l))]
     return lam, tuple(patterns), tuple(slots)
-
-
-class _Gather(NamedTuple):
-    """Index arrays that gather a level factor F[p, p'] from its tables: factor
-    k of entry (p, p') is table entry ``rows[k, p] + cols[k, p']``, the first
-    ``cross`` cross-level ratios, then the same-level ones.  ``terms`` lists
-    (k, cross?, a, j) per ratio of slot a and slot j of level l+1 or of level
-    l, in the order its denominators are tested in."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    cross: int
-    terms: tuple
-
-
-@lru_cache(maxsize=256)
-def _gather(level: _Level, pattern: tuple, top: bool) -> _Gather:
-    """Index arrays of one level's slot pattern into its ``_layout`` blocks.
-    Rows run over every order of the level (identity first), columns over
-    every order of level l+1, or only its identity at the top level.  A
-    slot's cross-level ratios are its matched slot's, then its later slots',
-    then (modified layouts) its earlier slots'."""
-    X, Y = level.X, level.Y
-    rows = np.array(list(permutations(range(X))), dtype=np.intp)
-    cols = np.arange(Y)[None] if top else np.array(list(permutations(range(Y))), dtype=np.intp)
-    cross, same, terms = [], [], []  # per factor: its rows, its columns
-    for a, (b, later) in enumerate(pattern):
-        slot = [(level.matched + a * X * Y, b)] + [(level.later, bp) for bp in later]
-        if level.earlier is not None:
-            slot += [(level.earlier, bp) for bp in range(Y) if bp != b and bp not in later]
-        terms += [(len(cross) + k, True, a, j) for k, (_, j) in enumerate(slot)]
-        terms += [(len(same) + k, False, a, a + 1 + k) for k in range(X - a - 1)]
-        cross += [(off + rows[:, a] * Y, cols[:, j]) for off, j in slot]
-        same += [(level.same + rows[:, a] * X + rows[:, ap], 0 * cols[:, 0])
-                 for ap in range(a + 1, X)]
-    out = _Gather(np.array([r for r, _ in cross + same], np.intp).reshape(-1, len(rows)),
-                  np.array([c for _, c in cross + same], np.intp).reshape(-1, len(cols)),
-                  len(cross), tuple((k if c else len(cross) + k, c, a, j) for k, c, a, j in terms))
-    out.rows.flags.writeable = out.cols.flags.writeable = False
-    return out
 
 
 class _Plan(NamedTuple):
@@ -276,14 +288,14 @@ class _Plan(NamedTuple):
     args: np.ndarray       # (3, distinct): each distinct bracket [row[i] - row[j] + row[c]]
     rank: np.ndarray       # (brackets + 1, items): 1 + the distinct bracket of each, then 0
     slots: tuple           # per [A]: its (level, slot)
-    patterns: tuple        # per item: its label's slot pattern of each level
-    gathers: tuple         # per level: its slot patterns' ``_gather``s, stacked (``_stacked``)
-    kinds: np.ndarray      # (levels, items): the place of each item's slot pattern in ``gathers``
+    gathers: tuple         # per level: ``_layout``'s, less the leading rows every item pads
+    kinds: np.ndarray      # (levels, items): each item's slot pattern, its column in ``gathers``
     top: np.ndarray        # (factors, items, orders): every item's gather index at the top level
 
 
-# A q-KZ integrand repeats two stack structures, a gt basis one and a verify
-# run mostly a few neighbouring ones; more plans kept add memory, not reuse.
+# Measured at seed 0: a verify run makes 259 stacks and builds 220 plans (39
+# hits), a qkz_trace run hits 998 of 1,000 and a gt_basis run 29 of 30; more
+# plans kept add memory, not reuse.
 @lru_cache(maxsize=16)
 def _plan(modified: bool, structure: tuple) -> _Plan:
     """The plan of a stack of items (label I, point place, site permutation
@@ -296,7 +308,7 @@ def _plan(modified: bool, structure: tuple) -> _Plan:
     if lam.count(lam[0]) != len(lam):
         raise ShapeError("the items of a stack must share a shape")
     lam, L = lam[0], len(structure)
-    levels, (i, j, c), ratio = _layout(lam, modified)
+    levels, (i, j, c), ratio, gathers = _layout(lam, modified)
     ids = {0: 0, 1: 1, 2: 2}  # constant keys: 0, 1, -1 by place, a slot's A by (l, color, C)
     cids = np.array([[0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
                                   for l, _, color, C in sl] for sl in slots])
@@ -315,29 +327,16 @@ def _plan(modified: bool, structure: tuple) -> _Plan:
     first[rank] = np.arange(rank.size)  # a use of each, any: equal keys read equal indices
     args = np.stack([i, j, c + W * at + V * (at.max() + 1)]).reshape(3, -1)[:, first]
     rank = np.vstack([rank.reshape(i.shape) + 1, np.zeros(L, np.intp)])
-    places = [{} for _ in levels]  # per level: slot pattern -> its place
-    kinds = np.array([[d.setdefault(p, len(d)) for d, p in zip(places, ps)] for ps in patterns]).T
-    gathers = tuple(_stacked(lv, tuple(d), lv is levels[-1]) for lv, d in zip(levels, places))
+    kinds = np.array(patterns, np.intp).T
+    # The leading rows every item pads: a pad reads ``level.same`` in the identity order, no factor does.
+    pads = [int((g.rows[:, kind, 0] == lv.same).all(axis=1).sum())
+            for g, lv, kind in zip(gathers, levels, kinds)]
+    gathers = tuple(_Gather(g.rows[d:], g.cols[d:], g.cross - d) for g, d in zip(gathers, pads))
     top = (gathers[-1].rows * L)[:, kinds[-1]]  # built in place: at (3,2,2) it is megabytes
     top += (gathers[-1].cols[:, kinds[-1], 0] * L + np.arange(L))[:, :, None]
     return _Plan(lam, modified, levels, ratio, tuple((color, l + 1, C) for l, color, C in list(ids)[3:]),
-                 _frozen(args), _frozen(rank), tuple(sl[:2] for sl in slots[0]), patterns,
+                 _frozen(args), _frozen(rank), tuple(sl[:2] for sl in slots[0]),
                  gathers, _frozen(kinds), _frozen(top))
-
-
-@lru_cache(maxsize=256)
-def _stacked(level: _Level, patterns: tuple, top: bool) -> _Gather:
-    """The ``_gather``s of ``patterns`` stacked on axis 1, those of fewer cross-level
-    factors padded in front with the exact-1 entry ``level.same`` (column 0):
-    ``_factor``'s products start from an exact 1, so they stay bit for bit."""
-    gs = [_gather(level, p, top) for p in patterns]
-    cross = max(g.cross for g in gs)
-    size = (cross - gs[0].cross + len(gs[0].rows), len(gs))  # the same-level ones are alike
-    rows = np.full(size + gs[0].rows.shape[1:], level.same, np.intp)
-    cols = np.zeros(size + gs[0].cols.shape[1:], np.intp)
-    for k, g in enumerate(gs):
-        rows[cross - g.cross:, k], cols[cross - g.cross:, k] = g.rows, g.cols
-    return _Gather(_frozen(rows), _frozen(cols), cross, ())
 
 
 def _frozen(index) -> np.ndarray:
@@ -403,26 +402,25 @@ def _a_pole(st: _Stack, k: int) -> str | None:
 
 
 def _first_pole(st: _Stack, k: int) -> str | None:
-    """The PoleError text of label k's first term, in depth-first order (top level
-    slowest), that uses a vanishing denominator, or None if none does: the
-    first denominator its highest marked level tests."""
+    """The PoleError text of item k, or None if no table entry its gathers read
+    has a denominator that meets the pole test: of the flagged entries read at
+    the highest level that reads one, the first entry's first such
+    denominator, named by its variables (v^l_a: variable a of level l, level N
+    being z)."""
     plan, bad = st.plan, st.bad[:, k]
-    gs = [_gather(lv, p, lv is plan.levels[-1]) for lv, p in zip(plan.levels, plan.patterns[k])]
-    marks = [bad[g.rows[:, :, None] + g.cols[:, None]].any(axis=0) for g in gs]  # F_l[p, p'] flagged
-    if not any(m.any() for m in marks):
+    for g, kind in zip(plan.gathers[::-1], plan.kinds[::-1, k]):
+        read = g.rows[:, kind, :, None] + g.cols[:, kind, None]
+        read = read[bad[read]]
+        if read.size:
+            break
+    else:
         return None
-    for idx in product(*(range(g.rows.shape[1]) for g in reversed(gs))):
-        path = idx[::-1] + (0,)
-        hit = [l for l, m in enumerate(marks, 1) if m[path[l - 1], path[l]]]
-        if hit:  # the walk meets the highest marked level of this term first
-            l = hit[-1]
-            g, p, pn = gs[l - 1], path[l - 1], path[l]
-            _, is_cross, a, j = next(t for t in g.terms if bad[g.rows[t[0], p] + g.cols[t[0], pn]])
-            if plan.modified:
-                return f"level-{l} denominator vanished"
-            if is_cross:
-                return f"[v^{l+1}_{j+1} - v^{l}_{a+1} + 1] vanished"
-            return f"[v^{l}_{a+1} - v^{l}_{j+1}] vanished"
+    b = next(b for b in plan.ratio[2:, read.min()] if st.small[b, k])
+    _, args, _, _ = _layout(plan.lam, plan.modified)
+    start = np.cumsum([0] + [plan.lam.prefix(l) for l in range(1, plan.lam.N + 1)])
+    x, y = (f"v^{l}_{v - start[l - 1] + 1}"
+            for v, l in zip(args[:2, b], np.searchsorted(start, args[:2, b], side="right")))
+    return f"[{x} - {y}{('', ' + 1', ' - 1')[args[2, b]]}] vanished"
 
 
 def _factor(cross: int, f: np.ndarray) -> np.ndarray:
@@ -442,10 +440,10 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
     """The outcomes of one stack, in item order: each item's plain sum of its
     terms (modified terms) over block permutations, up to the first item
     that raises, whose EllqgError ends the list.  An item raises for a
-    vanishing [A], a term through a vanishing denominator (the PoleError the
-    depth-first order of terms meets first) or a sum beyond the float range
-    (FloatRangeError).  An error of the shared ``_stack`` call, such as its
-    bracket call's, is raised.  Each level is one gather, cut into ``_passes``."""
+    vanishing [A], a term through a vanishing denominator (``_first_pole``)
+    or a sum beyond the float range (FloatRangeError).  An error of the
+    shared ``_stack`` call, such as its bracket call's, is raised.  Each
+    level is one gather, cut into ``_passes``."""
     st = _stack(items, mp, modified)
     plan, L, levels = st.plan, len(items), st.plan.levels
     values = st.values.ravel()  # entry-major

@@ -421,7 +421,7 @@ def test_plans_built_at_other_points_give_fresh_outcomes(mp, rng):
     cold, warm = _cold_and_warm(lambda m: [(I, (ts[m], z, pd), None)], mp99, True)
     assert cold == warm and cold[0][0] is FloatRangeError, cold
     assert {"[(P+h) - C] vanished at level 1, slot 1", "[v^2_1 - v^1_1 + 1] vanished",
-            "level-1 denominator vanished"} <= errors
+            "[v^1_2 - v^1_1 - 1] vanished"} <= errors
 
 
 def test_stacks_of_other_layouts_or_permutations_get_their_own_plans(mp, rng):
@@ -775,7 +775,8 @@ def test_e_lambda_includes_diagonal_one_brackets(mp, rng):
 @pytest.mark.parametrize("sign, pair", [(1, "[v^1_1 - v^1_2 + 1]"), (-1, "[v^1_2 - v^1_1 + 1]")])
 def test_a_vanishing_e_bracket_is_a_pole_on_both_routes(sign, pair):
     # t_2 = q^(+-2) t_1 puts [0] into E: the ratio route divides by it, the
-    # sym route by a modified-term denominator.  Neither returns a number.
+    # sym route by a modified-term denominator, the same pair as [-x] = -[x].
+    # Neither returns a number.
     q = 0.5
     mp, pd = ModularParams(q=q, r=3.1), DynamicalParams((1.2 + 0.3j,))
     I = PartitionIndex.from_colors((1, 2, 1), 2)
@@ -786,7 +787,8 @@ def test_a_vanishing_e_bracket_is_a_pole_on_both_routes(sign, pair):
         e_lambda(I.shape(), t, z, mp)
     with pytest.raises(PoleError, match=f"^{re.escape(pair)} vanished$"):
         modified_w(I, t, z, pd, mp, route="ratio")
-    with pytest.raises(PoleError, match="^level-1 denominator vanished$"):
+    x, y = re.findall(r"v\^1_\d", pair)
+    with pytest.raises(PoleError, match=f"^{re.escape(f'[{y} - {x} - 1]')} vanished$"):
         modified_w(I, t, z, pd, mp, route="sym")
 
 
@@ -818,7 +820,7 @@ _RESONANT_GT = {
     ((2, 1), 1, (1, 1, 2)): "[v^2_2 - v^1_1 + 1] vanished",
     ((2, 1), 1, (1, 2, 1)): "[v^2_2 - v^1_1 + 1] vanished",
     ((2, 1), 1, (2, 1, 1)): {(2, 1, 1): (0.9999999999999996+3.260072046674286e-16j)},
-    ((2, 1), -1, (1, 1, 2)): "[v^2_1 - v^1_1 + 1] vanished",
+    ((2, 1), -1, (1, 1, 2)): "[v^2_1 - v^1_2 + 1] vanished",
     ((2, 1), -1, (1, 2, 1)): {
         (1, 2, 1): (0.9452106426634033-2.2336275574035224e-17j),
         (2, 1, 1): (0.7678615928493231-0.26604184814241577j),
@@ -1013,7 +1015,73 @@ def test_same_level_pole_texts(mp, rng):
     t = TVariables(((0.7 * cmath.exp(0.4j),) * 2,))
     assert _pole_text(lambda: w_tilde(I, t, z, pd, mp)) == "[v^1_1 - v^1_2] vanished"
     assert (_pole_text(lambda: modified_w(I, t, z, pd, mp, route="sym"))
-            == "level-1 denominator vanished")
+            == "[v^1_1 - v^1_2] vanished")
+
+
+_BRACKET_TEXT = re.compile(r"^\[v\^(\d+)_(\d+) - v\^(\d+)_(\d+)( [+-] 1)?\] vanished$")
+
+
+def _named_bracket(text, t, z, mp) -> float:
+    """|[x]| of the bracket [v^l_a - v^l'_b + c] that a PoleError text names,
+    at t and z: v^l_a is variable a of level l, level N being z."""
+    m = _BRACKET_TEXT.match(text)
+    assert m, text
+    lq = 2 * math.log(mp.q)
+    vs = [[cmath.log(x) / lq for x in lvl] for lvl in t.levels] + [list(z.u)]
+    l1, a1, l2, a2 = map(int, m.groups()[:4])
+    c = {None: 0.0, " + 1": 1.0, " - 1": -1.0}[m[5]]
+    return abs(jacobi_bracket(vs[l1 - 1][a1 - 1] - vs[l2 - 1][a2 - 1] + c, mp))
+
+
+def test_every_resonant_specialization_names_a_vanishing_bracket():
+    # z_j = q^(+-2) z_i for every ordered pair, every shape up to n = 3 and
+    # every (I, at): each PoleError names a bracket below the pole bound at
+    # t = z_at.
+    q = 0.5
+    mp = ModularParams(q=q, r=3.1)
+    bound = 1e-12 * abs(jacobi_bracket(1.0, mp))
+    base = (0.6 * cmath.exp(0.3j), 0.8 * cmath.exp(-1j), 0.7 * cmath.exp(2.1j))
+    pds = {2: DynamicalParams((1.2 + 0.3j,)), 3: DynamicalParams((1.2 + 0.3j, 0.9 - 0.2j))}
+    raised = 0
+    for N, lam in _wf_cases(3):
+        parts = enumerate_partitions(lam)
+        for (i, j), sign in product(permutations(range(lam.n), 2), (1, -1)):
+            z = list(base[:lam.n])
+            z[j] = q ** (2 * sign) * z[i]
+            z = EvaluationPoints(tuple(z), q)
+            for I, at in product(parts, repeat=2):
+                try:
+                    specialize(I, at, z, pds[N], mp)
+                except PoleError as exc:
+                    raised += 1
+                    t = TVariables.specialization(at, z)
+                    assert _named_bracket(str(exc), t, z, mp) < bound, (I, at, i, j, sign, str(exc))
+    assert raised == 830
+
+
+def test_pole_texts_off_specializations_name_a_vanishing_bracket():
+    # t^(1)_2 = q^2 z_1 in a term of lambda=(2,1) whose slots are permuted;
+    # and t^(1)_2 = q^(+-2) t^(1)_1, where every modified sum meets a pole.
+    q = 0.5
+    mp, pd = ModularParams(q=q, r=3.1), DynamicalParams((1.2 + 0.3j,))
+    bound = 1e-12 * abs(jacobi_bracket(1.0, mp))
+    z = EvaluationPoints((0.6 * cmath.exp(0.3j), 0.8 * cmath.exp(-1j), 0.7 * cmath.exp(2.1j)), q)
+    t = TVariables(((0.55 * cmath.exp(0.9j), q ** 2 * z.z[0]),))
+    text = _pole_text(lambda: w_tilde(PartitionIndex.from_colors((1, 1, 2), 2), t, z, pd, mp))
+    assert text == "[v^2_1 - v^1_2 + 1] vanished"
+    assert _named_bracket(text, t, z, mp) < bound
+    rng = np.random.default_rng(7)
+    for N, lam in _wf_cases(4):
+        if lam.prefix(1) < 2:
+            continue
+        pd = random_pdyn(rng, N)
+        z = random_points(rng, lam.n, q)
+        for I, sign in product(enumerate_partitions(lam), (1, -1)):
+            levels = [list(lvl) for lvl in random_t(rng, lam).levels]
+            levels[0][1] = q ** (2 * sign) * levels[0][0]
+            t = TVariables(tuple(tuple(lvl) for lvl in levels))
+            text = _pole_text(lambda: modified_w(I, t, z, pd, mp, route="sym"))
+            assert _named_bracket(text, t, z, mp) < bound, (I, sign, text)
 
 
 # ------------------------------------------------ guards on the batched checks --
@@ -1090,7 +1158,7 @@ def test_batched_checks_equal_their_one_point_loops(seed):
 @pytest.mark.parametrize("modified", [False, True])
 def test_layouts_hold_no_exact_one_but_the_same_level_diagonal(modified):
     for _, lam in _wf_cases():
-        levels, _, ratio = weightfn._layout(lam, modified)
+        levels, _, ratio, _ = weightfn._layout(lam, modified)
         ones = np.flatnonzero((ratio == -1).all(axis=0))
         assert ones.tolist() == [level.same + x * level.X + x
                                  for level in levels for x in range(level.X)], lam
@@ -1147,9 +1215,28 @@ def test_factor_padded_in_front_with_exact_ones_is_bitwise_unpadded():
     assert math.copysign(1.0, behind.imag) == 1.0  # why the padding goes in front
 
 
+def _own_gather(I, l, level, modified, top):
+    """Label I's level-l factors read from its sites, each (rows, cols) into
+    the tables, and how many are cross-level: per slot a (site s) its
+    matched, later and (modified) earlier entries, then the same-level ones."""
+    X, Y = level.X, level.Y
+    rows = np.array(list(permutations(range(X))), np.intp)
+    cols = np.arange(Y)[None] if top else np.array(list(permutations(range(Y))), np.intp)
+    nxt, cross, same = I.union(l + 1), [], []
+    for a, s in enumerate(I.union(l)):
+        cross.append((level.matched + a * X * Y + rows[:, a] * Y, cols[:, nxt.index(s)]))
+        cross += [(level.later + rows[:, a] * Y, cols[:, j]) for j, s2 in enumerate(nxt) if s2 > s]
+        cross += [(level.earlier + rows[:, a] * Y, cols[:, j])
+                  for j, s2 in enumerate(nxt) if modified and s2 < s]
+        same += [(level.same + rows[:, a] * X + rows[:, ap], 0 * cols[:, 0]) for ap in range(a + 1, X)]
+    return cross + same, len(cross)
+
+
 def test_every_plan_holds_one_gather_per_level(mp, rng, monkeypatch):
-    # Every label of a shape in one stack: each level has one stacked gather,
-    # one row of slot-pattern places per level, and _sums gathers each level once.
+    # Every label of a shape in one stack: each level has one gather table
+    # over every slot pattern of the shape, each label's column is its own
+    # gather padded in front with the exact-1 entry, and _sums gathers each
+    # level once.  A label alone keeps no padding.
     calls, factor = [], weightfn._factor
     monkeypatch.setattr(weightfn, "_factor", lambda *a: calls.append(1) or factor(*a))
     for N, lam in _wf_cases():
@@ -1159,15 +1246,21 @@ def test_every_plan_holds_one_gather_per_level(mp, rng, monkeypatch):
             items = [(I, (t, z, pd), None) for I in parts]
             plan = weightfn._stack(items, mp, modified).plan
             assert len(plan.gathers) == len(plan.levels) == plan.kinds.shape[0], lam
-            for l, (level, g, kinds) in enumerate(zip(plan.levels, plan.gathers, plan.kinds)):
-                assert g.rows.shape[1:] == (len(set(kinds.tolist())), math.factorial(level.X))
+            for l, (level, g, kinds) in enumerate(zip(plan.levels, plan.gathers, plan.kinds), 1):
+                top = level is plan.levels[-1]
+                assert g.rows.shape[1:] == (math.comb(level.Y, level.X), math.factorial(level.X))
                 assert g.cols.shape[:2] == g.rows.shape[:2] and kinds.shape == (len(parts),)
-                for k, kind in enumerate(kinds):  # each pattern's own gather, padded in front
-                    own = weightfn._gather(level, plan.patterns[k][l], level is plan.levels[-1])
-                    pad = g.cross - own.cross
+                crosses = []
+                for I, kind in zip(parts, kinds):
+                    own, cross = _own_gather(I, l, level, modified, top)
+                    pad = g.cross - cross
                     assert (g.rows[:pad, kind] == level.same).all() and not g.cols[:pad, kind].any()
-                    assert (g.rows[pad:, kind] == own.rows).all()
-                    assert (g.cols[pad:, kind] == own.cols).all()
+                    assert [(r.tolist(), c.tolist()) for r, c in zip(g.rows[pad:, kind], g.cols[pad:, kind])] \
+                        == [(r.tolist(), np.broadcast_to(c, g.cols.shape[2:]).tolist()) for r, c in own]
+                    crosses.append(cross)
+                    alone = weightfn._stack([(I, (t, z, pd), None)], mp, modified).plan
+                    assert alone.gathers[l - 1].cross == cross, (I, l)
+                assert g.cross == max(crosses)
             assert plan.top.shape == (len(plan.gathers[-1].rows), len(parts),
                                       math.factorial(plan.levels[-1].X))
             calls.clear()
