@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gtrep, qkz, suites, weightfn
 from .ellfn import ModularParams, jacobi_bracket, theta
-from .errors import EllqgError
+from .errors import EllqgError, ShapeError
 from .rmat import rbar
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           enumerate_partitions)
@@ -294,6 +294,8 @@ def _cmd_qkz(cfg: RunConfig, args) -> int:
             try:
                 val = qkz.integrand(spec, t)
                 rows.append(f"{k},{val.real!r},{val.imag!r}")
+            except ShapeError:  # no point of this shape can be evaluated
+                raise
             except EllqgError:
                 rows.append(f"{k},nan,nan")
         _emit("\n".join(rows) + "\n", args.out)
@@ -373,8 +375,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The actions that draw from the seed: every suite, and the random t of ``_default_t``.
+_SEEDED = {("verify", None), ("wf", "eval"), ("wf", "transition"), ("qkz", "eval")}
+
+
 def _ignored_flag(args) -> str | None:
     """The first flag given that the chosen action would not read."""
+    action = (args.command, getattr(args, "action", None))
+    if getattr(args, "seed", None) is not None and action not in _SEEDED:
+        return "--seed applies only to verify, wf eval|transition and qkz eval"
+    if getattr(args, "break_shift", False) and args.suite not in ("gt", "all"):
+        return "--break-shift applies only to verify gt and verify all"
     if args.command == "gt" and args.action == "basis":
         for flag in ("op", "j"):
             if getattr(args, flag) is not None:

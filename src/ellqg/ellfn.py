@@ -51,7 +51,8 @@ class ModularParams:
 
     p = q^(2r) is the elliptic nome, r* = r - k and p* = q^(2r*) the shifted
     ("starred") ones; k plays the role of the level.  Requires 0 < q < 1 and
-    r > k >= 0 so that all nomes lie in (0, 1).
+    r > k >= 0 so that all nomes lie in (0, 1), and refuses a pack whose
+    floats do not: a p that underflows to 0 or a p* that rounds to 1.
     """
 
     q: float
@@ -72,6 +73,9 @@ class ModularParams:
             raise ParameterError(
                 f"r must exceed k (got r={self.r}, k={self.k}); otherwise p* >= 1"
             )
+        if not 0.0 < self.p <= self.pstar < 1.0:
+            raise ParameterError(f"the nomes must satisfy 0 < p <= p* < 1, got p={self.p}, "
+                                 f"p*={self.pstar} (q={self.q}, r={self.r}, k={self.k})")
         if not 0.0 < self.trunc_eps < math.inf:
             raise ParameterError("trunc_eps must be positive and finite")
         if not self.max_terms >= 1:
@@ -100,7 +104,10 @@ class ModularParams:
         return cmath.exp(complex(x) * math.log(self.q))
 
     def u_of(self, z: complex) -> complex:
-        """Additive coordinate u with z = q^(2u), via the principal log."""
+        """Additive coordinate u with z = q^(2u), via the principal log; a z
+        that is 0 or not finite raises DomainError."""
+        if z == 0 or not cmath.isfinite(z):
+            raise DomainError(f"u = log z / (2 log q) needs a finite z != 0, got z={z}")
         return cmath.log(z) / (2.0 * math.log(self.q))
 
 

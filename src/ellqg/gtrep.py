@@ -159,19 +159,7 @@ def e_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
     the site i moves from I_{j+1} to I_j and the term is tagged with the
     shift of the j-th simple root.
     """
-    require_level_zero(mp)
-    z.require_q(mp.q)
-    z.require_distinct()
-    _, astar = gauge_constants(mp)
-    u = z.u
-    out = []
-    for i in I.parts[j]:
-        coeff = _bracket_ratios(astar, [(u[k - 1] - u[i - 1], 1.0, f"u_{k} - u_{i}")
-                                        for k in I.parts[j] if k != i], mp)
-        out.append(CurrentTerm(site=i, coeff=coeff,
-                               target=_move(I, i, j + 1, j),
-                               tag=_unit_tag(j, I.N)))
-    return tuple(out)
+    return _current(j, I, z, mp, raising=True)
 
 
 def f_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
@@ -181,17 +169,27 @@ def f_on_gt(j: int, I: PartitionIndex, z: EvaluationPoints,
     Coefficient a prod_{k in I_j, k != i} [u_i - u_k + 1]/[u_i - u_k], a = 1;
     the site i moves from I_j to I_{j+1}; no dynamical tag is attached.
     """
+    return _current(j, I, z, mp, raising=False)
+
+
+def _current(j: int, I: PartitionIndex, z: EvaluationPoints, mp: ModularParams,
+             raising: bool) -> tuple[CurrentTerm, ...]:
+    """The terms of ``e_on_gt`` (``raising``) or ``f_on_gt``: per site i of the
+    source part, the coefficient (a* or a = 1) times [x + 1]/[x] over the
+    other sites k of that part, x = u_k - u_i or u_i - u_k, then the label
+    with i moved; the tag is the j-th unit vector or zero."""
     require_level_zero(mp)
     z.require_q(mp.q)
     z.require_distinct()
-    u = z.u
-    zero = (0,) * (I.N - 1)
-    out = []
-    for i in I.parts[j - 1]:
-        coeff = _bracket_ratios(1.0 + 0.0j, [(u[i - 1] - u[k - 1], 1.0, f"u_{i} - u_{k}")
-                                             for k in I.parts[j - 1] if k != i], mp)
-        out.append(CurrentTerm(site=i, coeff=coeff,
-                               target=_move(I, i, j, j + 1), tag=zero))
+    src, dst = (j + 1, j) if raising else (j, j + 1)
+    start = gauge_constants(mp)[1] if raising else 1.0 + 0.0j
+    tag = _unit_tag(j, I.N) if raising else (0,) * (I.N - 1)
+    u, part, out = z.u, I.parts[src - 1], []
+    for i in part:
+        pairs = [(k, i) if raising else (i, k) for k in part if k != i]
+        coeff = _bracket_ratios(start, [(u[a - 1] - u[b - 1], 1.0, f"u_{a} - u_{b}")
+                                        for a, b in pairs], mp)
+        out.append(CurrentTerm(site=i, coeff=coeff, target=_move(I, i, src, dst), tag=tag))
     return tuple(out)
 
 

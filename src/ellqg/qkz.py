@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, count, pairwise, product
 
-from .ellfn import _POLE_TOL, ModularParams, ell_gamma, qpoch
-from .errors import EllqgError, ParameterError, PoleError, ResourceCapError, ShapeError
+from .ellfn import _POLE_TOL, ModularParams, ell_gamma, qpoch, require_normal
+from .errors import (EllqgError, FloatRangeError, ParameterError, PoleError, ResourceCapError,
+                     ShapeError)
 from .tensorspace import Composition, DynamicalParams, EvaluationPoints, PartitionIndex
 from .weightfn import TVariables, w_tilde
 
@@ -87,15 +88,18 @@ def e_factor(t: TVariables, Pdyn: DynamicalParams, mp: ModularParams) -> complex
 
     exp( sum_l log(Pi_l / Pi_{l+1}) * sum_a log t^(l)_a / log p ) with
     log(Pi_l / Pi_{l+1}) = 2 (P_l + eta_l) log q.  Scaling any t^(l)_a by p
-    multiplies the value by exactly Pi_l / Pi_{l+1}.
+    multiplies the value by exactly Pi_l / Pi_{l+1}.  A value outside the
+    normal float range raises FloatRangeError.
     """
-    lq = math.log(mp.q)
-    lp = math.log(mp.p)
+    lq, lp = math.log(mp.q), math.log(mp.p)
     total = 0.0 + 0.0j
     for l, lvl in enumerate(t.levels, 1):
         log_pi = 2.0 * Pdyn.value(l, l + 1) * lq
         total += log_pi * sum(cmath.log(x) for x in lvl) / lp
-    return cmath.exp(total)
+    try:
+        return require_normal(cmath.exp(total), "e(t, Pi)")
+    except OverflowError:
+        raise FloatRangeError("e(t, Pi) overflows") from None
 
 
 def _level_arrays(t: TVariables, z: EvaluationPoints):
@@ -107,16 +111,23 @@ def _var(t: TVariables, l: int, a: int) -> str:
     return f"t^({l + 1})_{a + 1}" if l < len(t.levels) else f"z_{a + 1}"
 
 
-def _kernel_names(t: TVariables, z: EvaluationPoints) -> list[str]:
-    """The Gamma arguments of ``phi_kernel``, in its order, by the variables in them."""
+def _names(t: TVariables, l: int, a: int, m: int, b: int) -> tuple[str, str]:
+    """The names of a ``_kernel_factors`` numerator and denominator by their variables."""
+    x = f"{_var(t, l, a)}/{_var(t, m, b)}"
+    return (x, f"p* {x}") if m > l else (f"p* {x}", x)
+
+
+def _kernel_factors(t: TVariables, z: EvaluationPoints, ps: float) -> list:
+    """The kernel's Gamma ratios Gamma(numerator) / Gamma(denominator), per
+    level each cross-level pair, then each same-level couple, as one group of
+    (numerator, denominator, (l, a, m, b)) with x = v^(l)_a / v^(m)_b (levels
+    0-based, z the top one): (x, p* x) across levels, (p* x, x) within one."""
     out = []
     for l, (cur, nxt) in enumerate(pairwise(_level_arrays(t, z))):
-        for a, b in product(range(len(cur)), range(len(nxt))):
-            x = f"{_var(t, l, a)}/{_var(t, l + 1, b)}"
-            out += [x, f"p* {x}"]
-        for a, b in combinations(range(len(cur)), 2):
-            x, y = f"{_var(t, l, a)}/{_var(t, l, b)}", f"{_var(t, l, b)}/{_var(t, l, a)}"
-            out += [f"p* {x}", x, f"p* {y}", y]
+        out += [((ta / tb, ps * ta / tb, (l, a, l + 1, b)),)
+                for a, ta in enumerate(cur) for b, tb in enumerate(nxt)]
+        out += [((ps * ta / tb, ta / tb, (l, a, l, b)), (ps * tb / ta, tb / ta, (l, b, l, a)))
+                for (a, ta), (b, tb) in combinations(enumerate(cur), 2)]
     return out
 
 
@@ -130,23 +141,19 @@ def phi_kernel(t: TVariables, z: EvaluationPoints, mp: ModularParams,
     A Gamma pole raises PoleError naming the first argument with a pole by
     its variables, as ``t^(1)_1/t^(2)_1``.
     """
-    ps = mp.pstar
-    pairs = []                      # (numerator, denominator) Gamma arguments
-    for cur, nxt in pairwise(_level_arrays(t, z)):
-        pairs += [(ta / tb, ps * ta / tb) for ta in cur for tb in nxt]
-        for ta, tb in combinations(cur, 2):
-            pairs += [(ps * ta / tb, ta / tb), (ps * tb / ta, tb / ta)]
-    args = [x for pair in pairs for x in pair]
+    groups = _kernel_factors(t, z, mp.pstar)
+    args = [x for group in groups for num, den, _ in group for x in (num, den)]
     try:
         g = ell_gamma(args, mp.p, Q, **mp.truncation).tolist()
     except PoleError as exc:
-        for x, what in zip(args, _kernel_names(t, z)):
-            try:
-                ell_gamma(x, mp.p, Q, **mp.truncation)
-            except PoleError as single:
-                raise PoleError(f"{single} ({what})") from exc
-            except EllqgError:
-                continue
+        for *pair, idx in (f for group in groups for f in group):
+            for x, what in zip(pair, _names(t, *idx)):
+                try:
+                    ell_gamma(x, mp.p, Q, **mp.truncation)
+                except PoleError as single:
+                    raise PoleError(f"{single} ({what})") from exc
+                except EllqgError:
+                    continue
         raise
     return math.prod((num / den for num, den in zip(g[::2], g[1::2])), start=1.0 + 0.0j)
 
@@ -154,30 +161,28 @@ def phi_kernel(t: TVariables, z: EvaluationPoints, mp: ModularParams,
 def phi_trig(t: TVariables, z: EvaluationPoints, mp: ModularParams) -> complex:
     """Trigonometric (Q -> 0) kernel built from single q-Pochhammers.
 
-    A divisor (x; p)_inf with a vanishing factor, |1 - x p^m| < 1e-12 as in
-    ``ell_gamma``, raises PoleError naming the pair of variables in x.
+    Each Gamma ratio of ``phi_kernel`` becomes the Pochhammers of its
+    denominators over those of its numerators.  A divisor (x; p)_inf with a
+    vanishing factor, |1 - x p^m| < 1e-12 as in ``ell_gamma``, raises
+    PoleError naming the pair of variables in x.
     """
-    p, ps = mp.p, mp.pstar
+    p = mp.p
     qp = lambda x: qpoch(x, p, **mp.truncation)
 
-    def divisor(x: complex, what: str) -> complex:
+    def divisor(x: complex, idx: tuple) -> complex:
         w = complex(x)
         for m in count():  # a factor 1 - w with |w| <= 1/2 cannot vanish
             if abs(w) <= 0.5:
                 return qp(x)
             if abs(1.0 - w) < _POLE_TOL:
                 raise PoleError(f"trigonometric kernel pole: factor (m={m}) of "
-                                f"({what}; p)_inf vanishes")
+                                f"({_names(t, *idx)[0]}; p)_inf vanishes")
             w *= p
 
     total = 1.0 + 0.0j
-    for l, (cur, nxt) in enumerate(pairwise(_level_arrays(t, z))):
-        for (a, ta), (b, tb) in product(enumerate(cur), enumerate(nxt)):
-            total *= qp(ps * ta / tb) / divisor(ta / tb, f"{_var(t, l, a)}/{_var(t, l + 1, b)}")
-        for (a, ta), (b, tb) in combinations(enumerate(cur), 2):
-            total *= (qp(ta / tb) * qp(tb / ta)
-                      / (divisor(ps * ta / tb, f"p* {_var(t, l, a)}/{_var(t, l, b)}")
-                         * divisor(ps * tb / ta, f"p* {_var(t, l, b)}/{_var(t, l, a)}")))
+    for group in _kernel_factors(t, z, mp.pstar):
+        total *= (math.prod(qp(den) for _, den, _ in group)
+                  / math.prod(divisor(num, idx) for num, _, idx in group))
     return total
 
 

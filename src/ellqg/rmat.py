@@ -47,15 +47,6 @@ class DynRMatrix:
     def entry(self, in_pair, out_pair) -> complex:
         return self.entries.get((tuple(in_pair), tuple(out_pair)), 0.0 + 0.0j)
 
-    def apply(self, a: int, b: int):
-        """All (out_pair, coeff) reachable from the in-pair (a, b)."""
-        out = []
-        for pair in ((a, b), (b, a)) if a != b else ((a, a),):
-            c = self.entries.get(((a, b), pair))
-            if c is not None:
-                out.append((pair, c))
-        return out
-
     def dense(self) -> np.ndarray:
         dim = self.N * self.N
         M = np.zeros((dim, dim), dtype=complex)
@@ -95,24 +86,24 @@ def rbars(requests, mp: ModularParams) -> list:
     (``errors.in_order``), and each entry is bitwise that of the request alone."""
     items, groups, size = [], [], _RBAR_BRACKETS
     for k, (z, Pdyn, u) in enumerate(requests):
-        u = mp.u_of(z) if u is None else u
         s = np.array([Pdyn.value(j1, j2) for (j1, j2), _ in _entry_keys(Pdyn.N)[1]], dtype=complex)
-        args = np.concatenate(([u, u + 1.0], s, s + 1, s - 1, s + u, s - u))
-        if size + args.size > _RBAR_BRACKETS:
+        if size + 2 + 5 * s.size > _RBAR_BRACKETS:
             groups.append([])
             size = 0
         groups[-1].append(k)
-        size += args.size
-        items.append((z, Pdyn.N, args))
+        size += 2 + 5 * s.size
+        items.append((z, u, Pdyn.N, s))
     return in_order(items, groups, lambda group: _rbar_group(group, mp))
 
 
 def _rbar_group(items: list, mp: ModularParams) -> list:
-    """The outcomes of ``rbars`` for (z, N, brackets) items whose brackets
-    make one ``divisor_brackets`` call, which raises if that call does."""
-    br, sing = divisor_brackets(np.concatenate([a for *_, a in items]), mp, rel=_SING_TOL)
+    """The outcomes of ``rbars`` for (z, u, N, pair values s) items whose brackets
+    make one ``divisor_brackets`` call, which raises if that call or a ``u_of`` does."""
+    args = [np.concatenate(([u, u + 1.0], s, s + 1, s - 1, s + u, s - u))
+            for u, s in ((mp.u_of(z) if u is None else u, s) for z, u, _, s in items)]
+    br, sing = divisor_brackets(np.concatenate(args), mp, rel=_SING_TOL)
     one, out, lo = complex(br[0]), [], 1
-    for z, N, a in items:
+    for (z, _, N, _), a in zip(items, args):
         try:
             out.append(_rbar_entries(z, N, one, br[lo:lo + a.size], sing[lo:lo + a.size]))
         except EllqgError as exc:
@@ -171,21 +162,31 @@ def embedded_rbar(z: complex, u: complex, Pdyn: DynamicalParams, mp: ModularPara
     color key.  Basis index order is (slot 1, ..., slot n_slots), slot 1
     slowest, as in ``DynRMatrix.dense``.
     """
+    return _embedded(Pdyn, mp, n_slots, [(z, u, pair, spectators)])[0]
+
+
+def _embedded(Pdyn: DynamicalParams, mp: ModularParams, n_slots: int, factors) -> list:
+    """``embedded_rbar`` of each (z, u, pair, spectators) factor.  The R-bars
+    of all of them come from one ``rbars`` call, requested factor by factor
+    and per factor in ``product`` order of the spectator colors, so its first
+    error is the one of building them one by one."""
     N = Pdyn.N
-    dim = N ** n_slots
-    M = np.zeros((dim, dim), dtype=complex)
-    i, j = pair
-    step_i, step_j = N ** (n_slots - i), N ** (n_slots - j)
-    cache: dict = {}
-    for col, colors in enumerate(product(range(1, N + 1), repeat=n_slots)):
-        key = tuple(colors[s - 1] for s in spectators)
-        if key not in cache:
-            pd = Pdyn.shifted_by_colors(key) if key else Pdyn
-            cache[key] = rbar(z, pd, mp, u=u)
-        a, b = colors[i - 1], colors[j - 1]
-        for (a2, b2), coeff in cache[key].apply(a, b):
-            M[col + (a2 - a) * step_i + (b2 - b) * step_j, col] += coeff
-    return M
+    keys = [list(product(range(1, N + 1), repeat=len(spectators))) for *_, spectators in factors]
+    built = iter(settle(rbars([(z, Pdyn.shifted_by_colors(key) if key else Pdyn, u)
+                               for (z, u, *_), ks in zip(factors, keys) for key in ks], mp)))
+    out = []
+    for (_, _, (i, j), spectators), ks in zip(factors, keys):
+        by_key = {key: R.entries for key, R in zip(ks, built)}
+        M = np.zeros((N ** n_slots, N ** n_slots), dtype=complex)
+        swap = N ** (n_slots - i) - N ** (n_slots - j)  # index step of (a, b) -> (b, a) per b - a
+        for col, colors in enumerate(product(range(1, N + 1), repeat=n_slots)):
+            entries = by_key[tuple(colors[s - 1] for s in spectators)]
+            a, b = colors[i - 1], colors[j - 1]
+            M[col, col] += entries[(a, b), (a, b)]
+            if a != b:
+                M[col + (b - a) * swap, col] += entries[(a, b), (b, a)]
+        out.append(M)
+    return out
 
 
 def check_dybe(z1: complex, z2: complex, z3: complex, Pdyn: DynamicalParams,
@@ -193,20 +194,14 @@ def check_dybe(z1: complex, z2: complex, z3: complex, Pdyn: DynamicalParams,
     """Max-norm residual of the dynamical Yang-Baxter equation on V x V x V."""
     zs = (z1, z2, z3)
     us = tuple(mp.u_of(x) for x in zs)
-
-    def R(i: int, j: int, *spectators: int) -> np.ndarray:
-        return embedded_rbar(zs[i - 1] / zs[j - 1], us[i - 1] - us[j - 1], Pdyn, mp,
-                             3, (i, j), spectators)
-
-    lhs = R(1, 2, 3) @ R(1, 3) @ R(2, 3, 1)
-    rhs = R(2, 3) @ R(1, 3, 2) @ R(1, 2)
-    return float(np.max(np.abs(lhs - rhs)))
+    R123, R13, R231, R23, R132, R12 = _embedded(Pdyn, mp, 3, [
+        (zs[i - 1] / zs[j - 1], us[i - 1] - us[j - 1], (i, j), spectators)
+        for i, j, *spectators in ((1, 2, 3), (1, 3), (2, 3, 1), (2, 3), (1, 3, 2), (1, 2))])
+    return float(np.max(np.abs(R123 @ R13 @ R231 - R23 @ R132 @ R12)))
 
 
 def check_inversion(z: complex, Pdyn: DynamicalParams, mp: ModularParams) -> float:
     """Unitarity residual || R-bar(z, Pi) P R-bar(1/z, Pi) P - Id ||_max."""
-    N = Pdyn.N
-    A = rbar(z, Pdyn, mp).dense()
-    B = rbar(1.0 / z, Pdyn, mp).dense()
-    P = permutation_dense(N)
-    return float(np.max(np.abs(A @ P @ B @ P - np.eye(N * N))))
+    A, B = (R.dense() for R in settle(rbars([(z, Pdyn, None), (1.0 / z, Pdyn, None)], mp)))
+    P = permutation_dense(Pdyn.N)
+    return float(np.max(np.abs(A @ P @ B @ P - np.eye(Pdyn.N ** 2))))

@@ -129,7 +129,9 @@ def enumerate_partitions(lam: Composition) -> tuple[PartitionIndex, ...]:
     return _partitions(lam)
 
 
-@lru_cache(maxsize=16)  # gt_vectors enumerates the shape of each of its labels
+# gt_vectors enumerates the shape of each of its labels.  ``verify all`` enumerates
+# 48 shapes: 16 entries built 173 enumerations, 64 build each shape once.
+@lru_cache(maxsize=64)
 def _partitions(lam: Composition) -> tuple[PartitionIndex, ...]:
     out: list[PartitionIndex] = []
     remaining = list(lam.sizes)

@@ -261,6 +261,8 @@ def _label(I: PartitionIndex) -> tuple:
     slot in ``_layout``'s order, (level, slot, color, C_{mu_s,l+1}(s) =
     #(j > s : mu_j = mu_s) - #(j > s : mu_j = l+1))."""
     lam, colors = I.shape(), I.colors()
+    if lam.N < 2:
+        raise ShapeError("a weight function needs N >= 2 colors")
     patterns, slots = [], []
     for l in range(1, lam.N):
         nxt = I.union(l + 1)

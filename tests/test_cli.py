@@ -292,6 +292,18 @@ def test_gt_verify_is_usage_error():
     (["gt", "basis", "--j", "2"], "--j"),
     (["gt", "basis", "--op", "phi"], "--op"),
     (["qkz", "eval", "--gridsize", "8"], "--gridsize"),
+    (["theta", "--seed", "1"], "--seed"),
+    (["--seed", "1", "rmat"], "--seed"),
+    (["wf", "triangularity", "--seed", "1"], "--seed"),
+    (["--seed", "1", "wf", "stab"], "--seed"),
+    (["gt", "basis", "--seed", "1"], "--seed"),
+    (["gt", "act", "--seed", "1"], "--seed"),
+    (["qkz", "grid", "--seed", "1"], "--seed"),
+    (["qkz", "quad", "--seed", "1"], "--seed"),
+    (["verify", "ellfn", "--break-shift"], "--break-shift"),
+    (["verify", "rmat", "--break-shift"], "--break-shift"),
+    (["verify", "wf", "--break-shift"], "--break-shift"),
+    (["verify", "qkz", "--break-shift"], "--break-shift"),
 ])
 def test_a_flag_the_action_ignores_is_a_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -305,15 +317,51 @@ def test_flags_the_action_reads_still_apply(capsys):
     outputs = {}
     for name, argv in [("eval", ["qkz", "eval", "--elliptic"]),
                        ("eval_Q", ["qkz", "eval", "--elliptic", "--Q", "0.02"]),
+                       ("eval_seed", ["--seed", "5", "qkz", "eval", "--elliptic"]),
+                       ("wf", ["wf", "transition"]),
+                       ("wf_seed", ["wf", "transition", "--seed", "5"]),
                        ("grid", ["qkz", "grid", "--gridsize", "4"]),
                        ("grid_default", ["qkz", "grid"]),
                        ("act", ["gt", "act"]),
                        ("act_f", ["gt", "act", "--op", "f", "--j", "1"])]:
         assert main(argv) == 0
         outputs[name] = capsys.readouterr().out
-    assert outputs["eval"] != outputs["eval_Q"]
+    assert outputs["eval"] != outputs["eval_Q"] and outputs["eval"] != outputs["eval_seed"]
+    assert outputs["wf"] != outputs["wf_seed"]
     assert outputs["grid"].count("\n") == 5 and outputs["grid_default"].count("\n") == 33
     assert json.loads(outputs["act"])["op"] == "e" and outputs["act"] != outputs["act_f"]
+
+
+# Configs the validator accepts and reproducers that once ended in a traceback.
+_EDGE_INPUTS = {
+    "N=1": {"N": 1, "n": 2, "lambda": [2], "P": []},
+    "p underflows": {"r": 600},
+    "q=1e-300": {"q": 1e-300},
+    "r=1e-9": {"r": 1e-9},
+    "z ratio underflows": {"z": [1e-300, 1e300]},
+    "rmat --zratio 0": {},
+}
+_EDGE_ARGVS = [["wf", "eval"], ["wf", "triangularity"], ["wf", "transition"], ["wf", "stab"],
+               ["gt", "basis"], ["qkz", "eval"], ["qkz", "eval", "--elliptic"], ["qkz", "grid"],
+               ["qkz", "quad"], ["verify", "ellfn"], ["verify", "qkz"], ["verify", "all"],
+               ["theta"], ["rmat"], ["rmat", "--zratio", "0"]]
+
+
+@pytest.mark.parametrize("name", _EDGE_INPUTS)
+def test_no_accepted_input_ends_in_a_traceback(tmp_path, capsys, name):
+    path = write_config(tmp_path, _EDGE_INPUTS[name])
+    for argv in _EDGE_ARGVS:
+        try:
+            rc = main(["--config", path, "--out", str(tmp_path / "out"), *argv])
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
+            assert rc == 2, argv
+        else:
+            assert rc in (0, 1, 2), argv
+            err = capsys.readouterr().err.splitlines()
+            assert err == [] if rc != 2 else len(err) == 1 and err[0].startswith("error: "), argv
+        if name == "N=1" and "--zratio" not in argv:  # only weight functions need two colors
+            assert rc == (2 if argv[0] in ("wf", "gt", "qkz") else 0), argv
 
 
 def test_qkz_grid_refuses_two_variables_in_a_level(tmp_path, capsys):

@@ -125,6 +125,19 @@ def test_params_validation():
         ModularParams(q=0.5, r=1.0, k=-0.1)
 
 
+@pytest.mark.parametrize("q, r, k", [(0.5, 600.0, 0.0), (1e-300, 3.1, 0.0), (0.5, 1e-300, 0.0)])
+def test_params_refuse_nomes_that_round_to_0_or_1(q, r, k):
+    # p underflows to 0, or p* rounds to 1, though r > k >= 0 holds.
+    with pytest.raises(ParameterError, match="0 < p <= p\\* < 1"):
+        ModularParams(q=q, r=r, k=k)
+
+
+@pytest.mark.parametrize("z", [0.0, 0j, math.inf, complex(1.0, math.nan)])
+def test_u_of_refuses_a_zero_or_non_finite_point(mp, z):
+    with pytest.raises(DomainError):
+        mp.u_of(z)
+
+
 @pytest.mark.parametrize("field, value", [
     ("r", math.nan), ("r", math.inf), ("k", math.nan), ("k", math.inf),
     ("trunc_eps", math.nan), ("trunc_eps", math.inf), ("max_terms", math.nan)])

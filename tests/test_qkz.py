@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_pdyn, random_t, shape_of
 from ellqg.ellfn import ModularParams, ell_gamma, qpoch
-from ellqg.errors import ParameterError, PoleError, ResourceCapError, ShapeError
+from ellqg.errors import FloatRangeError, ParameterError, PoleError, ResourceCapError, ShapeError
 from ellqg.qkz import (IntegrandSpec, e_factor, integrand, nome_params,
                        phi_kernel, phi_trig, torus_quadrature)
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
@@ -40,6 +40,14 @@ def test_e_factor_refuses_more_t_levels_than_dynamical_parameters(mp_level, rng)
     with pytest.raises(ShapeError):
         e_factor(t, random_pdyn(rng, 2), mp_level)
     assert e_factor(t, random_pdyn(rng, 3), mp_level) != 0
+
+
+@pytest.mark.parametrize("P, what", [(1.2, "underflows"), (-50.0, "overflows")])
+def test_e_factor_outside_the_float_range_raises(rng, P, what):
+    # At r = 1e-9, log p ~ -1.4e-9 puts the exponent far beyond the float range.
+    t = random_t(rng, Composition((1, 1)))
+    with pytest.raises(FloatRangeError, match=what):
+        e_factor(t, DynamicalParams((P,)), ModularParams(q=0.5, r=1e-9))
 
 
 def test_e_factor_p_shift_covariance(mp_level, rng):

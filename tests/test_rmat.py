@@ -7,7 +7,8 @@ import pytest
 
 from conftest import random_pdyn
 from ellqg.ellfn import ModularParams, jacobi_bracket
-from ellqg.errors import EllqgError, SingularityError, settle
+from ellqg import rmat
+from ellqg.errors import DomainError, EllqgError, SingularityError, settle
 from ellqg.rmat import (check_dybe, check_inversion, embedded_rbar, permutation_dense, rbar,
                         rbars)
 from ellqg.tensorspace import DynamicalParams
@@ -117,6 +118,23 @@ def test_embedded_two_slot_factor_is_dense_rbar(mp, rng):
         assert np.array_equal(M, rbar(z, pd, mp, u=mp.u_of(z)).dense())
 
 
+@pytest.mark.parametrize("check", ["dybe", "inversion", "embedded"])
+def test_chain_checks_build_their_rbars_in_one_call(mp, rng, monkeypatch, check):
+    calls, z = [], 0.8 * cmath.exp(0.5j)
+    monkeypatch.setattr(rmat, "rbar", None)
+    monkeypatch.setattr(rmat, "rbars", lambda *a: calls.append(a[0]) or rbars(*a))
+    pd = random_pdyn(rng, 3)
+    {"dybe": lambda: check_dybe(z, 1.1j, 0.7, pd, mp),
+     "inversion": lambda: check_inversion(z, pd, mp),
+     "embedded": lambda: embedded_rbar(z, mp.u_of(z), pd, mp, 3, (1, 3), (2,))}[check]()
+    assert len(calls) == 1 and len(calls[0]) == {"dybe": 12, "inversion": 2, "embedded": 3}[check]
+
+
+def test_zero_ratio_is_a_domain_error(mp):
+    with pytest.raises(DomainError):
+        rbar(0.0, DynamicalParams((1.2,)), mp)
+
+
 def test_inversion(mp, rng):
     assert check_inversion(1.0, random_pdyn(rng, 2), mp) < 1e-12
     for N in (2, 3):
@@ -154,12 +172,14 @@ def _entries_or_error(f):
 def test_rbars_equal_single_calls_up_to_the_first_error(mp, rng):
     # Entry for entry the R-bars of one request each, up to the first request
     # that raises alone: here one whose brackets overflow, which makes the
-    # shared bracket call raise, or one with [u+1] = 0.
+    # shared bracket call raise, one with [u+1] = 0, or one whose z has no log.
     pd2, pd3 = random_pdyn(rng, 2), random_pdyn(rng, 3)
     fine = [(0.7, pd2, None), (1.3j, pd3, None), (0.4 - 0.2j, pd3, 0.1 + 0.3j)]
     overflow, singular = (1.0, pd2, 3000j), (mp.q ** -2, pd3, -1.0)
+    zero = (0.0, pd2, None)
     for requests in (fine, fine + [overflow] + fine + [singular],
-                     fine + [singular, overflow], [overflow, singular]):
+                     fine + [singular, overflow], [overflow, singular],
+                     fine + [singular, zero], fine + [zero, singular]):
         singles = [_entries_or_error(lambda: rbar(*request[:2], mp, u=request[2]))
                    for request in requests]
         errors = [k for k, single in enumerate(singles) if isinstance(single, tuple)]

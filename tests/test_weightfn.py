@@ -89,6 +89,17 @@ def test_w_tilde_all_colors_last_is_one(mp, rng):
     assert w_tilde(I, t, z, pd, mp).value == 1.0
 
 
+def test_a_weight_function_needs_two_colors(mp):
+    # N = 1 has no level to sum over; every weight-function path reads ``_label`` first.
+    I, pd = PartitionIndex.from_colors((1, 1), 1), DynamicalParams(())
+    z = EvaluationPoints((0.5, 0.3j), mp.q)
+    for call in (lambda: w_tilde(I, TVariables(()), z, pd, mp),
+                 lambda: specialize_all([(I, I, pd)], z, mp),
+                 lambda: gt_vectors([I], z, pd, mp)):
+        with pytest.raises(ShapeError, match="needs N >= 2 colors"):
+            call()
+
+
 def test_w_tilde_single_site_oracle(mp, rng):
     I = PartitionIndex.from_colors((1,), 2)
     z = random_points(rng, 1, mp.q)
