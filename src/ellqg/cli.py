@@ -57,6 +57,10 @@ class RunConfig:
     seed: int
     break_shift: bool = False
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy refuses a negative seed
+            raise ConfigError(f"the seed (field 'seed' or --seed) must be >= 0, got {self.seed}")
+
 
 def _as_real(value, name: str) -> float:
     if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -275,6 +279,8 @@ def _cmd_qkz(cfg: RunConfig, args) -> int:
     spec = qkz.IntegrandSpec(I=I, z=z, Pdyn=pd, mp=mp, trig=not args.elliptic,
                              Q=(0.2 if args.Q is None else args.Q) if args.elliptic else 0.0)
     G = 32 if args.gridsize is None else args.gridsize
+    if G < 1:
+        raise ConfigError(f"--gridsize must be >= 1, got {G}")
     if args.action == "eval":
         t = _default_t(cfg)
         val = qkz.integrand(spec, t)

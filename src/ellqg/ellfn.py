@@ -238,18 +238,11 @@ def divisor_brackets(args, mp: ModularParams, rel: float = _POLE_TOL) -> tuple:
     return br, np.abs(br) < rel * abs(require_normal(br[0], "[1]"))
 
 
-def bracket_derivative_at_zero(mp: ModularParams, step: float = 1e-4) -> complex:
-    """[0]' by central differences, Richardson-extrapolated over step and step/2.
-
-    A closed form is deliberately avoided: the constant only ever enters
-    through the gauge product of the raising/lowering normalisations.
-    """
-    def central(h: float) -> complex:
-        return (jacobi_bracket(h, mp) - jacobi_bracket(-h, mp)) / (2.0 * h)
-
-    d1 = central(step)
-    d2 = central(step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+def bracket_derivative_at_zero(mp: ModularParams) -> complex:
+    """[0]' = -2 log q (p; p)_inf^3.  In [u] = q^(u^2/r - u) theta_p(x) with
+    x = q^(2u), the factor 1 - x of (x; p)_inf is -2u log q + O(u^2) while the
+    prefactor and the other three products tend to 1 and (p; p)_inf."""
+    return -2.0 * math.log(mp.q) * qpoch(mp.p, mp.p, **mp.truncation) ** 3
 
 
 @lru_cache(maxsize=64)

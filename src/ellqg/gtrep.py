@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,7 +76,6 @@ class CurrentTerm:
     tag: tuple[int, ...]         # dynamical shift tag added by this action
 
 
-@lru_cache(maxsize=16)  # e_on_gt asks for it at every call, mostly with one pack
 def gauge_constants(mp: ModularParams) -> tuple[complex, complex]:
     """(a, a*) with a = 1; the product is -[0]'/((q - 1/q)[1])."""
     require_level_zero(mp)

@@ -212,6 +212,8 @@ def torus_quadrature(spec: IntegrandSpec, grid_size: int = 32,
     M = spec.n_vars
     if M > QUAD_MAX_VARS:
         raise ResourceCapError(f"quadrature supports at most {QUAD_MAX_VARS} variables")
+    if grid_size < 1:
+        raise ParameterError(f"grid_size must be >= 1, got {grid_size}")
     if grid_size > QUAD_MAX_GRID:
         raise ResourceCapError(f"grid_size capped at {QUAD_MAX_GRID} per circle")
     if fn is None:

@@ -40,12 +40,11 @@ error is the one evaluating the items one by one meets first.  So
 ``gtrep.gt_vectors`` and ``transition_residuals`` each evaluate a whole
 shape, or a whole list of transition cases, in one call.  A column of a label's
 F_l whose every term already has an exactly-zero factor (as at t = z_J) is
-not gathered and its terms count as pruned, unless the label is a modified sum
-or has a denominator of levels 1..N-2 that meets the pole test of
-``divisor_brackets`` (the level-(N-1) factor is always evaluated whole).  A
-term through a vanishing denominator raises PoleError, at a specialization
-t = z_at as anywhere else: at resonant points z_j = q^(+-2) z_i a
-specialization with a finite limit in z raises rather than returning a value.
+not gathered and its terms count as pruned (the level-(N-1) factor is always
+evaluated whole).  A term through a vanishing denominator raises PoleError,
+at a specialization t = z_at as anywhere else: at resonant points
+z_j = q^(+-2) z_i a specialization with a finite limit in z raises rather
+than returning a value.
 The text names the bracket by its variables, v^l_a being variable a of level
 l (level N is z), e.g. "[v^2_1 - v^1_2 + 1] vanished" (``_first_pole``).
 """
@@ -454,12 +453,11 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
         vec = np.concatenate([_factor(plan.gathers[-1].cross, np.take(values, plan.top[:, s]))
                               for s in _passes(L, plan.top[:, 0].size)])  # F_{N-1}[:, id]
         nz = vec != 0  # per order: the number of its terms without an exactly-zero factor
-        unpruned = st.bad[:levels[-1].matched].any(axis=0) | modified  # flags at levels 1..N-2
         # vec[k] = F_l @ vec[k] over the live columns, for l = N-2, ..., 1
         for g, kinds, level in list(zip(plan.gathers, plan.kinds, levels))[-2::-1]:
             out, count = (np.zeros((L, math.factorial(level.X)), dtype)
                           for dtype in (complex, np.intp))
-            lab, col = ((nz != 0) | unpruned[:, None]).nonzero()
+            lab, col = nz.nonzero()
             for s in _passes(lab.size, g.rows[:, 0].size):
                 rows, cols, kind = lab[s], col[s], kinds[lab[s]]
                 F = _factor(g.cross, np.take(values, g.rows[:, kind] * L
@@ -469,8 +467,8 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
             vec, nz = out, count
         sums = vec.sum(axis=1)
     total = math.prod(math.factorial(level.X) for level in levels)
-    out = [WeightFunctionEval(value, total, terms_pruned=0 if u else total - n)
-           for value, n, u in zip(sums.tolist(), nz.sum(axis=1).tolist(), unpruned.tolist())]
+    out = [WeightFunctionEval(value, total, terms_pruned=total - n)
+           for value, n in zip(sums.tolist(), nz.sum(axis=1).tolist())]
     for k in np.flatnonzero(st.bad.any(axis=0) | ~np.isfinite(sums)):
         error = _a_pole(st, k) or _first_pole(st, k)
         try:

@@ -84,6 +84,7 @@ MALFORMED = [
     ({"z": [[0.55, False], [0.2, -0.75]]}, "'z'"),
     ({"z": [[0.55, 0.1, 0.0], [0.2, -0.75]]}, "'z'"),
     ({"lambda": [3, -1]}, "nonnegative"),
+    ({"seed": -3}, "'seed'"),
 ]
 
 
@@ -340,11 +341,16 @@ _EDGE_INPUTS = {
     "r=1e-9": {"r": 1e-9},
     "z ratio underflows": {"z": [1e-300, 1e300]},
     "rmat --zratio 0": {},
+    "seed=-3": {"seed": -3},
 }
+# Refused at every config: a grid size below 1 or a negative seed.
+_REFUSED_ARGVS = [["qkz", "quad", "--gridsize", "0"], ["qkz", "quad", "--gridsize", "-3"],
+                  ["qkz", "grid", "--gridsize", "0"], ["verify", "ellfn", "--seed", "-1"],
+                  ["wf", "eval", "--seed", "-40"]]
 _EDGE_ARGVS = [["wf", "eval"], ["wf", "triangularity"], ["wf", "transition"], ["wf", "stab"],
                ["gt", "basis"], ["qkz", "eval"], ["qkz", "eval", "--elliptic"], ["qkz", "grid"],
                ["qkz", "quad"], ["verify", "ellfn"], ["verify", "qkz"], ["verify", "all"],
-               ["theta"], ["rmat"], ["rmat", "--zratio", "0"]]
+               ["theta"], ["rmat"], ["rmat", "--zratio", "0"], *_REFUSED_ARGVS]
 
 
 @pytest.mark.parametrize("name", _EDGE_INPUTS)
@@ -360,7 +366,9 @@ def test_no_accepted_input_ends_in_a_traceback(tmp_path, capsys, name):
             assert rc in (0, 1, 2), argv
             err = capsys.readouterr().err.splitlines()
             assert err == [] if rc != 2 else len(err) == 1 and err[0].startswith("error: "), argv
-        if name == "N=1" and "--zratio" not in argv:  # only weight functions need two colors
+        if name == "seed=-3" or argv in _REFUSED_ARGVS:
+            assert rc == 2, argv
+        elif name == "N=1" and "--zratio" not in argv:  # only weight functions need two colors
             assert rc == (2 if argv[0] in ("wf", "gt", "qkz") else 0), argv
 
 
@@ -571,3 +579,34 @@ def test_shared_flags_valid_before_and_after_subcommand(tmp_path):
     assert main(["--seed", "3", "--out", str(out1), "verify", "ellfn"]) == 0
     assert main(["verify", "ellfn", "--seed", "3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# Refusals no other test reaches: (config file text, argv, text of the error line).
+REFUSALS = [
+    pytest.param(json.dumps({"N": 0}), ["theta"], "field 'N': must be >= 1, got 0", id="N=0"),
+    pytest.param("{", ["theta"], "config is not valid JSON", id="invalid JSON"),
+    pytest.param("[1, 2]", ["theta"], "config must be a JSON object", id="not an object"),
+    pytest.param("{}", ["gt", "act", "--j", "5"], "--j must lie in 1..1", id="gt act --j 5"),
+]
+
+
+@pytest.mark.parametrize("text, argv, error", REFUSALS)
+def test_refusals(tmp_path, capsys, text, argv, error):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["--config", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and not captured.out
+    assert error in lines[0]
+
+
+def test_qkz_grid_marks_a_point_it_cannot_evaluate_nan(tmp_path, capsys):
+    # At angle 0 the one variable sits at t = 1, so t/z_1 = 5 = 1/Q with the
+    # default Q = 0.2: a pole of the kernel's elliptic Gamma factor.  That row
+    # reads nan, the others values.
+    path = write_config(tmp_path, {"z": [0.2, [0.3, -0.4]]})
+    assert main(["--config", path, "qkz", "grid", "--elliptic", "--gridsize", "4"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[:2] == ["angle_index,re,im", "0,nan,nan"]
+    assert len(rows) == 5 and all("nan" not in row for row in rows[2:])

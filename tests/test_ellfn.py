@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellqg import ellfn
+from ellqg.cli import build_config, run_suite
 from ellqg.ellfn import (ModularParams, bracket_derivative_at_zero, ell_gamma,
                          jacobi_bracket, jacobi_brackets, qpoch, theta)
 from ellqg.errors import (DomainError, FloatRangeError, ParameterError, PoleError,
@@ -146,14 +147,6 @@ def test_params_refuse_non_finite_values(field, value):
     # would let r = NaN through, and every bracket would then be NaN.
     with pytest.raises(ParameterError):
         ModularParams(**{"q": 0.5, "r": 3.1, field: value})
-
-
-def test_bracket_derivative_two_schemes(mp):
-    d1 = bracket_derivative_at_zero(mp, step=1e-4)
-    d2 = bracket_derivative_at_zero(mp, step=5e-5)
-    assert d1.real != 0.0
-    assert abs(d1.imag) < 1e-10
-    assert abs(d1 - d2) < 1e-8 * abs(d1)
 
 
 def test_bracket_antisymmetry_consequence(mp):
@@ -425,6 +418,27 @@ def test_brackets_against_mpmath(q, starred):
         assert abs(val - single) <= agree * abs(single), (u, q)
 
 
+@pytest.mark.parametrize("q, max_terms, tol", [
+    (0.5, 512, 1e-13), (0.8, 512, 1e-13), (0.9, 512, 1e-13), (0.99, 4096, 1e-12)])
+def test_bracket_derivative_against_mpmath(q, max_terms, tol):
+    # The closed form against the 40-digit derivative of the 40-digit bracket.
+    with mpmath.workdps(40):
+        ref = complex(mpmath.diff(lambda u: _mp_bracket(u, q, 3.1), 0))
+    d = bracket_derivative_at_zero(ModularParams(q=q, r=3.1, max_terms=max_terms))
+    assert abs(d - ref) <= tol * abs(ref)
+
+
+def test_bracket_derivative_row_fails_under_a_wrong_derivative(monkeypatch):
+    def row():
+        return next(c for c in run_suite("ellfn", build_config({}))["checks"]
+                    if c["id"] == "ellfn.bracket_derivative")
+
+    assert row()["pass"]
+    exact = ellfn.bracket_derivative_at_zero
+    monkeypatch.setattr(ellfn, "bracket_derivative_at_zero", lambda mp: (1 + 1e-6) * exact(mp))
+    assert not row()["pass"]
+
+
 def test_brackets_batch_keeps_exact_zero_and_shape(mp):
     vals = jacobi_brackets([0.0, 1.0, -1.0], mp)
     assert vals.shape == (3,) and vals[0] == 0
@@ -538,3 +552,17 @@ def test_weierstrass_three_term_identity(q, max_terms, points):
     scalar = _three_term(lambda a, s: jacobi_bracket(one[a] + one[s], mp)
                          * jacobi_bracket(one[a] - one[s], mp))
     assert scalar <= 1e-10
+
+
+# Refusals no other test reaches: (call, error class, text fragment).
+REFUSALS = [
+    pytest.param(lambda: ell_gamma(0.5, 0.1, 1.0), ParameterError, "|s| < 1", id="|s| = 1"),
+    pytest.param(lambda: ell_gamma(0.5, -1.5, 0.2), ParameterError, "|p| < 1", id="|p| > 1"),
+    pytest.param(lambda: ell_gamma([0.5, 0.0], 0.1, 0.2), DomainError, "z != 0", id="z = 0"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", REFUSALS)
+def test_refusals(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()

@@ -9,7 +9,8 @@ on (x86-64 Linux, Python 3.11.7, numpy 2.4.6), as
 ``test_qkz.py::test_integrand_values_are_pinned_bit_for_bit`` does; another
 libm or numpy may move a last bit.  Regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` only in a change that states
-that it changes bits, and name the commands that moved.
+that it changes bits, and name the commands that moved: the script prints
+each key whose digests changed, was added or was removed.
 """
 
 from __future__ import annotations
@@ -76,7 +77,12 @@ def test_golden_file_lists_exactly_the_commands():
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = {_key(*c): _digests(*c, Path(tmp)) for c in COMMANDS}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    for key in sorted(old.keys() | table.keys()):
+        if old.get(key) != table.get(key):
+            print(("added" if key not in old else "removed" if key not in table
+                   else "changed") + f": {key}")
     print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)

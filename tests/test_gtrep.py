@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -152,13 +153,6 @@ def test_gauge_product(mp):
     assert abs(a * astar - target) < 1e-12 * abs(target)
 
 
-def test_gauge_constants_are_computed_once_per_pack(mp):
-    first = gauge_constants(ModularParams(q=0.5, r=3.1))
-    assert gauge_constants(ModularParams(q=0.5, r=3.1)) is first
-    assert [x.hex() for c in first for x in (c.real, c.imag)] == \
-        [x.hex() for c in gauge_constants.__wrapped__(mp) for x in (c.real, c.imag)]
-
-
 def test_exchange_relations_all_pairs(mp, rng):
     cases = [(2, (1, 1)), (2, (2, 2)), (2, (1, 2, 1, 2)), (3, (2, 3, 2, 3)),
              (3, (1, 2, 2, 3))]
@@ -250,3 +244,17 @@ def test_exchange_negative_control(mp, rng):
     assert broken > 1e-3
 
 
+# Refusals no other test reaches: (call, error class, text fragment).
+REFUSALS = [
+    pytest.param(lambda: exchange_check(1, 1, PartitionIndex.from_colors((1, 2), 2),
+                                        EvaluationPoints((0.5, 0.6j), 0.5),
+                                        DynamicalParams((1.2,)), ModularParams(q=0.5, r=3.1),
+                                        current="g"),
+                 ParameterError, "current must be 'e' or 'f'", id="current g"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", REFUSALS)
+def test_refusals(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -338,3 +339,32 @@ def test_integrand_values_are_pinned_bit_for_bit():
     for (spec, ts), want in zip(_golden_cases(), _GOLDEN, strict=True):
         got = [integrand(spec, t) for t in ts]
         assert [(v.real.hex(), v.imag.hex()) for v in got] == want, spec.lam
+
+
+def _spec(**kw):
+    """An IntegrandSpec at lambda=(1,1), q=0.5, r=3.1 with ``kw`` replaced."""
+    I = PartitionIndex.from_colors((1, 2), 2)
+    return IntegrandSpec(**{"I": I, "z": EvaluationPoints((0.5, 0.6j), 0.5),
+                            "Pdyn": DynamicalParams((1.2,)), "mp": ModularParams(q=0.5, r=3.1),
+                            **kw})
+
+
+# Refusals no other test reaches: (call, error class, text fragment).
+REFUSALS = [
+    pytest.param(lambda: nome_params(ModularParams(q=0.5, r=3.1), 1.0), ParameterError,
+                 "substituted nome must lie in (0, 1)", id="nome 1"),
+    pytest.param(lambda: _spec(J=PartitionIndex.from_colors((1, 1), 2), Q=0.2), ShapeError,
+                 "cycle label must share the cocycle shape", id="J of another shape"),
+    pytest.param(lambda: _spec(J=PartitionIndex.from_colors((2, 1), 2), Q=1.5), ParameterError,
+                 "trace nome Q must lie in (0, 1)", id="trace Q 1.5"),
+    pytest.param(lambda: _spec(), ParameterError,
+                 "elliptic kernel needs a trace nome Q in (0, 1)", id="elliptic Q 0"),
+    pytest.param(lambda: torus_quadrature(_spec(trig=True), grid_size=0), ParameterError,
+                 "grid_size must be >= 1, got 0", id="grid 0"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", REFUSALS)
+def test_refusals(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import pytest
@@ -149,3 +150,25 @@ def test_evaluation_points_refuse_non_finite_points(x):
 def test_dynamical_params_refuse_non_finite_values(x):
     with pytest.raises(ParameterError, match="finite"):
         DynamicalParams((1.2, x))
+
+
+# Refusals no other test reaches: (call, error class, text fragment).
+REFUSALS = [
+    pytest.param(lambda: leq(PartitionIndex.from_colors((1, 2), 2),
+                             PartitionIndex.from_colors((1, 1), 2)),
+                 ShapeError, "leq requires equal shapes", id="leq shapes"),
+    pytest.param(lambda: DynamicalParams((1.2,), (0, 0)), ShapeError,
+                 "eta must have the same length as P", id="eta length"),
+    pytest.param(lambda: DynamicalParams((1.2,)).shifted((1, 0)), ShapeError,
+                 "shift vector has wrong length", id="shift length"),
+    pytest.param(lambda: EvaluationPoints((0.5, 0.0), 0.5), ParameterError,
+                 "spectral points must be nonzero", id="z = 0"),
+    pytest.param(lambda: EvaluationPoints((0.5,), 1.0), ParameterError,
+                 "q must lie in (0, 1)", id="q = 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", REFUSALS)
+def test_refusals(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()

@@ -320,6 +320,22 @@ def test_modified_sum_equals_brute_force_sum(mp, rng):
             assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I)
 
 
+def test_modified_specializations_prune_exactly_the_zero_terms(mp, rng):
+    # At t = z_at the modified terms with an exactly-zero factor are pruned as
+    # the plain ones are, and the pruned sum keeps the value of all terms.
+    for N, lam in _wf_cases(3):
+        z = random_points(rng, lam.n, mp.q)
+        pd = random_pdyn(rng, N)
+        parts = enumerate_partitions(lam)
+        for I, at in product(parts, parts):
+            t = TVariables.specialization(at, z)
+            res = weightfn._sym_sums([(I, (t, z, pd), None)], mp, modified=True)[0]
+            terms = _brute_force_terms(I, t, z, pd, mp, modified=True)
+            ref = sum(terms, 0.0 + 0.0j)
+            assert abs(res.value - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I, at)
+            assert res.terms_pruned == sum(x == 0 for x in terms), (lam, I, at)
+
+
 def _outcome(f):
     """``f()``, or the type and text of the library error it raises."""
     try:
@@ -1305,3 +1321,38 @@ def test_gathers_cut_into_passes_give_the_same_outcomes(mp, rng, monkeypatch):
     assert outcomes() == want
     assert max(map(len, passes)) > 10
     assert any(isinstance(o[-1][0], type) for o in want[2])  # a resonant stack raises
+
+
+def _refusal_args():
+    """label (1,2), points and packs of a lambda=(1,1) call at q=0.5, r=3.1."""
+    return (PartitionIndex.from_colors((1, 2), 2), EvaluationPoints((0.5, 0.6j), 0.5),
+            DynamicalParams((1.2,)), ModularParams(q=0.5, r=3.1))
+
+
+def _w_at(levels, **kw):
+    I, z, pd, mp = _refusal_args()
+    return w_tilde(I, TVariables(levels), z, pd, mp, **kw)
+
+
+# Refusals no other test reaches: (call, error class, text fragment).
+REFUSALS = [
+    pytest.param(lambda: TVariables(((0.5, 0.0),)), ParameterError,
+                 "t variables must be nonzero", id="t = 0"),
+    pytest.param(lambda: _w_at(((0.3,), (0.4,))), ShapeError, "need 1 t-levels, got 2",
+                 id="t-level count"),
+    pytest.param(lambda: _w_at(((0.3, 0.4),)), ShapeError, "level 1 needs 1 entries, got 2",
+                 id="t-level size"),
+    pytest.param(lambda: specialize(*_refusal_args()[:1], PartitionIndex.from_colors((1, 1), 2),
+                                    *_refusal_args()[1:]),
+                 ShapeError, "specialization point and label must share a shape",
+                 id="specialization shape"),
+    pytest.param(lambda: modified_w(_refusal_args()[0], TVariables(((0.3,),)),
+                                    *_refusal_args()[1:], route="x"),
+                 ParameterError, "unknown route 'x'", id="route x"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", REFUSALS)
+def test_refusals(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()
