@@ -15,7 +15,7 @@ from .rmat import DynRMatrix, check_dybe, check_inversion, embedded_rbar, rbar, 
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                           PartitionIndex, enumerate_partitions, leq, weight_of)
 from .weightfn import (TVariables, WeightFunctionEval, diagonal_value,
-                       modified_w, specialize, specialize_all, stab_matrix,
+                       modified_w, specialize, specialize_all, specialize_points, stab_matrix,
                        stable_envelope_restriction, transition_residuals, w_tilde)
 
 __version__ = "0.1.0"

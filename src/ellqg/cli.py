@@ -220,9 +220,8 @@ def _cmd_wf(cfg: RunConfig, args) -> int:
         if args.action == "stab":
             mat = weightfn.stab_matrix(lam, z, pd, mp)
         else:
-            vals = weightfn.specialize_all([(I, J, pd) for J in parts for I in parts], z, mp)
-            mat = {I: {J: vals[m * len(parts) + k].value for m, J in enumerate(parts)}
-                   for k, I in enumerate(parts)}
+            rows = weightfn.specialize_points([(J, pd, parts) for J in parts], z, mp)
+            mat = {I: {J: row[k] for J, row in zip(parts, rows)} for k, I in enumerate(parts)}
         for I in parts:
             for J in parts:
                 val = mat[I][J]

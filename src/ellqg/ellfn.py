@@ -340,7 +340,10 @@ def _gamma_fold(zs: np.ndarray, prow: np.ndarray, row: np.ndarray, eps: float) -
         drop = size.take(ni, axis=0)
         np.multiply(pabs.take(mi)[:, None], drop, out=drop)
         f[drop < eps] = 1.0                             # factors an argument drops
-        pole = np.abs(f[:, -zs.size:]) < _POLE_TOL
+        tail = f[:, -zs.size:]
+        pole = np.abs(tail.real) < _POLE_TOL            # |f| >= |Re f|: misses no pole
+        if pole.any():
+            pole[pole] = np.abs(tail[pole]) < _POLE_TOL
         first = mi[pole.any(axis=1)].min() if pole.any() else prow.size
         products = np.multiply.reduceat(f, np.flatnonzero(ni == 0), axis=0)
         ends = [*range((15 - lo) % 16 + 1, len(products), 16), len(products)]

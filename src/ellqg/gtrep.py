@@ -26,8 +26,8 @@ from .ellfn import (ModularParams, bracket_derivative_at_zero, divisor_brackets,
                     jacobi_bracket, require_normal, theta)
 from .errors import ParameterError, PoleError
 from .tensorspace import (Composition, DynamicalParams, EvaluationPoints,
-                          PartitionIndex, enumerate_partitions)
-from .weightfn import specialize_all
+                          PartitionIndex, enumerate_partitions, partition_colors)
+from .weightfn import specialize_points
 
 
 def require_level_zero(mp: ModularParams) -> None:
@@ -99,18 +99,35 @@ def gt_vectors(labels, z: EvaluationPoints, Pdyn: DynamicalParams,
     weight of the color string; the expansion is triangular with respect to
     the partial order on partitions.  Exactly-zero coefficients are left out;
     every other one is kept, however small.  Every coefficient of the call
-    comes from one ``specialize_all`` call, a label being a point; an error
-    is the first that label by label meets.
+    comes from one ``specialize_points`` call, a label I being the point
+    at = I of every label of its shape (one tuple per shape), and is read as
+    a value; the color strings of a shape are built once.  An error is the
+    first that label by label meets.
+
+    At resonant points z_j = q^(+-2) z_i a coefficient is either a true pole
+    or a removable case that raises.  Take lambda = (1, 1), q = 0.5,
+    z_1 = 0.6 e^(0.3i), P = 1.2 + 0.3i:
+
+    - at z_2 = q^2 z_1 (1 + h), the vector of I = (1, 2) grows like 1/h (its
+      largest coefficient is 1.16e4, 1.16e6 and 1.16e8 at h = 1e-4, 1e-6 and
+      1e-8): a true pole, the [u_b - u_a + 1] divisor of ``diagonal_value``
+      at the inverted points.  At h = 0 it raises PoleError.
+    - at z_2 = q^(-2) z_1 (1 + h), both vectors stay bounded and converge as
+      h -> 0 (that of (1, 2) to a diagonal coefficient 0.94521...), but at
+      h = 0 the vector of (2, 1) raises PoleError "[v^2_1 - v^1_1 + 1]
+      vanished" where its limit {(2, 1): 1} is finite: a removable case, which
+      a limit rule on the sum would return.
     """
     require_level_zero(mp)
     z.require_distinct()
     zinv = EvaluationPoints(tuple(1.0 / x for x in z.z), z.q)
-    rows = [(I, enumerate_partitions(I.shape()), Pdyn.shifted_by_colors(I.colors(), sign=1))
-            for I in labels]
-    values = iter(specialize_all([(J, I, shifted) for I, parts, shifted in rows for J in parts],
-                                 zinv, mp))
-    return [TensorState({J.colors(): res.value for J, res in zip(parts, values) if res.value != 0})
-            for _, parts, _ in rows]
+    shapes = [I.shape() for I in labels]
+    rows = specialize_points([(I, Pdyn.shifted_by_colors(I.colors(), sign=1),
+                               enumerate_partitions(lam)) for I, lam in zip(labels, shapes)],
+                             zinv, mp)
+    return [TensorState({colors: value for colors, value in zip(partition_colors(lam), row)
+                         if value != 0})
+            for lam, row in zip(shapes, rows)]
 
 
 def _bracket_ratios(val: complex, factors, mp: ModularParams) -> complex:

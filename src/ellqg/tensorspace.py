@@ -153,6 +153,13 @@ def _partitions(lam: Composition) -> tuple[PartitionIndex, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def partition_colors(lam: Composition) -> tuple[tuple[int, ...], ...]:
+    """The color string of each partition of shape lambda, in the order of
+    ``enumerate_partitions``: a shape's strings are built once."""
+    return tuple(I.colors() for I in enumerate_partitions(lam))
+
+
 def color_weight(c: int, N: int) -> tuple[int, ...]:
     """h_j-weights of the basis color c: <eps-bar_c, h_j> = d_{c,j} - d_{c,j+1}."""
     return tuple((1 if c == j else 0) - (1 if c == j + 1 else 0)

@@ -18,30 +18,34 @@ is F_1 @ ... @ F_{N-1}[:, id] summed; the term U_I of ``w_tilde`` (of
 pattern, the positions its level-l sites take among its level-(l+1) sites;
 ``_layout`` holds one index table per shape and level, a column per pattern.
 ``_sym_sums``, the only code that multiplies table entries, evaluates a list
-of items, each a label I at a point (t, z, Pdyn), optionally reading z
-through a site permutation.  Items of one shape are summed as stacks of
-whole points within ``_STACK_ENTRIES`` table entries, a point over that
-alone being a stack of its own.  A bracket argument v_x - v_y + c, c in
-{0, +-1, A}, is only ever shared between items of one point, one
-``divisor_brackets`` pass gives every item's tables, and every item of a
-level gathers in one index operation.
+of points, each (t, z, Pdyn, labels, perms): a tuple of labels of one shape
+at (t, z, Pdyn), each label optionally reading z through its site
+permutation.  An item is one label of a point; its value and pruned term
+count come back in per-point lists, with no object per item.  The points of
+one shape are summed as stacks of whole points within ``_STACK_ENTRIES``
+table entries, a point over that alone being a stack of its own.  A bracket
+argument v_x - v_y + c, c in {0, +-1, A}, is only ever shared between items
+of one point, one ``divisor_brackets`` pass gives every item's tables, and
+every item of a level gathers in one index operation.
 
 A stack is evaluated in two parts.  Its plan (``_plan``) is its value-free
 index work (its distinct brackets, each item's pattern columns and its
-top-level gather index), built once per structure (per item its label, the
-place of its point among the stack's points and its site permutation, never
-a point or its id) and kept in a cache of 16 read-only plans.  The value pass
-(``_stack``) is all a new point pays for: one ``divisor_brackets`` call over
-the distinct arguments, pole test included, the ratio tables and the contraction,
-whose pruning below the top level depends on the values.  Every value is
-bitwise that of the item alone (``w_tilde`` at the permuted points), and an
-error is the one evaluating the items one by one meets first.  So
-``specialize_all``, ``triangularity_violations``, ``stab_matrix``,
-``gtrep.gt_vectors`` and ``transition_residuals`` each evaluate a whole
-shape, or a whole list of transition cases, in one call.  A column of a label's
-F_l whose every term already has an exactly-zero factor (as at t = z_J) is
-not gathered and its terms count as pruned (the level-(N-1) factor is always
-evaluated whole).  A term through a vanishing denominator raises PoleError,
+top-level gather index), built once per structure (per point its labels and
+site permutations, never a point's values) and kept in a cache of 16
+read-only plans.  The value pass (``_stack``) is all a new point pays for:
+one ``divisor_brackets`` call over the distinct arguments, pole test
+included, the ratio tables and the contraction, whose pruning below the top
+level depends on the values.  Every value is bitwise that of the item alone
+(``w_tilde`` at the permuted points), and an error is the one evaluating the
+items one by one meets first.  So ``specialize_points``,
+``triangularity_violations``, ``stab_matrix``, ``gtrep.gt_vectors`` and
+``transition_residuals`` each evaluate a whole shape, or a whole list of
+transition cases, in one call, and read the values directly; only the public
+one-label calls and ``specialize_all`` build a ``WeightFunctionEval`` per
+item.  A column of a label's F_l whose every term already has an
+exactly-zero factor (as at t = z_J) is not gathered and its terms count as
+pruned (the level-(N-1) factor is always evaluated whole).  A term through a
+vanishing denominator raises PoleError,
 at a specialization t = z_at as anywhere else: at resonant points
 z_j = q^(+-2) z_i a specialization with a finite limit in z raises rather
 than returning a value.
@@ -55,7 +59,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, groupby, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -266,17 +270,24 @@ def _label(I: PartitionIndex) -> tuple:
     for l in range(1, lam.N):
         nxt = I.union(l + 1)
         S = tuple(nxt.index(s) for s in I.union(l))
-        patterns.append(list(combinations(range(len(nxt)), len(S))).index(S))
+        patterns.append(_pattern_index(len(nxt), len(S))[S])
         slots += [(l, a + 1, colors[s - 1], sum(eps_pairing(colors[j], colors[s - 1], l + 1)
                                                 for j in range(s, len(colors))))
                   for a, s in enumerate(I.union(l))]
     return lam, tuple(patterns), tuple(slots)
 
 
+@lru_cache(maxsize=64)
+def _pattern_index(Y: int, X: int) -> dict:
+    """The place of each slot pattern of X slots among Y variables in the
+    order of ``combinations``, ``_gather``'s column order."""
+    return {S: s for s, S in enumerate(combinations(range(Y), X))}
+
+
 class _Plan(NamedTuple):
-    """The value-free part of a stack of items of one shape: everything that
-    depends only on its structure (per item: its label, the place of its
-    point among the stack's points, its site permutation).  A bracket reads
+    """The value-free part of a stack of points of one shape: everything that
+    depends only on its structure (per point: its labels and their site
+    permutations).  Its items are the labels of its points in order.  A bracket reads
     one row per call: each point's coordinates (its variables level by level,
     z last, then a spare 0), then each point's constants (0, 1, -1, then one
     A per distinct (level, color, C) of the stack)."""
@@ -294,21 +305,23 @@ class _Plan(NamedTuple):
     top: np.ndarray        # (factors, items, orders): every item's gather index at the top level
 
 
-# Measured at seed 0: a verify run makes 259 stacks and builds 220 plans (39
-# hits), a qkz_trace run hits 998 of 1,000 and a gt_basis run 29 of 30; more
-# plans kept add memory, not reuse.
+# Measured at seed 0, with stacks of whole points: a verify run makes 259
+# stacks and builds 220 plans (39 hits), a qkz_trace run hits 998 of 1,000 and
+# a gt_basis run 29 of 30; more plans kept add memory, not reuse.
 @lru_cache(maxsize=16)
 def _plan(modified: bool, structure: tuple) -> _Plan:
-    """The plan of a stack of items (label I, point place, site permutation
-    or None).  A bracket is keyed by (point, variables, constant): equal keys
+    """The plan of a stack of points, each (labels, site permutations or
+    None).  A bracket is keyed by (point, variables, constant): equal keys
     are the same operations on the same values, so each distinct one is
     evaluated once.  Table entry e of item k is entry e * items + k of the
     stack's tables."""
-    labels, at, perms = zip(*structure)
+    labels = [I for point, _ in structure for I in point]
+    at = [p for p, (point, _) in enumerate(structure) for _ in point]
+    perms = [perm for point, perms in structure for perm in perms or [None] * len(point)]
     lam, patterns, slots = zip(*(_label(I) for I in labels))
     if lam.count(lam[0]) != len(lam):
         raise ShapeError("the items of a stack must share a shape")
-    lam, L = lam[0], len(structure)
+    lam, L = lam[0], len(labels)
     levels, (i, j, c), ratio, gathers = _layout(lam, modified)
     ids = {0: 0, 1: 1, 2: 2}  # constant keys: 0, 1, -1 by place, a slot's A by (l, color, C)
     cids = np.array([[0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
@@ -356,34 +369,28 @@ class _Stack(NamedTuple):
     small: np.ndarray   # (brackets + 1, items): a bracket meets the pole test
 
 
-def _stack(items: list, mp: ModularParams, modified: bool) -> _Stack:
-    """The factor tables of the items' terms (with ``modified``, the modified
-    terms): the value pass over the stack's plan, with one
-    ``divisor_brackets`` call over its distinct brackets.
+def _stack(points: list, mp: ModularParams, modified: bool) -> _Stack:
+    """The factor tables of the terms of the points' items (with
+    ``modified``, the modified terms): the value pass over the stack's plan,
+    with one ``divisor_brackets`` call over its distinct brackets.
 
-    Item (I, (t, z, Pdyn), perm) is label I at its point; with a perm, site
-    s+1 reads the spectral point ``z.z[perm[s]]``, as if z were permuted.
-    Points are told apart by identity within the call."""
-    places: dict = {}  # point -> its place
-    points, structure = [], []
-    for I, point, perm in items:
-        k = places.setdefault(id(point), len(points))
-        if k == len(points):
-            points.append(point)
-        structure.append((I, k, perm))
-    plan = _plan(modified, tuple(structure))
+    Point (t, z, Pdyn, labels, perms) holds each label of ``labels`` at
+    (t, z, Pdyn); with perms, one site permutation or None per label, site
+    s+1 of a label with a permutation reads the spectral point
+    ``z.z[perm[s]]``, as if z were permuted."""
+    plan = _plan(modified, tuple((labels, perms) for _, _, _, labels, perms in points))
     row = []
-    for t, z, _ in points:
+    for t, z, _, _, _ in points:
         t.check_shape(plan.lam, z)
         row += [x for level in _vees(t, z, mp) for x in level] + [0.0]
-    for _, _, Pdyn in points:
+    for _, _, Pdyn, _, _ in points:
         row += [0.0, 1.0, -1.0] + [Pdyn.value(color, l) - C for color, l, C in plan.consts]
     vi, vj, const = np.array(row, dtype=complex)[plan.args]
     args = vi - vj + const
     try:
         br, small = divisor_brackets(args, mp)
     except FloatRangeError:
-        if len(items) == 1:  # name the first of the item's brackets, in its order, that overflows
+        if plan.rank.shape[1] == 1:  # name the item's first overflowing bracket, in its order
             divisor_brackets(args[plan.rank[:-1, 0] - 1], mp)
         raise
     br[0] = 1.0  # [1] is tested and its mask False: its place is the tables' exact 1
@@ -437,16 +444,19 @@ def _passes(n: int, width: int) -> list:
     return [slice(None)] if n <= step else [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
-def _sums(items: list, mp: ModularParams, modified: bool) -> list:
-    """The outcomes of one stack, in item order: each item's plain sum of its
-    terms (modified terms) over block permutations, up to the first item
-    that raises, whose EllqgError ends the list.  An item raises for a
-    vanishing [A], a term through a vanishing denominator (``_first_pole``)
-    or a sum beyond the float range (FloatRangeError).  An error of the
-    shared ``_stack`` call, such as its bracket call's, is raised.  Each
-    level is one gather, cut into ``_passes``."""
-    st = _stack(items, mp, modified)
-    plan, L, levels = st.plan, len(items), st.plan.levels
+def _sums(points: list, mp: ModularParams, modified: bool) -> list:
+    """The outcomes of one stack, in point order: per point the lists of its
+    items' plain sums of their terms (modified terms) over block permutations
+    and of their pruned term counts, and the number of terms of an item, up
+    to the first point with an item that raises, whose EllqgError (that of
+    its first such item) ends the list.
+    An item raises for a vanishing [A], a term through a vanishing
+    denominator (``_first_pole``) or a sum beyond the float range
+    (FloatRangeError).  An error of the shared ``_stack`` call, such as its
+    bracket call's, is raised.  Each level is one gather, cut into
+    ``_passes``."""
+    st = _stack(points, mp, modified)
+    plan, L, levels = st.plan, st.values.shape[1], st.plan.levels
     values = st.values.ravel()  # entry-major
     # A product beyond the float range raises FloatRangeError below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -467,16 +477,23 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
             vec, nz = out, count
         sums = vec.sum(axis=1)
     total = math.prod(math.factorial(level.X) for level in levels)
-    out = [WeightFunctionEval(value, total, terms_pruned=total - n)
-           for value, n in zip(sums.tolist(), nz.sum(axis=1).tolist())]
+    first, error = L, None  # the first item that raises, and its error
     for k in np.flatnonzero(st.bad.any(axis=0) | ~np.isfinite(sums)):
-        error = _a_pole(st, k) or _first_pole(st, k)
+        text = _a_pole(st, k) or _first_pole(st, k)
         try:
-            if error:
-                raise PoleError(error)
+            if text:
+                raise PoleError(text)
             require_finite(complex(sums[k]), "weight-function sum")
         except EllqgError as exc:
-            return out[:k] + [exc]
+            first, error = k, exc
+            break
+    sums, pruned, out, lo = sums.tolist(), [total - n for n in nz.sum(axis=1).tolist()], [], 0
+    for _, _, _, labels, _ in points:
+        hi = lo + len(labels)
+        if hi > first:
+            return out + [error]
+        out.append((sums[lo:hi], pruned[lo:hi], total))
+        lo = hi
     return out
 
 
@@ -485,42 +502,62 @@ def _sums(items: list, mp: ModularParams, modified: bool) -> list:
 _STACK_ENTRIES = 4096
 
 
-def _stacks(items: list, modified: bool) -> list[list[int]]:
-    """The item indices of each stack, ordered by their first: per shape (of
-    a point's first item), the points in order of their first item, whole
-    points per stack."""
-    shapes: dict = {}  # shape -> per point its items
-    points: dict = {}  # point -> its items
-    for k, (I, point, _) in enumerate(items):
-        if id(point) not in points:
-            points[id(point)] = []
-            shapes.setdefault(_label(I)[0], []).append(points[id(point)])
-        points[id(point)].append(k)
+def _stacks(points: list, modified: bool) -> list[list[int]]:
+    """The point indices of each stack, ordered by their first: per shape (of
+    a point's first label), the points in order, as many whole points per
+    stack as fit ``_STACK_ENTRIES``."""
+    shapes: dict = {}  # shape -> its points
+    for p, (_, _, _, labels, _) in enumerate(points):
+        shapes.setdefault(_label(labels[0])[0], []).append(p)
     out = []
-    for lam, groups in shapes.items():
-        entries, stack = _layout(lam, modified)[2].shape[1], []
-        for ks in groups:
-            if stack and (len(stack) + len(ks)) * entries > _STACK_ENTRIES:
-                out.append(sorted(stack))
-                stack = []
-            stack += ks
-        out.append(sorted(stack))
+    for lam, ps in shapes.items():
+        entries, stack, items = _layout(lam, modified)[2].shape[1], [], 0
+        for p in ps:
+            size = len(points[p][3])
+            if stack and (items + size) * entries > _STACK_ENTRIES:
+                out.append(stack)
+                stack, items = [], 0
+            stack.append(p)
+            items += size
+        out.append(stack)
     return sorted(out)
 
 
-def _outcomes(items: list, mp: ModularParams, modified: bool = False) -> list:
-    """The outcomes of ``items`` in order, each (label I, point (t, z, Pdyn),
-    site permutation or None) as in ``_stack``: each WeightFunctionEval, up to
-    the first item that raises, whose EllqgError ends the list.  The items
-    are summed by ``in_order`` in the stacks of ``_stacks`` (one item is its
-    own); values and the error are those of the items one by one."""
-    groups = [[0]] if len(items) == 1 else _stacks(items, modified)
-    return in_order(items, groups, lambda stack: _sums(stack, mp, modified))
+def _outcomes(points: list, mp: ModularParams, modified: bool = False) -> list:
+    """The outcomes of ``points`` in order, each (t, z, Pdyn, labels, perms)
+    as in ``_stack``: per point its values, pruned term counts and terms (``_sums``),
+    up to the first point with a label that raises, whose EllqgError ends the
+    list.  The points are summed by ``in_order`` in the stacks of ``_stacks``
+    (one point is its own), and a point of several labels whose own stack
+    raises is replayed label by label; values and the error are those of the
+    labels one by one."""
+    def evaluate(group: list) -> list:
+        try:
+            return _sums(group, mp, modified)
+        except EllqgError:
+            t, z, Pdyn, labels, perms = group[0]
+            if len(group) == 1 and len(labels) > 1:
+                alone = in_order([(t, z, Pdyn, (I,), perms and perms[k:k + 1])
+                                  for k, I in enumerate(labels)],
+                                 [[k] for k in range(len(labels))], evaluate)
+                if isinstance(alone[-1], EllqgError):
+                    return alone[-1:]
+            raise
+
+    groups = [[0]] if len(points) == 1 else _stacks(points, modified)
+    return in_order(points, groups, evaluate)
 
 
-def _sym_sums(items: list, mp: ModularParams, modified: bool = False) -> list[WeightFunctionEval]:
-    """Each item's sum (``_outcomes``), or the first error raised."""
-    return settle(_outcomes(items, mp, modified))
+def _sym_sums(points: list, mp: ModularParams, modified: bool = False) -> list:
+    """Each point's values, pruned term counts and terms (``_outcomes``), or
+    the first error raised."""
+    return settle(_outcomes(points, mp, modified))
+
+
+def _evaluations(outcome: tuple) -> list[WeightFunctionEval]:
+    """A WeightFunctionEval per label of a point from its (values, pruned, terms)."""
+    values, pruned, terms = outcome
+    return [WeightFunctionEval(value, terms, terms_pruned=n) for value, n in zip(values, pruned)]
 
 
 def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
@@ -537,40 +574,49 @@ def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     Summed by ``_sym_sums`` as a stack of one item, exactly-zero branches
     pruned (module docstring); a vanishing denominator raises PoleError.
     """
-    return _sym_sums([(I, (t, z, Pdyn), None)], mp)[0]
+    return _evaluations(_sym_sums([(t, z, Pdyn, (I,), None)], mp)[0])[0]
 
 
-def _specializations(items, z: EvaluationPoints) -> list:
-    """The stack items of (label I, point at, Pdyn) items at t = z_at, one
-    point per (at, Pdyn) object pair; checks the shapes and that z is
-    distinct first."""
-    items = list(items)
-    keys, shapes = [(id(at), id(Pdyn)) for _, at, Pdyn in items], {}
-    for (I, at, _), key in zip(items, keys):
-        if key not in shapes:
-            shapes[key] = at.shape()
-        if _label(I)[0] != shapes[key]:
+def _specializations(points, z: EvaluationPoints) -> list:
+    """The stack points of specialization points (at, Pdyn, labels): each
+    its labels at t = z_at; checks the shapes and that z is distinct first."""
+    points = list(points)
+    lams: dict = {}  # labels -> their one shape or None, by identity within the call
+    for at, _, labels in points:
+        if id(labels) not in lams:
+            shapes = {_label(I)[0] for I in labels}
+            lams[id(labels)] = shapes.pop() if len(shapes) == 1 else None
+        if lams[id(labels)] != at.shape():
             raise ShapeError("specialization point and label must share a shape")
     z.require_distinct()
-    points: dict = {}
-    for (_, at, Pdyn), key in zip(items, keys):
-        if key not in points:
-            points[key] = (TVariables.specialization(at, z), z, Pdyn)
-    return [(I, points[key], None) for (I, _, _), key in zip(items, keys)]
+    return [(TVariables.specialization(at, z), z, Pdyn, labels, None)
+            for at, Pdyn, labels in points]
+
+
+def specialize_points(points, z: EvaluationPoints, mp: ModularParams) -> list[list[complex]]:
+    """Per point (at, Pdyn, labels), w_tilde of each label of the tuple
+    ``labels`` at the specialization t = z_at of the shared z, zero unless
+    at <= I; the labels of a point share its shape, and points may share one
+    tuple.
+
+    The points are summed by ``_sym_sums``, the labels of a point sharing its
+    bracket arguments; if one raises, the first such label's error is
+    raised, as evaluating the labels one by one would.  Each value is
+    w_tilde's at t = z_at, by the same code: a term through a vanishing
+    denominator (at resonant points z_j = q^(+-2) z_i) raises PoleError
+    naming the bracket, even where the limit in z is finite.
+    """
+    return [outcome[0] for outcome in _sym_sums(_specializations(points, z), mp)]
 
 
 def specialize_all(items, z: EvaluationPoints, mp: ModularParams) -> list[WeightFunctionEval]:
     """w_tilde of each (label I, point at, Pdyn) item at the specialization
-    t = z_at of the shared z, zero unless at <= I.
-
-    The items are summed by ``_sym_sums``, the items of a point sharing its
-    bracket arguments; if one raises, the first such item's error is raised,
-    as evaluating them one by one would.  Each value is w_tilde's at t = z_at,
-    by the same code: a term through a vanishing denominator (at resonant
-    points z_j = q^(+-2) z_i) raises PoleError naming the bracket, even where
-    the limit in z is finite.
-    """
-    return _sym_sums(_specializations(items, z), mp)
+    t = z_at of the shared z, each a WeightFunctionEval: ``specialize_points``
+    with each run of items at one (at, Pdyn) a point."""
+    points = [(at, Pdyn, tuple(I for I, _, _ in run))
+              for (at, Pdyn), run in groupby(items, key=lambda item: item[1:])]
+    return [res for outcome in _sym_sums(_specializations(points, z), mp)
+            for res in _evaluations(outcome)]
 
 
 def specialize(I: PartitionIndex, at: PartitionIndex, z: EvaluationPoints,
@@ -609,8 +655,8 @@ def transition_residuals(cases, mp: ModularParams) -> list[list[float]]:
     (mu_i, mu_{i+1}); this orientation is normative for the package.
 
     Every R-bar of the call comes from one ``rbars`` call, and every weight
-    function is an item of one ``_sym_sums`` call, a case being a point and
-    the swapped spectral points a site permutation of the item, so each value
+    function is a label of one ``_sym_sums`` call, a case being a point and
+    the swapped spectral points a site permutation of the label, so each value
     is bitwise the one ``w_tilde`` gives at ``z.swapped(i)``.  Items are taken
     in the order of the case-by-case, position-by-position evaluation (per i:
     LHS, then each RHS function whose R entry is nonzero, each item of a case
@@ -618,8 +664,8 @@ def transition_residuals(cases, mp: ModularParams) -> list[list[float]]:
     the first raising item, or the R-bar of a position whose items before it
     evaluate.
     """
-    items, terms, stop = _transition_items(cases, mp)
-    w = [res.value for res in _sym_sums(items, mp)]
+    points, terms, stop = _transition_items(cases, mp)
+    w = [value for outcome in _sym_sums(points, mp) for value in outcome[0]]
     if stop is not None:  # met after every item before it evaluated
         raise stop
     return [[abs(w[lhs] - sum((coeff * w[k] for coeff, k in rhs), 0.0 + 0.0j))
@@ -627,9 +673,10 @@ def transition_residuals(cases, mp: ModularParams) -> list[list[float]]:
 
 
 def _transition_items(cases, mp: ModularParams) -> tuple:
-    """The stack items of ``transition_residuals``, in order; per case and
-    position the LHS item and the (R entry, item) pairs of the RHS; and the
-    error that stops the order after those items (a case's shape or an
+    """The stack points of ``transition_residuals``, one per case with an
+    item, in order; per case and position the LHS item and the (R entry,
+    item) pairs of the RHS, each item its place in the points' items; and
+    the error that stops the order after those items (a case's shape or an
     R-bar), or None.  The R-bars are dropped once their entries are read."""
     cases, stop = [(tuple(mu), t, z, Pdyn) for mu, t, z, Pdyn in cases], None
     positions, requests = [], []  # per position of the cases before a bad one: (case, i), R-bar
@@ -649,19 +696,14 @@ def _transition_items(cases, mp: ModularParams) -> tuple:
     Rs = rbars(requests, mp)
     if Rs and isinstance(Rs[-1], EllqgError):
         stop = Rs.pop()  # met after the LHS item of its position
-    items: list = []
-    points = [(t, z, Pdyn) for _, t, z, Pdyn in cases]
-    places: list = [{} for _ in cases]  # per case: (colors, perm) -> item
-    labels: dict = {}  # (colors, N) -> the label, one object for every case
+    places: list = [{} for _ in cases]  # per case: (colors, perm) -> its item
     terms: list = [[] for _ in cases]
+    items = 0
 
     def item(c, colors, perm=None) -> int:
+        nonlocal items
         if (colors, perm) not in places[c]:
-            places[c][colors, perm] = len(items)
-            key = colors, cases[c][3].N
-            if key not in labels:
-                labels[key] = PartitionIndex.from_colors(*key)
-            items.append((labels[key], points[c], perm))
+            places[c][colors, perm], items = items, items + 1
         return places[c][colors, perm]
 
     for n, (c, i) in enumerate(positions):
@@ -677,7 +719,15 @@ def _transition_items(cases, mp: ModularParams) -> tuple:
             if coeff != 0:
                 rhs.append((coeff, item(c, mu[:i - 1] + cin + mu[i + 1:])))
         terms[c].append((lhs, rhs))
-    return items, terms, stop
+    points, labels = [], {}  # labels: (colors, N) -> the label, one object for every case
+    for (_, t, z, Pdyn), place in zip(cases, places):
+        if place:
+            for colors, _ in place:
+                if (colors, Pdyn.N) not in labels:
+                    labels[colors, Pdyn.N] = PartitionIndex.from_colors(colors, Pdyn.N)
+            points.append((t, z, Pdyn, tuple(labels[colors, Pdyn.N] for colors, _ in place),
+                           tuple(perm for _, perm in place)))
+    return points, terms, stop
 
 
 def h_lambda(lam: Composition, t: TVariables, z: EvaluationPoints,
@@ -733,7 +783,7 @@ def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         e = require_normal(e_lambda(lam, t, z, mp), "E factor")
         return require_finite(h_lambda(lam, t, z, mp) * wt / e, "modified weight function")
     if route == "sym":
-        return _sym_sums([(I, (t, z, Pdyn), None)], mp, modified=True)[0].value
+        return _sym_sums([(t, z, Pdyn, (I,), None)], mp, modified=True)[0][0][0]
     raise ParameterError(f"unknown route {route!r}")
 
 
@@ -744,22 +794,22 @@ def _reversed_colors(I: PartitionIndex) -> PartitionIndex:
 def _stab_columns(labels, Js, z: EvaluationPoints, Pdyn: DynamicalParams,
                   mp: ModularParams) -> list[list[complex]]:
     """Per fixed point J of ``Js``, the restrictions of the stable envelopes of
-    ``labels`` to J, from one ``_outcomes`` call over every (label, J) pair
-    and one H and E factor per J; an error is the first that J by J meets."""
+    ``labels`` to J, from one ``_outcomes`` call with each J a point of every
+    label and one H and E factor per J; an error is the first that J by J
+    meets."""
     if any(abs(a) >= abs(b) for a, b in zip(z.z, z.z[1:])):
         raise ParameterError("chamber requires |z_1| < ... < |z_n|")
     z_rev, P_inv = z.inverted_reversed(), Pdyn.inverted()
-    rev = [_reversed_colors(I) for I in labels]
+    rev = tuple(_reversed_colors(I) for I in labels)
     Js = [(J.shape(), _reversed_colors(J)) for J in Js]
-    wts = iter(_outcomes(_specializations([(I, J_rev, P_inv) for _, J_rev in Js for I in rev],
-                                          z_rev), mp))
+    outcomes = _outcomes(_specializations([(J_rev, P_inv, rev) for _, J_rev in Js], z_rev), mp)
     cols = []
-    for lam, J_rev in Js:
-        col = settle(list(islice(wts, len(labels))))
+    for (lam, J_rev), outcome in zip(Js, outcomes):
+        values = settle([outcome])[0][0]
         t = TVariables.specialization(J_rev, z_rev)
         e = require_normal(e_lambda(lam, t, z_rev, mp), "E factor")
         h = h_lambda(lam, t, z_rev, mp)
-        cols.append([require_finite(h * wt.value / e, "stable envelope") for wt in col])
+        cols.append([require_finite(h * wt / e, "stable envelope") for wt in values])
     return cols
 
 
@@ -794,10 +844,11 @@ def stab_matrix(lam: Composition, z: EvaluationPoints, Pdyn: DynamicalParams,
 def triangularity_violations(lam: Composition, z: EvaluationPoints,
                              Pdyn: DynamicalParams, mp: ModularParams) -> float:
     """Max |w_tilde_I(z_at)| over pairs with NOT at <= I (should be ~0), from
-    one ``specialize_all`` call."""
+    one ``specialize_points`` call."""
     parts = enumerate_partitions(lam)
+    points = [(at, Pdyn, tuple(I for I in parts if not leq(at, I))) for at in parts]
     worst = 0.0
-    for res in specialize_all([(I, at, Pdyn) for at in parts for I in parts
-                               if not leq(at, I)], z, mp):
-        worst = np.maximum(worst, abs(res.value))
+    for values in specialize_points([point for point in points if point[2]], z, mp):
+        for value in values:
+            worst = np.maximum(worst, abs(value))
     return float(worst)

@@ -305,6 +305,58 @@ def test_gamma_overflow_in_the_first_rows_comes_before_a_later_pole():
                 ell_gamma(args, p, s, max_terms=4096)
 
 
+def _first_gamma_pole(zs, p, s, eps=1e-14, tol=1e-12):
+    """The PoleError text of ``ell_gamma``'s docstring rule, by brute force:
+    of the kept factors 1 - p^m s^n z (p^m |s^n z| >= eps) that vanish
+    (|.| < tol), the smallest m, then the earliest z, then the smallest n;
+    None if no factor vanishes."""
+    for m in range(1000):
+        pm = p ** m
+        if pm * max(abs(z) for z in zs) < eps:
+            return None
+        for z in zs:
+            for n in range(1000):
+                x = s ** n * z
+                if pm * abs(x) < eps:
+                    break
+                if abs(1.0 - pm * x) < tol:
+                    return (f"elliptic Gamma pole: factor (m={m}, n={n}) "
+                            f"vanishes at z={np.complex128(z)}")
+    raise AssertionError("grid not exhausted")
+
+
+def test_gamma_pole_test_equals_a_brute_force_first_pole_search():
+    # Batches of generic arguments and planted poles z = p^(-a) s^(-b) (1 + d):
+    # d = 0 or 5e-13 e^(i theta) is a pole, d = 1e-6 e^(i theta) is not, nor is
+    # d = 1e-3 i, whose factor has an exactly-zero real part.  A batch with a
+    # vanishing factor raises the text of the first pole by the docstring's
+    # order, and any other batch returns the double product.
+    rng = np.random.default_rng(26)
+    m, n = np.meshgrid(np.arange(150), np.arange(150), indexing="ij")
+    raised = 0
+    for _ in range(300):
+        p, s = rng.uniform(0.15, 0.7, 2)
+        zs = []
+        for _ in range(rng.integers(1, 5)):
+            phase = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            if rng.random() < 0.5:
+                zs.append(rng.uniform(0.2, 3.0) * phase)
+            else:
+                off = 1.0 + rng.choice([0.0, 5e-13 * phase, 1e-6 * phase, 1e-3j])
+                zs.append(p ** -int(rng.integers(0, 4)) * s ** -int(rng.integers(0, 4)) * off)
+        want = _first_gamma_pole(zs, p, s)
+        if want is not None:
+            raised += 1
+            with pytest.raises(PoleError, match=f"^{re.escape(want)}$"):
+                ell_gamma(zs, p, s)
+            continue
+        grid = p ** m * s ** n
+        oracle = [np.prod((1.0 - grid * p * s / z) / (1.0 - grid * z)) for z in zs]
+        got = ell_gamma(zs, p, s)
+        assert np.allclose(got, oracle, rtol=1e-9, atol=0.0), (p, s, zs)
+    assert 100 < raised < 250
+
+
 def test_gamma_poles_in_different_slabs_are_named_in_grid_order():
     # At p = 0.97 the grid has over 1,100 rows of 335 points, 2,010 entries a
     # row for these 3 arguments, so rows 10 and 100 lie in different slabs.

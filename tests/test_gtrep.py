@@ -1,19 +1,23 @@
+import cmath
+import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from conftest import random_pdyn, random_points
+from ellqg.cli import main
 from ellqg.ellfn import ModularParams, jacobi_bracket
-from ellqg import gtrep
+from ellqg import gtrep, weightfn
 from ellqg.errors import FloatRangeError, ParameterError, PoleError
 from ellqg.gtrep import (CurrentTerm, cartan_matrix, e_on_gt, exchange_check, f_on_gt,
                          gauge_constants, gt_vector, gt_vectors, phi_move_ratio_check,
                          phi_on_gt, require_level_zero, tag_p_offset)
 from ellqg.suites import _compositions as all_compositions
-from ellqg.tensorspace import (DynamicalParams, EvaluationPoints, PartitionIndex,
+from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints, PartitionIndex,
                                enumerate_partitions, leq)
-from ellqg.weightfn import diagonal_value, specialize_all
+from ellqg.weightfn import WeightFunctionEval, diagonal_value, specialize_all
 
 
 def test_level_zero_guard(mp_level):
@@ -242,6 +246,67 @@ def test_exchange_negative_control(mp, rng):
     broken = exchange_check(1, 1, I, z, pd, mp, current="e", tag_shift=False)
     assert good < 1e-9
     assert broken > 1e-3
+
+
+def test_gt_vector_at_resonant_points_has_a_pole_on_one_side_only():
+    # The lambda = (1, 1) probe of the ``gt_vectors`` docstring.
+    q = 0.5
+    mp, pd, z1 = ModularParams(q=q, r=3.1), DynamicalParams((1.2 + 0.3j,)), 0.6 * cmath.exp(0.3j)
+    I12, I21 = (PartitionIndex.from_colors(c, 2) for c in ((1, 2), (2, 1)))
+
+    def vector(I, sign, h):
+        return gt_vector(I, EvaluationPoints((z1, q ** (2 * sign) * z1 * (1 + h)), q), pd, mp).terms
+
+    # z_2 = q^2 z_1 (1 + h): the largest coefficient of (1, 2) grows like 1/h.
+    scaled = [h * max(map(abs, vector(I12, 1, h).values())) for h in (1e-4, 1e-6, 1e-8)]
+    assert all(abs(x / scaled[-1] - 1.0) < 1e-3 for x in scaled) and 1.16 < scaled[-1] < 1.17
+    with pytest.raises(PoleError, match=r"^\[v\^2_2 - v\^1_1 \+ 1\] vanished$"):
+        vector(I12, 1, 0.0)
+    # z_2 = q^(-2) z_1 (1 + h): both vectors converge like h; the exact point
+    # returns the limit of (1, 2) and raises for (2, 1), whose limit is finite.
+    exact = vector(I12, -1, 0.0)
+    assert abs(exact[1, 2] - 0.94521064266) < 1e-10
+    for I, limit in [(I12, exact), (I21, {(2, 1): 1.0})]:
+        for h in (1e-6, 1e-8):
+            near = vector(I, -1, h)
+            assert set(near) == set(limit)
+            assert all(abs(near[k] - limit[k]) < 10 * h for k in limit), (I, h)
+    with pytest.raises(PoleError, match=r"^\[v\^2_1 - v\^1_1 \+ 1\] vanished$"):
+        vector(I21, -1, 0.0)
+
+
+def _gt_basis_config(seed):
+    """The ``gt basis`` input of the benchmark's gt_basis workload at ``seed``
+    (bench/workloads.py): lambda = (2, 2, 1) at seeded points."""
+    rng = np.random.default_rng(seed)
+    mods, phases = np.sort(rng.uniform(0.45, 0.95, 5)), rng.uniform(0.0, 2.0 * math.pi, 5)
+    z = [float(m) * cmath.exp(1j * float(ph)) for m, ph in zip(mods, phases)]
+    P = [complex(rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5)) for _ in range(2)]
+    return {"q": 0.5, "r": 3.1, "k": 0.0, "N": 3, "n": 5, "lambda": [2, 2, 1], "seed": seed,
+            "z": [[x.real, x.imag] for x in z], "P": [[x.real, x.imag] for x in P]}
+
+
+def test_gt_basis_builds_no_per_item_result_objects(monkeypatch, tmp_path):
+    # The 900 coefficients of ``gt basis`` at lambda = (2, 2, 1) are read as
+    # values: no WeightFunctionEval is built on the way.
+    built = []
+
+    class Counted(WeightFunctionEval):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(weightfn, "WeightFunctionEval", Counted)
+    config = tmp_path / "gt.json"
+    config.write_text(json.dumps(_gt_basis_config(0)))
+    assert main(["gt", "basis", "--config", str(config), "--out", str(tmp_path / "o.json")]) == 0
+    records = json.loads((tmp_path / "o.json").read_text())["records"]
+    assert len(records) == 30 and built == []
+    weightfn.specialize_all([(I, I, DynamicalParams((1.2 + 0.3j, 0.9 - 0.2j))) for I in
+                             enumerate_partitions(Composition((2, 2, 1)))[:3]],
+                            EvaluationPoints((0.5, 0.3j, -0.6, 0.2 - 0.7j, 0.8j), 0.5),
+                            ModularParams(q=0.5, r=3.1))
+    assert len(built) == 3  # the counter sees the public batch's objects
 
 
 # Refusals no other test reaches: (call, error class, text fragment).

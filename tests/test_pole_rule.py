@@ -127,19 +127,22 @@ def _references(tree, name):
 
 def test_only_divisor_brackets_calls_the_bracket_kernel():
     # One way to evaluate brackets and test divisors: ``jacobi_brackets`` is
-    # read only by ``ellfn.divisor_brackets``, the suites and the package's
-    # re-export of the public kernel, and no ``pole_tol`` copy of the rule
-    # comes back.  The absolute tests on Pochhammer factors (``_POLE_TOL`` in
-    # ``_gamma_fold`` and ``qkz.phi_trig``) test no brackets and are allowed.
+    # read only by ``ellfn.divisor_brackets`` and the package's re-export of
+    # the public kernel, and no ``pole_tol`` copy of the rule comes back.  The
+    # absolute tests on Pochhammer factors (``_POLE_TOL`` in ``_gamma_fold``
+    # and ``qkz.phi_trig``) test no brackets and are the only other readers
+    # of ``_POLE_TOL``; the suites keep no pole test of their own.
     src = pathlib.Path(ellfn.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         assert not _references(tree, "pole_tol"), path.name
+        if path.name not in ("ellfn.py", "qkz.py"):
+            assert not _references(tree, "_POLE_TOL"), path.name
         lines = _references(tree, "jacobi_brackets")
         if path.name == "ellfn.py":
             fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                       and node.name == "divisor_brackets")
             lines = [n for n in lines if not fn.lineno <= n <= fn.end_lineno]
-        elif path.name in ("__init__.py", "suites.py"):
+        elif path.name == "__init__.py":
             continue
         assert not lines, f"{path.name} reads jacobi_brackets at lines {lines}"

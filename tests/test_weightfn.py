@@ -4,7 +4,6 @@ import math
 import re
 from dataclasses import replace
 from itertools import permutations, product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from ellqg.cli import build_config, main, run_suite
 from ellqg.ellfn import ModularParams, jacobi_bracket
 from ellqg import ellfn, suites, weightfn
 from ellqg.errors import (EllqgError, FloatRangeError, ParameterError, PoleError,
-                          ShapeError, SingularityError)
+                          ShapeError, SingularityError, settle)
 from ellqg.gtrep import e_on_gt, f_on_gt, gt_vector, gt_vectors, phi_on_gt
 from ellqg.qkz import IntegrandSpec
 from ellqg.rmat import rbar
@@ -167,8 +166,8 @@ def test_triangularity_all_shapes(mp, rng):
 
 def test_triangularity_violations_keep_a_nan(mp, rng, monkeypatch):
     # max(0.0, nan) is 0.0: a fold by max would report no violation.
-    monkeypatch.setattr("ellqg.weightfn.specialize_all",
-                        lambda items, *a: [SimpleNamespace(value=complex("nan"))] * len(items))
+    monkeypatch.setattr("ellqg.weightfn.specialize_points",
+                        lambda points, *a: [[complex("nan")] * len(p[2]) for p in points])
     z = random_points(rng, 2, mp.q)
     assert math.isnan(triangularity_violations(Composition((1, 1)), z,
                                                random_pdyn(rng, 2), mp))
@@ -329,11 +328,43 @@ def test_modified_specializations_prune_exactly_the_zero_terms(mp, rng):
         parts = enumerate_partitions(lam)
         for I, at in product(parts, parts):
             t = TVariables.specialization(at, z)
-            res = weightfn._sym_sums([(I, (t, z, pd), None)], mp, modified=True)[0]
+            (value,), (pruned,), _ = weightfn._sym_sums([(t, z, pd, (I,), None)], mp,
+                                                         modified=True)[0]
             terms = _brute_force_terms(I, t, z, pd, mp, modified=True)
             ref = sum(terms, 0.0 + 0.0j)
-            assert abs(res.value - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I, at)
-            assert res.terms_pruned == sum(x == 0 for x in terms), (lam, I, at)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (lam, I, at)
+            assert pruned == sum(x == 0 for x in terms), (lam, I, at)
+
+
+def _as_points(items):
+    """Stack points of (label, point (t, z, Pdyn), site permutation) items:
+    each run of items at one point object is a point, with perms None where
+    none of its items has one."""
+    runs = []
+    for I, point, perm in items:
+        if not runs or runs[-1][0] is not point:
+            runs.append((point, [], []))
+        runs[-1][1].append(I)
+        runs[-1][2].append(perm)
+    return [(*point, tuple(labels), tuple(perms) if any(perms) else None)
+            for point, labels, perms in runs]
+
+
+def _item_outcomes(items, mp, modified=False):
+    """``weightfn._outcomes`` of the items' points, item by item: each item's
+    WeightFunctionEval, up to the first point that raises, whose error ends
+    the list."""
+    points, out = _as_points(items), []
+    for outcome in weightfn._outcomes(points, mp, modified):
+        if isinstance(outcome, EllqgError):
+            return out + [outcome]
+        out += weightfn._evaluations(outcome)
+    return out
+
+
+def _item_sums(items, mp):
+    """Each item's WeightFunctionEval (``_item_outcomes``), or the first error raised."""
+    return settle(_item_outcomes(items, mp))
 
 
 def _outcome(f):
@@ -389,13 +420,13 @@ def test_batch_equals_single_label_calls(mp, rng):
             points = [(random_t(rng, lam), z, pds[0]),
                       (TVariables.specialization(parts[-1], z), z, pds[1])]
             items = [(I, point, perm) for point in points for I in parts for perm in perms]
-            raised += _assert_batch_is_single_calls(lambda b: weightfn._sym_sums(b, mp), items)
+            raised += _assert_batch_is_single_calls(lambda b: _item_sums(b, mp), items)
     assert raised > 0  # the resonant points reach the first-error rule
 
 
 def _outcome_bits(outcomes):
-    """``_outcomes`` with each value as the bits of its parts and its term
-    counts, and each error as its type and text."""
+    """``_item_outcomes`` with each value as the bits of its parts and its
+    term counts, and each error as its type and text."""
     return [(type(o), str(o)) if isinstance(o, EllqgError)
             else (o.value.real.hex(), o.value.imag.hex(), o.terms_evaluated, o.terms_pruned)
             for o in outcomes]
@@ -405,11 +436,11 @@ def _cold_and_warm(items_at, mp, modified):
     """The outcomes of the stacks of ``items_at(1)`` with an empty plan cache,
     then with the plans ``items_at(0)``, of the same structure, left."""
     weightfn._plan.cache_clear()
-    cold = _outcome_bits(weightfn._outcomes(items_at(1), mp, modified))
+    cold = _outcome_bits(_item_outcomes(items_at(1), mp, modified))
     weightfn._plan.cache_clear()
-    weightfn._outcomes(items_at(0), mp, modified)
+    _item_outcomes(items_at(0), mp, modified)
     hits = weightfn._plan.cache_info().hits
-    warm = _outcome_bits(weightfn._outcomes(items_at(1), mp, modified))
+    warm = _outcome_bits(_item_outcomes(items_at(1), mp, modified))
     assert weightfn._plan.cache_info().hits > hits
     return cold, warm
 
@@ -464,12 +495,13 @@ def test_stacks_of_other_layouts_or_permutations_get_their_own_plans(mp, rng):
               [(parts[0], p1, swap), (parts[1], p1, swap)],
               [(parts[0], p1, None), (parts[1], p1, swap)]]
     weightfn._plan.cache_clear()
-    plans = [weightfn._stack(items, mp, False).plan for items in stacks]
+    plans = [weightfn._stack(_as_points(items), mp, False).plan for items in stacks]
     assert len({id(plan) for plan in plans}) == len(stacks)
-    assert weightfn._stack([(parts[0], p2, None), (parts[1], p3, None)], mp, False).plan is plans[1]
+    assert weightfn._stack(_as_points([(parts[0], p2, None), (parts[1], p3, None)]),
+                           mp, False).plan is plans[1]
     for items in stacks:
         want = [w_tilde(I, t, z.swapped(2) if perm else z, pd, mp) for I, (t, _, _), perm in items]
-        assert weightfn._sym_sums(items, mp) == want
+        assert _item_sums(items, mp) == want
     for plan in plans:
         arrays = [plan.args, plan.rank, plan.kinds, plan.top]
         arrays += [a for g in plan.gathers for a in (g.rows, g.cols)]
@@ -486,9 +518,9 @@ def test_recycled_point_ids_give_fresh_values(mp, rng):
         points = [(random_t(rng, lam), z, pd) for _ in range(1 + k % 2)]
         items = [(I, points[m % len(points)], None) for m, I in enumerate(parts)]
         ids += [id(point) for point in points]
-        got = _outcome_bits(weightfn._outcomes(items, mp))
+        got = _outcome_bits(_item_outcomes(items, mp))
         weightfn._plan.cache_clear()
-        assert _outcome_bits(weightfn._outcomes(items, mp)) == got
+        assert _outcome_bits(_item_outcomes(items, mp)) == got
         del points, items
     assert len(set(ids)) < len(ids)
 
@@ -667,10 +699,10 @@ def test_swapped_stack_items_are_bitwise_w_tilde(mp, rng):
                 perms = [_swap(n, i) if i else None for _, i in items]
                 point = (t, z, pd)
                 stack = [(I, point, perm) for (I, _), perm in zip(items, perms)]
-                alone = [weightfn._sym_sums([item], mp)[0] for item in stack]
+                alone = [_item_sums([item], mp)[0] for item in stack]
                 for (I, i), w in zip(items, alone):
                     assert w == w_tilde(I, t, z.swapped(i) if i else z, pd, mp), (I, i)
-                assert weightfn._sym_sums(stack, mp) == alone, lam
+                assert _item_sums(stack, mp) == alone, lam
 
 
 def _sequential_residuals(mu, t, z, pd, mp):
@@ -1182,6 +1214,27 @@ def test_batched_checks_equal_their_one_point_loops(seed):
         assert float(got).hex() == float(want).hex(), check_id
 
 
+def test_stab_row_reads_a_diagonal_on_its_own_scale(monkeypatch):
+    # At q = 0.99 the lambda = (1,1,1) diagonals of seed 1 are about 1e-79,
+    # far below 1e-12 |[1]| but normal numbers: the row passes at seeds 0-4.
+    # A diagonal restriction that is exactly 0 still fails it.
+    for seed in range(5):
+        cfg = build_config({"q": 0.99, "max_terms": 4096, "seed": seed})
+        residual, tol = suites.check_wf_stab(cfg, _check_rng(cfg, "wf.stable_envelope"))
+        assert residual <= tol, seed
+    cfg, stab = build_config({}), weightfn.stab_matrix
+
+    def zeroed(lam, *args):
+        mat = stab(lam, *args)
+        I = next(iter(mat))
+        mat[I][I] = 0.0
+        return mat
+
+    monkeypatch.setattr(weightfn, "stab_matrix", zeroed)
+    residual, tol = suites.check_wf_stab(cfg, _check_rng(cfg, "wf.stable_envelope"))
+    assert residual > tol
+
+
 @pytest.mark.parametrize("modified", [False, True])
 def test_layouts_hold_no_exact_one_but_the_same_level_diagonal(modified):
     for _, lam in _wf_cases():
@@ -1201,10 +1254,10 @@ def test_table_entries_per_item(sizes, plain, modified):
 def test_stacks_hold_whole_points_within_the_cap(monkeypatch, tmp_path):
     stacks, stack = [], weightfn._stack
 
-    def recording(items, mp, modified):
-        entries = weightfn._layout(weightfn._label(items[0][0])[0], modified)[2].shape[1]
-        stacks.append((len(items), len({id(point) for _, point, _ in items}), entries))
-        return stack(items, mp, modified)
+    def recording(points, mp, modified):
+        entries = weightfn._layout(weightfn._label(points[0][3][0])[0], modified)[2].shape[1]
+        stacks.append((sum(len(labels) for _, _, _, labels, _ in points), len(points), entries))
+        return stack(points, mp, modified)
 
     monkeypatch.setattr(weightfn, "_stack", recording)
     assert run_suite("all", build_config({}))["all_pass"]
@@ -1270,8 +1323,8 @@ def test_every_plan_holds_one_gather_per_level(mp, rng, monkeypatch):
         parts = enumerate_partitions(lam)
         z, pd, t = random_points(rng, lam.n, mp.q), random_pdyn(rng, N), random_t(rng, lam)
         for modified in (False, True):
-            items = [(I, (t, z, pd), None) for I in parts]
-            plan = weightfn._stack(items, mp, modified).plan
+            points = [(t, z, pd, parts, None)]
+            plan = weightfn._stack(points, mp, modified).plan
             assert len(plan.gathers) == len(plan.levels) == plan.kinds.shape[0], lam
             for l, (level, g, kinds) in enumerate(zip(plan.levels, plan.gathers, plan.kinds), 1):
                 top = level is plan.levels[-1]
@@ -1285,13 +1338,13 @@ def test_every_plan_holds_one_gather_per_level(mp, rng, monkeypatch):
                     assert [(r.tolist(), c.tolist()) for r, c in zip(g.rows[pad:, kind], g.cols[pad:, kind])] \
                         == [(r.tolist(), np.broadcast_to(c, g.cols.shape[2:]).tolist()) for r, c in own]
                     crosses.append(cross)
-                    alone = weightfn._stack([(I, (t, z, pd), None)], mp, modified).plan
+                    alone = weightfn._stack([(t, z, pd, (I,), None)], mp, modified).plan
                     assert alone.gathers[l - 1].cross == cross, (I, l)
                 assert g.cross == max(crosses)
             assert plan.top.shape == (len(plan.gathers[-1].rows), len(parts),
                                       math.factorial(plan.levels[-1].X))
             calls.clear()
-            weightfn._sums(items, mp, modified)
+            weightfn._sums(points, mp, modified)
             assert len(calls) == len(plan.levels), (lam, modified)
 
 
@@ -1311,7 +1364,7 @@ def test_gathers_cut_into_passes_give_the_same_outcomes(mp, rng, monkeypatch):
         vectors = [sorted((k, v.real.hex(), v.imag.hex()) for k, v in state.terms.items())
                    for state in gt_vectors(parts, z, pd, mp)]
         residuals = [[x.hex() for x in row] for row in transition_residuals(cases, mp)]
-        return vectors, residuals, [_outcome_bits(weightfn._outcomes(items, mp, modified))
+        return vectors, residuals, [_outcome_bits(_item_outcomes(items, mp, modified))
                                     for items in stacks for modified in (False, True)]
 
     want, passes = outcomes(), []
@@ -1321,6 +1374,153 @@ def test_gathers_cut_into_passes_give_the_same_outcomes(mp, rng, monkeypatch):
     assert outcomes() == want
     assert max(map(len, passes)) > 10
     assert any(isinstance(o[-1][0], type) for o in want[2])  # a resonant stack raises
+
+
+# ------------------------------------------- batch paths against single calls --
+
+def _recorded(monkeypatch, call, seen):
+    """``call()``, with each item it evaluates through ``weightfn._outcomes``
+    appended to ``seen`` as (label, t, z as the label reads it, Pdyn, value,
+    pruned)."""
+    outcomes = weightfn._outcomes
+
+    def recording(points, mp, modified=False):
+        out = outcomes(points, mp, modified)
+        for (t, z, pd, labels, perms), outcome in zip(points, out):
+            if isinstance(outcome, EllqgError):
+                break
+            for k, I in enumerate(labels):
+                perm = perms[k] if perms else None
+                zk = EvaluationPoints(tuple(z.z[s] for s in perm), z.q) if perm else z
+                seen.append((I, t, zk, pd, outcome[0][k], outcome[1][k]))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(weightfn, "_outcomes", recording)
+        return call()
+
+
+def _hex(x):
+    return complex(x).real.hex(), complex(x).imag.hex()
+
+
+def test_batch_paths_equal_item_by_item_calls_bitwise(mp, rng, monkeypatch):
+    # gt_vectors, triangularity_violations, stab_matrix and transition_residuals
+    # at two shapes each: every item they evaluate has the value bits and the
+    # pruned count of w_tilde alone (specialize is w_tilde at t = z_at), and
+    # every number they return is the one item-by-item calls give.
+    seen: list = []
+    mp0 = replace(mp, k=0.0)
+    pd2, pd3 = random_pdyn(rng, 2), random_pdyn(rng, 3)
+    z = random_points(rng, 3, mp.q)
+    labels = enumerate_partitions(Composition((2, 1))) + enumerate_partitions(Composition((1, 2)))
+    zinv = EvaluationPoints(tuple(1.0 / x for x in z.z), z.q)
+    for I, state in zip(labels, _recorded(monkeypatch, lambda: gt_vectors(labels, z, pd2, mp0),
+                                          seen)):
+        shifted = pd2.shifted_by_colors(I.colors(), sign=1)
+        want = {J.colors(): specialize(J, I, zinv, shifted, mp0).value
+                for J in enumerate_partitions(I.shape())}
+        assert {k: _hex(v) for k, v in state.terms.items()} == \
+            {k: _hex(v) for k, v in want.items() if v != 0}, I
+    for sizes in [(2, 1, 1), (1, 2, 1)]:
+        lam = Composition(sizes)
+        z4, parts = random_points(rng, 4, mp.q), enumerate_partitions(lam)
+        want = 0.0
+        for at, I in product(parts, parts):
+            if not leq(at, I):
+                want = np.maximum(want, abs(specialize(I, at, z4, pd3, mp).value))
+        got = _recorded(monkeypatch, lambda: triangularity_violations(lam, z4, pd3, mp), seen)
+        assert got.hex() == float(want).hex(), sizes
+    for sizes, pd in [((2, 1), pd2), ((1, 1, 1), pd3)]:
+        lam = Composition(sizes)
+        zo, parts = _ordered_points(rng, lam.n, mp.q), enumerate_partitions(lam)
+        mat = _recorded(monkeypatch, lambda: stab_matrix(lam, zo, pd, mp), seen)
+        for I, J in product(parts, parts):
+            assert _hex(mat[I][J]) == _hex(stable_envelope_restriction(I, J, zo, pd, mp)), (I, J)
+    cases = [(mu, random_t(rng, shape_of(mu, 2)), random_points(rng, len(mu), mp.q), pd2)
+             for mu in [(1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2)]]
+    for case, residuals in zip(cases, _recorded(monkeypatch,
+                                                lambda: transition_residuals(cases, mp), seen)):
+        assert [x.hex() for x in residuals] == \
+            [x.hex() for x in _sequential_residuals(*case, mp)], case[0]
+    assert len(seen) > 200
+    for I, t, zk, pd, value, pruned in seen:
+        alone = w_tilde(I, t, zk, pd, mp)
+        assert (_hex(value), pruned) == (_hex(alone.value), alone.terms_pruned), (I, zk)
+    assert any(pruned for *_, pruned in seen)
+
+
+def _one_by_one_triangularity(lam, z, pd, mp):
+    parts = enumerate_partitions(lam)
+    return max((abs(specialize(I, at, z, pd, mp).value) for at in parts for I in parts
+                if not leq(at, I)), default=0.0)
+
+
+def test_batch_paths_raise_the_first_item_by_item_pole_error():
+    # A resonant z in the middle of the list: labels after a label that
+    # returns, and a resonant case between generic ones.
+    mp, z, pd = _fixed_resonant_point(3)
+    labels = [PartitionIndex.from_colors(c, 2) for c in ((2, 1, 1), (1, 2, 1), (1, 1, 2))]
+    want = _outcome(lambda: [gt_vector(I, z, pd, mp) for I in labels])
+    assert want == (PoleError, "[v^2_2 - v^1_1 + 1] vanished")
+    assert _outcome(lambda: gt_vectors(labels, z, pd, mp)) == want
+    for sizes in [(2, 1), (1, 2)]:
+        lam = Composition(sizes)
+        want = _outcome(lambda: _one_by_one_triangularity(lam, z, pd, mp))
+        assert want[0] is PoleError
+        assert _outcome(lambda: triangularity_violations(lam, z, pd, mp)) == want
+    rng = np.random.default_rng(3)
+    generic = [(mu, random_t(rng, shape_of(mu, 2)), random_points(rng, len(mu), mp.q), pd)
+               for mu in [(2, 1, 1), (1, 2)]]
+    cases = generic[:1] + [((1, 2), *_resonant_case((1, 2), 1, None)[:3])] + generic[1:]
+    want = _outcome(lambda: [_sequential_residuals(*case, mp) for case in cases])
+    assert want[0] is PoleError
+    assert _outcome(lambda: transition_residuals(cases, mp)) == want
+
+
+def _failing_kernel(monkeypatch, bad):
+    """Make the bracket kernel raise FloatRangeError on any call that holds
+    ``bad``, its text naming the size of the call."""
+    kernel = ellfn.jacobi_brackets
+
+    def failing(u, mp):
+        if np.isin(bad, u):
+            raise FloatRangeError(f"[{bad:.6g}] overflows in a call of {u.size}")
+        return kernel(u, mp)
+
+    monkeypatch.setattr(ellfn, "jacobi_brackets", failing)
+
+
+def test_batch_paths_raise_the_first_item_by_item_error_of_a_failed_shared_call(mp, rng,
+                                                                               monkeypatch):
+    # The kernel fails on one argument that the middle label (case) brings: the
+    # stack that holds it raises in its shared bracket call and is replayed,
+    # and the error is the one of the item-by-item loop, down to the size of
+    # the bracket call that names it.
+    mp0 = replace(mp, k=0.0)
+    pd = random_pdyn(rng, 2)
+    z = random_points(rng, 3, mp.q)
+    labels = enumerate_partitions(Composition((2, 1))) + enumerate_partitions(Composition((1, 2)))
+    k = len(labels) // 2
+    firsts = [_first_kernel_call(monkeypatch, lambda: gt_vector(I, z, pd, mp0)) for I in labels]
+    bad = np.setdiff1d(firsts[k], np.concatenate(firsts[:k]))[0]
+    _failing_kernel(monkeypatch, bad)
+    zinv = EvaluationPoints(tuple(1.0 / x for x in z.z), z.q)
+    want = _outcome(lambda: [specialize(J, I, zinv, pd.shifted_by_colors(I.colors()), mp0)
+                             for I in labels for J in enumerate_partitions(I.shape())])
+    assert want[0] is FloatRangeError
+    assert _outcome(lambda: gt_vectors(labels, z, pd, mp0)) == want
+    monkeypatch.undo()
+    cases = [(mu, random_t(rng, shape_of(mu, 2)), random_points(rng, len(mu), mp.q), pd)
+             for mu in [(1, 2, 1), (2, 1, 1), (1, 2), (2, 1, 2), (1, 1, 2)]]
+    stacks = [weightfn._transition_items([case], mp)[0] for case in cases]
+    firsts = [_first_kernel_call(monkeypatch, lambda: weightfn._sym_sums(points, mp))
+              for points in stacks]
+    bad = np.setdiff1d(firsts[2], np.concatenate(firsts[:2]))[0]
+    _failing_kernel(monkeypatch, bad)
+    want = _outcome(lambda: [_sequential_residuals(*case, mp) for case in cases])
+    assert want[0] is FloatRangeError
+    assert _outcome(lambda: transition_residuals(cases, mp)) == want
 
 
 def _refusal_args():
