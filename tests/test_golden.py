@@ -35,6 +35,9 @@ CONFIGS = {
     "n3": {"N": 3, "n": 5, "lambda": [2, 2, 1], "P": [1.2, [0.9, -0.2]],
            "z": [[0.5, 0.1], [0.2, -0.6], [-0.7, 0.1], [-0.6, -0.6], [0.3, 0.8]]},
     "q099": {"q": 0.99, "max_terms": 4096},
+    "n7": {"N": 3, "n": 7, "lambda": [3, 2, 2], "P": [1.2, [0.9, -0.2]],
+           "z": [[0.5, 0.1], [0.2, -0.6], [-0.7, 0.1], [-0.6, -0.6], [0.3, 0.8],
+                 [0.6, 0.5], [-0.4, 0.7]]},
 }
 
 _PER_CONFIG = ["theta", "rmat", "rmat --starred", "wf eval", "wf triangularity",
@@ -45,7 +48,8 @@ _PER_CONFIG = ["theta", "rmat", "rmat --starred", "wf eval", "wf triangularity",
 COMMANDS = ([("default", f"verify all --seed {s}") for s in range(3)]
             + [("default", "verify all --break-shift")]
             + [(c, cmd) for c in ("default", "k08", "n3") for cmd in _PER_CONFIG]
-            + [("k08", "verify all --seed 0"), ("q099", "verify all --seed 0")])
+            + [("k08", "verify all --seed 0"), ("q099", "verify all --seed 0")]
+            + [("n7", "gt basis")])
 
 
 def _key(config: str, command: str) -> str:
