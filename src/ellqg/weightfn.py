@@ -18,9 +18,10 @@ is F_1 @ ... @ F_{N-1}[:, id] summed; the term U_I of ``w_tilde`` (of
 pattern, the positions its level-l sites take among its level-(l+1) sites;
 ``_layout`` holds one index table per shape and level, a column per pattern.
 ``_sym_sums``, the only code that multiplies table entries, evaluates a list
-of points, each (t, z, Pdyn, labels, perms): a tuple of labels of one shape
-at (t, z, Pdyn), each label optionally reading z through its site
-permutation.  An item is one label of a point; its value and pruned term
+of points, each (t, z, Pdyn, labels, perms, at): a tuple of labels of one
+shape at (t, z, Pdyn), each label optionally reading z through its site
+permutation, and for a specialization t = z_at the top slot pattern of at
+(else None).  An item is one label of a point; its value and pruned term
 count come back in per-point lists, with no object per item.  The points of
 one shape are summed as stacks of whole points within ``_STACK_ENTRIES``
 table entries, a point over that alone being a stack of its own.  A bracket
@@ -29,26 +30,40 @@ of one point, one ``divisor_brackets`` pass gives every item's tables, and
 every item of a level gathers in one index operation.
 
 A stack is evaluated in two parts.  Its plan (``_plan``) is its value-free
-index work (its distinct brackets, each item's pattern columns and its
-top-level gather index), built once per structure (per point its labels and
-site permutations, never a point's values) and kept in a cache of 16
-read-only plans.  The value pass (``_stack``) is all a new point pays for:
-one ``divisor_brackets`` call over the distinct arguments, pole test
-included, the ratio tables and the contraction, whose pruning below the top
-level depends on the values.  Every value is bitwise that of the item alone
-(``w_tilde`` at the permuted points), and an error is the one evaluating the
-items one by one meets first.  So ``specialize_points``,
-``triangularity_violations``, ``stab_matrix``, ``gtrep.gt_vectors`` and
-``transition_residuals`` each evaluate a whole shape, or a whole list of
-transition cases, in one call, and read the values directly; only the public
-one-label calls and ``specialize_all`` build a ``WeightFunctionEval`` per
-item.  A column of a label's F_l whose every term already has an
-exactly-zero factor (as at t = z_J) is not gathered and its terms count as
-pruned (the level-(N-1) factor is always evaluated whole).  A term through a
-vanishing denominator raises PoleError,
-at a specialization t = z_at as anywhere else: at resonant points
-z_j = q^(+-2) z_i a specialization with a finite limit in z raises rather
-than returning a value.
+index work (its distinct brackets, the table entries its gathers read, each
+item's pattern columns and its top-level gather index), built once per
+structure (per point its labels and site permutations, and whether the
+points are specializations; never a point's values) and kept in a cache of
+16 read-only plans.  The value pass (``_stack``) is all a new point pays
+for: one ``divisor_brackets`` call over the distinct arguments, pole test
+included, the table entries the plan reads and the contraction.  Every
+value is bitwise that of the item alone (``w_tilde`` at the permuted
+points), and an error is the one evaluating the items one by one meets
+first.  So ``specialize_points``, ``triangularity_violations``,
+``stab_matrix``, ``gtrep.gt_vectors`` and ``transition_residuals`` each
+evaluate a whole shape, or a whole list of transition cases, in one call,
+and read the values directly; only the public one-label calls and
+``specialize_all`` build a ``WeightFunctionEval`` per item.
+
+Pruning.  A column of a label's F_l (l < N-1) whose every term already has
+an exactly-zero factor is not gathered, and its terms count as pruned; these
+zeros are read from the values.  At the top level of a specialization
+t = z_at (N >= 3) they are known from the structure: top-level variable x is
+then exactly the z of at's x-th top-level site, so order p of a label of top
+slot pattern S_J has an exactly-zero later factor [z_y - t_x] iff some slot a
+has site_at(p(a)) > S_J[a] (``_dead``).  Such a stack gathers and multiplies
+only the other, live, (item, order) pairs and scatters their products into
+a zeroed F_{N-1}[:, id].  That is bitwise the whole gather's outcome while
+every dead product is an exact zero, so the guard is finiteness: the live
+orders are taken only when no product of the stack's top-level entries, nor
+a partial one, can leave the float range (``_bounded``).  Otherwise (an inf
+or nan entry, or entries so large that a product overflows) every order is
+gathered, so that a zero times a non-finite factor still ends in an error.
+At N = 2 the top level is the whole sum, whose signed zeros every product
+reaches, so it is gathered whole.  A term through a vanishing denominator
+raises PoleError, at a specialization t = z_at as anywhere else (dead
+orders included): at resonant points z_j = q^(+-2) z_i a specialization
+with a finite limit in z raises rather than returning a value.
 The text names the bracket by its variables, v^l_a being variable a of level
 l (level N is z), e.g. "[v^2_1 - v^1_2 + 1] vanished" (``_first_pole``).
 """
@@ -287,34 +302,44 @@ def _pattern_index(Y: int, X: int) -> dict:
 class _Plan(NamedTuple):
     """The value-free part of a stack of points of one shape: everything that
     depends only on its structure (per point: its labels and their site
-    permutations).  Its items are the labels of its points in order.  A bracket reads
-    one row per call: each point's coordinates (its variables level by level,
-    z last, then a spare 0), then each point's constants (0, 1, -1, then one
-    A per distinct (level, color, C) of the stack)."""
+    permutations; whether its points are specializations).  Its items are
+    the labels of its points in order.  A bracket reads one row per call:
+    each point's coordinates (its variables level by level, z last, then a
+    spare 0), then each point's constants (0, 1, -1, then one A per distinct
+    (level, color, C) of the stack).  Its table holds every entry of the
+    levels below the top, then only the top-level entries its items read."""
 
     lam: Composition
     modified: bool
     levels: tuple          # per level, as ``_layout``'s
-    ratio: np.ndarray      # (4, entries): the brackets of each table entry, ``_layout``'s
+    ratio: np.ndarray      # (4, table entries): the brackets of each entry, ``_layout``'s
+    entries: np.ndarray    # (``_layout`` entries,): each one's place in the table, or -1
     consts: tuple          # per A constant: (color, level l+1, C)
     args: np.ndarray       # (3, distinct): each distinct bracket [row[i] - row[j] + row[c]]
     rank: np.ndarray       # (brackets + 1, items): 1 + the distinct bracket of each, then 0
+    index: np.ndarray      # (4, table entries, items): ``rank`` of ``ratio``, each entry's brackets
     slots: tuple           # per [A]: its (level, slot)
     gathers: tuple         # per level: ``_layout``'s, less the leading rows every item pads
     kinds: np.ndarray      # (levels, items): each item's slot pattern, its column in ``gathers``
-    top: np.ndarray        # (factors, items, orders): every item's gather index at the top level
+    tops: np.ndarray       # (factors, patterns, orders): each pattern's top-level gather as
+    #                        table entries (-1: not built, as no item has that pattern)
+    top: np.ndarray | None  # (factors, items, orders): each item's top-level gather index,
+    #                         or None: ``_sums`` gathers the live orders of each call
 
 
 # Measured at seed 0, with stacks of whole points: a verify run makes 259
 # stacks and builds 220 plans (39 hits), a qkz_trace run hits 998 of 1,000 and
-# a gt_basis run 29 of 30; more plans kept add memory, not reuse.
+# a gt_basis run 29 of 30.  An LRU of 256 plans cuts verify's builds to 170
+# but raises its peak RSS from 40.6 to 44.5 MB, beyond the benchmark's 5%
+# bound, so 16 stay.
 @lru_cache(maxsize=16)
-def _plan(modified: bool, structure: tuple) -> _Plan:
+def _plan(modified: bool, live: bool, structure: tuple) -> _Plan:
     """The plan of a stack of points, each (labels, site permutations or
-    None).  A bracket is keyed by (point, variables, constant): equal keys
-    are the same operations on the same values, so each distinct one is
-    evaluated once.  Table entry e of item k is entry e * items + k of the
-    stack's tables."""
+    None); with ``live``, its points are specializations t = z_at, whose
+    top level ``_sums`` gathers per call, order by order.  A bracket is keyed
+    by (point, variables, constant): equal keys are the same operations on
+    the same values, so each distinct one is evaluated once.  Table entry e
+    of item k is entry e * items + k of the stack's tables."""
     labels = [I for point, _ in structure for I in point]
     at = [p for p, (point, _) in enumerate(structure) for _ in point]
     perms = [perm for point, perms in structure for perm in perms or [None] * len(point)]
@@ -346,11 +371,22 @@ def _plan(modified: bool, structure: tuple) -> _Plan:
     pads = [int((g.rows[:, kind, 0] == lv.same).all(axis=1).sum())
             for g, lv, kind in zip(gathers, levels, kinds)]
     gathers = tuple(_Gather(g.rows[d:], g.cols[d:], g.cross - d) for g, d in zip(gathers, pads))
-    top = (gathers[-1].rows * L)[:, kinds[-1]]  # built in place: at (3,2,2) it is megabytes
-    top += (gathers[-1].cols[:, kinds[-1], 0] * L + np.arange(L))[:, :, None]
-    return _Plan(lam, modified, levels, ratio, tuple((color, l + 1, C) for l, color, C in list(ids)[3:]),
-                 _frozen(args), _frozen(rank), tuple(sl[:2] for sl in slots[0]),
-                 gathers, _frozen(kinds), _frozen(top))
+    tops = gathers[-1].rows + gathers[-1].cols[:, :, :1]  # as ``_layout`` entries
+    built = np.zeros(ratio.shape[1], bool)
+    built[:levels[-1].matched] = True  # every lower level's entry, then those the items read
+    built[tops[:, np.flatnonzero(np.bincount(kinds[-1]))]] = True
+    entries = np.where(built, np.cumsum(built) - 1, -1)
+    ratio, tops = ratio[:, built], entries[tops]
+    top = None
+    if not live:
+        top = tops[:, kinds[-1]] * L  # built in place: at (3,2,2) it is megabytes
+        top += np.arange(L)[:, None]
+        top = _frozen(top)
+    return _Plan(lam, modified, levels, _frozen(ratio), _frozen(entries),
+                 tuple((color, l + 1, C) for l, color, C in list(ids)[3:]),
+                 _frozen(args), _frozen(rank), _frozen(rank[ratio]),
+                 tuple(sl[:2] for sl in slots[0]),
+                 gathers, _frozen(kinds), _frozen(tops), top)
 
 
 def _frozen(index) -> np.ndarray:
@@ -364,9 +400,9 @@ class _Stack(NamedTuple):
     """The factor tables of a stack of items of one shape, one column per item."""
 
     plan: _Plan
-    values: np.ndarray  # (entries, items): the ratios, laid out by ``_layout``
-    bad: np.ndarray     # (entries, items): a denominator meets the pole test
-    small: np.ndarray   # (brackets + 1, items): a bracket meets the pole test
+    values: np.ndarray  # (table entries, items): the ratios, laid out by the plan
+    bad: np.ndarray     # (table entries, items): a denominator meets the pole test
+    small: np.ndarray   # (distinct,): a distinct bracket meets the pole test
 
 
 def _stack(points: list, mp: ModularParams, modified: bool) -> _Stack:
@@ -374,16 +410,19 @@ def _stack(points: list, mp: ModularParams, modified: bool) -> _Stack:
     ``modified``, the modified terms): the value pass over the stack's plan,
     with one ``divisor_brackets`` call over its distinct brackets.
 
-    Point (t, z, Pdyn, labels, perms) holds each label of ``labels`` at
+    Point (t, z, Pdyn, labels, perms, at) holds each label of ``labels`` at
     (t, z, Pdyn); with perms, one site permutation or None per label, site
     s+1 of a label with a permutation reads the spectral point
-    ``z.z[perm[s]]``, as if z were permuted."""
-    plan = _plan(modified, tuple((labels, perms) for _, _, _, labels, perms in points))
+    ``z.z[perm[s]]``, as if z were permuted.  ``at`` is None, or the top slot
+    pattern of the fixed point at of t = z_at (``_specializations``)."""
+    # t = z_at at N >= 3: ``_sums`` gathers the live top-level orders (module docstring)
+    live = all(at is not None for *_, at in points) and points[0][3][0].N > 2
+    plan = _plan(modified, live, tuple((labels, perms) for _, _, _, labels, perms, _ in points))
     row = []
-    for t, z, _, _, _ in points:
+    for t, z, _, _, _, _ in points:
         t.check_shape(plan.lam, z)
         row += [x for level in _vees(t, z, mp) for x in level] + [0.0]
-    for _, _, Pdyn, _, _ in points:
+    for _, _, Pdyn, _, _, _ in points:
         row += [0.0, 1.0, -1.0] + [Pdyn.value(color, l) - C for color, l, C in plan.consts]
     vi, vj, const = np.array(row, dtype=complex)[plan.args]
     args = vi - vj + const
@@ -394,16 +433,15 @@ def _stack(points: list, mp: ModularParams, modified: bool) -> _Stack:
             divisor_brackets(args[plan.rank[:-1, 0] - 1], mp)
         raise
     br[0] = 1.0  # [1] is tested and its mask False: its place is the tables' exact 1
-    br, small = br[plan.rank], small[plan.rank]
-    n1, n2, d1, d2 = br[plan.ratio]
-    bad = small[plan.ratio[2]] | small[plan.ratio[3]]
+    n1, n2, d1, d2 = br[plan.index]
+    bad = small[plan.index[2]] | small[plan.index[3]]
     return _Stack(plan, n1 * n2 / np.where(bad, 1.0, d1 * d2), bad, small)
 
 
 def _a_pole(st: _Stack, k: int) -> str | None:
     """The PoleError text of item k's first vanishing [A], or None: [A]
     divides every term."""
-    small = st.small[1:1 + len(st.plan.slots), k]
+    small = st.small[st.plan.rank[1:1 + len(st.plan.slots), k]]
     if small.any():
         return "[(P+h) - C] vanished at level {}, slot {}".format(*st.plan.slots[small.argmax()])
     return None
@@ -417,13 +455,14 @@ def _first_pole(st: _Stack, k: int) -> str | None:
     being z)."""
     plan, bad = st.plan, st.bad[:, k]
     for g, kind in zip(plan.gathers[::-1], plan.kinds[::-1, k]):
-        read = g.rows[:, kind, :, None] + g.cols[:, kind, None]
+        read = plan.entries[g.rows[:, kind, :, None] + g.cols[:, kind, None]]
         read = read[bad[read]]
         if read.size:
             break
     else:
         return None
-    b = next(b for b in plan.ratio[2:, read.min()] if st.small[b, k])
+    e = read.min()
+    b = next(b for b, d in zip(plan.ratio[2:, e], plan.index[2:, e, k]) if st.small[d])
     _, args, _, _ = _layout(plan.lam, plan.modified)
     start = np.cumsum([0] + [plan.lam.prefix(l) for l in range(1, plan.lam.N + 1)])
     x, y = (f"v^{l}_{v - start[l - 1] + 1}"
@@ -436,6 +475,32 @@ def _factor(cross: int, f: np.ndarray) -> np.ndarray:
     as numpy rounds a one-element reduction otherwise and no value may depend on its stack."""
     one = np.ones(f.shape[1:], complex)
     return reduce(np.multiply, f[:cross], one) * reduce(np.multiply, f[cross:], one)
+
+
+def _bounded(top: np.ndarray, factors: int) -> bool:
+    """Whether no product of ``factors`` entries of ``top``, nor a partial
+    product of one, leaves the float range (an entry's modulus is below twice
+    its largest part): then a product with an exactly-zero factor is itself an
+    exact zero, not 0 * inf or nan."""
+    return bool((2.0 * np.abs(top.view(float)).max(initial=0.0)) ** factors < 1e300)
+
+
+@lru_cache(maxsize=64)
+def _dead(Y: int, X: int) -> np.ndarray:
+    """dead[s, s', p] for slot patterns s, s' of X slots among Y variables
+    and order p of ``_gather``'s rows: at t = z_at, where top-level variable
+    x is the z of the x-th site of at's top slot pattern s, order p of a label
+    of top slot pattern s' has an exactly-zero later factor [v'_y - v_x],
+    y = s[p(a)] > s'[a] for some slot a."""
+    S = list(combinations(range(Y), X))
+    S = np.array(S, np.intp).reshape(len(S), X)
+    orders = list(permutations(range(X)))
+    site = S[:, np.array(orders, np.intp).reshape(len(orders), X)]  # (s, p, a): the site of p(a)
+    dead = np.zeros((len(S), len(S), len(orders)), bool)
+    for a in range(X):
+        dead |= site[:, None, :, a] > S[None, :, None, a]
+    dead.flags.writeable = False
+    return dead
 
 
 def _passes(n: int, width: int) -> list:
@@ -454,14 +519,27 @@ def _sums(points: list, mp: ModularParams, modified: bool) -> list:
     denominator (``_first_pole``) or a sum beyond the float range
     (FloatRangeError).  An error of the shared ``_stack`` call, such as its
     bracket call's, is raised.  Each level is one gather, cut into
-    ``_passes``."""
+    ``_passes``; the top level of a specialization gathers its live orders
+    only (module docstring)."""
     st = _stack(points, mp, modified)
     plan, L, levels = st.plan, st.values.shape[1], st.plan.levels
-    values = st.values.ravel()  # entry-major
+    values, g = st.values.ravel(), plan.gathers[-1]  # values entry-major
     # A product beyond the float range raises FloatRangeError below.
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = np.concatenate([_factor(plan.gathers[-1].cross, np.take(values, plan.top[:, s]))
-                              for s in _passes(L, plan.top[:, 0].size)])  # F_{N-1}[:, id]
+        if plan.top is None:  # t = z_at: the live orders only, the rest exact zeros
+            live = np.ones((L, g.rows.shape[2]), bool)
+            if _bounded(st.values[levels[-1].matched:], len(g.rows)):
+                ats = [at for _, _, _, labels, _, at in points for _ in labels]
+                live = ~_dead(levels[-1].Y, levels[-1].X)[ats, plan.kinds[-1]]
+            vec = np.zeros(live.shape, complex)
+            ks, ps = live.nonzero()
+            for s in _passes(ks.size, len(g.rows)):
+                k, p = ks[s], ps[s]
+                index = plan.tops[:, plan.kinds[-1, k], p] * L + k
+                vec[k, p] = _factor(g.cross, np.take(values, index))
+        else:
+            vec = np.concatenate([_factor(g.cross, np.take(values, plan.top[:, s]))
+                                  for s in _passes(L, plan.top[:, 0].size)])  # F_{N-1}[:, id]
         nz = vec != 0  # per order: the number of its terms without an exactly-zero factor
         # vec[k] = F_l @ vec[k] over the live columns, for l = N-2, ..., 1
         for g, kinds, level in list(zip(plan.gathers, plan.kinds, levels))[-2::-1]:
@@ -472,7 +550,8 @@ def _sums(points: list, mp: ModularParams, modified: bool) -> list:
                 rows, cols, kind = lab[s], col[s], kinds[lab[s]]
                 F = _factor(g.cross, np.take(values, g.rows[:, kind] * L
                                              + (g.cols[:, kind, cols] * L + rows)[:, :, None]))
-                np.add.at(count, rows, (F != 0) * nz[rows, cols, None])
+                # in intp: ``np.add.at`` is many times slower adding bools into intp
+                np.add.at(count, rows, np.multiply(F != 0, nz[rows, cols, None], dtype=np.intp))
                 np.add.at(out, rows, F * vec[rows, cols, None])
             vec, nz = out, count
         sums = vec.sum(axis=1)
@@ -488,7 +567,7 @@ def _sums(points: list, mp: ModularParams, modified: bool) -> list:
             first, error = k, exc
             break
     sums, pruned, out, lo = sums.tolist(), [total - n for n in nz.sum(axis=1).tolist()], [], 0
-    for _, _, _, labels, _ in points:
+    for _, _, _, labels, _, _ in points:
         hi = lo + len(labels)
         if hi > first:
             return out + [error]
@@ -507,7 +586,7 @@ def _stacks(points: list, modified: bool) -> list[list[int]]:
     a point's first label), the points in order, as many whole points per
     stack as fit ``_STACK_ENTRIES``."""
     shapes: dict = {}  # shape -> its points
-    for p, (_, _, _, labels, _) in enumerate(points):
+    for p, (_, _, _, labels, _, _) in enumerate(points):
         shapes.setdefault(_label(labels[0])[0], []).append(p)
     out = []
     for lam, ps in shapes.items():
@@ -524,7 +603,7 @@ def _stacks(points: list, modified: bool) -> list[list[int]]:
 
 
 def _outcomes(points: list, mp: ModularParams, modified: bool = False) -> list:
-    """The outcomes of ``points`` in order, each (t, z, Pdyn, labels, perms)
+    """The outcomes of ``points`` in order, each (t, z, Pdyn, labels, perms, at)
     as in ``_stack``: per point its values, pruned term counts and terms (``_sums``),
     up to the first point with a label that raises, whose EllqgError ends the
     list.  The points are summed by ``in_order`` in the stacks of ``_stacks``
@@ -535,9 +614,9 @@ def _outcomes(points: list, mp: ModularParams, modified: bool = False) -> list:
         try:
             return _sums(group, mp, modified)
         except EllqgError:
-            t, z, Pdyn, labels, perms = group[0]
+            t, z, Pdyn, labels, perms, at = group[0]
             if len(group) == 1 and len(labels) > 1:
-                alone = in_order([(t, z, Pdyn, (I,), perms and perms[k:k + 1])
+                alone = in_order([(t, z, Pdyn, (I,), perms and perms[k:k + 1], at)
                                   for k, I in enumerate(labels)],
                                  [[k] for k in range(len(labels))], evaluate)
                 if isinstance(alone[-1], EllqgError):
@@ -574,7 +653,7 @@ def w_tilde(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
     Summed by ``_sym_sums`` as a stack of one item, exactly-zero branches
     pruned (module docstring); a vanishing denominator raises PoleError.
     """
-    return _evaluations(_sym_sums([(t, z, Pdyn, (I,), None)], mp)[0])[0]
+    return _evaluations(_sym_sums([(t, z, Pdyn, (I,), None, None)], mp)[0])[0]
 
 
 def _specializations(points, z: EvaluationPoints) -> list:
@@ -589,7 +668,7 @@ def _specializations(points, z: EvaluationPoints) -> list:
         if lams[id(labels)] != at.shape():
             raise ShapeError("specialization point and label must share a shape")
     z.require_distinct()
-    return [(TVariables.specialization(at, z), z, Pdyn, labels, None)
+    return [(TVariables.specialization(at, z), z, Pdyn, labels, None, _label(at)[1][-1])
             for at, Pdyn, labels in points]
 
 
@@ -726,7 +805,7 @@ def _transition_items(cases, mp: ModularParams) -> tuple:
                 if (colors, Pdyn.N) not in labels:
                     labels[colors, Pdyn.N] = PartitionIndex.from_colors(colors, Pdyn.N)
             points.append((t, z, Pdyn, tuple(labels[colors, Pdyn.N] for colors, _ in place),
-                           tuple(perm for _, perm in place)))
+                           tuple(perm for _, perm in place), None))
     return points, terms, stop
 
 
@@ -783,7 +862,7 @@ def modified_w(I: PartitionIndex, t: TVariables, z: EvaluationPoints,
         e = require_normal(e_lambda(lam, t, z, mp), "E factor")
         return require_finite(h_lambda(lam, t, z, mp) * wt / e, "modified weight function")
     if route == "sym":
-        return _sym_sums([(t, z, Pdyn, (I,), None)], mp, modified=True)[0][0][0]
+        return _sym_sums([(t, z, Pdyn, (I,), None, None)], mp, modified=True)[0][0][0]
     raise ParameterError(f"unknown route {route!r}")
 
 

@@ -22,8 +22,8 @@ from ellqg.suites import _wf_cases
 from ellqg.tensorspace import (Composition, DynamicalParams, EvaluationPoints,
                                PartitionIndex, enumerate_partitions, leq)
 from ellqg.weightfn import (TVariables, diagonal_value, e_lambda,
-                            modified_w, specialize, specialize_all, stab_matrix,
-                            stable_envelope_restriction, transition_residuals,
+                            modified_w, specialize, specialize_all, specialize_points,
+                            stab_matrix, stable_envelope_restriction, transition_residuals,
                             triangularity_violations, w_tilde)
 
 
@@ -328,7 +328,7 @@ def test_modified_specializations_prune_exactly_the_zero_terms(mp, rng):
         parts = enumerate_partitions(lam)
         for I, at in product(parts, parts):
             t = TVariables.specialization(at, z)
-            (value,), (pruned,), _ = weightfn._sym_sums([(t, z, pd, (I,), None)], mp,
+            (value,), (pruned,), _ = weightfn._sym_sums([(t, z, pd, (I,), None, None)], mp,
                                                          modified=True)[0]
             terms = _brute_force_terms(I, t, z, pd, mp, modified=True)
             ref = sum(terms, 0.0 + 0.0j)
@@ -346,7 +346,7 @@ def _as_points(items):
             runs.append((point, [], []))
         runs[-1][1].append(I)
         runs[-1][2].append(perm)
-    return [(*point, tuple(labels), tuple(perms) if any(perms) else None)
+    return [(*point, tuple(labels), tuple(perms) if any(perms) else None, None)
             for point, labels, perms in runs]
 
 
@@ -422,6 +422,107 @@ def test_batch_equals_single_label_calls(mp, rng):
             items = [(I, point, perm) for point in points for I in parts for perm in perms]
             raised += _assert_batch_is_single_calls(lambda b: _item_sums(b, mp), items)
     assert raised > 0  # the resonant points reach the first-error rule
+
+
+# ------------------------------------------------- live top-level orders --
+
+def _live_cases():
+    """Every shape of n <= 4, then lambda = (2, 2, 1)."""
+    return list(_wf_cases()) + [(3, Composition((2, 2, 1)))]
+
+
+def _hex(x):
+    return x.real.hex(), x.imag.hex()
+
+
+def test_specializations_equal_the_whole_gather_bit_for_bit(mp, rng):
+    # Every label at every fixed point, at generic z: the live top-level
+    # orders give the value of w_tilde at t = z_at, whose stack gathers every
+    # order, signed zeros included, and the same pruned term count.
+    for N, lam in _live_cases():
+        parts = enumerate_partitions(lam)
+        z, pd = random_points(rng, lam.n, mp.q), random_pdyn(rng, N)
+        items = [(I, at, pd) for at in parts for I in parts]
+        want = [w_tilde(I, TVariables.specialization(at, z), z, pd, mp) for I, at, _ in items]
+        got = specialize_all(items, z, mp)
+        assert [(_hex(w.value), w.terms_pruned) for w in got] == \
+            [(_hex(w.value), w.terms_pruned) for w in want], lam
+        rows = specialize_points([(at, pd, parts) for at in parts], z, mp)
+        assert [_hex(x) for row in rows for x in row] == [_hex(w.value) for w in want], lam
+        plan = weightfn._stack(weightfn._specializations([(parts[0], pd, parts)], z), mp, False).plan
+        assert (plan.top is None) == (N > 2), lam  # N = 2 sums every top-level order
+
+
+def test_dead_orders_are_the_exact_zeros_of_the_whole_gather(mp, rng):
+    # At generic z every top-level order that _dead marks has an exactly-zero
+    # product in the whole gather, and every exactly-zero product is marked.
+    for N, lam in _live_cases():
+        parts = enumerate_partitions(lam)
+        z, pd = random_points(rng, lam.n, mp.q), random_pdyn(rng, N)
+        for at in parts:
+            st = weightfn._stack([(TVariables.specialization(at, z), z, pd, parts, None, None)],
+                                 mp, False)
+            plan, g, level = st.plan, st.plan.gathers[-1], st.plan.levels[-1]
+            zero = weightfn._factor(g.cross, np.take(st.values.ravel(), plan.top)) == 0
+            dead = weightfn._dead(level.Y, level.X)[weightfn._label(at)[1][-1], plan.kinds[-1]]
+            assert zero.tolist() == dead.tolist(), (lam, at)
+
+
+def test_live_orders_keep_the_error_path(mp, rng, monkeypatch):
+    # At resonant z (z_n = q^(+-2) z_1) of the N = 3 shapes, every label at
+    # every fixed point: the values or the first error of w_tilde at t = z_at,
+    # label by label.
+    raised = 0
+    for N, lam in _live_cases():
+        if N < 3:
+            continue
+        parts, pd = enumerate_partitions(lam), random_pdyn(rng, N)
+        for z in _resonant_points(rng, lam.n, mp.q):
+            singles = [_outcome(lambda: w_tilde(I, TVariables.specialization(at, z), z, pd, mp).value)
+                       for at in parts for I in parts]
+            errors = [s for s in singles if isinstance(s, tuple)]
+            got = _outcome(lambda: specialize_points([(at, pd, parts) for at in parts], z, mp))
+            if errors:
+                assert got == errors[0], lam
+            else:
+                assert [_hex(x) for row in got for x in row] == [_hex(x) for x in singles], lam
+            raised += bool(errors)
+    assert raised > 0
+    # ROADMAP item 1's point: lambda = (2, 1), z_2 = q^2 z_1.
+    q = mp.q
+    z1 = 0.6 * cmath.exp(0.3j)
+    z = EvaluationPoints((z1, q ** 2 * z1, 0.8 * cmath.exp(-1j)), q)
+    pd = DynamicalParams((1.2 + 0.3j,))
+    labels = enumerate_partitions(Composition((2, 1)))
+    assert _outcome(lambda: gt_vectors(labels, z, pd, mp)) == \
+        (PoleError, "[v^2_2 - v^1_1 + 1] vanished") == _outcome(lambda: gt_vector(labels[0], z, pd, mp))
+    # One non-finite table entry, read by item k in dead orders only: the
+    # stack gathers every order, so 0 * inf ends in the error of the whole
+    # gather instead of a finite value.
+    lam = Composition((2, 2, 1))
+    parts, pd = enumerate_partitions(lam), random_pdyn(rng, 3)
+    points = weightfn._specializations([(parts[3], pd, parts)], random_points(rng, lam.n, q))
+    plan = weightfn._stack(points, mp, False).plan
+    level = plan.levels[-1]
+    dead = weightfn._dead(level.Y, level.X)[points[0][5], plan.kinds[-1]]
+    for k in range(len(parts)):
+        read = plan.tops[:, plan.kinds[-1, k]]
+        only = np.setdiff1d(read[:, dead[k]], read[:, ~dead[k]])
+        if only.size and (~dead[k]).any():
+            break
+    stack = weightfn._stack
+
+    def poisoned(points, mp, modified):
+        st = stack(points, mp, modified)
+        st.values[only[0], k] = math.inf
+        return st
+
+    values, _, _ = weightfn._sym_sums(points, mp)[0]
+    assert np.isfinite(values).all()
+    monkeypatch.setattr(weightfn, "_stack", poisoned)
+    whole = _outcome(lambda: weightfn._sym_sums([p[:5] + (None,) for p in points], mp))
+    assert whole == (FloatRangeError, "weight-function sum overflows")
+    assert _outcome(lambda: weightfn._sym_sums(points, mp)) == whole
 
 
 def _outcome_bits(outcomes):
@@ -1256,7 +1357,7 @@ def test_stacks_hold_whole_points_within_the_cap(monkeypatch, tmp_path):
 
     def recording(points, mp, modified):
         entries = weightfn._layout(weightfn._label(points[0][3][0])[0], modified)[2].shape[1]
-        stacks.append((sum(len(labels) for _, _, _, labels, _ in points), len(points), entries))
+        stacks.append((sum(len(labels) for _, _, _, labels, _, _ in points), len(points), entries))
         return stack(points, mp, modified)
 
     monkeypatch.setattr(weightfn, "_stack", recording)
@@ -1323,7 +1424,7 @@ def test_every_plan_holds_one_gather_per_level(mp, rng, monkeypatch):
         parts = enumerate_partitions(lam)
         z, pd, t = random_points(rng, lam.n, mp.q), random_pdyn(rng, N), random_t(rng, lam)
         for modified in (False, True):
-            points = [(t, z, pd, parts, None)]
+            points = [(t, z, pd, parts, None, None)]
             plan = weightfn._stack(points, mp, modified).plan
             assert len(plan.gathers) == len(plan.levels) == plan.kinds.shape[0], lam
             for l, (level, g, kinds) in enumerate(zip(plan.levels, plan.gathers, plan.kinds), 1):
@@ -1338,7 +1439,7 @@ def test_every_plan_holds_one_gather_per_level(mp, rng, monkeypatch):
                     assert [(r.tolist(), c.tolist()) for r, c in zip(g.rows[pad:, kind], g.cols[pad:, kind])] \
                         == [(r.tolist(), np.broadcast_to(c, g.cols.shape[2:]).tolist()) for r, c in own]
                     crosses.append(cross)
-                    alone = weightfn._stack([(t, z, pd, (I,), None)], mp, modified).plan
+                    alone = weightfn._stack([(t, z, pd, (I,), None, None)], mp, modified).plan
                     assert alone.gathers[l - 1].cross == cross, (I, l)
                 assert g.cross == max(crosses)
             assert plan.top.shape == (len(plan.gathers[-1].rows), len(parts),
@@ -1386,7 +1487,7 @@ def _recorded(monkeypatch, call, seen):
 
     def recording(points, mp, modified=False):
         out = outcomes(points, mp, modified)
-        for (t, z, pd, labels, perms), outcome in zip(points, out):
+        for (t, z, pd, labels, perms, _), outcome in zip(points, out):
             if isinstance(outcome, EllqgError):
                 break
             for k, I in enumerate(labels):
