@@ -31,39 +31,43 @@ every item of a level gathers in one index operation.
 
 A stack is evaluated in two parts.  Its plan (``_plan``) is its value-free
 index work (its distinct brackets, the table entries its gathers read, each
-item's pattern columns and its top-level gather index), built once per
-structure (per point its labels and site permutations, and whether the
-points are specializations; never a point's values) and kept in a cache of
-16 read-only plans.  The value pass (``_stack``) is all a new point pays
-for: one ``divisor_brackets`` call over the distinct arguments, pole test
-included, the table entries the plan reads and the contraction.  Every
-value is bitwise that of the item alone (``w_tilde`` at the permuted
-points), and an error is the one evaluating the items one by one meets
-first.  So ``specialize_points``, ``triangularity_violations``,
-``stab_matrix``, ``gtrep.gt_vectors`` and ``transition_residuals`` each
-evaluate a whole shape, or a whole list of transition cases, in one call,
-and read the values directly; only the public one-label calls and
-``specialize_all`` build a ``WeightFunctionEval`` per item.
+item's pattern columns and, unless it gathers live orders (below), its
+top-level gather index), built once per structure (per point its labels and
+site permutations, and whether the points are specializations; never a
+point's values) and kept in a cache of 16 read-only plans.  The value pass
+(``_stack``) is all a new point pays for: one ``divisor_brackets`` call over
+the distinct arguments, pole test included, the table entries the plan reads
+and the contraction.  Every value is bitwise that of the item alone
+(``w_tilde`` at the permuted points), and an error is the one evaluating the
+items one by one meets first.  So ``specialize_points``,
+``triangularity_violations``, ``stab_matrix``, ``gtrep.gt_vectors`` and
+``transition_residuals`` each evaluate a whole shape, or a whole list of
+transition cases, in one call, and read the values directly; only the public
+one-label calls and ``specialize_all`` build a ``WeightFunctionEval`` per
+item.
 
 Pruning.  A column of a label's F_l (l < N-1) whose every term already has
 an exactly-zero factor is not gathered, and its terms count as pruned; these
 zeros are read from the values.  At the top level of a specialization
 t = z_at (N >= 3) they are known from the structure: top-level variable x is
 then exactly the z of at's x-th top-level site, so order p of a label of top
-slot pattern S_J has an exactly-zero later factor [z_y - t_x] iff some slot a
-has site_at(p(a)) > S_J[a] (``_dead``).  Such a stack gathers and multiplies
-only the other, live, (item, order) pairs and scatters their products into
-a zeroed F_{N-1}[:, id].  That is bitwise the whole gather's outcome while
-every dead product is an exact zero, so the guard is finiteness: the live
-orders are taken only when no product of the stack's top-level entries, nor
-a partial one, can leave the float range (``_bounded``).  Otherwise (an inf
-or nan entry, or entries so large that a product overflows) every order is
-gathered, so that a zero times a non-finite factor still ends in an error.
-At N = 2 the top level is the whole sum, whose signed zeros every product
-reaches, so it is gathered whole.  A term through a vanishing denominator
-raises PoleError, at a specialization t = z_at as anywhere else (dead
-orders included): at resonant points z_j = q^(+-2) z_i a specialization
-with a finite limit in z raises rather than returning a value.
+slot pattern S_J has an exactly-zero later factor [z_y - t_x] iff some slot
+a has site_at(p(a)) > S_J[a] (``_dead``).  Such a stack, if a whole gather
+of its top level would read ``_LIVE_ENTRIES`` entries or more (below that,
+finding the live pairs costs more than the products it skips), gathers and
+multiplies only the other, live, (item, order) pairs and scatters their
+products into a zeroed F_{N-1}[:, id].  That is bitwise the whole gather's
+outcome while every dead product is an exact zero, so the guard is
+finiteness: the live orders are taken only when no product of the stack's
+top-level entries, nor a partial one, can leave the float range
+(``_bounded``).  Otherwise (an inf or nan entry, or entries so large that a
+product overflows) every order is gathered, so that a zero times a
+non-finite factor still ends in an error.  At N = 2 the top level is the
+whole sum, whose signed zeros every product reaches, so it is gathered
+whole.  A term through a vanishing denominator raises PoleError, at a
+specialization t = z_at as anywhere else (dead orders included): at resonant
+points z_j = q^(+-2) z_i a specialization with a finite limit in z raises
+rather than returning a value.
 The text names the bracket by its variables, v^l_a being variable a of level
 l (level N is z), e.g. "[v^2_1 - v^1_2 + 1] vanished" (``_first_pole``).
 """
@@ -161,11 +165,13 @@ class _Gather(NamedTuple):
     """Index arrays that gather a level factor F[p, p'] from its tables, one
     column per slot pattern: factor k of entry (p, p') of pattern s is table
     entry ``rows[k, s, p] + cols[k, s, p']``, the first ``cross`` cross-level
-    ratios, then the same-level ones."""
+    ratios, then the same-level ones; the first ``pads[s]`` factors of
+    pattern s are pads (``_gather``)."""
 
     rows: np.ndarray
     cols: np.ndarray
     cross: int
+    pads: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -262,11 +268,12 @@ def _gather(level: _Level, top: bool) -> _Gather:
                          for a, slot in enumerate(slots) for off, j in slot])
     cross = max(len(p) for p in patterns)
     out = _Gather(np.full((cross + len(same), len(patterns), len(rows)), level.same, np.intp),
-                  np.zeros((cross + len(same), len(patterns), len(cols)), np.intp), cross)
+                  np.zeros((cross + len(same), len(patterns), len(cols)), np.intp), cross,
+                  cross - np.array([len(p) for p in patterns], np.intp))
     for s, factors in enumerate(patterns):
         for k, (r, c) in enumerate(factors + same, cross - len(factors)):
             out.rows[k, s], out.cols[k, s] = r, c
-    out.rows.flags.writeable = out.cols.flags.writeable = False
+    out.rows.flags.writeable = out.cols.flags.writeable = out.pads.flags.writeable = False
     return out
 
 
@@ -313,7 +320,6 @@ class _Plan(NamedTuple):
     modified: bool
     levels: tuple          # per level, as ``_layout``'s
     ratio: np.ndarray      # (4, table entries): the brackets of each entry, ``_layout``'s
-    entries: np.ndarray    # (``_layout`` entries,): each one's place in the table, or -1
     consts: tuple          # per A constant: (color, level l+1, C)
     args: np.ndarray       # (3, distinct): each distinct bracket [row[i] - row[j] + row[c]]
     rank: np.ndarray       # (brackets + 1, items): 1 + the distinct bracket of each, then 0
@@ -322,9 +328,17 @@ class _Plan(NamedTuple):
     gathers: tuple         # per level: ``_layout``'s, less the leading rows every item pads
     kinds: np.ndarray      # (levels, items): each item's slot pattern, its column in ``gathers``
     tops: np.ndarray       # (factors, patterns, orders): each pattern's top-level gather as
-    #                        table entries (-1: not built, as no item has that pattern)
+    #                        table entries (meaningless for a pattern no item has)
     top: np.ndarray | None  # (factors, items, orders): each item's top-level gather index,
     #                         or None: ``_sums`` gathers the live orders of each call
+
+
+# Fewest entries of a whole top-level gather index (items x factors x orders)
+# for which a specialization stack at N >= 3 gathers its live orders only.
+# Finding them costs about 20 us a stack: at lambda=(2,1,1) and (2,2,0) in a
+# verify run (up to 3,456 entries) that is more than the products it skips,
+# at (2,2,1) in gt basis (14,400) less.
+_LIVE_ENTRIES = 8192
 
 
 # Measured at seed 0, with stacks of whole points: a verify run makes 259
@@ -333,10 +347,11 @@ class _Plan(NamedTuple):
 # but raises its peak RSS from 40.6 to 44.5 MB, beyond the benchmark's 5%
 # bound, so 16 stay.
 @lru_cache(maxsize=16)
-def _plan(modified: bool, live: bool, structure: tuple) -> _Plan:
+def _plan(modified: bool, specialized: bool, structure: tuple) -> _Plan:
     """The plan of a stack of points, each (labels, site permutations or
-    None); with ``live``, its points are specializations t = z_at, whose
-    top level ``_sums`` gathers per call, order by order.  A bracket is keyed
+    None); with ``specialized``, its points are specializations t = z_at,
+    whose top level ``_sums`` gathers per call, order by order, at N >= 3
+    and from ``_LIVE_ENTRIES`` entries.  A bracket is keyed
     by (point, variables, constant): equal keys are the same operations on
     the same values, so each distinct one is evaluated once.  Table entry e
     of item k is entry e * items + k of the stack's tables."""
@@ -349,8 +364,12 @@ def _plan(modified: bool, live: bool, structure: tuple) -> _Plan:
     lam, L = lam[0], len(labels)
     levels, (i, j, c), ratio, gathers = _layout(lam, modified)
     ids = {0: 0, 1: 1, 2: 2}  # constant keys: 0, 1, -1 by place, a slot's A by (l, color, C)
-    cids = np.array([[0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
-                                  for l, _, color, C in sl] for sl in slots])
+    own = {}  # per distinct label (``_label``'s slots tuple): its constant ids
+    for sl in slots:
+        if id(sl) not in own:
+            own[id(sl)] = [0, 1, 2] + [ids.setdefault((l, color, C), len(ids))
+                                       for l, _, color, C in sl]
+    cids = np.array([own[id(sl)] for sl in slots])
     V, W = sum(lam.prefix(l) for l in range(1, lam.N + 1)) + 1, len(ids)
     c = cids.T[c]  # (brackets, items): constant ids within the item's point's constants
     at = np.array(at)
@@ -367,22 +386,20 @@ def _plan(modified: bool, live: bool, structure: tuple) -> _Plan:
     args = np.stack([i, j, c + W * at + V * (at.max() + 1)]).reshape(3, -1)[:, first]
     rank = np.vstack([rank.reshape(i.shape) + 1, np.zeros(L, np.intp)])
     kinds = np.array(patterns, np.intp).T
-    # The leading rows every item pads: a pad reads ``level.same`` in the identity order, no factor does.
-    pads = [int((g.rows[:, kind, 0] == lv.same).all(axis=1).sum())
-            for g, lv, kind in zip(gathers, levels, kinds)]
-    gathers = tuple(_Gather(g.rows[d:], g.cols[d:], g.cross - d) for g, d in zip(gathers, pads))
+    pads = [int(g.pads[kind].min()) for g, kind in zip(gathers, kinds)]  # every item's leading pads
+    gathers = tuple(_Gather(g.rows[d:], g.cols[d:], g.cross - d, g.pads - d)
+                    for g, d in zip(gathers, pads))
     tops = gathers[-1].rows + gathers[-1].cols[:, :, :1]  # as ``_layout`` entries
     built = np.zeros(ratio.shape[1], bool)
     built[:levels[-1].matched] = True  # every lower level's entry, then those the items read
     built[tops[:, np.flatnonzero(np.bincount(kinds[-1]))]] = True
-    entries = np.where(built, np.cumsum(built) - 1, -1)
-    ratio, tops = ratio[:, built], entries[tops]
+    ratio, tops = ratio[:, built], (np.cumsum(built) - 1)[tops]
     top = None
-    if not live:
+    if not (specialized and lam.N > 2 and L * tops[:, 0].size >= _LIVE_ENTRIES):
         top = tops[:, kinds[-1]] * L  # built in place: at (3,2,2) it is megabytes
         top += np.arange(L)[:, None]
         top = _frozen(top)
-    return _Plan(lam, modified, levels, _frozen(ratio), _frozen(entries),
+    return _Plan(lam, modified, levels, _frozen(ratio),
                  tuple((color, l + 1, C) for l, color, C in list(ids)[3:]),
                  _frozen(args), _frozen(rank), _frozen(rank[ratio]),
                  tuple(sl[:2] for sl in slots[0]),
@@ -415,9 +432,8 @@ def _stack(points: list, mp: ModularParams, modified: bool) -> _Stack:
     s+1 of a label with a permutation reads the spectral point
     ``z.z[perm[s]]``, as if z were permuted.  ``at`` is None, or the top slot
     pattern of the fixed point at of t = z_at (``_specializations``)."""
-    # t = z_at at N >= 3: ``_sums`` gathers the live top-level orders (module docstring)
-    live = all(at is not None for *_, at in points) and points[0][3][0].N > 2
-    plan = _plan(modified, live, tuple((labels, perms) for _, _, _, labels, perms, _ in points))
+    plan = _plan(modified, None not in [p[-1] for p in points],
+                 tuple((labels, perms) for _, _, _, labels, perms, _ in points))
     row = []
     for t, z, _, _, _, _ in points:
         t.check_shape(plan.lam, z)
@@ -455,7 +471,10 @@ def _first_pole(st: _Stack, k: int) -> str | None:
     being z)."""
     plan, bad = st.plan, st.bad[:, k]
     for g, kind in zip(plan.gathers[::-1], plan.kinds[::-1, k]):
-        read = plan.entries[g.rows[:, kind, :, None] + g.cols[:, kind, None]]
+        if g is plan.gathers[-1]:
+            read = plan.tops[:, kind]
+        else:  # a lower level's table entries are ``_layout``'s
+            read = g.rows[:, kind, :, None] + g.cols[:, kind, None]
         read = read[bad[read]]
         if read.size:
             break

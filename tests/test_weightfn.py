@@ -435,7 +435,18 @@ def _hex(x):
     return x.real.hex(), x.imag.hex()
 
 
-def test_specializations_equal_the_whole_gather_bit_for_bit(mp, rng):
+@pytest.fixture(params=[0, None], ids=["every_stack_live", "default_threshold"])
+def live_entries(request, monkeypatch):
+    """Specialization stacks at N >= 3 gather their live orders from 0 entries
+    (every one), or from ``_LIVE_ENTRIES``; no plan of the other setting is kept."""
+    if request.param is not None:
+        monkeypatch.setattr(weightfn, "_LIVE_ENTRIES", request.param)
+    weightfn._plan.cache_clear()
+    yield weightfn._LIVE_ENTRIES
+    weightfn._plan.cache_clear()
+
+
+def test_specializations_equal_the_whole_gather_bit_for_bit(mp, rng, live_entries):
     # Every label at every fixed point, at generic z: the live top-level
     # orders give the value of w_tilde at t = z_at, whose stack gathers every
     # order, signed zeros included, and the same pruned term count.
@@ -450,7 +461,9 @@ def test_specializations_equal_the_whole_gather_bit_for_bit(mp, rng):
         rows = specialize_points([(at, pd, parts) for at in parts], z, mp)
         assert [_hex(x) for row in rows for x in row] == [_hex(w.value) for w in want], lam
         plan = weightfn._stack(weightfn._specializations([(parts[0], pd, parts)], z), mp, False).plan
-        assert (plan.top is None) == (N > 2), lam  # N = 2 sums every top-level order
+        entries = len(parts) * plan.gathers[-1].rows[:, 0].size  # of a whole-gather index
+        # N = 2 sums every top-level order
+        assert (plan.top is None) == (N > 2 and entries >= live_entries), lam
 
 
 def test_dead_orders_are_the_exact_zeros_of_the_whole_gather(mp, rng):
@@ -468,10 +481,10 @@ def test_dead_orders_are_the_exact_zeros_of_the_whole_gather(mp, rng):
             assert zero.tolist() == dead.tolist(), (lam, at)
 
 
-def test_live_orders_keep_the_error_path(mp, rng, monkeypatch):
-    # At resonant z (z_n = q^(+-2) z_1) of the N = 3 shapes, every label at
-    # every fixed point: the values or the first error of w_tilde at t = z_at,
-    # label by label.
+def test_live_orders_keep_the_error_path(mp, rng, monkeypatch, live_entries):
+    # At generic and resonant z (z_n = q^(+-2) z_1) of the N = 3 shapes,
+    # every label at every fixed point: the values or the first error of
+    # w_tilde at t = z_at, label by label.
     raised = 0
     for N, lam in _live_cases():
         if N < 3:
@@ -488,7 +501,7 @@ def test_live_orders_keep_the_error_path(mp, rng, monkeypatch):
                 assert [_hex(x) for row in got for x in row] == [_hex(x) for x in singles], lam
             raised += bool(errors)
     assert raised > 0
-    # ROADMAP item 1's point: lambda = (2, 1), z_2 = q^2 z_1.
+    # A resonant point of lambda = (2, 1): z_2 = q^2 z_1, z_3 = 0.8 e^(-i).
     q = mp.q
     z1 = 0.6 * cmath.exp(0.3j)
     z = EvaluationPoints((z1, q ** 2 * z1, 0.8 * cmath.exp(-1j)), q)
@@ -510,6 +523,8 @@ def test_live_orders_keep_the_error_path(mp, rng, monkeypatch):
         only = np.setdiff1d(read[:, dead[k]], read[:, ~dead[k]])
         if only.size and (~dead[k]).any():
             break
+    else:
+        raise AssertionError("no item reads an entry in dead orders only")
     stack = weightfn._stack
 
     def poisoned(points, mp, modified):
